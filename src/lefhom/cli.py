@@ -19,6 +19,7 @@ from .errors import (
     LefSyntaxError,
     NonFieldRing,
     UnsupportedRing,
+    UsageError,
 )
 from .exact import RingSpec
 from .formats import (
@@ -53,10 +54,13 @@ def _parse_ring(token: Optional[str]) -> Optional[RingSpec]:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 def _load_complex(args) -> LefschetzComplex:
@@ -204,20 +208,24 @@ def _cmd_validate(args) -> int:
 
 def _cmd_search(args) -> int:
     ring = _parse_ring(args.ring) or RingSpec.integers()
-    config = GeneratorConfig(
-        seed=args.seed,
-        mode=args.mode,
-        max_dimension=args.max_dimension,
-        max_cells_per_dim=args.max_cells,
-        coefficient_bound=args.coefficient_bound,
-        transform_steps=args.transform_steps,
-    )
+    try:
+        config = GeneratorConfig(
+            seed=args.seed,
+            mode=args.mode,
+            max_dimension=args.max_dimension,
+            max_cells_per_dim=args.max_cells,
+            coefficient_bound=args.coefficient_bound,
+            transform_steps=args.transform_steps,
+        )
+        found = search_converse(config, ring, budget=args.budget, jobs=args.jobs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     print(f"mode: {config.mode}")
     print(f"ring: {ring.label}")
     print(f"seed: {config.seed}")
     print(f"budget: {args.budget}")
     hits = []
-    for candidate in search_converse(config, ring, budget=args.budget, jobs=args.jobs):
+    for candidate in found:
         hits.append(candidate)
         print(f"candidate_index: {candidate.index}")
         print(f"candidate_seed: {candidate.seed}")
@@ -343,10 +351,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (LefSyntaxError, UnsupportedRing, NonFieldRing) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (LefSyntaxError, UnsupportedRing, NonFieldRing, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except LefhomError as exc:

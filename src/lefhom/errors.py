@@ -68,6 +68,10 @@ class TooManySimplices(LefhomError):
         super().__init__(f"order complex exceeds {cap} simplices; raise the cap")
 
 
+class UsageError(LefhomError):
+    """A command-line value or input file that a command cannot use."""
+
+
 class LefSyntaxError(LefhomError):
     """A malformed line in one of the text input formats."""
 

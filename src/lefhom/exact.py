@@ -1,12 +1,18 @@
 """Exact linear algebra over the integers, the rationals and prime fields.
 
-Everything computes with Python's arbitrary-precision ``int`` and
-``fractions.Fraction``.  No floating point is ever involved, so ranks,
-kernels and Smith divisors are exact by construction.
+Entries are Python ints over Z, ints in [0, p) over F_p and ``Fraction``
+over Q; no floating point is ever involved.  Every elimination runs
+through one sparse routine, :func:`_eliminate`.  Over Z it removes the
+unit pivots and hands the small residue to the dense Bezout Smith form,
+which also serves ``with_transforms=True``.  A rank over Q clears each
+column's denominators and takes the Z route, so it does no ``Fraction``
+arithmetic.  Kernels and solutions over a field read the canonical reduced
+echelon form off the same routine run left to right.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -21,6 +27,7 @@ __all__ = [
     "smith_normal_form",
     "rank_over",
     "kernel_basis",
+    "pivot_columns",
     "solve",
     "ZZ",
     "QQ",
@@ -118,9 +125,6 @@ class RingSpec:
     def add(self, a, b):
         return (a + b) % self.p if self.kind == "Fp" else a + b
 
-    def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "Fp" else a - b
-
     def mul(self, a, b):
         return (a * b) % self.p if self.kind == "Fp" else a * b
 
@@ -129,15 +133,6 @@ class RingSpec:
 
     def is_zero(self, a) -> bool:
         return a == 0
-
-    def invert(self, a):
-        if not self.is_field:
-            raise NonFieldRing(f"{self} is not a field")
-        if a == 0:
-            raise ZeroDivisionError("inverting zero")
-        if self.kind == "Q":
-            return Fraction(1) / a
-        return pow(a, self.p - 2, self.p)
 
     def format_element(self, a) -> str:
         if isinstance(a, Fraction) and a.denominator != 1:
@@ -299,68 +294,107 @@ class SmithForm:
         return ExactMatrix(n, m, {(k, k): d for k, d in enumerate(self.divisors)}, ZZ)
 
 
-def smith_normal_form(matrix: ExactMatrix, with_transforms: bool = False) -> SmithForm:
-    """Smith Normal Form of an integer matrix.
+def _eliminate(cols: list, p: Optional[int], ordered: bool = False) -> list:
+    """Sparse elimination, in place, on ``cols``: one ``{row: value}`` dict per column.
+
+    ``p`` is None over Z, where only entries ±1 are pivots, 0 over Q (int or
+    ``Fraction`` values) and the prime over F_p (ints in [0, p)).  Pivot
+    columns go shortest first, or left to right if ``ordered``; within one,
+    the unit whose row has the fewest entries.  A pivot clears its row from
+    the other columns by column operations and empties its own column.
+    Negative rows are never pivots, so an entry at row ``~j`` records the
+    operations on column j.  Returns the pivot columns in the order taken;
+    over Z the columns left nonempty are the residue without units.
+    """
+    rows = {}
+    order = []
+    for j, col in enumerate(cols):
+        if col:
+            order.append(j)
+            for i in col:
+                rows.setdefault(i, set()).add(j)
+    if not ordered:
+        order.sort(key=lambda j: len(cols[j]))
+    pivots = []
+    while True:
+        taken = len(pivots)
+        deferred = []
+        for c in order:
+            col = cols[c]
+            r, fewest = None, None
+            for i, v in col.items():
+                if (i >= 0 and (p is not None or v == 1 or v == -1)
+                        and (fewest is None or len(rows[i]) < fewest)):
+                    r, fewest = i, len(rows[i])
+            if r is None:
+                deferred.append(c)
+                continue
+            u = col.pop(r)
+            inv = pow(u, -1, p) if p else u if u in (1, -1) else 1 / Fraction(u)
+            items = list(col.items())
+            for i, _ in items:
+                rows[i].discard(c)
+            users = rows.pop(r)
+            users.discard(c)
+            for k in users:
+                colk = cols[k]
+                f = colk.pop(r) * inv
+                for i, v in items:
+                    w = colk.get(i, 0) - f * v
+                    if p:
+                        w %= p
+                    if w:
+                        colk[i] = w
+                        rows[i].add(k)
+                    else:
+                        del colk[i]
+                        rows[i].discard(k)
+            col.clear()
+            pivots.append(c)
+        if p is not None or len(pivots) == taken:
+            return pivots
+        order = sorted(deferred, key=lambda j: len(cols[j]))
+
+
+def _columns(entries: Mapping, ncols: int) -> list:
+    cols = [{} for _ in range(ncols)]
+    for (i, j), v in entries.items():
+        cols[j][i] = v
+    return cols
+
+
+def _dense_snf(a: list, n: int, m: int, with_transforms: bool):
+    """Smith divisors of the dense n x m integer matrix ``a``.
 
     Pivots are chosen by minimal absolute value and reduced with Bezout-style
-    row/column combinations, which keeps coefficient growth tame on the small
-    matrices this package deals with.  When ``with_transforms`` is set, the
-    returned unimodular witnesses satisfy ``left @ matrix @ right == diagonal``.
+    row/column combinations.  Returns ``(divisors, left, right)``.  For the
+    unimodular transforms, ``a`` is bordered as ``[[a, I_n], [I_m, 0]]``:
+    row operations on the first n rows then carry the left transform along,
+    column operations on the first m columns the right one.
     """
-    if matrix.ring != ZZ:
-        raise UnsupportedRing("smith_normal_form expects integer entries")
-    n, m = matrix.rows, matrix.cols
-    a = matrix.dense()
-    left = [[int(i == j) for j in range(n)] for i in range(n)] if with_transforms else None
-    right = [[int(i == j) for j in range(m)] for i in range(m)] if with_transforms else None
-
-    def swap_rows(i, k):
-        if i != k:
-            a[i], a[k] = a[k], a[i]
-            if left is not None:
-                left[i], left[k] = left[k], left[i]
+    if with_transforms:
+        a = ([row + [int(i == k) for k in range(n)] for i, row in enumerate(a)]
+             + [[int(j == k) for k in range(m)] + [0] * n for j in range(m)])
 
     def swap_cols(j, k):
-        if j != k:
-            for row in a:
-                row[j], row[k] = row[k], row[j]
-            if right is not None:
-                for row in right:
-                    row[j], row[k] = row[k], row[j]
+        for row in a:
+            row[j], row[k] = row[k], row[j]
 
     def add_row(src, dst, q):  # row dst += q * row src
-        asrc, adst = a[src], a[dst]
-        for j in range(m):
-            adst[j] += q * asrc[j]
-        if left is not None:
-            lsrc, ldst = left[src], left[dst]
-            for j in range(n):
-                ldst[j] += q * lsrc[j]
+        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
 
-    def add_col(src, dst, q):
+    def add_col(src, dst, q):  # column dst += q * column src
         for row in a:
             row[dst] += q * row[src]
-        if right is not None:
-            for row in right:
-                row[dst] += q * row[src]
-
-    def find_pivot(t):
-        best_abs, where = None, None
-        for i in range(t, n):
-            row = a[i]
-            for j in range(t, m):
-                v = row[j]
-                if v != 0 and (best_abs is None or abs(v) < best_abs):
-                    best_abs, where = abs(v), (i, j)
-        return where
 
     t = 0
     while t < min(n, m):
-        where = find_pivot(t)
-        if where is None:
+        nonzero = [(abs(a[i][j]), i, j) for i in range(t, n) for j in range(t, m) if a[i][j]]
+        if not nonzero:
             break
-        swap_rows(t, where[0])
-        swap_cols(t, where[1])
+        _, i, j = min(nonzero)
+        a[t], a[i] = a[i], a[t]
+        swap_cols(t, j)
         while True:
             # clear column t; nonzero remainders become the new, smaller pivot
             progressed = False
@@ -372,7 +406,7 @@ def smith_normal_form(matrix: ExactMatrix, with_transforms: bool = False) -> Smi
             if progressed:
                 i_best = min((i for i in range(t, n) if a[i][t] != 0),
                              key=lambda i: abs(a[i][t]))
-                swap_rows(t, i_best)
+                a[t], a[i_best] = a[i_best], a[t]
                 continue
             progressed = False
             for j in range(t + 1, m):
@@ -387,65 +421,87 @@ def smith_normal_form(matrix: ExactMatrix, with_transforms: bool = False) -> Smi
                 continue
             # pivot row/column clear; force divisibility of the rest
             pivot = a[t][t]
-            offender = None
-            for i in range(t + 1, n):
-                row = a[i]
-                for j in range(t + 1, m):
-                    if row[j] % pivot != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(t + 1, n)
+                             if any(a[i][j] % pivot for j in range(t + 1, m))), None)
             if offender is None:
                 break
             add_row(offender, t, 1)
         if a[t][t] < 0:
             a[t] = [-v for v in a[t]]
-            if left is not None:
-                left[t] = [-v for v in left[t]]
         t += 1
 
     divisors = tuple(a[k][k] for k in range(t))
-    lm = ExactMatrix.from_rows(left, ZZ) if with_transforms else None
-    rm = ExactMatrix.from_rows(right, ZZ) if with_transforms else None
+    if not with_transforms:
+        return divisors, None, None
+    return divisors, [row[m:] for row in a[:n]], [row[:m] for row in a[n:]]
+
+
+def _integer_divisors(cols: list) -> tuple:
+    """Smith divisors of integer columns: one 1 per unit pivot, then the
+    dense Bezout form of the residue that has no unit left."""
+    units = len(_eliminate(cols, None))
+    residue = [col for col in cols if col]
+    if not residue:
+        return (1,) * units
+    rows = sorted({i for col in residue for i in col})
+    dense = [[col.get(i, 0) for col in residue] for i in rows]
+    return (1,) * units + _dense_snf(dense, len(rows), len(residue), False)[0]
+
+
+def smith_normal_form(matrix: ExactMatrix, with_transforms: bool = False) -> SmithForm:
+    """Smith Normal Form of an integer matrix.
+
+    Unit pivots are eliminated sparsely and only the residue goes through
+    the dense Bezout reduction.  When ``with_transforms`` is set, the whole
+    matrix takes the dense route and the returned unimodular witnesses
+    satisfy ``left @ matrix @ right == diagonal``.
+    """
+    if matrix.ring != ZZ:
+        raise UnsupportedRing("smith_normal_form expects integer entries")
+    n, m = matrix.rows, matrix.cols
+    if not with_transforms:
+        return SmithForm(shape=(n, m),
+                         divisors=_integer_divisors(_columns(matrix._entries, m)))
+    divisors, left, right = _dense_snf(matrix.dense(), n, m, True)
     return SmithForm(shape=(n, m), divisors=divisors,
-                     left_transform=lm, right_transform=rm)
+                     left_transform=ExactMatrix.from_rows(left, ZZ),
+                     right_transform=ExactMatrix.from_rows(right, ZZ))
 
 
-def _field_rows(matrix: ExactMatrix, ring: RingSpec) -> list:
+def _field_columns(matrix: ExactMatrix, ring: RingSpec) -> list:
+    """Columns of ``matrix`` over a field; over Q integral entries become ints."""
     if not ring.is_field:
         raise NonFieldRing(f"{ring} is not a field; use smith_normal_form over Z")
-    return matrix.cast(ring).dense()
-
-
-def _rref(rows: list, ncols: int, ring: RingSpec):
-    """Reduced row echelon form in place; returns (rows, pivot column list)."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if not ring.is_zero(rows[i][c])), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = ring.invert(rows[r][c])
-        rows[r] = [ring.mul(inv, v) for v in rows[r]]
-        lead = rows[r]
-        for i in range(len(rows)):
-            if i != r and not ring.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [ring.sub(v, ring.mul(f, w)) for v, w in zip(rows[i], lead)]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    if ring.kind == "Fp" or matrix.ring.kind == "Fp":
+        return _columns(matrix.cast(ring)._entries, matrix.cols)
+    cols = _columns(matrix._entries, matrix.cols)
+    for col in cols:
+        for i, v in col.items():
+            if v.denominator == 1:
+                col[i] = v.numerator
+    return cols
 
 
 def rank_over(matrix: ExactMatrix, ring: RingSpec) -> int:
-    """Rank by exact Gaussian elimination over Q or F_p."""
-    rows = _field_rows(matrix, ring)
-    _, pivots = _rref(rows, matrix.cols, ring)
-    return len(pivots)
+    """Rank over Q or F_p.
+
+    Over Q each column is scaled to clear its denominators, which keeps the
+    rank, and the integer Smith form counts it.
+    """
+    cols = _field_columns(matrix, ring)
+    if ring.p:
+        return len(_eliminate(cols, ring.p))
+    for col in cols:
+        den = math.lcm(*(v.denominator for v in col.values()))
+        for i, v in col.items():
+            col[i] = v.numerator * (den // v.denominator)
+    return len(_integer_divisors(cols))
+
+
+def pivot_columns(matrix: ExactMatrix, ring: RingSpec) -> list:
+    """Ascending indices of the columns independent of those to their left,
+    over a field: the pivot columns of the reduced echelon form."""
+    return _eliminate(_field_columns(matrix, ring), ring.p or 0, ordered=True)
 
 
 def kernel_basis(matrix: ExactMatrix, ring: RingSpec) -> list:
@@ -453,37 +509,35 @@ def kernel_basis(matrix: ExactMatrix, ring: RingSpec) -> list:
 
     One vector per free column of the reduced echelon form, in ascending
     free-column order; this makes downstream homology bases reproducible.
+    The vector of free column f has a 1 at f and zeros at the other free
+    columns: the record of the column operations that zeroed column f.
     """
-    rows = _field_rows(matrix, ring)
-    rref, pivots = _rref(rows, matrix.cols, ring)
-    pivot_set = set(pivots)
+    cols = _field_columns(matrix, ring)
+    for j, col in enumerate(cols):
+        col[~j] = 1
+    pivots = set(_eliminate(cols, ring.p or 0, ordered=True))
     basis = []
     for free in range(matrix.cols):
-        if free in pivot_set:
-            continue
-        vec = [ring.zero()] * matrix.cols
-        vec[free] = ring.one()
-        for r, pc in enumerate(pivots):
-            vec[pc] = ring.neg(rref[r][free])
-        basis.append(vec)
+        if free not in pivots:
+            vec = [ring.zero()] * matrix.cols
+            for i, v in cols[free].items():
+                vec[~i] = ring.convert(v)
+            basis.append(vec)
     return basis
 
 
 def solve(matrix: ExactMatrix, rhs: Sequence, ring: RingSpec):
     """One exact solution of ``matrix @ x = rhs`` over a field, or None.
 
-    Free variables are set to zero, so the returned solution is canonical.
+    Free variables are set to zero, so the returned solution is canonical:
+    minus the kernel vector of ``[matrix | rhs]`` whose free column is the last.
     """
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
-    rows = _field_rows(matrix, ring)
-    rhs = [ring.convert(v) for v in rhs]
-    for row, b in zip(rows, rhs):
-        row.append(b)
-    rref, pivots = _rref(rows, matrix.cols + 1, ring)
-    if matrix.cols in pivots:
+    m = matrix.cols
+    entries = dict(matrix.cast(ring).entries)
+    entries.update(((i, m), v) for i, v in enumerate(rhs))
+    basis = kernel_basis(ExactMatrix(matrix.rows, m + 1, entries, ring), ring)
+    if not basis or not basis[-1][m]:
         return None
-    x = [ring.zero()] * matrix.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = rref[r][matrix.cols]
-    return x
+    return [ring.neg(v) for v in basis[-1][:m]]

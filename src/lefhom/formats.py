@@ -43,6 +43,10 @@ __all__ = [
 
 GENERATOR_MODES = ("simplicial-random", "cubical-random", "basis-change")
 
+# Highest cell dimension parse_lef accepts: reports list every degree up to
+# the top one, so an absurd dimension would otherwise run for ever.
+MAX_LEF_DIM = 1000
+
 
 # ---------------------------------------------------------------------------
 # .lef format
@@ -112,6 +116,8 @@ def parse_lef(text: str) -> LefschetzComplex:
                 raise LefSyntaxError(line_no, f"bad dimension {parts[2]!r}") from None
             if dim < 0:
                 raise LefSyntaxError(line_no, "dimension must be non-negative")
+            if dim > MAX_LEF_DIM:
+                raise LefSyntaxError(line_no, f"dimension {dim} exceeds the maximum {MAX_LEF_DIM}")
             seen[cid] = dim
             cells.append((cid, dim))
         elif parts[0] == "kappa":

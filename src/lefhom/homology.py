@@ -23,6 +23,7 @@ from .exact import (
     RingSpec,
     ZZ,
     kernel_basis,
+    pivot_columns,
     rank_over,
     smith_normal_form,
     solve,
@@ -118,26 +119,23 @@ def profile_from_boundaries(ring: RingSpec, sizes: Sequence[int],
     """Homology profile of a chain complex given by its boundary matrices.
 
     ``sizes[q]`` is the number of degree-q generators for q = 0..D and
-    ``boundary(q)`` maps degree q to q-1 (already over ``ring``).
+    ``boundary(q)`` maps degree q to q-1 (already over ``ring``).  Only
+    degrees that have generators are visited: degree n needs the ranks of
+    ``boundary(n)`` and ``boundary(n + 1)``, and a boundary out of an empty
+    degree has rank 0.
     """
-    top = len(sizes) - 1
+    populated = [n for n, size in enumerate(sizes) if size]
     ranks = {}
     torsion_above = {}
-    if ring == ZZ:
-        for q in range(top + 2):
+    for q in sorted({n + k for n in populated for k in (0, 1)}):
+        if ring == ZZ:
             divisors = smith_normal_form(boundary(q)).divisors
             ranks[q] = len(divisors)
             torsion_above[q - 1] = tuple(d for d in divisors if d > 1)
-    elif ring.is_field:
-        for q in range(top + 2):
+        else:
             ranks[q] = rank_over(boundary(q), ring)
-            torsion_above[q - 1] = ()
-    else:
-        raise NonFieldRing(f"unsupported coefficient ring {ring}")
-    data = {}
-    for n in range(top + 1):
-        free = sizes[n] - ranks[n] - ranks[n + 1]
-        data[n] = (free, torsion_above[n])
+    data = {n: (sizes[n] - ranks[n] - ranks[n + 1], torsion_above.get(n, ()))
+            for n in populated}
     return HomologyProfile.from_degrees(ring, data)
 
 
@@ -221,7 +219,12 @@ def excision_check(X: LefschetzComplex, closed_part: Iterable,
 
 class _ChainSystem:
     """Chain-level data of one complex over a field: cycles, boundaries,
-    a canonical homology basis per degree, and coordinates in that basis."""
+    a canonical homology basis per degree, and coordinates in that basis.
+
+    The basis of degree q consists of the kernel-basis cycles that are
+    independent of the boundaries and of the cycles before them: the pivot
+    columns among the cycles of ``[boundary columns | cycles]``.
+    """
 
     def __init__(self, ring: RingSpec, sizes: Sequence[int],
                  boundary: Callable[[int], ExactMatrix]):
@@ -230,20 +233,19 @@ class _ChainSystem:
         self.top = len(sizes) - 1
         self._boundary = {q: boundary(q) for q in range(self.top + 2)}
         self.reps = {}
-        self._bcols = {}
+        self._systems = {}
         for q in range(self.top + 1):
             cycles = kernel_basis(self._boundary[q], ring)
-            bcols = [self._boundary[q + 1].column(j)
-                     for j in range(self._boundary[q + 1].cols)]
-            self._bcols[q] = bcols
-            span = []
-            for b in bcols:
-                _echelon_insert(span, list(b), ring)
-            reps = []
-            for z in cycles:
-                if _echelon_insert(span, list(z), ring):
-                    reps.append(z)
-            self.reps[q] = reps
+            above = self._boundary[q + 1]
+            entries = dict(above.entries)
+            for j, z in enumerate(cycles, start=above.cols):
+                entries.update(((i, j), v) for i, v in enumerate(z) if v)
+            system = ExactMatrix(self.sizes[q], above.cols + len(cycles), entries, ring)
+            pivots = set(pivot_columns(system, ring))
+            self.reps[q] = [z for j, z in enumerate(cycles, start=above.cols) if j in pivots]
+            # [boundary columns | representatives], where express() solves for a class
+            self._systems[q] = system.drop(
+                cols=[j for j in range(above.cols, system.cols) if j not in pivots])
 
     def boundary(self, q: int) -> ExactMatrix:
         return self._boundary[q]
@@ -256,31 +258,10 @@ class _ChainSystem:
         reps = self.reps.get(q, [])
         if not reps:
             return []
-        cols = self._bcols[q] + reps
-        size = self.sizes[q]
-        entries = {(i, j): col[i] for j, col in enumerate(cols)
-                   for i in range(size)}
-        system = ExactMatrix(size, len(cols), entries, self.ring)
-        solution = solve(system, cycle, self.ring)
+        solution = solve(self._systems[q], cycle, self.ring)
         if solution is None:
             raise AssertionError("vector is not a cycle of its degree")
-        return solution[len(self._bcols[q]):]
-
-
-def _echelon_insert(span: list, vec: list, ring: RingSpec) -> bool:
-    """Reduce vec against an echelon list; insert and report True if new."""
-    for pivot, basis_vec in span:
-        coeff = vec[pivot]
-        if not ring.is_zero(coeff):
-            for k in range(len(vec)):
-                vec[k] = ring.sub(vec[k], ring.mul(coeff, basis_vec[k]))
-    lead = next((k for k, v in enumerate(vec) if not ring.is_zero(v)), None)
-    if lead is None:
-        return False
-    inv = ring.invert(vec[lead])
-    span.append((lead, [ring.mul(inv, v) for v in vec]))
-    span.sort(key=lambda t: t[0])
-    return True
+        return solution[-len(reps):]
 
 
 @dataclass(frozen=True)

@@ -254,13 +254,15 @@ def search_converse(base_config, ring: Optional[RingSpec] = None,
     the emitted sequence is deterministic for a fixed configuration and
     identical for any ``jobs`` setting.  Exhausting the budget without a
     hit is normal termination and means only that nothing was found at
-    this scale.
+    this scale.  A budget below 1 raises ``ValueError`` at the call.
     """
-    from .formats import random_complex, render_lef
-
     if budget <= 0:
         raise ValueError("budget must be positive")
-    ring = RingSpec.integers() if ring is None else ring
+    return _search(base_config, RingSpec.integers() if ring is None else ring, budget, jobs)
+
+
+def _search(base_config, ring: RingSpec, budget: int, jobs: int) -> Iterator[ConverseCandidate]:
+    from .formats import random_complex, render_lef
 
     def emit(index: int) -> ConverseCandidate:
         cfg = replace(base_config, seed=_derive_seed(base_config.seed, index))

@@ -110,19 +110,20 @@ def enumerate_closed_sets(X: LefschetzComplex,
                 mask |= 1 << pos[y]
         need.append(mask)
 
+    # depth-first over include/exclude decisions, excluding first; a stack
+    # instead of recursion, because the depth is the number of cells
     results = []
-
-    def walk(i: int, chosen: int):
+    stack = [(0, 0)]
+    while stack:
+        i, chosen = stack.pop()
         if i == len(ids):
             if len(results) >= cap:
                 raise TooManyClosedSets(cap)
             results.append(chosen)
-            return
-        walk(i + 1, chosen)
+            continue
         if need[i] & chosen == need[i]:
-            walk(i + 1, chosen | (1 << i))
-
-    walk(0, 0)
+            stack.append((i + 1, chosen | (1 << i)))
+        stack.append((i + 1, chosen))
     sets = [frozenset(ids[k] for k in range(len(ids)) if mask >> k & 1)
             for mask in results]
     sets.sort(key=lambda s: (len(s), tuple(sorted(s))))

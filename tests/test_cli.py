@@ -202,3 +202,34 @@ def test_subprocess_byte_determinism(star_file, twisted_file):
             second = cli_bytes(command, path)
             with_jobs = cli_bytes(command, path, "--jobs", "4")
             assert first == second == with_jobs
+
+
+def _directory(tmp_path):
+    return str(tmp_path)
+
+
+def _latin1_file(tmp_path):
+    path = tmp_path / "latin1.lef"
+    path.write_bytes("ring Z\ncell \u00e9 0\n".encode("latin-1"))
+    return str(path)
+
+
+def _huge_dimension_file(tmp_path):
+    path = tmp_path / "huge.lef"
+    path.write_text("ring Z\ncell a 99999999999999999999\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--budget", "0"],
+    ["search", "--seed", "-1"],
+    ["homology", _directory],
+    ["homology", _latin1_file],
+    ["homology", _huge_dimension_file],
+], ids=["budget-0", "negative-seed", "directory", "not-utf8", "huge-dimension"])
+def test_unusable_input_exits_2(capsys, tmp_path, argv):
+    argv = [arg(tmp_path) if callable(arg) else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: ")

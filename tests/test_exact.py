@@ -97,6 +97,9 @@ def test_rank_over_examples():
     assert rank_over(m, QQ) == 2
     assert rank_over(m, GF(2)) == 1
     assert rank_over(ExactMatrix.zeros(3, 3, ZZ), GF(5)) == 0
+    halves = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)],
+                                    [Fraction(3, 2), Fraction(1)]], QQ)
+    assert rank_over(halves, QQ) == 1
 
 
 def test_rank_over_rejects_integers():
@@ -109,6 +112,12 @@ def test_kernel_examples():
     assert len(kernel_basis(ExactMatrix.zeros(1, 3, ZZ), QQ)) == 3
     vectors = kernel_basis(ExactMatrix.from_rows([[1, 1, -1, -1]], ZZ), QQ)
     assert len(vectors) == 3
+    # canonical: read off the reduced echelon form [[1, 0, 1], [0, 1, 1]]
+    m = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]], ZZ)
+    (vec,) = kernel_basis(m, QQ)
+    assert vec == [-1, -1, 1] and all(type(v) is Fraction for v in vec)
+    assert kernel_basis(m, GF(5)) == [[4, 4, 1]]
+    assert solve(m, [3, 6, 1], GF(5)) == [1, 1, 0]
 
 
 def test_kernel_vectors_are_killed_and_independent():
@@ -121,6 +130,23 @@ def test_kernel_vectors_are_killed_and_independent():
             assert all(ring.is_zero(v) for v in cast.apply(vec))
         stacked = ExactMatrix.from_rows(basis, ring)
         assert rank_over(stacked, ring) == len(basis)
+
+
+class _NoArithmetic(Fraction):
+    """A Fraction that refuses arithmetic: reading it is all a rank may do."""
+
+    def _refuse(self, *args):
+        raise AssertionError("Fraction arithmetic in a rank computation")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _refuse
+    __truediv__ = __rtruediv__ = __floordiv__ = __mod__ = __neg__ = _refuse
+
+
+def test_rational_rank_does_no_fraction_arithmetic():
+    rows = [[_NoArithmetic(1, 2), _NoArithmetic(1, 3), _NoArithmetic(0)],
+            [_NoArithmetic(3, 2), _NoArithmetic(1), _NoArithmetic(5, 7)],
+            [_NoArithmetic(2), _NoArithmetic(4, 3), _NoArithmetic(5, 7)]]
+    assert rank_over(ExactMatrix.from_rows(rows, QQ), QQ) == 2
 
 
 def test_solve_consistency():
@@ -224,3 +250,20 @@ def test_seeded_snf_sweep():
         assert (form.left_transform @ mat @ form.right_transform) == form.diagonal()
         assert all(form.divisors[i + 1] % form.divisors[i] == 0
                    for i in range(len(form.divisors) - 1))
+
+
+@given(matrices)
+def test_sparse_kernel_agrees_with_dense_snf(rows):
+    """Entries in -9..9 leave a residue without units, so the dense Bezout
+    step runs; the dense Smith form of the whole matrix is the reference."""
+    m = ExactMatrix.from_rows(rows, ZZ)
+    dense = smith_normal_form(m, with_transforms=True).divisors
+    assert smith_normal_form(m).divisors == dense
+    assert rank_over(m, QQ) == len(dense)
+    for p in (2, 3, 5):
+        rank = sum(1 for d in dense if d % p)
+        assert rank_over(m, GF(p)) == rank
+        basis = kernel_basis(m, GF(p))
+        assert len(basis) == m.cols - rank
+        cast = m.cast(GF(p))
+        assert all(not any(cast.apply(vec)) for vec in basis)

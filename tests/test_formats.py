@@ -27,6 +27,7 @@ from lefhom.errors import (
     MalformedInterval,
 )
 from lefhom.exact import ExactMatrix
+from lefhom.formats import MAX_LEF_DIM
 
 
 STAR_TEXT = """\
@@ -268,3 +269,12 @@ def test_export_dot_triangle_edge_count():
     # facet pairs by hand: 3 edges x 2 vertices + 1 triangle x 3 edges = 9
     X = import_simplicial([("a", "b", "c")])
     assert export_dot(X).count("->") == 9
+
+
+def test_parse_lef_bounds_dimensions():
+    X = parse_lef(f"ring Z\ncell v 0\ncell w {MAX_LEF_DIM}\n")
+    assert X.top_dim == MAX_LEF_DIM
+    with pytest.raises(LefSyntaxError, match="line 3"):
+        parse_lef(f"ring Z\ncell v 0\ncell w {MAX_LEF_DIM + 1}\n")
+    with pytest.raises(LefSyntaxError, match="line 2"):
+        parse_lef("ring Z\ncell a 99999999999999999999\n")

@@ -20,7 +20,8 @@ from lefhom import (
 )
 from lefhom.errors import NonFieldRing, NotClosed
 from lefhom.exact import rank_over
-from lefhom.homology import HomologyProfile
+from lefhom.homology import HomologyProfile, profile_from_boundaries
+from lefhom.simplicial import finite_space_homology
 from tests.conftest import random_closed_set
 
 
@@ -178,3 +179,46 @@ def test_profile_equality_includes_ring(star):
 def test_boundary_cast_shape_mismatch_guard():
     with pytest.raises(ValueError):
         ExactMatrix.from_rows([[1, 2]], ZZ).apply([1])
+
+
+def _predicted(profile_z, ring):
+    """Universal coefficients: the profile over ``ring`` from the one over Z.
+
+    Over F_p, dim H_n = free_n + the torsion divisors of H_n divisible by p
+    + those of H_{n-1}; over Q only the free rank survives.
+    """
+    data = {}
+    for n in range(profile_z.top_degree + 2):  # Tor of the top degree lands one above
+        dim = profile_z.free_rank(n)
+        if ring.p:
+            dim += sum(1 for d in profile_z.torsion(n) + profile_z.torsion(n - 1)
+                       if d % ring.p == 0)
+        data[n] = (dim, ())
+    return HomologyProfile.from_degrees(ring, data)
+
+
+def test_universal_coefficients_on_the_corpus(corpus):
+    torsion_seen = 0
+    for name, X in corpus:
+        for homology in (lefschetz_homology, finite_space_homology):
+            over_z = homology(X, ZZ)
+            torsion_seen += any(over_z.torsion(n) for n in over_z.degrees)
+            for ring in (QQ, GF(2), GF(3)):
+                assert homology(X, ring) == _predicted(over_z, ring), (name, homology, ring)
+    assert torsion_seen  # the prediction is exercised beyond the free part
+
+
+def test_profile_visits_only_populated_degrees():
+    X = build_complex([("v", 0), ("w", 5000)], {}, ZZ)
+    sizes = [len(X.cells_of_dim(q)) for q in range(X.top_dim + 1)]
+    for ring in (ZZ, GF(2)):
+        asked = []
+
+        def boundary(q):
+            asked.append(q)
+            return X.boundary_matrix(q).cast(ring)
+
+        profile = profile_from_boundaries(ring, sizes, boundary)
+        assert asked == [0, 1, 5000, 5001]
+        assert profile.entries == ((0, 1, ()), (5000, 1, ()))
+    assert lefschetz_homology(X).entries == ((0, 1, ()), (5000, 1, ()))

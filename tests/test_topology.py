@@ -113,6 +113,13 @@ def test_enumerate_closed_sets_cap(star):
         enumerate_closed_sets(star, cap=5)
 
 
+def test_enumerate_closed_sets_cap_on_many_cells():
+    # one search level per cell: far deeper than the interpreter's recursion limit
+    X = build_complex([(f"v{i}", 0) for i in range(1200)], {}, ZZ)
+    with pytest.raises(TooManyClosedSets):
+        enumerate_closed_sets(X, cap=10)
+
+
 def test_kuratowski_properties(corpus):
     rng = random.Random(23)
     for name, X in corpus:
