@@ -192,10 +192,6 @@ class LefschetzComplex:
         self.dim_of(x)
         return frozenset(self._facets[x])
 
-    def cofacets(self, y: str) -> frozenset:
-        self.dim_of(y)
-        return frozenset(x for (x, yy) in self._kappa if yy == y)
-
     def boundary_matrix(self, q: int) -> ExactMatrix:
         """Boundary from degree q to q-1; rows/columns in sorted-id order."""
         mat = self._boundary_cache.get(q)

@@ -61,11 +61,11 @@ class TooManyClosedSets(LefhomError):
 
 
 class TooManySimplices(LefhomError):
-    """Order-complex chain enumeration exceeded its cap."""
+    """An order complex or a simplicial input exceeded the simplex cap."""
 
-    def __init__(self, cap: int):
+    def __init__(self, cap: int, what: str = "order complex"):
         self.cap = cap
-        super().__init__(f"order complex exceeds {cap} simplices; raise the cap")
+        super().__init__(f"{what} exceeds {cap} simplices; raise the cap")
 
 
 class UsageError(LefhomError):

@@ -188,6 +188,14 @@ class ExactMatrix:
         return cls(n, m, entries, ring)
 
     @classmethod
+    def _wrap(cls, rows: int, cols: int, entries: dict, ring: RingSpec) -> "ExactMatrix":
+        """Adopt ``entries`` unchecked: nonzero elements of ``ring``, all in range,
+        e.g. cut from a matrix that was validated when it was built."""
+        matrix = cls.__new__(cls)
+        matrix.rows, matrix.cols, matrix.ring, matrix._entries = rows, cols, ring, entries
+        return matrix
+
+    @classmethod
     def zeros(cls, rows: int, cols: int, ring: RingSpec) -> "ExactMatrix":
         return cls(rows, cols, {}, ring)
 

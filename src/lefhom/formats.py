@@ -24,9 +24,12 @@ from .errors import (
     EmptyInput,
     LefSyntaxError,
     MalformedInterval,
+    TooManySimplices,
     UnsupportedRing,
 )
 from .exact import RingSpec, ZZ
+from .simplicial import DEFAULT_SIMPLEX_CAP
+from .theorem import is_augmentable
 
 __all__ = [
     "GeneratorConfig",
@@ -165,13 +168,18 @@ def import_simplicial(maximal_simplices: Iterable[Sequence[str]],
     incidences on vertex deletion (vertices sorted ascending).
 
     Cell ids concatenate the sorted vertex names, with underscores when any
-    vertex name has more than one character.
+    vertex name has more than one character.  Raises ``TooManySimplices``,
+    before building faces, once the face counts sum past the simplex cap.
     """
     faces = set()
+    bound = 0
     for simplex in maximal_simplices:
         simplex = tuple(sorted(set(str(v) for v in simplex)))
         if not simplex:
             raise EmptyInput("empty simplex in input")
+        bound += (1 << len(simplex)) - 1
+        if bound > DEFAULT_SIMPLEX_CAP:
+            raise TooManySimplices(DEFAULT_SIMPLEX_CAP, "simplicial input")
         for size in range(1, len(simplex) + 1):
             faces.update(combinations(simplex, size))
     if not faces:
@@ -366,23 +374,12 @@ def _random_cubical(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComple
     return import_cubical(cubes)
 
 
-def _column_sums_vanish(X: LefschetzComplex) -> bool:
-    ring = X.ring
-    for x in X.cells_of_dim(1):
-        total = ring.zero()
-        for y in X.facets(x):
-            total = ring.add(total, X.kappa(x, y))
-        if not ring.is_zero(total):
-            return False
-    return True
-
-
 def _basis_change(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:
     X = _random_simplicial(rng, cfg)
     top = X.top_dim
     basis = {q: list(X.cells_of_dim(q)) for q in range(top + 1)}
     mats = {q: X.boundary_matrix(q).dense() for q in range(top + 1)}
-    augmentable_before = _column_sums_vanish(X)
+    augmentable_before = is_augmentable(X)
 
     for _ in range(cfg.transform_steps):
         eligible = [q for q in range(1, top + 1) if len(basis[q]) >= 2]
@@ -411,7 +408,7 @@ def _basis_change(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:
                 if mat[i][j]:
                     kappa[(x, y)] = mat[i][j]
     out = build_complex(cells, kappa, X.ring)
-    if augmentable_before and not _column_sums_vanish(out):
+    if augmentable_before and not is_augmentable(out):
         raise AssertionError("basis change broke augmentability")
     return out
 

@@ -22,6 +22,7 @@ from .exact import (
     ExactMatrix,
     RingSpec,
     ZZ,
+    _columns,
     kernel_basis,
     pivot_columns,
     rank_over,
@@ -139,6 +140,67 @@ def profile_from_boundaries(ring: RingSpec, sizes: Sequence[int],
     return HomologyProfile.from_degrees(ring, data)
 
 
+class ChainSlices:
+    """One chain complex over one ring, from which the complex spanned by
+    any set of its generators is cut without being rebuilt or re-checked.
+
+    ``keys[q][i]`` names the i-th degree-q generator (keys may repeat) and
+    ``boundary(q)`` is the degree-q boundary over ``ring``.  Keeping the keys
+    of a subcomplex, or of the complement of one, gives a chain complex; a
+    slice costs the nonzeros of its kept columns.
+    """
+
+    def __init__(self, ring: RingSpec, keys: Sequence[Sequence],
+                 boundary: Callable[[int], ExactMatrix]):
+        self.ring = ring
+        self._at = {}
+        for q, names in enumerate(keys):
+            for i, key in enumerate(names):
+                self._at.setdefault(key, []).append((q, i))
+        self._columns = [_columns(boundary(q).entries, len(names))
+                         for q, names in enumerate(keys)]
+
+    def positions(self, kept: Iterable) -> list:
+        """Per degree, the ascending ambient indices of the kept generators."""
+        positions = [[] for _ in self._columns]
+        for key in kept:
+            for q, i in self._at[key]:
+                positions[q].append(i)
+        for pos in positions:
+            pos.sort()
+        return positions
+
+    def slice(self, kept: Iterable) -> tuple:
+        """Sizes and boundary callback of the complex spanned by the kept
+        keys, as :func:`profile_from_boundaries` takes them."""
+        positions = self.positions(kept)
+        renumber = [{i: k for k, i in enumerate(pos)} for pos in positions]
+
+        def boundary(q: int) -> ExactMatrix:
+            rows = renumber[q - 1] if 0 < q <= len(renumber) else {}
+            cols = positions[q] if q < len(positions) else ()
+            entries = {}
+            for k, j in enumerate(cols):
+                for i, v in self._columns[q][j].items():
+                    r = rows.get(i)
+                    if r is not None:
+                        entries[(r, k)] = v
+            return ExactMatrix._wrap(len(rows), len(cols), entries, self.ring)
+
+        return [len(pos) for pos in positions], boundary
+
+    def profile(self, kept: Iterable) -> HomologyProfile:
+        return profile_from_boundaries(self.ring, *self.slice(kept))
+
+
+def lefschetz_chains(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> ChainSlices:
+    """The cell chain complex of X as slices keyed by cell: ``profile(A)``
+    of a closed set A is the homology of A as a subcomplex."""
+    ring = X.ring if ring is None else ring
+    return ChainSlices(ring, [X.cells_of_dim(q) for q in range(X.top_dim + 1)],
+                       lambda q: X.boundary_matrix(q).cast(ring))
+
+
 def lefschetz_homology(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> HomologyProfile:
     """Homology of the cell chain complex of X over the given ring.
 
@@ -180,22 +242,8 @@ def relative_homology(X: LefschetzComplex, closed_part: Iterable,
 
 def _quotient_profile(X: LefschetzComplex, part: frozenset,
                       ring: RingSpec) -> HomologyProfile:
-    """Relative homology the direct way: delete the closed part's rows/columns."""
-    top = X.top_dim
-    sizes = []
-    dropped = {}
-    for q in range(top + 1):
-        cells = X.cells_of_dim(q)
-        dropped[q] = [i for i, c in enumerate(cells) if c in part]
-        sizes.append(len(cells) - len(dropped[q]))
-    dropped[-1] = []
-    dropped[top + 1] = []
-
-    def boundary(q: int) -> ExactMatrix:
-        return X.boundary_matrix(q).cast(ring).drop(
-            rows=dropped.get(q - 1, []), cols=dropped.get(q, []))
-
-    return profile_from_boundaries(ring, sizes, boundary)
+    """Relative homology the direct way: slice the closed part's rows/columns out."""
+    return lefschetz_chains(X, ring).profile(X.cell_ids - part)
 
 
 def excision_check(X: LefschetzComplex, closed_part: Iterable,
@@ -299,33 +347,17 @@ def long_exact_sequence(X: LefschetzComplex, closed_part: Iterable,
     part = _require_closed(X, closed_part)
 
     top = X.top_dim
-    all_cells = {q: X.cells_of_dim(q) for q in range(top + 2)}
-    sub_pos = {q: [i for i, c in enumerate(all_cells[q]) if c in part]
-               for q in all_cells}
-    rel_pos = {q: [i for i, c in enumerate(all_cells[q]) if c not in part]
-               for q in all_cells}
-
-    sizes_x = [len(all_cells[q]) for q in range(top + 1)]
-    sizes_sub = [len(sub_pos[q]) for q in range(top + 1)]
-    sizes_rel = [len(rel_pos[q]) for q in range(top + 1)]
-
-    def bx(q):
-        return X.boundary_matrix(q).cast(ring)
-
-    def bsub(q):
-        return bx(q).drop(rows=rel_pos.get(q - 1, []), cols=rel_pos.get(q, []))
-
-    def brel(q):
-        return bx(q).drop(rows=sub_pos.get(q - 1, []), cols=sub_pos.get(q, []))
-
-    sys_x = _ChainSystem(ring, sizes_x, bx)
-    sys_sub = _ChainSystem(ring, sizes_sub, bsub)
-    sys_rel = _ChainSystem(ring, sizes_rel, brel)
+    chains = lefschetz_chains(X, ring)
+    sub_pos = chains.positions(part)
+    rel_pos = chains.positions(X.cell_ids - part)
+    sys_x = _ChainSystem(ring, *chains.slice(X.cell_ids))
+    sys_sub = _ChainSystem(ring, *chains.slice(part))
+    sys_rel = _ChainSystem(ring, *chains.slice(X.cell_ids - part))
 
     def include_map(q: int) -> ExactMatrix:
         entries = {}
         for j, rep in enumerate(sys_sub.reps.get(q, [])):
-            vec = [ring.zero()] * len(all_cells[q])
+            vec = [ring.zero()] * sys_x.sizes[q]
             for value, i in zip(rep, sub_pos[q]):
                 vec[i] = value
             for i, coeff in enumerate(sys_x.express(q, vec)):
@@ -345,7 +377,7 @@ def long_exact_sequence(X: LefschetzComplex, closed_part: Iterable,
         # off inside the closed part.
         entries = {}
         for j, rep in enumerate(sys_rel.reps.get(q, [])):
-            lift = [ring.zero()] * len(all_cells[q])
+            lift = [ring.zero()] * sys_x.sizes[q]
             for value, i in zip(rep, rel_pos[q]):
                 lift[i] = value
             boundary = sys_x.boundary(q).apply(lift)

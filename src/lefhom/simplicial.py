@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 from .complexes import LefschetzComplex
 from .errors import TooManySimplices, UnknownCellReference
 from .exact import ExactMatrix, RingSpec, ZZ
-from .homology import HomologyProfile, profile_from_boundaries
+from .homology import ChainSlices, HomologyProfile, profile_from_boundaries
 
 __all__ = [
     "SimplicialComplex",
@@ -207,19 +207,20 @@ def relative_simplicial_homology(K: SimplicialComplex, L: SimplicialComplex,
     """
     if not L.is_subcomplex_of(K):
         raise ValueError("relative homology needs a subcomplex")
-    top = K.dim
-    sizes = []
-    dropped = {}
-    for q in range(top + 1):
-        sims = K.simplices_of_dim(q)
-        dropped[q] = [i for i, s in enumerate(sims) if s in L]
-        sizes.append(len(sims) - len(dropped[q]))
+    return _chains(K, ring, lambda s: s).profile(
+        s for q in range(K.dim + 1) for s in K.simplices_of_dim(q) if s not in L)
 
-    def boundary(q: int) -> ExactMatrix:
-        return K.boundary_matrix(q).cast(ring).drop(
-            rows=dropped.get(q - 1, []), cols=dropped.get(q, []))
 
-    return profile_from_boundaries(ring, sizes, boundary)
+def _chains(K: SimplicialComplex, ring: RingSpec, key) -> ChainSlices:
+    return ChainSlices(ring, [[key(s) for s in K.simplices_of_dim(q)] for q in range(K.dim + 1)],
+                       lambda q: K.boundary_matrix(q, ring))
+
+
+def order_complex_chains(X: LefschetzComplex, ring: RingSpec) -> ChainSlices:
+    """The order complex of X as slices keyed by top cell: the order complex
+    of a closed set A is the chains whose top cell lies in A, so
+    ``profile(A)`` is the finite-space homology of A."""
+    return _chains(order_complex(X), ring, lambda chain: chain[-1])
 
 
 def finite_space_homology(X: LefschetzComplex, ring: Optional[RingSpec] = None,

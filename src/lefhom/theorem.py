@@ -22,9 +22,16 @@ from typing import Iterator, Mapping, Optional
 from .complexes import LefschetzComplex
 from .errors import LefhomError
 from .exact import RingSpec
-from .homology import HomologyProfile, lefschetz_homology, point_profile
-from .simplicial import finite_space_homology
-from .topology import closure, enumerate_closed_sets, restrict
+from .homology import (
+    ChainSlices,
+    HomologyProfile,
+    lefschetz_chains,
+    lefschetz_homology,
+    point_profile,
+)
+from .simplicial import finite_space_homology, order_complex_chains
+# restrict stays bound here: perfbench/tracing.py patches lefhom.theorem.restrict
+from .topology import closure, enumerate_closed_sets, restrict  # noqa: F401
 
 __all__ = [
     "LocalCheck",
@@ -61,11 +68,13 @@ class LocalCheck:
     profile: HomologyProfile
 
 
-def _closure_profile(X: LefschetzComplex, cell: str, ring: RingSpec) -> HomologyProfile:
-    if X.dim_of(cell) == 0:
+def _closure_checks(X: LefschetzComplex, chains: ChainSlices) -> Iterator:
+    """(cell id, LocalCheck) in canonical cell order, computed lazily."""
+    expected = point_profile(chains.ring)
+    for cell in X.cells:
         # the closure of a 0-cell is the cell itself
-        return point_profile(ring)
-    return lefschetz_homology(restrict(X, closure(X, {cell})), ring)
+        profile = expected if cell.dim == 0 else chains.profile(closure(X, {cell.id}))
+        yield cell.id, LocalCheck(profile == expected, profile)
 
 
 def local_condition(X: LefschetzComplex,
@@ -75,21 +84,11 @@ def local_condition(X: LefschetzComplex,
     Returned in canonical cell order; the failing cells are the obstruction
     to the comparison theorem's hypothesis.
     """
-    ring = X.ring if ring is None else ring
-    expected = point_profile(ring)
-    out = {}
-    for cell in X.cells:
-        profile = _closure_profile(X, cell.id, ring)
-        out[cell.id] = LocalCheck(profile == expected, profile)
-    return out
+    return dict(_closure_checks(X, lefschetz_chains(X, ring)))
 
 
-def _first_local_failure(X: LefschetzComplex, ring: RingSpec) -> Optional[str]:
-    expected = point_profile(ring)
-    for cell in X.cells:
-        if _closure_profile(X, cell.id, ring) != expected:
-            return cell.id
-    return None
+def _first_local_failure(X: LefschetzComplex, chains: ChainSlices) -> Optional[str]:
+    return next((cid for cid, check in _closure_checks(X, chains) if not check.passes), None)
 
 
 @dataclass(frozen=True)
@@ -159,24 +158,23 @@ class CorollaryReport:
 
 def check_corollary(X: LefschetzComplex, ring: Optional[RingSpec] = None,
                     cap: int = 100_000) -> CorollaryReport:
-    """Sweep every closed subcomplex and compare both homology pipelines."""
+    """Sweep every closed subcomplex and compare both homology pipelines,
+    profiling each closed set as a slice of X's chain and order complexes."""
     ring = X.ring if ring is None else ring
     augmentable = is_augmentable(X, ring)
-    local_ok = _first_local_failure(X, ring) is None
-    mismatches = []
-    count = 0
-    for closed_set in enumerate_closed_sets(X, cap):
-        count += 1
-        sub = restrict(X, closed_set)
-        if lefschetz_homology(sub, ring) != finite_space_homology(sub, ring):
-            mismatches.append(tuple(sorted(closed_set)))
+    cells = lefschetz_chains(X, ring)
+    local_ok = _first_local_failure(X, cells) is None
+    closed_sets = enumerate_closed_sets(X, cap)
+    chains = order_complex_chains(X, ring)
+    mismatches = [tuple(sorted(closed_set)) for closed_set in closed_sets
+                  if cells.profile(closed_set) != chains.profile(closed_set)]
     all_match = not mismatches
     agree = local_ok == all_match
     return CorollaryReport(
         ring=ring,
         augmentable=augmentable,
         local_condition_holds=local_ok,
-        closed_sets_checked=count,
+        closed_sets_checked=len(closed_sets),
         mismatching_closed_sets=tuple(mismatches),
         all_closed_match=all_match,
         directions_agree=agree,
@@ -221,17 +219,18 @@ def _derive_seed(master: int, index: int) -> int:
 def _is_candidate(X: LefschetzComplex, ring: RingSpec) -> bool:
     if not is_augmentable(X, ring):
         return False
-    if _first_local_failure(X, ring) is None:
+    if _first_local_failure(X, lefschetz_chains(X, ring)) is None:
         return False  # hypothesis holds: not a converse instance
     return lefschetz_homology(X, ring) == finite_space_homology(X, ring)
 
 
-def _evaluate_index(args) -> bool:
+def _evaluate_index(args) -> Optional[str]:
+    """The serialized complex of one index if it is a candidate, else None."""
     base, ring, index = args
-    from .formats import random_complex
+    from .formats import random_complex, render_lef
 
-    cfg = replace(base, seed=_derive_seed(base.seed, index))
-    return _is_candidate(random_complex(cfg), ring)
+    X = random_complex(replace(base, seed=_derive_seed(base.seed, index)))
+    return render_lef(X) if _is_candidate(X, ring) else None
 
 
 def _reverify(lef_text: str, ring: RingSpec):
@@ -239,11 +238,12 @@ def _reverify(lef_text: str, ring: RingSpec):
     from .formats import parse_lef
 
     X = parse_lef(lef_text)
-    if not _is_candidate(X, ring):
-        raise LefhomError("candidate failed re-verification from its serialization")
     local = local_condition(X, ring)
     failing = tuple(cid for cid, check in local.items() if not check.passes)
-    return (failing, lefschetz_homology(X, ring), finite_space_homology(X, ring))
+    lef, sing = lefschetz_homology(X, ring), finite_space_homology(X, ring)
+    if not (is_augmentable(X, ring) and failing and lef == sing):
+        raise LefhomError("candidate failed re-verification from its serialization")
+    return failing, lef, sing
 
 
 def search_converse(base_config, ring: Optional[RingSpec] = None,
@@ -262,27 +262,24 @@ def search_converse(base_config, ring: Optional[RingSpec] = None,
 
 
 def _search(base_config, ring: RingSpec, budget: int, jobs: int) -> Iterator[ConverseCandidate]:
-    from .formats import random_complex, render_lef
-
-    def emit(index: int) -> ConverseCandidate:
-        cfg = replace(base_config, seed=_derive_seed(base_config.seed, index))
-        text = render_lef(random_complex(cfg))
+    def emit(index: int, text: str) -> ConverseCandidate:
         failing, lef, sing = _reverify(text, ring)
         return ConverseCandidate(
-            index=index, seed=cfg.seed, mode=cfg.mode, lef_text=text,
-            failing_cells=failing, lefschetz_profile=lef,
-            singular_profile=sing, reverified=True,
+            index=index, seed=_derive_seed(base_config.seed, index),
+            mode=base_config.mode, lef_text=text, failing_cells=failing,
+            lefschetz_profile=lef, singular_profile=sing, reverified=True,
         )
 
     if jobs <= 1:
         for index in range(budget):
-            if _evaluate_index((base_config, ring, index)):
-                yield emit(index)
+            text = _evaluate_index((base_config, ring, index))
+            if text is not None:
+                yield emit(index, text)
         return
 
     tasks = ((base_config, ring, index) for index in range(budget))
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         chunk = max(1, budget // (jobs * 8))
-        for index, hit in enumerate(pool.map(_evaluate_index, tasks, chunksize=chunk)):
-            if hit:
-                yield emit(index)
+        for index, text in enumerate(pool.map(_evaluate_index, tasks, chunksize=chunk)):
+            if text is not None:
+                yield emit(index, text)

@@ -233,3 +233,13 @@ def test_unusable_input_exits_2(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.splitlines()[-1].startswith("error: ")
+
+
+def test_simplicial_input_over_the_cap_is_one_error_line(capsys, tmp_path):
+    # 2**40 - 1 faces: refused before any face is built
+    path = tmp_path / "wide.txt"
+    path.write_text(" ".join(f"v{i}" for i in range(40)) + "\n")
+    code, out, err = run_cli(capsys, "homology", "--format", "simplicial", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: simplicial input exceeds 200000 simplices; raise the cap"]

@@ -10,18 +10,20 @@ from lefhom import (
     QQ,
     ZZ,
     build_complex,
+    enumerate_closed_sets,
     excision_check,
     import_simplicial,
     lefschetz_homology,
     long_exact_sequence,
     point_profile,
     relative_homology,
+    restrict,
     smith_normal_form,
 )
-from lefhom.errors import NonFieldRing, NotClosed
+from lefhom.errors import NonFieldRing, NotClosed, TooManyClosedSets
 from lefhom.exact import rank_over
-from lefhom.homology import HomologyProfile, profile_from_boundaries
-from lefhom.simplicial import finite_space_homology
+from lefhom.homology import HomologyProfile, lefschetz_chains, profile_from_boundaries
+from lefhom.simplicial import finite_space_homology, order_complex_chains
 from tests.conftest import random_closed_set
 
 
@@ -163,6 +165,23 @@ def test_quotient_matrices_match_restriction(star):
 
     part = frozenset({"a", "b", "c", "d"})
     assert _quotient_profile(star, part, ZZ) == relative_homology(star, part)
+
+
+def test_slices_match_rebuilt_closed_subcomplexes(corpus):
+    # oracle for the sweep's fast path: each closed set's slice profiles
+    # against the closed subcomplex rebuilt by restrict
+    rng = random.Random(3)
+    for name, X in corpus:
+        try:
+            closed_sets = enumerate_closed_sets(X, cap=200)
+        except TooManyClosedSets:
+            closed_sets = [random_closed_set(X, rng) for _ in range(20)]
+        for ring in (ZZ, QQ, GF(2), GF(3)):
+            cells, chains = lefschetz_chains(X, ring), order_complex_chains(X, ring)
+            for closed in closed_sets:
+                sub = restrict(X, closed)
+                assert cells.profile(closed) == lefschetz_homology(sub, ring), (name, ring)
+                assert chains.profile(closed) == finite_space_homology(sub, ring), (name, ring)
 
 
 def test_degenerate_les_on_empty_complex():

@@ -1,16 +1,20 @@
 """The comparison theorem as executable checks, plus the converse search."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from lefhom import (
     GF,
+    QQ,
     ZZ,
     GeneratorConfig,
     build_complex,
     check_corollary,
     check_theorem,
+    closure,
+    enumerate_closed_sets,
     import_simplicial,
     is_augmentable,
     lefschetz_homology,
@@ -18,10 +22,13 @@ from lefhom import (
     parse_lef,
     point_profile,
     random_complex,
+    render_lef,
+    restrict,
     search_converse,
 )
+from lefhom.errors import LefhomError, TooManyClosedSets, TooManySimplices
 from lefhom.simplicial import finite_space_homology
-from lefhom.theorem import _is_candidate
+from lefhom.theorem import _is_candidate, _reverify
 
 
 def test_augmentable_examples(star, twisted):
@@ -132,6 +139,48 @@ def test_corollary_silent_when_not_augmentable(twisted):
     assert report.consistent_with_corollary
 
 
+def test_fraction_kappa_through_local_condition_and_sweep():
+    # the star with halved coefficients over Q: closures and closed sets are
+    # sliced from matrices whose entries are Fractions
+    half = Fraction(1, 2)
+    X = build_complex(
+        [("a", 0), ("b", 0), ("c", 0), ("d", 0), ("e", 1)],
+        {("e", "a"): half, ("e", "b"): half, ("e", "c"): -half, ("e", "d"): -half}, QQ)
+    checks = local_condition(X)
+    for cid, check in checks.items():
+        assert check.profile == lefschetz_homology(restrict(X, closure(X, {cid})))
+    assert [cid for cid, check in checks.items() if not check.passes] == ["e"]
+    expected = tuple(tuple(sorted(closed)) for closed in enumerate_closed_sets(X)
+                     if lefschetz_homology(restrict(X, closed))
+                     != finite_space_homology(restrict(X, closed)))
+    report = check_corollary(X)
+    assert expected and report.mismatching_closed_sets == expected
+    assert report.augmentable and not report.local_condition_holds
+    assert report.consistent_with_corollary
+
+
+def _tower(levels: int = 12):
+    # cells p_k, m_k of dimension k; each has both cells one level down as
+    # facets, so the closed sets are 1 + 3 * levels = 37 and the chains
+    # 3**levels - 1, past the default simplex cap
+    cells = [(f"{t}{k}", k) for k in range(levels) for t in "pm"]
+    kappa = {}
+    for k in range(1, levels):
+        s = -1 if k == 1 else 1
+        kappa.update({(f"p{k}", f"p{k - 1}"): 1, (f"p{k}", f"m{k - 1}"): s,
+                      (f"m{k}", f"p{k - 1}"): -1, (f"m{k}", f"m{k - 1}"): -s})
+    return build_complex(cells, kappa, ZZ)
+
+
+def test_corollary_cap_precedence():
+    X = _tower()
+    assert len(enumerate_closed_sets(X)) == 37
+    with pytest.raises(TooManySimplices):
+        check_corollary(X)
+    with pytest.raises(TooManyClosedSets):
+        check_corollary(X, cap=10)
+
+
 # -- converse search ---------------------------------------------------------
 
 
@@ -156,6 +205,13 @@ def test_handmade_converse_candidate():
     assert checks["d"].profile.torsion(0) == (2,)
     assert lefschetz_homology(X) == finite_space_homology(X)
     assert _is_candidate(X, ZZ)
+
+
+def test_reverify_rejects_non_candidates(star, twisted):
+    hypothesis_holder = import_simplicial([("a", "b", "c")])
+    for X in (star, twisted, hypothesis_holder):
+        with pytest.raises(LefhomError):
+            _reverify(render_lef(X), ZZ)
 
 
 def test_search_determinism_and_reverification():
