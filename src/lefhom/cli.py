@@ -83,7 +83,7 @@ def _bool(value: bool) -> str:
 
 
 def _profile_lines(prefix: str, profile, top: int) -> list:
-    return [f"{prefix}H_{n}: {profile.describe(n)}" for n in range(top + 1)]
+    return [prefix + line for line in profile.lines(top)]
 
 
 def _closed_set(args) -> frozenset:
@@ -95,21 +95,12 @@ def _closed_set(args) -> frozenset:
 # -- command bodies --------------------------------------------------------
 
 
-def _cmd_homology(args) -> int:
+def _cmd_profile(args) -> int:
+    """``homology`` and ``singular``: ``args.profile`` names the function of
+    this module that computes the profile; it is looked up at call time."""
     X = _load_complex(args)
     ring = _ring_for(args, X)
-    profile = lefschetz_homology(X, ring)
-    print(f"ring: {ring.label}")
-    print(f"cells: {len(X)}")
-    for line in _profile_lines("", profile, X.top_dim):
-        print(line)
-    return EXIT_OK
-
-
-def _cmd_singular(args) -> int:
-    X = _load_complex(args)
-    ring = _ring_for(args, X)
-    profile = finite_space_homology(X, ring)
+    profile = globals()[args.profile](X, ring)
     print(f"ring: {ring.label}")
     print(f"cells: {len(X)}")
     for line in _profile_lines("", profile, X.top_dim):
@@ -274,8 +265,6 @@ def _add_input_options(parser, with_ring: bool = True):
         parser.add_argument("--ring", default=None,
                             help="coefficient ring: Z, Q or F<p> "
                                  "(default: the complex's own ring)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker count (used by search; accepted everywhere)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,11 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homology", help="cell-chain homology profile")
     _add_input_options(p)
-    p.set_defaults(func=_cmd_homology)
+    p.set_defaults(func=_cmd_profile, profile="lefschetz_homology")
 
     p = sub.add_parser("singular", help="finite-space homology via the order complex")
     _add_input_options(p)
-    p.set_defaults(func=_cmd_singular)
+    p.set_defaults(func=_cmd_profile, profile="finite_space_homology")
 
     p = sub.add_parser("check", help="comparison-theorem hypotheses and conclusion")
     _add_input_options(p)
@@ -322,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=1000,
                    help="number of complexes to generate and test")
     p.add_argument("--mode", choices=GENERATOR_MODES, default="basis-change")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (capped at the CPU count)")
     p.add_argument("--max-dimension", type=int, default=2, dest="max_dimension")
     p.add_argument("--max-cells", type=int, default=4, dest="max_cells")
     p.add_argument("--coefficient-bound", type=int, default=2, dest="coefficient_bound")

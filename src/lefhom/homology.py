@@ -27,7 +27,8 @@ from .exact import (
     pivot_columns,
     rank_over,
     smith_normal_form,
-    solve,
+    # solve stays bound here: perfbench/tracing.py patches lefhom.homology.solve
+    solve,  # noqa: F401
 )
 from .topology import closure, is_closed, restrict
 
@@ -265,51 +266,41 @@ def excision_check(X: LefschetzComplex, closed_part: Iterable,
 # ---------------------------------------------------------------------------
 
 
-class _ChainSystem:
-    """Chain-level data of one complex over a field: cycles, boundaries,
-    a canonical homology basis per degree, and coordinates in that basis.
+def _beside(matrix: ExactMatrix, vectors: Sequence) -> ExactMatrix:
+    """``matrix`` with ``vectors`` (elements of its ring) appended as columns."""
+    entries = dict(matrix.entries)
+    for j, vec in enumerate(vectors, start=matrix.cols):
+        entries.update(((i, j), v) for i, v in enumerate(vec) if v)
+    return ExactMatrix._wrap(matrix.rows, matrix.cols + len(vectors), entries, matrix.ring)
 
-    The basis of degree q consists of the kernel-basis cycles that are
-    independent of the boundaries and of the cycles before them: the pivot
-    columns among the cycles of ``[boundary columns | cycles]``.
+
+def _classes(ring: RingSpec, below: ExactMatrix, above: ExactMatrix,
+             targets: Sequence) -> tuple:
+    """The canonical homology basis of one degree, and the classes of
+    ``targets`` (cycles of that degree) in it, over a field.
+
+    ``below`` is the boundary out of the degree and ``above`` the boundary
+    into it.  The basis consists of the kernel-basis cycles of ``below`` that
+    are independent of the boundaries and of the cycles before them: the
+    pivot columns among the cycles of ``[above | cycles]``.  Column j of the
+    returned matrix holds the coordinates of ``targets[j]``, read off the
+    kernel vector of ``[above | basis | targets]`` whose free column is j's.
     """
-
-    def __init__(self, ring: RingSpec, sizes: Sequence[int],
-                 boundary: Callable[[int], ExactMatrix]):
-        self.ring = ring
-        self.sizes = list(sizes)
-        self.top = len(sizes) - 1
-        self._boundary = {q: boundary(q) for q in range(self.top + 2)}
-        self.reps = {}
-        self._systems = {}
-        for q in range(self.top + 1):
-            cycles = kernel_basis(self._boundary[q], ring)
-            above = self._boundary[q + 1]
-            entries = dict(above.entries)
-            for j, z in enumerate(cycles, start=above.cols):
-                entries.update(((i, j), v) for i, v in enumerate(z) if v)
-            system = ExactMatrix(self.sizes[q], above.cols + len(cycles), entries, ring)
-            pivots = set(pivot_columns(system, ring))
-            self.reps[q] = [z for j, z in enumerate(cycles, start=above.cols) if j in pivots]
-            # [boundary columns | representatives], where express() solves for a class
-            self._systems[q] = system.drop(
-                cols=[j for j in range(above.cols, system.cols) if j not in pivots])
-
-    def boundary(self, q: int) -> ExactMatrix:
-        return self._boundary[q]
-
-    def hdim(self, q: int) -> int:
-        return len(self.reps.get(q, ()))
-
-    def express(self, q: int, cycle: Sequence) -> list:
-        """Coordinates of a cycle's class in the degree-q homology basis."""
-        reps = self.reps.get(q, [])
-        if not reps:
-            return []
-        solution = solve(self._systems[q], cycle, self.ring)
-        if solution is None:
+    cycles = kernel_basis(below, ring)
+    pivots = set(pivot_columns(_beside(above, cycles), ring))
+    basis = [z for j, z in enumerate(cycles, start=above.cols) if j in pivots]
+    classes = {}
+    if basis and targets:
+        first = above.cols + len(basis)
+        # one kernel vector per free column, ascending: a target in the span
+        # of the columns before it is free, and its vector is the last ones
+        vectors = kernel_basis(_beside(above, basis + targets), ring)[-len(targets):]
+        if len(vectors) < len(targets) or not all(
+                vec[first + j] for j, vec in enumerate(vectors)):
             raise AssertionError("vector is not a cycle of its degree")
-        return solution[-len(reps):]
+        classes = {(i, j): ring.neg(vec[above.cols + i])
+                   for j, vec in enumerate(vectors) for i in range(len(basis))}
+    return basis, ExactMatrix(len(basis), len(targets), classes, ring)
 
 
 @dataclass(frozen=True)
@@ -348,60 +339,39 @@ def long_exact_sequence(X: LefschetzComplex, closed_part: Iterable,
 
     top = X.top_dim
     chains = lefschetz_chains(X, ring)
-    sub_pos = chains.positions(part)
-    rel_pos = chains.positions(X.cell_ids - part)
-    sys_x = _ChainSystem(ring, *chains.slice(X.cell_ids))
-    sys_sub = _ChainSystem(ring, *chains.slice(part))
-    sys_rel = _ChainSystem(ring, *chains.slice(X.cell_ids - part))
+    sub_pos, rel_pos = chains.positions(part), chains.positions(X.cell_ids - part)
+    slices = [chains.slice(kept)[1] for kept in (part, X.cell_ids, X.cell_ids - part)]
 
-    def include_map(q: int) -> ExactMatrix:
-        entries = {}
-        for j, rep in enumerate(sys_sub.reps.get(q, [])):
-            vec = [ring.zero()] * sys_x.sizes[q]
-            for value, i in zip(rep, sub_pos[q]):
-                vec[i] = value
-            for i, coeff in enumerate(sys_x.express(q, vec)):
-                entries[(i, j)] = coeff
-        return ExactMatrix(sys_x.hdim(q), sys_sub.hdim(q), entries, ring)
-
-    def project_map(q: int) -> ExactMatrix:
-        entries = {}
-        for j, rep in enumerate(sys_x.reps.get(q, [])):
-            vec = [rep[i] for i in rel_pos[q]]
-            for i, coeff in enumerate(sys_rel.express(q, vec)):
-                entries[(i, j)] = coeff
-        return ExactMatrix(sys_rel.hdim(q), sys_x.hdim(q), entries, ring)
-
-    def connecting_map(q: int) -> ExactMatrix:
-        # q >= 1: lift a relative cycle, take its ambient boundary, read it
-        # off inside the closed part.
-        entries = {}
-        for j, rep in enumerate(sys_rel.reps.get(q, [])):
-            lift = [ring.zero()] * sys_x.sizes[q]
-            for value, i in zip(rep, rel_pos[q]):
-                lift[i] = value
-            boundary = sys_x.boundary(q).apply(lift)
-            for i in rel_pos[q - 1]:
-                if not ring.is_zero(boundary[i]):
-                    raise AssertionError("lifted boundary escaped the closed part")
-            inside = [boundary[i] for i in sub_pos[q - 1]]
-            for i, coeff in enumerate(sys_sub.express(q - 1, inside)):
-                entries[(i, j)] = coeff
-        return ExactMatrix(sys_sub.hdim(q - 1), sys_rel.hdim(q), entries, ring)
+    def lift(vector: Sequence, positions: Sequence, q: int) -> list:
+        out = [ring.zero()] * len(X.cells_of_dim(q))
+        for value, i in zip(vector, positions):
+            out[i] = value
+        return out
 
     # nodes[k] --maps[k]--> nodes[k+1], descending through the degrees with
-    # zero sentinels at both ends.
+    # zero sentinels at both ends.  Degree n+1's relative basis feeds the
+    # connecting map into degree n.
     nodes = [("0", 0)]
     maps = []
+    above = [boundary(top + 1) for boundary in slices]
+    rel_basis = []
     for n in range(top, -1, -1):
-        into_sub = (ExactMatrix.zeros(sys_sub.hdim(n), 0, ring)
-                    if n == top else connecting_map(n + 1))
-        maps.append(into_sub)
-        nodes.append((f"H_{n}(X')", sys_sub.hdim(n)))
-        maps.append(include_map(n))
-        nodes.append((f"H_{n}(X)", sys_x.hdim(n)))
-        maps.append(project_map(n))
-        nodes.append((f"H_{n}(X, X')", sys_rel.hdim(n)))
+        below = [boundary(n) for boundary in slices]
+        boundaries = []
+        for z in rel_basis:
+            image = above[1].apply(lift(z, rel_pos[n + 1], n + 1))
+            if any(image[i] for i in rel_pos[n]):
+                raise AssertionError("lifted boundary escaped the closed part")
+            boundaries.append([image[i] for i in sub_pos[n]])
+        sub_basis, connecting = _classes(ring, below[0], above[0], boundaries)
+        x_basis, include = _classes(ring, below[1], above[1],
+                                    [lift(z, sub_pos[n], n) for z in sub_basis])
+        rel_basis, project = _classes(ring, below[2], above[2],
+                                      [[z[i] for i in rel_pos[n]] for z in x_basis])
+        maps += [connecting, include, project]
+        nodes += [(f"H_{n}(X')", len(sub_basis)), (f"H_{n}(X)", len(x_basis)),
+                  (f"H_{n}(X, X')", len(rel_basis))]
+        above = below
     maps.append(ExactMatrix.zeros(0, nodes[-1][1], ring))
     nodes.append(("0", 0))
 

@@ -16,6 +16,8 @@ an unproductive search is reported as such, never as evidence.
 from __future__ import annotations
 
 import concurrent.futures
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Optional
 
@@ -233,17 +235,14 @@ def _evaluate_index(args) -> Optional[str]:
     return render_lef(X) if _is_candidate(X, ring) else None
 
 
-def _reverify(lef_text: str, ring: RingSpec):
+def _reverify(lef_text: str, ring: RingSpec) -> TheoremReport:
     """Recompute everything from the serialized complex, independently."""
     from .formats import parse_lef
 
-    X = parse_lef(lef_text)
-    local = local_condition(X, ring)
-    failing = tuple(cid for cid, check in local.items() if not check.passes)
-    lef, sing = lefschetz_homology(X, ring), finite_space_homology(X, ring)
-    if not (is_augmentable(X, ring) and failing and lef == sing):
+    report = check_theorem(parse_lef(lef_text), ring)
+    if not (report.augmentable and report.failing_cells and report.conclusion_holds):
         raise LefhomError("candidate failed re-verification from its serialization")
-    return failing, lef, sing
+    return report
 
 
 def search_converse(base_config, ring: Optional[RingSpec] = None,
@@ -252,34 +251,32 @@ def search_converse(base_config, ring: Optional[RingSpec] = None,
 
     Candidate i is generated from a seed derived from (base seed, i), so
     the emitted sequence is deterministic for a fixed configuration and
-    identical for any ``jobs`` setting.  Exhausting the budget without a
-    hit is normal termination and means only that nothing was found at
-    this scale.  A budget below 1 raises ``ValueError`` at the call.
+    identical for any ``jobs`` setting.  At most ``jobs`` worker processes
+    run, and never more than the CPU count or the budget.  Exhausting the
+    budget without a hit is normal termination and means only that nothing
+    was found at this scale.  A budget or ``jobs`` below 1 raises
+    ``ValueError`` at the call.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     return _search(base_config, RingSpec.integers() if ring is None else ring, budget, jobs)
 
 
 def _search(base_config, ring: RingSpec, budget: int, jobs: int) -> Iterator[ConverseCandidate]:
-    def emit(index: int, text: str) -> ConverseCandidate:
-        failing, lef, sing = _reverify(text, ring)
-        return ConverseCandidate(
-            index=index, seed=_derive_seed(base_config.seed, index),
-            mode=base_config.mode, lef_text=text, failing_cells=failing,
-            lefschetz_profile=lef, singular_profile=sing, reverified=True,
-        )
-
-    if jobs <= 1:
-        for index in range(budget):
-            text = _evaluate_index((base_config, ring, index))
-            if text is not None:
-                yield emit(index, text)
-        return
-
+    workers = min(jobs, os.cpu_count() or 1, budget)
     tasks = ((base_config, ring, index) for index in range(budget))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, budget // (jobs * 8))
-        for index, text in enumerate(pool.map(_evaluate_index, tasks, chunksize=chunk)):
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+          if workers > 1 else nullcontext()) as pool:
+        results = (pool.map(_evaluate_index, tasks, chunksize=max(1, budget // (workers * 8)))
+                   if workers > 1 else map(_evaluate_index, tasks))
+        for index, text in enumerate(results):
             if text is not None:
-                yield emit(index, text)
+                report = _reverify(text, ring)
+                yield ConverseCandidate(
+                    index=index, seed=_derive_seed(base_config.seed, index),
+                    mode=base_config.mode, lef_text=text, failing_cells=report.failing_cells,
+                    lefschetz_profile=report.lefschetz_profile,
+                    singular_profile=report.singular_profile, reverified=True,
+                )

@@ -200,8 +200,14 @@ def test_subprocess_byte_determinism(star_file, twisted_file):
         for path in (star_file, twisted_file):
             first = cli_bytes(command, path)
             second = cli_bytes(command, path)
-            with_jobs = cli_bytes(command, path, "--jobs", "4")
-            assert first == second == with_jobs
+            assert first == second
+
+
+def test_jobs_is_a_search_option_only(capsys, star_file):
+    code, out, err = run_cli(capsys, "check", star_file, "--jobs", "2")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --jobs 2" in err
 
 
 def _directory(tmp_path):
@@ -223,10 +229,13 @@ def _huge_dimension_file(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["search", "--budget", "0"],
     ["search", "--seed", "-1"],
+    ["search", "--jobs", "0"],
+    ["search", "--jobs", "-4"],
     ["homology", _directory],
     ["homology", _latin1_file],
     ["homology", _huge_dimension_file],
-], ids=["budget-0", "negative-seed", "directory", "not-utf8", "huge-dimension"])
+], ids=["budget-0", "negative-seed", "jobs-0", "negative-jobs", "directory", "not-utf8",
+        "huge-dimension"])
 def test_unusable_input_exits_2(capsys, tmp_path, argv):
     argv = [arg(tmp_path) if callable(arg) else arg for arg in argv]
     code, out, err = run_cli(capsys, *argv)

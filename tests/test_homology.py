@@ -1,6 +1,7 @@
 """Homology profiles, relative homology, excision, exact sequences."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,8 +22,13 @@ from lefhom import (
     smith_normal_form,
 )
 from lefhom.errors import NonFieldRing, NotClosed, TooManyClosedSets
-from lefhom.exact import rank_over
-from lefhom.homology import HomologyProfile, lefschetz_chains, profile_from_boundaries
+from lefhom.exact import kernel_basis, rank_over, solve
+from lefhom.homology import (
+    HomologyProfile,
+    _classes,
+    lefschetz_chains,
+    profile_from_boundaries,
+)
 from lefhom.simplicial import finite_space_homology, order_complex_chains
 from tests.conftest import random_closed_set
 
@@ -109,6 +115,10 @@ def test_les_star_dimensions(star):
     # the connecting map out of the relative class has rank one
     connecting = report.maps[3]
     assert rank_over(connecting, QQ) == 1
+    assert connecting == ExactMatrix.from_rows([[1], [1], [-1], [-1]], QQ)
+    assert report.maps[4] == ExactMatrix.from_rows(
+        [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, -1]], QQ)
+    assert all(type(v) is Fraction for m in report.maps for v in m.entries.values())
 
 
 def test_les_empty_closed_part(star):
@@ -122,6 +132,9 @@ def test_les_twisted_over_f2(twisted):
     report = long_exact_sequence(twisted, {"a", "b"}, GF(2))
     assert report.exact
     assert report.dimensions() == (0, 0, 1, 2, 2, 1, 0, 0)
+    assert report.maps[2:5] == (ExactMatrix.from_rows([[1], [1]], GF(2)),
+                                ExactMatrix.from_rows([[1, 1], [1, 1]], GF(2)),
+                                ExactMatrix.from_rows([[1, 1]], GF(2)))
 
 
 def test_les_needs_field(star):
@@ -136,6 +149,47 @@ def test_les_over_corpus(corpus):
             closed = random_closed_set(X, rng)
             report = long_exact_sequence(X, closed, ring)
             assert report.exact, (name, ring.label, report.first_failure)
+
+
+def _element(ring, rng):
+    return Fraction(rng.randint(-3, 3)) if ring == QQ else rng.randrange(ring.p)
+
+
+def test_classes_match_solve_on_the_corpus(corpus):
+    # oracle: each class's coordinates solve [above | basis] x = target
+    rng = random.Random(11)
+    for name, X in corpus:
+        for ring in (QQ, GF(2), GF(3)):
+            profile = lefschetz_homology(X, ring)
+            _, boundary = lefschetz_chains(X, ring).slice(X.cell_ids)
+            for n in range(X.top_dim + 1):
+                below, above = boundary(n), boundary(n + 1)
+                cycles = kernel_basis(below, ring)
+                targets = list(cycles)
+                for _ in range(3):  # random cycle plus a random boundary
+                    chain = above.apply([_element(ring, rng) for _ in range(above.cols)])
+                    for z in cycles:
+                        c = _element(ring, rng)
+                        chain = [ring.add(v, ring.mul(c, w)) for v, w in zip(chain, z)]
+                    targets.append(chain)
+                basis, classes = _classes(ring, below, above, targets)
+                assert len(basis) == profile.free_rank(n), (name, ring, n)
+                assert (classes.rows, classes.cols) == (len(basis), len(targets))
+                if not basis:
+                    continue
+                entries = dict(above.entries)
+                for j, z in enumerate(basis, start=above.cols):
+                    entries.update(((i, j), v) for i, v in enumerate(z))
+                system = ExactMatrix(above.rows, above.cols + len(basis), entries, ring)
+                for j, target in enumerate(targets):
+                    expected = solve(system, target, ring)[above.cols:]
+                    assert classes.column(j) == expected, (name, ring, n, j)
+
+
+def test_classes_reject_a_non_cycle(twisted):
+    _, boundary = lefschetz_chains(twisted, GF(2)).slice(twisted.cell_ids)
+    with pytest.raises(AssertionError, match="not a cycle"):
+        _classes(GF(2), boundary(1), boundary(2), [[1, 0]])
 
 
 def test_euler_characteristic_identity(corpus):

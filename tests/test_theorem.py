@@ -242,6 +242,42 @@ def test_search_budget_validation():
     cfg = GeneratorConfig(seed=0)
     with pytest.raises(ValueError):
         list(search_converse(cfg, ZZ, budget=0))
+    for jobs in (0, -4):
+        with pytest.raises(ValueError, match="jobs must be positive"):
+            search_converse(cfg, ZZ, budget=10, jobs=jobs)
+
+
+def test_search_pool_is_bounded_by_cpus_and_budget(monkeypatch):
+    import lefhom.theorem as theorem
+
+    requested = []
+
+    class InlineExecutor:
+        """Stands in for the process pool: maps in this process, starts none."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(theorem.concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(theorem.os, "cpu_count", lambda: 4)
+    cfg = GeneratorConfig(seed=3, mode="basis-change", max_cells_per_dim=3,
+                          transform_steps=4)
+    serial = [(c.index, c.lef_text) for c in search_converse(cfg, ZZ, budget=60, jobs=1)]
+    assert requested == [] and serial
+    bounded = [(c.index, c.lef_text) for c in search_converse(cfg, ZZ, budget=60, jobs=10**6)]
+    assert requested == [4]
+    assert bounded == serial
+    list(search_converse(cfg, ZZ, budget=3, jobs=10**6))
+    assert requested == [4, 3]
 
 
 def test_search_simplicial_mode_finds_nothing():
