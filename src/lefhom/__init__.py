@@ -51,6 +51,7 @@ from .simplicial import (
     relative_simplicial_homology,
     simplicial_excision_check,
     simplicial_homology,
+    weak_point_core,
 )
 from .theorem import (
     ConverseCandidate,
@@ -128,4 +129,5 @@ __all__ = [
     "simplicial_excision_check",
     "simplicial_homology",
     "smith_normal_form",
+    "weak_point_core",
 ]

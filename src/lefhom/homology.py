@@ -375,16 +375,14 @@ def long_exact_sequence(X: LefschetzComplex, closed_part: Iterable,
     maps.append(ExactMatrix.zeros(0, nodes[-1][1], ring))
     nodes.append(("0", 0))
 
-    exact = True
+    # rank each map once: node k's outgoing rank is node k+1's incoming one
     first_failure = None
+    rank_in = rank_over(maps[0], ring)
     for k in range(1, len(nodes) - 1):
-        incoming, outgoing = maps[k - 1], maps[k]
-        dim = nodes[k][1]
-        composed_zero = (outgoing @ incoming).is_zero()
-        ranks_ok = rank_over(incoming, ring) + rank_over(outgoing, ring) == dim
-        if not (composed_zero and ranks_ok):
-            exact = False
+        rank_out = rank_over(maps[k], ring)
+        if not ((maps[k] @ maps[k - 1]).is_zero() and rank_in + rank_out == nodes[k][1]):
             first_failure = nodes[k][0]
             break
+        rank_in = rank_out
     return ExactSequenceReport(ring=ring, nodes=tuple(nodes), maps=tuple(maps),
-                               exact=exact, first_failure=first_failure)
+                               exact=first_failure is None, first_failure=first_failure)

@@ -6,10 +6,19 @@ simplicial complex whose simplices are the chains of the face poset.
 That simplicial stand-in has the same homology as the finite space, which
 is what justifies calling :func:`finite_space_homology` the singular
 homology of the space.
+
+:func:`finite_space_homology` first shrinks the face poset to a weak-point
+core.  A point is weak when its strict down-set or up-set is contractible,
+and removing one keeps the weak homotopy type of the finite space
+(Barmak-Minian, "Simple homotopy types and finite spaces", Adv. Math.
+2008); by McCord (Duke Math. J. 1966) the singular homology stays the same.
+The order complex is then built on the core only, so the simplex cap
+counts the core's chains.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Optional, Sequence
 
 from .complexes import LefschetzComplex
@@ -20,6 +29,7 @@ from .homology import ChainSlices, HomologyProfile, profile_from_boundaries
 __all__ = [
     "SimplicialComplex",
     "order_complex",
+    "weak_point_core",
     "simplicial_homology",
     "relative_simplicial_homology",
     "finite_space_homology",
@@ -167,20 +177,28 @@ class SimplicialComplex:
 
 
 def order_complex(X: LefschetzComplex,
-                  max_simplices: int = DEFAULT_SIMPLEX_CAP) -> SimplicialComplex:
+                  max_simplices: int = DEFAULT_SIMPLEX_CAP,
+                  subspace: Optional[frozenset] = None) -> SimplicialComplex:
     """All non-empty chains of the face poset, as a simplicial complex.
 
     The vertex order lists cells by (dimension, id); on every chain it
     refines the face order, so chain tuples are consistently oriented.
+    With ``subspace`` (a set of cell ids) only the chains inside it are
+    kept: the order complex of that subspace of the finite space.
     Chain counting is exponential in poset height, hence the cap.
     """
     poset = X.face_poset()
     cells_sorted = [c.id for c in X.cells]
+    if subspace is not None:
+        cells_sorted = [x for x in cells_sorted if x in subspace]
     chains_ending = {}
     total = 0
     for x in cells_sorted:
         acc = [(x,)]
-        for y in sorted(poset.below(x) - {x}):
+        faces = poset.below(x) - {x}
+        if subspace is not None:
+            faces &= subspace
+        for y in sorted(faces):
             acc.extend(chain + (x,) for chain in chains_ending[y])
         chains_ending[x] = acc
         total += len(acc)
@@ -188,6 +206,43 @@ def order_complex(X: LefschetzComplex,
             raise TooManySimplices(max_simplices)
     simplices = [chain for chains in chains_ending.values() for chain in chains]
     return SimplicialComplex(simplices, vertex_order=cells_sorted)
+
+
+def weak_point_core(X: LefschetzComplex) -> frozenset:
+    """The cells left after removing weak points of the face poset one at a
+    time, until none is left.
+
+    A cell is taken as weak when its strict down-set or strict up-set in the
+    live poset is non-empty and has a maximum or a minimum: such a set is a
+    cone, so it is contractible.  Cells are examined smallest (dimension,
+    id) first.  A removal changes only the strict down- and up-sets of the
+    cells comparable to it, so those of them already examined and kept are
+    queued again; the core is deterministic.
+    """
+    poset = X.face_poset()
+    order = [c.id for c in X.cells]
+    rank = {x: i for i, x in enumerate(order)}.__getitem__
+    live = set(order)
+    kept = set()  # live, examined, and not weak at the last examination
+    heap = list(range(len(order)))  # sorted, so already a heap
+    while heap:
+        x = order[heapq.heappop(heap)]
+        for strict in (poset.below(x), poset.above(x)):
+            rest = live & strict
+            rest.discard(x)
+            # a maximum has the top rank and a minimum the bottom one
+            if rest and (rest <= poset.below(max(rest, key=rank))
+                         or rest <= poset.above(min(rest, key=rank))):
+                live.discard(x)
+                for comparable in (poset.below(x), poset.above(x)):
+                    woken = kept & comparable
+                    kept -= woken
+                    for y in woken:
+                        heapq.heappush(heap, rank(y))
+                break
+        else:
+            kept.add(x)
+    return frozenset(live)
 
 
 def simplicial_homology(K: SimplicialComplex, ring: RingSpec = ZZ) -> HomologyProfile:
@@ -225,12 +280,19 @@ def order_complex_chains(X: LefschetzComplex, ring: RingSpec) -> ChainSlices:
 
 def finite_space_homology(X: LefschetzComplex, ring: Optional[RingSpec] = None,
                           max_simplices: int = DEFAULT_SIMPLEX_CAP) -> HomologyProfile:
-    """Singular homology of the finite space of X, via its order complex."""
+    """Singular homology of the finite space of X, via its order complex.
+
+    The order complex is built on :func:`weak_point_core` only: removing a
+    weak point keeps the weak homotopy type (Barmak-Minian 2008), hence by
+    McCord the singular homology.  ``max_simplices`` caps the chains of the
+    core, not of the whole face poset.
+    """
     ring = X.ring if ring is None else ring
     key = ("finite-space", ring)
     cached = X._homology_cache.get(key)
     if cached is None:
-        cached = simplicial_homology(order_complex(X, max_simplices), ring)
+        core = weak_point_core(X)
+        cached = simplicial_homology(order_complex(X, max_simplices, core), ring)
         X._homology_cache[key] = cached
     return cached
 

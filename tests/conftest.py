@@ -92,6 +92,16 @@ def corpus():
     return out
 
 
+@pytest.fixture(scope="session")
+def sweep_corpus():
+    """Criterion-3 corpus: seeds 0..999 cycling through the three modes."""
+    out = []
+    for seed in range(1000):
+        cfg = GeneratorConfig(seed=seed, mode=GENERATOR_MODES[seed % 3])
+        out.append((cfg, random_complex(cfg)))
+    return out
+
+
 def random_closed_set(X, rng: random.Random):
     from lefhom import closure
 

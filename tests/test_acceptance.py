@@ -37,21 +37,9 @@ from lefhom import (
 from tests.conftest import DATA_DIR, make_star, make_twisted_loop
 from tests.test_exact import check_divisors_against_minors
 
-MODES = ("simplicial-random", "cubical-random", "basis-change")
-
 
 def _passed(message: str):
     print(f"PASS: {message}")
-
-
-@pytest.fixture(scope="module")
-def sweep_corpus():
-    """Criterion-3 corpus: seeds 0..999 cycling through the three modes."""
-    out = []
-    for seed in range(1000):
-        cfg = GeneratorConfig(seed=seed, mode=MODES[seed % 3])
-        out.append((cfg, random_complex(cfg)))
-    return out
 
 
 def test_criterion_1_star_reproduction():

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from lefhom import render_lef
 from lefhom.cli import main
+from tests.test_theorem import _tower
 
 
 def run_cli(capsys, *argv):
@@ -252,3 +254,13 @@ def test_simplicial_input_over_the_cap_is_one_error_line(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.splitlines() == ["error: simplicial input exceeds 200000 simplices; raise the cap"]
+
+
+def test_singular_cap_error_on_a_complex_without_weak_points(capsys, tmp_path):
+    # the 12-level tower is its own weak-point core: 3**12 - 1 chains
+    path = tmp_path / "tower.lef"
+    path.write_text(render_lef(_tower(12)))
+    code, out, err = run_cli(capsys, "singular", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: order complex exceeds 200000 simplices; raise the cap"]

@@ -13,6 +13,7 @@ from lefhom import (
     build_complex,
     enumerate_closed_sets,
     excision_check,
+    import_cubical,
     import_simplicial,
     lefschetz_homology,
     long_exact_sequence,
@@ -149,6 +150,36 @@ def test_les_over_corpus(corpus):
             closed = random_closed_set(X, rng)
             report = long_exact_sequence(X, closed, ring)
             assert report.exact, (name, ring.label, report.first_failure)
+
+
+def test_les_ranks_each_map_once(monkeypatch):
+    # 3x3 grid, one closed vertex: 9 interior nodes and 10 maps
+    X = import_cubical([[(i, i + 1), (j, j + 1)] for i in range(3) for j in range(3)])
+    ranked = []
+
+    def counting(matrix, ring):
+        ranked.append(matrix)
+        return rank_over(matrix, ring)
+
+    monkeypatch.setattr("lefhom.homology.rank_over", counting)
+    report = long_exact_sequence(X, {"0x0"}, QQ)
+    assert report.exact
+    assert len(report.nodes) == 11
+    assert ranked == list(report.maps)
+
+
+def test_les_exactness_matches_ranking_both_ends(corpus):
+    # oracle: every interior node checked on its own, both maps ranked there
+    rng = random.Random(8)
+    for name, X in corpus:
+        for ring in (QQ, GF(2), GF(3)):
+            report = long_exact_sequence(X, random_closed_set(X, rng), ring)
+            maps = report.maps
+            failure = next((label for k, (label, dim) in enumerate(report.nodes[1:-1], 1)
+                            if not ((maps[k] @ maps[k - 1]).is_zero()
+                                    and rank_over(maps[k - 1], ring) + rank_over(maps[k], ring)
+                                    == dim)), None)
+            assert (report.exact, report.first_failure) == (failure is None, failure), name
 
 
 def _element(ring, rng):

@@ -9,6 +9,7 @@ from lefhom import (
     SimplicialComplex,
     build_complex,
     finite_space_homology,
+    import_cubical,
     import_simplicial,
     lefschetz_homology,
     order_complex,
@@ -18,10 +19,18 @@ from lefhom import (
     restrict,
     simplicial_excision_check,
     simplicial_homology,
+    weak_point_core,
 )
 from lefhom import closure
 from lefhom.errors import TooManySimplices, UnknownCellReference
 from lefhom.formats import GeneratorConfig, random_complex
+from tests.test_theorem import _tower
+
+RP2_FACES = ("abc", "acd", "ade", "aef", "afb", "bce", "cdf", "deb", "efc", "fbd")
+
+
+def _grid(n):
+    return import_cubical([[(i, i + 1), (j, j + 1)] for i in range(n) for j in range(n)])
 
 
 def test_order_complex_star(star):
@@ -171,3 +180,69 @@ def test_boundary_matrix_signs():
     mat = K.boundary_matrix(2)
     # rows: ab, ac, bc; single column abc with signs +, -, +
     assert mat.dense() == [[1], [-1], [1]]
+
+
+def test_order_complex_of_a_subspace_is_the_full_subcomplex(corpus):
+    for name, X in corpus[:20]:
+        K = order_complex(X)
+        ids = sorted(X.cell_ids)
+        for subspace in (frozenset(), frozenset(ids[::2]), frozenset(ids[1:])):
+            L = order_complex(X, subspace=subspace)
+            assert L == K.full_subcomplex(subspace), name
+            assert L.vertices == tuple(v for v in K.vertices if v in subspace), name
+
+
+# -- weak-point reduction ------------------------------------------------------
+
+
+def _reduction_matches_full_poset(X, ring):
+    return finite_space_homology(X, ring) == simplicial_homology(order_complex(X), ring)
+
+
+def test_weak_point_reduction_oracle_on_the_corpus(corpus):
+    for name, X in corpus:
+        for ring in (ZZ, QQ, GF(2), GF(3)):
+            assert _reduction_matches_full_poset(X, ring), (name, ring.label)
+
+
+def test_weak_point_reduction_oracle_on_the_sweep_corpus(sweep_corpus):
+    for cfg, X in sweep_corpus:
+        for ring in (ZZ, QQ, GF(2), GF(3)):
+            assert _reduction_matches_full_poset(X, ring), (cfg.seed, cfg.mode, ring.label)
+
+
+def test_minimal_finite_models_keep_every_cell(twisted):
+    # no cell of these has a strict down- or up-set with a maximum or minimum
+    rp2 = import_simplicial([tuple(face) for face in RP2_FACES])
+    assert len(rp2) == 31
+    for X in (twisted, rp2, _tower(2), _tower(3), _tower(5)):
+        assert weak_point_core(X) == X.cell_ids, X
+
+
+def test_contractible_complexes_shrink_to_one_cell(star):
+    assert weak_point_core(star) == {"e"}
+    grid = _grid(4)
+    assert len(grid) == 81 and len(weak_point_core(grid)) == 1
+
+
+def test_removal_is_one_point_at_a_time():
+    # in a < e each point is weak while the other is there; removing both
+    # at once would leave the empty space
+    X = build_complex([("a", 0), ("e", 1)], {("e", "a"): 1}, ZZ)
+    assert weak_point_core(X) == {"e"}
+    assert finite_space_homology(X).is_point()
+    # the empty strict down- and up-sets of a lone point are not cones
+    point = build_complex([("v", 0)], {}, ZZ)
+    assert weak_point_core(point) == {"v"}
+    assert weak_point_core(build_complex([], {}, ZZ)) == frozenset()
+
+
+def test_simplex_cap_counts_the_reduced_order_complex():
+    grid = _grid(3)
+    full = len(order_complex(grid))
+    assert finite_space_homology(grid, max_simplices=full - 1) == point_profile(ZZ)
+    with pytest.raises(TooManySimplices):
+        order_complex(grid, max_simplices=full - 1)
+    # the tower is its own core, with 3**12 - 1 chains
+    with pytest.raises(TooManySimplices):
+        finite_space_homology(_tower(12))
