@@ -137,7 +137,10 @@ def _cmd_check(args) -> int:
 def _cmd_corollary(args) -> int:
     X = _load_complex(args)
     ring = _ring_for(args, X)
-    report = check_corollary(X, ring, cap=args.cap)
+    try:
+        report = check_corollary(X, ring, cap=args.cap)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     print(f"ring: {ring.label}")
     print(f"cells: {len(X)}")
     print(f"augmentable: {_bool(report.augmentable)}")

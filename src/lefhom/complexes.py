@@ -43,19 +43,15 @@ class FacePoset:
     """Reflexive-transitive closure of the facet relation of a complex.
 
     ``below(x)`` is the set of faces of x (including x itself); ``above(x)``
-    the dual.  Antisymmetry is automatic because a strict face has strictly
-    smaller dimension.
+    the dual: ``y in below(x)`` exactly when ``x in above(y)``.  Antisymmetry
+    is automatic because a strict face has strictly smaller dimension.
     """
 
     __slots__ = ("_below", "_above", "_elements")
 
-    def __init__(self, below: Mapping[str, frozenset]):
+    def __init__(self, below: Mapping[str, frozenset], above: Mapping[str, frozenset]):
         self._below = dict(below)
-        above = {x: set() for x in self._below}
-        for x, faces in self._below.items():
-            for y in faces:
-                above[y].add(x)
-        self._above = {y: frozenset(s) for y, s in above.items()}
+        self._above = dict(above)
         self._elements = tuple(sorted(self._below))
 
     @property
@@ -94,7 +90,7 @@ class LefschetzComplex:
     """
 
     __slots__ = ("ring", "_dims", "_kappa", "_by_dim", "_facets",
-                 "_poset", "_boundary_cache", "_homology_cache")
+                 "_cells", "_poset", "_boundary_cache", "_homology_cache")
 
     def __init__(self, cells: Iterable, kappa, ring: RingSpec):
         self.ring = ring
@@ -132,6 +128,7 @@ class LefschetzComplex:
         for cid, dim in self._dims.items():
             by_dim.setdefault(dim, []).append(cid)
         self._by_dim = {d: tuple(sorted(ids)) for d, ids in by_dim.items()}
+        self._cells = None
         self._poset = None
         self._boundary_cache = {}
         self._homology_cache = {}
@@ -151,8 +148,11 @@ class LefschetzComplex:
 
     @property
     def cells(self) -> tuple:
-        return tuple(Cell(cid, dim) for dim, cid
-                     in sorted((d, c) for c, d in self._dims.items()))
+        """All cells sorted by (dim, id), built once."""
+        if self._cells is None:
+            self._cells = tuple(Cell(cid, dim) for dim, cid
+                                in sorted((d, c) for c, d in self._dims.items()))
+        return self._cells
 
     @property
     def cell_ids(self) -> frozenset:
@@ -209,13 +209,23 @@ class LefschetzComplex:
 
     def face_poset(self) -> FacePoset:
         if self._poset is None:
-            below = {}
-            for dim, cid in sorted((d, c) for c, d in self._dims.items()):
+            # down-sets from the facets' going up in dimension, up-sets from
+            # the cofacets' going down
+            order = [c.id for c in self.cells]
+            below, above = {}, {}
+            cofacets = {cid: [] for cid in order}
+            for cid in order:
                 faces = {cid}
                 for y in self._facets[cid]:
                     faces |= below[y]
+                    cofacets[y].append(cid)
                 below[cid] = frozenset(faces)
-            self._poset = FacePoset(below)
+            for cid in reversed(order):
+                cofaces = {cid}
+                for x in cofacets[cid]:
+                    cofaces |= above[x]
+                above[cid] = frozenset(cofaces)
+            self._poset = FacePoset(below, above)
         return self._poset
 
     # -- misc --------------------------------------------------------------

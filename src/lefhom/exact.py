@@ -364,6 +364,39 @@ def _eliminate(cols: list, p: Optional[int], ordered: bool = False) -> list:
         order = sorted(deferred, key=lambda j: len(cols[j]))
 
 
+def _reduce_column(col: dict, pivots: Mapping, p: Optional[int]) -> Optional[int]:
+    """Reduce ``col`` in place by lowest row against ``pivots``, which maps
+    the lowest row of each pivot column to that column, stored with a 1
+    there.  ``p`` is None over Z (integer entries, so every multiple taken
+    is an integer) and the prime over F_p, as for :func:`_eliminate`.
+    Returns the lowest row left, which no pivot has, or None once ``col``
+    is empty."""
+    while col:
+        low = max(col)
+        pivot = pivots.get(low)
+        if pivot is None:
+            return low
+        f = col[low]
+        for i, v in pivot.items():
+            w = col.get(i, 0) - f * v
+            if p:
+                w %= p
+            if w:
+                col[i] = w
+            else:
+                del col[i]
+    return None
+
+
+def _integral(col: dict) -> dict:
+    """Scale a column of ints and Fractions, in place, to clear its
+    denominators; the span and so every rank over Q stay the same."""
+    den = math.lcm(*(v.denominator for v in col.values()))
+    for i, v in col.items():
+        col[i] = v.numerator * (den // v.denominator)
+    return col
+
+
 def _columns(entries: Mapping, ncols: int) -> list:
     cols = [{} for _ in range(ncols)]
     for (i, j), v in entries.items():
@@ -499,11 +532,7 @@ def rank_over(matrix: ExactMatrix, ring: RingSpec) -> int:
     cols = _field_columns(matrix, ring)
     if ring.p:
         return len(_eliminate(cols, ring.p))
-    for col in cols:
-        den = math.lcm(*(v.denominator for v in col.values()))
-        for i, v in col.items():
-            col[i] = v.numerator * (den // v.denominator)
-    return len(_integer_divisors(cols))
+    return len(_integer_divisors([_integral(col) for col in cols]))
 
 
 def pivot_columns(matrix: ExactMatrix, ring: RingSpec) -> list:

@@ -23,6 +23,8 @@ from .exact import (
     RingSpec,
     ZZ,
     _columns,
+    _integral,
+    _reduce_column,
     kernel_basis,
     pivot_columns,
     rank_over,
@@ -192,6 +194,82 @@ class ChainSlices:
 
     def profile(self, kept: Iterable) -> HomologyProfile:
         return profile_from_boundaries(self.ring, *self.slice(kept))
+
+
+class IncrementalReducer:
+    """The homology of a growing set of a :class:`ChainSlices`' keys, read
+    off a column reduction that grows with it, and can be undone.
+
+    ``include(key)`` appends the key's generators as columns, in ascending
+    degree; their boundaries must lie in the generators already in, as for
+    a cell joining a closed set after its faces.  Each column is reduced by
+    lowest row against a pivot table, as in the persistence algorithm, so
+    the rank of every boundary is its number of pivots.  ``undo()`` takes
+    back the last include, and ``profile()`` is the homology of the keys in.
+
+    Over F_p every nonzero entry is a pivot.  Over Z and Q only ±1 is, with
+    Q columns first scaled to integers: the pivots then span a unimodular
+    triangle, so no boundary has a divisor other than 1.  A column whose
+    lowest entry is not a unit stops the reduction until its include is
+    undone; until then ``profile()`` is the slice profile, which finds the
+    torsion that a non-unit pivot may carry.
+    """
+
+    def __init__(self, chains: ChainSlices):
+        self.chains = chains
+        self._p = chains.ring.p
+        scale = _integral if chains.ring.kind == "Q" else dict
+        self._keyed = {key: [(q, scale(dict(chains._columns[q][i]))) for q, i in at]
+                       for key, at in chains._at.items()}
+        degrees = len(chains._columns)
+        self._sizes = [0] * degrees
+        self._ranks = [0] * (degrees + 1)  # [q]: rank of the boundary out of degree q
+        self._pivots = [{} for _ in range(degrees)]  # [q]: lowest row -> degree-q column
+        self._kept = []
+        self._undo = []  # per include: (degree, lowest row or None) of each column
+        self._stalled = None  # index in _undo of the include that met a non-unit
+
+    def include(self, key) -> None:
+        record = []
+        if self._stalled is None:
+            p = self._p
+            for q, column in self._keyed[key]:
+                self._sizes[q] += 1
+                col = dict(column)
+                low = _reduce_column(col, self._pivots[q], p) if col else None
+                if low is not None:
+                    u = col[low]
+                    if u != 1 and p:
+                        inv = pow(u, -1, p)
+                        col = {i: v * inv % p for i, v in col.items()}
+                    elif u == -1:
+                        col = {i: -v for i, v in col.items()}
+                    elif u != 1:
+                        self._stalled = len(self._undo)
+                        record.append((q, None))
+                        break
+                    self._pivots[q][low] = col
+                    self._ranks[q] += 1
+                record.append((q, low))
+        self._kept.append(key)
+        self._undo.append(record)
+
+    def undo(self) -> None:
+        self._kept.pop()
+        for q, low in self._undo.pop():
+            self._sizes[q] -= 1
+            if low is not None:
+                del self._pivots[q][low]
+                self._ranks[q] -= 1
+        if self._stalled == len(self._undo):
+            self._stalled = None
+
+    def profile(self) -> HomologyProfile:
+        if self._stalled is not None:
+            return self.chains.profile(self._kept)
+        ranks = self._ranks
+        free = [size - ranks[n] - ranks[n + 1] for n, size in enumerate(self._sizes)]
+        return HomologyProfile(self.chains.ring, tuple((n, f, ()) for n, f in enumerate(free) if f))
 
 
 def lefschetz_chains(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> ChainSlices:

@@ -27,13 +27,14 @@ from .exact import RingSpec
 from .homology import (
     ChainSlices,
     HomologyProfile,
+    IncrementalReducer,
     lefschetz_chains,
     lefschetz_homology,
     point_profile,
 )
 from .simplicial import finite_space_homology, order_complex_chains
 # restrict stays bound here: perfbench/tracing.py patches lefhom.theorem.restrict
-from .topology import closure, enumerate_closed_sets, restrict  # noqa: F401
+from .topology import closure, count_closed_sets, enumerate_closed_sets, restrict  # noqa: F401
 
 __all__ = [
     "LocalCheck",
@@ -158,25 +159,59 @@ class CorollaryReport:
     consistent_with_corollary: bool
 
 
+class _Mismatches:
+    """Follows the closed-set walk with one reducer per homology; ``visit()``
+    is true on the closed sets where the two profiles differ."""
+
+    def __init__(self, *chains: ChainSlices):
+        self.sides = [IncrementalReducer(c) for c in chains]
+
+    def include(self, x: str) -> None:
+        for side in self.sides:
+            side.include(x)
+
+    def undo(self) -> None:
+        for side in self.sides:
+            side.undo()
+
+    def visit(self) -> bool:
+        cells, space = self.sides
+        return cells.profile() != space.profile()
+
+
 def check_corollary(X: LefschetzComplex, ring: Optional[RingSpec] = None,
                     cap: int = 100_000) -> CorollaryReport:
-    """Sweep every closed subcomplex and compare both homology pipelines,
-    profiling each closed set as a slice of X's chain and order complexes."""
+    """Sweep every closed subcomplex and compare both homology pipelines.
+
+    One walk over the closed sets carries a column reduction of X's chain
+    complex and one of its order complex, each keyed by cell: a cell joins
+    after its faces, so it appends only its own columns, and each closed
+    set's profiles come out of the ranks.  This is the persistence
+    algorithm of Edelsbrunner-Letscher-Zomorodian ("Topological persistence
+    and simplification", DCG 2002) and Zomorodian-Carlsson ("Computing
+    persistent homology", DCG 2005), with undo on backtrack.  Over Z and Q
+    only unit pivots are taken; below a non-unit one, closed sets are
+    profiled as slices.  ``cap`` is checked before the order complex is
+    built; a cap below 1 raises ``ValueError`` at the call, since the empty
+    set is always closed.
+    """
+    if cap < 1:
+        raise ValueError("cap must be positive")
     ring = X.ring if ring is None else ring
     augmentable = is_augmentable(X, ring)
     cells = lefschetz_chains(X, ring)
     local_ok = _first_local_failure(X, cells) is None
-    closed_sets = enumerate_closed_sets(X, cap)
-    chains = order_complex_chains(X, ring)
-    mismatches = [tuple(sorted(closed_set)) for closed_set in closed_sets
-                  if cells.profile(closed_set) != chains.profile(closed_set)]
+    checked = count_closed_sets(X, cap)
+    sweep = _Mismatches(cells, order_complex_chains(X, ring))
+    mismatches = [tuple(sorted(closed_set))
+                  for closed_set in enumerate_closed_sets(X, cap, sweep)]
     all_match = not mismatches
     agree = local_ok == all_match
     return CorollaryReport(
         ring=ring,
         augmentable=augmentable,
         local_condition_holds=local_ok,
-        closed_sets_checked=len(closed_sets),
+        closed_sets_checked=checked,
         mismatching_closed_sets=tuple(mismatches),
         all_closed_match=all_match,
         directions_agree=agree,

@@ -20,6 +20,7 @@ __all__ = [
     "is_open",
     "is_locally_closed",
     "restrict",
+    "count_closed_sets",
     "enumerate_closed_sets",
 ]
 
@@ -28,7 +29,7 @@ DEFAULT_CLOSED_SET_CAP = 100_000
 
 def _cellset(X: LefschetzComplex, A: Iterable) -> frozenset:
     A = frozenset(A)
-    unknown = A - X.cell_ids
+    unknown = [a for a in A if a not in X]
     if unknown:
         raise UnknownCellReference(f"not cells of the complex: {sorted(unknown)}")
     return A
@@ -91,40 +92,77 @@ def restrict(X: LefschetzComplex, A: Iterable) -> LefschetzComplex:
     return LefschetzComplex(cells, kappa, X.ring)
 
 
+def _walk(X: LefschetzComplex, cap: int, sweep=None) -> list:
+    """Bitmasks over the (dim, id) cell order of the closed sets found;
+    with a sweep, only of those at which ``sweep.visit()`` is true."""
+    ids = [c.id for c in X.cells]  # sorted by (dim, id): a linear extension
+    pos = {x: i for i, x in enumerate(ids)}
+    needs, cofacets = [], [[] for _ in ids]
+    for k, x in enumerate(ids):
+        mask = 0
+        for y in X.facets(x):
+            mask |= 1 << pos[y]
+            cofacets[pos[y]].append(k)
+        needs.append(mask)
+
+    # Depth first over include/exclude decisions in cell order.  A node is
+    # a closed set, its last included cell j, and its addable cells: those
+    # after j whose facets are all in.  Each child includes one addable cell
+    # and excludes those before it; it keeps the later ones and gains only
+    # cofacets of j.  Entries (j, set, parent's addable cells, j's place
+    # among them) go on a stack instead of recursion, because the depth is
+    # the number of cells; None marks where the walk backs out of an
+    # include.
+    found = []
+    count = 0
+    stack = [(-1, 0, [k for k, need in enumerate(needs) if not need], -1)]
+    while stack:
+        entry = stack.pop()
+        if entry is None:
+            sweep.undo()
+            continue
+        j, chosen, siblings, place = entry
+        count += 1
+        if count > cap:
+            raise TooManyClosedSets(cap)
+        if sweep is None:
+            found.append(chosen)
+        else:
+            if j >= 0:
+                sweep.include(ids[j])
+                stack.append(None)
+            if sweep.visit():
+                found.append(chosen)
+        addable = siblings[place + 1:]
+        if j >= 0:
+            addable += [c for c in cofacets[j] if needs[c] & chosen == needs[c]]
+            addable.sort()
+        stack.extend((c, chosen | 1 << c, addable, place) for place, c in enumerate(addable))
+    return found
+
+
+def count_closed_sets(X: LefschetzComplex, cap: int = DEFAULT_CLOSED_SET_CAP) -> int:
+    """The number of closed sets; raises TooManyClosedSets past ``cap``."""
+    return len(_walk(X, cap))
+
+
 def enumerate_closed_sets(X: LefschetzComplex,
-                          cap: int = DEFAULT_CLOSED_SET_CAP) -> list:
+                          cap: int = DEFAULT_CLOSED_SET_CAP, sweep=None) -> list:
     """All closed sets (down-sets of the face poset), smallest first.
 
     Raises TooManyClosedSets when the count exceeds ``cap``: down-set
     counting is exponential in the width of the poset, so callers must
     opt in to large enumerations explicitly.
-    """
-    ids = [c.id for c in X.cells]  # sorted by (dim, id): a linear extension
-    pos = {x: i for i, x in enumerate(ids)}
-    poset = X.face_poset()
-    need = []
-    for x in ids:
-        mask = 0
-        for y in poset.below(x):
-            if y != x:
-                mask |= 1 << pos[y]
-        need.append(mask)
 
-    # depth-first over include/exclude decisions, excluding first; a stack
-    # instead of recursion, because the depth is the number of cells
-    results = []
-    stack = [(0, 0)]
-    while stack:
-        i, chosen = stack.pop()
-        if i == len(ids):
-            if len(results) >= cap:
-                raise TooManyClosedSets(cap)
-            results.append(chosen)
-            continue
-        if need[i] & chosen == need[i]:
-            stack.append((i + 1, chosen | (1 << i)))
-        stack.append((i + 1, chosen))
+    The sets are walked depth first by include/exclude decisions in (dim,
+    id) order, so a cell joins the current set after all its faces and
+    while nothing above it is in.  A ``sweep`` follows the walk: it is told
+    ``include(x)`` when cell x joins, ``undo()`` when the walk takes the
+    last joined cell out again, and ``visit()`` at each closed set.  Only
+    the sets at which ``visit()`` is true are returned then.
+    """
+    ids = [c.id for c in X.cells]
     sets = [frozenset(ids[k] for k in range(len(ids)) if mask >> k & 1)
-            for mask in results]
+            for mask in _walk(X, cap, sweep)]
     sets.sort(key=lambda s: (len(s), tuple(sorted(s))))
     return sets

@@ -7,6 +7,7 @@ import pytest
 
 from lefhom import render_lef
 from lefhom.cli import main
+from tests.conftest import DATA_DIR
 from tests.test_theorem import _tower
 
 
@@ -228,6 +229,10 @@ def _huge_dimension_file(tmp_path):
     return str(path)
 
 
+def _star_file(tmp_path):
+    return str(DATA_DIR / "star4.lef")
+
+
 @pytest.mark.parametrize("argv", [
     ["search", "--budget", "0"],
     ["search", "--seed", "-1"],
@@ -236,8 +241,10 @@ def _huge_dimension_file(tmp_path):
     ["homology", _directory],
     ["homology", _latin1_file],
     ["homology", _huge_dimension_file],
+    ["corollary", _star_file, "--cap", "0"],
+    ["corollary", _star_file, "--cap", "-3"],
 ], ids=["budget-0", "negative-seed", "jobs-0", "negative-jobs", "directory", "not-utf8",
-        "huge-dimension"])
+        "huge-dimension", "corollary-cap-0", "corollary-negative-cap"])
 def test_unusable_input_exits_2(capsys, tmp_path, argv):
     argv = [arg(tmp_path) if callable(arg) else arg for arg in argv]
     code, out, err = run_cli(capsys, *argv)

@@ -96,6 +96,13 @@ def test_face_poset_triangle_chains():
     assert not poset.leq("ab", "bc")
 
 
+def test_face_poset_up_sets_are_dual_to_down_sets(corpus):
+    for name, X in corpus:
+        poset = X.face_poset()
+        for y in X.cell_ids:
+            assert poset.above(y) == {x for x in X.cell_ids if y in poset.below(x)}, (name, y)
+
+
 def test_face_poset_closure_is_idempotent(corpus):
     for name, X in corpus:
         poset = X.face_poset()

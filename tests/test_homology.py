@@ -26,11 +26,13 @@ from lefhom.errors import NonFieldRing, NotClosed, TooManyClosedSets
 from lefhom.exact import kernel_basis, rank_over, solve
 from lefhom.homology import (
     HomologyProfile,
+    IncrementalReducer,
     _classes,
     lefschetz_chains,
     profile_from_boundaries,
 )
 from lefhom.simplicial import finite_space_homology, order_complex_chains
+from lefhom.topology import count_closed_sets
 from tests.conftest import random_closed_set
 
 
@@ -326,3 +328,86 @@ def test_profile_visits_only_populated_degrees():
         assert asked == [0, 1, 5000, 5001]
         assert profile.entries == ((0, 1, ()), (5000, 1, ()))
     assert lefschetz_homology(X).entries == ((0, 1, ()), (5000, 1, ()))
+
+
+class _SliceOracle:
+    """Follows the closed-set walk with one reducer per chain complex and
+    checks each reducer's profile against the slice profile of the same set."""
+
+    def __init__(self, *chains):
+        self.sides = [(c, IncrementalReducer(c)) for c in chains]
+        self.kept = []
+        self.visited = 0
+
+    def include(self, x):
+        self.kept.append(x)
+        for _, reducer in self.sides:
+            reducer.include(x)
+
+    def undo(self):
+        self.kept.pop()
+        for _, reducer in self.sides:
+            reducer.undo()
+
+    def visit(self):
+        for chains, reducer in self.sides:
+            assert reducer.profile() == chains.profile(self.kept), sorted(self.kept)
+        self.visited += 1
+        return False
+
+
+def test_incremental_profiles_match_slices(corpus):
+    # every closed set the walk reaches before its 200th, on both sides
+    for name, X in corpus:
+        for ring in (ZZ, QQ, GF(2), GF(3)):
+            oracle = _SliceOracle(lefschetz_chains(X, ring), order_complex_chains(X, ring))
+            try:
+                assert enumerate_closed_sets(X, 200, oracle) == [], (name, ring)
+            except TooManyClosedSets:
+                assert oracle.visited == 200, (name, ring)
+            else:
+                assert oracle.visited == count_closed_sets(X), (name, ring)
+
+
+def test_incremental_undo_restores_each_profile():
+    # the square's cells in order, then back out to the root and down a
+    # second branch without the first edge: every profile must be the one
+    # before the include, and no pivot of the first branch may survive
+    X = import_cubical([[(0, 1), (0, 1)]])
+    order = [c.id for c in X.cells]
+    branch = order[:4] + order[5:8]
+    for ring in (ZZ, QQ, GF(2), GF(3)):
+        for chains in (lefschetz_chains(X, ring), order_complex_chains(X, ring)):
+            reducer = IncrementalReducer(chains)
+            seen = [reducer.profile()]
+            for k, x in enumerate(order, start=1):
+                reducer.include(x)
+                seen.append(reducer.profile())
+                assert seen[-1] == chains.profile(order[:k]), (ring, x)
+            assert seen[-1] == point_profile(ring)
+            for k in range(len(order), 0, -1):
+                reducer.undo()
+                assert reducer.profile() == seen[k - 1], (ring, k)
+            for k, x in enumerate(branch, start=1):
+                reducer.include(x)
+                assert reducer.profile() == chains.profile(branch[:k]), (ring, x)
+            assert reducer.profile() == point_profile(ring)  # a path through all four vertices
+
+
+def test_incremental_non_unit_pivot_falls_back_to_slices():
+    # an edge with kappa -2, 2: over Z its column's only pivot candidate is 2
+    X = build_complex([("a", 0), ("b", 0), ("e", 1)], {("e", "a"): -2, ("e", "b"): 2}, ZZ)
+    for ring, expected in ((ZZ, ((0, 1, (2,)),)), (QQ, ((0, 1, ()),)), (GF(2), ((0, 2, ()), (1, 1, ()))),
+                           (GF(3), ((0, 1, ()),))):
+        chains = lefschetz_chains(X, ring)
+        reducer = IncrementalReducer(chains)
+        for x in ("a", "b", "e"):
+            reducer.include(x)
+        profiled = []
+        chains.profile = lambda kept, original=chains.profile: profiled.append(kept) or original(kept)
+        assert reducer.profile().entries == expected, ring
+        assert bool(profiled) == (ring in (ZZ, QQ)), ring
+        reducer.undo()
+        profiled.clear()
+        assert reducer.profile().entries == ((0, 2, ()),)
+        assert profiled == [], ring  # the undo lifted the fallback

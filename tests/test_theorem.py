@@ -15,6 +15,7 @@ from lefhom import (
     check_theorem,
     closure,
     enumerate_closed_sets,
+    import_cubical,
     import_simplicial,
     is_augmentable,
     lefschetz_homology,
@@ -26,9 +27,12 @@ from lefhom import (
     restrict,
     search_converse,
 )
+from lefhom import complexes
+from lefhom.complexes import LefschetzComplex
 from lefhom.errors import LefhomError, TooManyClosedSets, TooManySimplices
-from lefhom.simplicial import finite_space_homology
-from lefhom.theorem import _is_candidate, _reverify
+from lefhom.homology import ChainSlices, lefschetz_chains
+from lefhom.simplicial import finite_space_homology, order_complex_chains
+from lefhom.theorem import CorollaryReport, _first_local_failure, _is_candidate, _reverify
 
 
 def test_augmentable_examples(star, twisted):
@@ -179,6 +183,92 @@ def test_corollary_cap_precedence():
         check_corollary(X)
     with pytest.raises(TooManyClosedSets):
         check_corollary(X, cap=10)
+
+
+def test_corollary_cap_below_one_is_refused_at_the_call(star):
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="cap must be positive"):
+            check_corollary(star, cap=cap)
+    assert check_corollary(star, cap=17).closed_sets_checked == 17
+    with pytest.raises(TooManyClosedSets):
+        check_corollary(star, cap=16)
+
+
+def _sliced_corollary(X, ring):
+    """The sweep without reduction: both profiles of every closed set
+    sliced from scratch."""
+    cells, chains = lefschetz_chains(X, ring), order_complex_chains(X, ring)
+    closed_sets = enumerate_closed_sets(X)
+    mismatches = tuple(tuple(sorted(closed)) for closed in closed_sets
+                       if cells.profile(closed) != chains.profile(closed))
+    local_ok = _first_local_failure(X, cells) is None
+    augmentable = is_augmentable(X, ring)
+    return CorollaryReport(ring, augmentable, local_ok, len(closed_sets), mismatches,
+                           not mismatches, local_ok == (not mismatches),
+                           local_ok == (not mismatches) or not augmentable)
+
+
+def _torsion_witness():
+    # augmentable, both homologies H_0: Z; H_1: Z, but cl e0 has H_0: Z + Z/2
+    return build_complex(
+        [("v0", 0), ("v1", 0), ("e0", 1), ("e1", 1)],
+        {("e0", "v0"): -2, ("e0", "v1"): 2, ("e1", "v0"): -1, ("e1", "v1"): 1}, ZZ)
+
+
+def test_corollary_torsion_takes_the_slice_fallback(monkeypatch):
+    X = _torsion_witness()
+    profiled = []
+    original = ChainSlices.profile
+    monkeypatch.setattr(ChainSlices, "profile",
+                        lambda self, kept: profiled.append(frozenset(kept)) or original(self, kept))
+    report = check_corollary(X)
+    # the local condition slices only closures of single cells; the whole
+    # complex is sliced by the sweep, below the include of e0
+    assert X.cell_ids in profiled
+    monkeypatch.undo()
+    assert report == _sliced_corollary(X, ZZ)
+    assert report.mismatching_closed_sets == (("e0", "v0", "v1"),)
+    assert report.augmentable and not report.local_condition_holds
+    assert report.consistent_with_corollary
+    for ring in (QQ, GF(2), GF(3)):
+        assert check_corollary(X, ring) == _sliced_corollary(X, ring), ring
+
+
+def test_corollary_matches_the_sliced_sweep(corpus, sweep_corpus):
+    # the explicit and seeded corpus, plus the first 300 sweep-corpus
+    # complexes (basis-change mode puts non-unit entries in their boundaries)
+    inputs = [X for _, X in corpus] + [X for _, X in sweep_corpus[:300]]
+    non_unit = mismatched = 0
+    for X in inputs:
+        try:
+            enumerate_closed_sets(X, 200)
+        except TooManyClosedSets:
+            continue
+        for ring in (ZZ, QQ, GF(2), GF(3)):
+            report = check_corollary(X, ring)
+            assert report == _sliced_corollary(X, ring), (render_lef(X), ring)
+            mismatched += bool(report.mismatching_closed_sets)
+        non_unit += any(v not in (1, -1) for v in X.kappa_entries.values())
+    assert non_unit >= 20 and mismatched >= 100
+
+
+def test_local_condition_builds_the_cell_set_at_most_once(monkeypatch):
+    X = import_cubical([[(i, i + 1), (j, j + 1)] for i in range(4) for j in range(4)])
+    built = {"cell_ids": 0, "Cell": 0}
+    cell_ids, cell = LefschetzComplex.cell_ids.fget, complexes.Cell
+
+    def counted(key, build):
+        def wrapper(*args):
+            built[key] += 1
+            return build(*args)
+        return wrapper
+
+    monkeypatch.setattr(LefschetzComplex, "cell_ids", property(counted("cell_ids", cell_ids)))
+    monkeypatch.setattr(complexes, "Cell", counted("Cell", cell))
+    checks = local_condition(X)
+    assert len(checks) == len(X) == 81
+    assert built["cell_ids"] <= 1
+    assert built["Cell"] == len(X)  # X.cells is built once, then reused
 
 
 # -- converse search ---------------------------------------------------------

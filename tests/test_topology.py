@@ -1,6 +1,7 @@
 """Alexandroff topology on the face order: closures, hulls, restriction."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +19,7 @@ from lefhom import (
     restrict,
 )
 from lefhom.errors import NotLocallyClosed, TooManyClosedSets, UnknownCellReference
+from lefhom.topology import count_closed_sets
 
 
 def test_closure_examples(star, twisted):
@@ -108,9 +110,53 @@ def test_enumerate_closed_sets_chain_prefixes():
         frozenset(), frozenset({"a"}), frozenset({"a", "e"})]
 
 
+class _Follower:
+    """Tracks the walk's current set through include and undo alone."""
+
+    def __init__(self, X):
+        self.X = X
+        self.current = []
+        self.seen = []
+
+    def include(self, x):
+        # a cell joins after all its faces, while nothing above it is in
+        assert closure(self.X, {x}) - {x} <= set(self.current)
+        assert not any(x in closure(self.X, {y}) for y in self.current)
+        self.current.append(x)
+
+    def undo(self):
+        self.current.pop()
+
+    def visit(self):
+        self.seen.append(frozenset(self.current))
+        return len(self.current) % 2 == 1
+
+
+def test_sweep_follows_every_closed_set(corpus):
+    for name, X in corpus:
+        try:
+            sets = enumerate_closed_sets(X, cap=600)
+        except TooManyClosedSets:
+            continue
+        if len(X) <= 10:  # against every subset that is its own closure
+            ids = sorted(X.cell_ids)
+            subsets = (frozenset(c) for r in range(len(ids) + 1) for c in combinations(ids, r))
+            assert set(sets) == {s for s in subsets if closure(X, s) == s}, name
+        follower = _Follower(X)
+        odd = enumerate_closed_sets(X, 600, follower)
+        assert sorted(follower.seen, key=sorted) == sorted(sets, key=sorted), name
+        assert len(set(follower.seen)) == len(sets) == count_closed_sets(X), name
+        assert follower.current == [], name
+        # the sweep picks the returned sets; they come smallest first
+        assert odd == [s for s in sets if len(s) % 2 == 1], name
+
+
 def test_enumerate_closed_sets_cap(star):
     with pytest.raises(TooManyClosedSets):
         enumerate_closed_sets(star, cap=5)
+    with pytest.raises(TooManyClosedSets):
+        count_closed_sets(star, cap=16)
+    assert count_closed_sets(star, cap=17) == 17
 
 
 def test_enumerate_closed_sets_cap_on_many_cells():
