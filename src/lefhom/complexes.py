@@ -85,12 +85,12 @@ class LefschetzComplex:
     """Validated, immutable Lefschetz complex over a :class:`RingSpec`.
 
     Construction performs the full validation (id sanity, grading, and the
-    incidence-product condition).  Boundary matrices, the face poset and
-    homology profiles are memoized per instance, write-once.
+    incidence-product condition).  Boundary matrices and the face poset are
+    memoized per instance, write-once.
     """
 
     __slots__ = ("ring", "_dims", "_kappa", "_by_dim", "_facets",
-                 "_cells", "_poset", "_boundary_cache", "_homology_cache")
+                 "_cells", "_poset", "_boundary_cache")
 
     def __init__(self, cells: Iterable, kappa, ring: RingSpec):
         self.ring = ring
@@ -131,7 +131,6 @@ class LefschetzComplex:
         self._cells = None
         self._poset = None
         self._boundary_cache = {}
-        self._homology_cache = {}
 
     def _check_kappa_condition(self):
         ring = self.ring
@@ -199,11 +198,9 @@ class LefschetzComplex:
             rows = self.cells_of_dim(q - 1)
             cols = self.cells_of_dim(q)
             rindex = {y: i for i, y in enumerate(rows)}
-            entries = {}
-            for j, x in enumerate(cols):
-                for y, v in self._facets[x].items():
-                    entries[(rindex[y], j)] = v
-            mat = ExactMatrix(len(rows), len(cols), entries, self.ring)
+            # facet values were converted and checked nonzero at construction
+            mat = ExactMatrix._wrap(len(rows), [{rindex[y]: v for y, v in self._facets[x].items()}
+                                                for x in cols], self.ring)
             self._boundary_cache[q] = mat
         return mat
 

@@ -1,13 +1,15 @@
 """Exact linear algebra over the integers, the rationals and prime fields.
 
 Entries are Python ints over Z, ints in [0, p) over F_p and ``Fraction``
-over Q; no floating point is ever involved.  Every elimination runs
-through one sparse routine, :func:`_eliminate`.  Over Z it removes the
-unit pivots and hands the small residue to the dense Bezout Smith form,
-which also serves ``with_transforms=True``.  A rank over Q clears each
-column's denominators and takes the Z route, so it does no ``Fraction``
-arithmetic.  Kernels and solutions over a field read the canonical reduced
-echelon form off the same routine run left to right.
+over Q; no floating point is ever involved.  An :class:`ExactMatrix`
+stores one ``{row: value}`` dict per column, the form in which boundary
+matrices are assembled and sliced, and every elimination runs on copies
+of those columns through one sparse routine, :func:`_eliminate`.  Over Z
+it removes the unit pivots and hands the small residue to the dense Bezout
+Smith form, which also serves ``with_transforms=True``.  A rank over Q
+clears each column's denominators and takes the Z route, so it does no
+``Fraction`` arithmetic.  Kernels and solutions over a field read the
+canonical reduced echelon form off the same routine run left to right.
 """
 
 from __future__ import annotations
@@ -151,27 +153,29 @@ def GF(p: int) -> RingSpec:
 class ExactMatrix:
     """Immutable sparse matrix with exact entries over a :class:`RingSpec`.
 
-    Only nonzero entries are stored; an absent (row, col) key means zero.
+    Stored as one ``{row: value}`` dict per column, the form the elimination
+    kernel takes; only nonzero entries are stored.  Matrices built from
+    others (slices, appended columns) share those dicts with them and with
+    the boundary matrices a complex caches, so a column is never mutated
+    once a matrix holds it: every kernel entry point copies the columns
+    before it eliminates in place.
     """
 
-    __slots__ = ("rows", "cols", "ring", "_entries")
+    __slots__ = ("rows", "cols", "ring", "_cols")
 
     def __init__(self, rows: int, cols: int,
                  entries: Mapping[tuple, object] | Iterable, ring: RingSpec):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        self.rows = rows
-        self.cols = cols
-        self.ring = ring
-        data = {}
+        columns = [{} for _ in range(cols)]
         items = entries.items() if isinstance(entries, Mapping) else entries
         for (i, j), v in items:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i}, {j}) outside {rows}x{cols} matrix")
             v = ring.convert(v)
             if not ring.is_zero(v):
-                data[(i, j)] = v
-        self._entries = data
+                columns[j][i] = v
+        self.rows, self.cols, self.ring, self._cols = rows, cols, ring, columns
 
     # construction helpers
 
@@ -188,11 +192,12 @@ class ExactMatrix:
         return cls(n, m, entries, ring)
 
     @classmethod
-    def _wrap(cls, rows: int, cols: int, entries: dict, ring: RingSpec) -> "ExactMatrix":
-        """Adopt ``entries`` unchecked: nonzero elements of ``ring``, all in range,
-        e.g. cut from a matrix that was validated when it was built."""
+    def _wrap(cls, rows: int, columns: list, ring: RingSpec) -> "ExactMatrix":
+        """Adopt ``columns`` unchecked: ``{row: value}`` dicts of nonzero
+        elements of ``ring``, all rows in range, e.g. cut from a matrix that
+        was validated when it was built."""
         matrix = cls.__new__(cls)
-        matrix.rows, matrix.cols, matrix.ring, matrix._entries = rows, cols, ring, entries
+        matrix.rows, matrix.cols, matrix.ring, matrix._cols = rows, len(columns), ring, columns
         return matrix
 
     @classmethod
@@ -207,30 +212,33 @@ class ExactMatrix:
 
     @property
     def entries(self):
-        return MappingProxyType(self._entries)
+        """Read-only ``(row, col) -> value`` view of the nonzero entries."""
+        return MappingProxyType({(i, j): v for j, col in enumerate(self._cols)
+                                 for i, v in col.items()})
 
     def get(self, i: int, j: int):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"({i}, {j}) outside {self.rows}x{self.cols} matrix")
-        return self._entries.get((i, j), self.ring.zero())
+        return self._cols[j].get(i, self.ring.zero())
 
     def dense(self) -> list:
         out = [[self.ring.zero()] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self._entries.items():
-            out[i][j] = v
+        for j, col in enumerate(self._cols):
+            for i, v in col.items():
+                out[i][j] = v
         return out
 
     def column(self, j: int) -> list:
         return [self.get(i, j) for i in range(self.rows)]
 
     def is_zero(self) -> bool:
-        return not self._entries
+        return not any(self._cols)
 
     # transformations
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.cols, self.rows,
-                           {(j, i): v for (i, j), v in self._entries.items()}, self.ring)
+                           {(j, i): v for (i, j), v in self.entries.items()}, self.ring)
 
     def cast(self, ring: RingSpec) -> "ExactMatrix":
         """Reinterpret entries in another ring (entries may vanish, e.g. mod p)."""
@@ -238,16 +246,17 @@ class ExactMatrix:
             return self
         if self.ring.kind == "Fp":
             raise UnsupportedRing(f"cannot lift {self.ring} entries into {ring}")
-        return ExactMatrix(self.rows, self.cols, self._entries, ring)
+        convert = ring.convert
+        return ExactMatrix._wrap(self.rows, [{i: w for i, v in col.items() if (w := convert(v))}
+                                             for col in self._cols], ring)
 
     def drop(self, rows: Iterable[int] = (), cols: Iterable[int] = ()) -> "ExactMatrix":
         """Delete the given row/column indices, keeping the order of the rest."""
         rset, cset = set(rows), set(cols)
         rmap = {i: k for k, i in enumerate(i for i in range(self.rows) if i not in rset)}
-        cmap = {j: k for k, j in enumerate(j for j in range(self.cols) if j not in cset)}
-        entries = {(rmap[i], cmap[j]): v for (i, j), v in self._entries.items()
-                   if i in rmap and j in cmap}
-        return ExactMatrix(len(rmap), len(cmap), entries, self.ring)
+        return ExactMatrix._wrap(len(rmap), [{rmap[i]: v for i, v in col.items() if i in rmap}
+                                             for j, col in enumerate(self._cols) if j not in cset],
+                                 self.ring)
 
     def apply(self, vector: Sequence) -> list:
         """Matrix times column vector."""
@@ -255,8 +264,9 @@ class ExactMatrix:
             raise ValueError("vector length does not match column count")
         ring = self.ring
         out = [ring.zero()] * self.rows
-        for (i, j), v in self._entries.items():
-            out[i] = ring.add(out[i], ring.mul(v, vector[j]))
+        for col, x in zip(self._cols, vector):
+            for i, v in col.items():
+                out[i] = ring.add(out[i], ring.mul(v, x))
         return out
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -265,23 +275,23 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
         ring = self.ring
-        by_row = {}
-        for (k, j), w in other._entries.items():
-            by_row.setdefault(k, []).append((j, w))
-        acc = {}
-        for (i, k), v in self._entries.items():
-            for j, w in by_row.get(k, ()):
-                key = (i, j)
-                acc[key] = ring.add(acc.get(key, ring.zero()), ring.mul(v, w))
-        return ExactMatrix(self.rows, other.cols, acc, ring)
+        columns = []
+        for col in other._cols:
+            acc = {}
+            for k, w in col.items():
+                for i, v in self._cols[k].items():
+                    acc[i] = ring.add(acc.get(i, ring.zero()), ring.mul(v, w))
+            columns.append({i: v for i, v in acc.items() if not ring.is_zero(v)})
+        return ExactMatrix._wrap(self.rows, columns, ring)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ExactMatrix)
                 and self.rows == other.rows and self.cols == other.cols
-                and self.ring == other.ring and self._entries == other._entries)
+                and self.ring == other.ring and self._cols == other._cols)
 
     def __repr__(self) -> str:
-        return f"ExactMatrix({self.rows}x{self.cols} over {self.ring}, {len(self._entries)} nonzero)"
+        nonzero = sum(map(len, self._cols))
+        return f"ExactMatrix({self.rows}x{self.cols} over {self.ring}, {nonzero} nonzero)"
 
 
 @dataclass(frozen=True)
@@ -397,13 +407,6 @@ def _integral(col: dict) -> dict:
     return col
 
 
-def _columns(entries: Mapping, ncols: int) -> list:
-    cols = [{} for _ in range(ncols)]
-    for (i, j), v in entries.items():
-        cols[j][i] = v
-    return cols
-
-
 def _dense_snf(a: list, n: int, m: int, with_transforms: bool):
     """Smith divisors of the dense n x m integer matrix ``a``.
 
@@ -502,7 +505,7 @@ def smith_normal_form(matrix: ExactMatrix, with_transforms: bool = False) -> Smi
     n, m = matrix.rows, matrix.cols
     if not with_transforms:
         return SmithForm(shape=(n, m),
-                         divisors=_integer_divisors(_columns(matrix._entries, m)))
+                         divisors=_integer_divisors([dict(col) for col in matrix._cols]))
     divisors, left, right = _dense_snf(matrix.dense(), n, m, True)
     return SmithForm(shape=(n, m), divisors=divisors,
                      left_transform=ExactMatrix.from_rows(left, ZZ),
@@ -510,17 +513,14 @@ def smith_normal_form(matrix: ExactMatrix, with_transforms: bool = False) -> Smi
 
 
 def _field_columns(matrix: ExactMatrix, ring: RingSpec) -> list:
-    """Columns of ``matrix`` over a field; over Q integral entries become ints."""
+    """Copies of the columns of ``matrix`` over a field; over Q integral
+    entries become ints."""
     if not ring.is_field:
         raise NonFieldRing(f"{ring} is not a field; use smith_normal_form over Z")
     if ring.kind == "Fp" or matrix.ring.kind == "Fp":
-        return _columns(matrix.cast(ring)._entries, matrix.cols)
-    cols = _columns(matrix._entries, matrix.cols)
-    for col in cols:
-        for i, v in col.items():
-            if v.denominator == 1:
-                col[i] = v.numerator
-    return cols
+        return [dict(col) for col in matrix.cast(ring)._cols]
+    return [{i: v.numerator if v.denominator == 1 else v for i, v in col.items()}
+            for col in matrix._cols]
 
 
 def rank_over(matrix: ExactMatrix, ring: RingSpec) -> int:

@@ -203,8 +203,8 @@ def import_simplicial(maximal_simplices: Iterable[Sequence[str]],
 
 def parse_simplicial(text: str, ring: RingSpec = ZZ) -> LefschetzComplex:
     """One maximal simplex per line, whitespace-separated vertex ids."""
-    faces = [line.split() for line in text.splitlines() if line.split("#", 1)[0].strip()]
-    faces = [[v for v in face] for face in faces if face]
+    faces = [line.split("#", 1)[0].split() for line in text.splitlines()]
+    faces = [face for face in faces if face]
     if not faces:
         raise EmptyInput("no simplices in input")
     return import_simplicial(faces, ring)

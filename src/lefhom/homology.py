@@ -22,7 +22,6 @@ from .exact import (
     ExactMatrix,
     RingSpec,
     ZZ,
-    _columns,
     _integral,
     _reduce_column,
     kernel_basis,
@@ -160,8 +159,7 @@ class ChainSlices:
         for q, names in enumerate(keys):
             for i, key in enumerate(names):
                 self._at.setdefault(key, []).append((q, i))
-        self._columns = [_columns(boundary(q).entries, len(names))
-                         for q, names in enumerate(keys)]
+        self._columns = [boundary(q)._cols for q in range(len(keys))]
 
     def positions(self, kept: Iterable) -> list:
         """Per degree, the ascending ambient indices of the kept generators."""
@@ -182,13 +180,9 @@ class ChainSlices:
         def boundary(q: int) -> ExactMatrix:
             rows = renumber[q - 1] if 0 < q <= len(renumber) else {}
             cols = positions[q] if q < len(positions) else ()
-            entries = {}
-            for k, j in enumerate(cols):
-                for i, v in self._columns[q][j].items():
-                    r = rows.get(i)
-                    if r is not None:
-                        entries[(r, k)] = v
-            return ExactMatrix._wrap(len(rows), len(cols), entries, self.ring)
+            return ExactMatrix._wrap(len(rows), [
+                {rows[i]: v for i, v in self._columns[q][j].items() if i in rows}
+                for j in cols], self.ring)
 
         return [len(pos) for pos in positions], boundary
 
@@ -283,20 +277,13 @@ def lefschetz_chains(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> Ch
 def lefschetz_homology(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> HomologyProfile:
     """Homology of the cell chain complex of X over the given ring.
 
-    Defaults to the ring of the complex.  Results are memoized per
-    (complex instance, ring), write-once.
+    Defaults to the ring of the complex.
     """
     ring = X.ring if ring is None else ring
-    key = ("lefschetz", ring)
-    cached = X._homology_cache.get(key)
-    if cached is not None:
-        return cached
     top = X.top_dim
     sizes = [len(X.cells_of_dim(q)) for q in range(top + 1)]
-    profile = profile_from_boundaries(
+    return profile_from_boundaries(
         ring, sizes, lambda q: X.boundary_matrix(q).cast(ring))
-    X._homology_cache[key] = profile
-    return profile
 
 
 def _require_closed(X: LefschetzComplex, part: Iterable) -> frozenset:
@@ -346,10 +333,8 @@ def excision_check(X: LefschetzComplex, closed_part: Iterable,
 
 def _beside(matrix: ExactMatrix, vectors: Sequence) -> ExactMatrix:
     """``matrix`` with ``vectors`` (elements of its ring) appended as columns."""
-    entries = dict(matrix.entries)
-    for j, vec in enumerate(vectors, start=matrix.cols):
-        entries.update(((i, j), v) for i, v in enumerate(vec) if v)
-    return ExactMatrix._wrap(matrix.rows, matrix.cols + len(vectors), entries, matrix.ring)
+    return ExactMatrix._wrap(matrix.rows, matrix._cols + [
+        {i: v for i, v in enumerate(vec) if v} for vec in vectors], matrix.ring)
 
 
 def _classes(ring: RingSpec, below: ExactMatrix, above: ExactMatrix,

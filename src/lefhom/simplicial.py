@@ -156,17 +156,14 @@ class SimplicialComplex:
         return SimplicialComplex((s for s in self._simplices if s <= keep), order)
 
     def boundary_matrix(self, q: int, ring: RingSpec = ZZ) -> ExactMatrix:
+        """Boundary from degree q to q-1 over ``ring``: deleting vertex i
+        of a simplex gives its face the sign (-1)**i; vertices have none."""
         rows = self.simplices_of_dim(q - 1)
-        cols = self.simplices_of_dim(q)
         rindex = {s: i for i, s in enumerate(rows)}
-        entries = {}
-        for j, simplex in enumerate(cols):
-            for i, _ in enumerate(simplex):
-                face = simplex[:i] + simplex[i + 1:]
-                if face:
-                    sign = 1 if i % 2 == 0 else -1
-                    entries[(rindex[face], j)] = sign
-        return ExactMatrix(len(rows), len(cols), entries, ring)
+        signs = (ring.one(), ring.neg(ring.one()))  # over F2 both are 1
+        return ExactMatrix._wrap(len(rows), [
+            {rindex[s[:i] + s[i + 1:]]: signs[i % 2] for i in range(len(s)) if q}
+            for s in self.simplices_of_dim(q)], ring)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SimplicialComplex)
@@ -249,8 +246,7 @@ def simplicial_homology(K: SimplicialComplex, ring: RingSpec = ZZ) -> HomologyPr
     """Homology of the simplicial chain complex with alternating signs."""
     top = K.dim
     sizes = [len(K.simplices_of_dim(q)) for q in range(top + 1)]
-    return profile_from_boundaries(
-        ring, sizes, lambda q: K.boundary_matrix(q).cast(ring))
+    return profile_from_boundaries(ring, sizes, lambda q: K.boundary_matrix(q, ring))
 
 
 def relative_simplicial_homology(K: SimplicialComplex, L: SimplicialComplex,
@@ -288,13 +284,7 @@ def finite_space_homology(X: LefschetzComplex, ring: Optional[RingSpec] = None,
     core, not of the whole face poset.
     """
     ring = X.ring if ring is None else ring
-    key = ("finite-space", ring)
-    cached = X._homology_cache.get(key)
-    if cached is None:
-        core = weak_point_core(X)
-        cached = simplicial_homology(order_complex(X, max_simplices, core), ring)
-        X._homology_cache[key] = cached
-    return cached
+    return simplicial_homology(order_complex(X, max_simplices, weak_point_core(X)), ring)
 
 
 def relative_finite_space_homology(X: LefschetzComplex, subspace: Iterable,

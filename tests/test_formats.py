@@ -152,6 +152,9 @@ def test_import_simplicial_empty():
 def test_parse_simplicial_lines():
     X = parse_simplicial("a b c\nc d\n")
     assert "abc" in X.cell_ids and "cd" in X.cell_ids
+    # comments are stripped before splitting, whole-line or trailing
+    Y = parse_simplicial("# two faces\na b c  # a triangle\nc d#an edge\n")
+    assert Y == X
 
 
 # -- cubical import -----------------------------------------------------------

@@ -23,15 +23,16 @@ from lefhom import (
     smith_normal_form,
 )
 from lefhom.errors import NonFieldRing, NotClosed, TooManyClosedSets
-from lefhom.exact import kernel_basis, rank_over, solve
+from lefhom.exact import kernel_basis, pivot_columns, rank_over, solve
 from lefhom.homology import (
     HomologyProfile,
     IncrementalReducer,
+    _beside,
     _classes,
     lefschetz_chains,
     profile_from_boundaries,
 )
-from lefhom.simplicial import finite_space_homology, order_complex_chains
+from lefhom.simplicial import finite_space_homology, order_complex, order_complex_chains
 from lefhom.topology import count_closed_sets
 from tests.conftest import random_closed_set
 
@@ -269,6 +270,56 @@ def test_slices_match_rebuilt_closed_subcomplexes(corpus):
                 sub = restrict(X, closed)
                 assert cells.profile(closed) == lefschetz_homology(sub, ring), (name, ring)
                 assert chains.profile(closed) == finite_space_homology(sub, ring), (name, ring)
+
+
+def _as_validated(m):
+    """``m`` as the validating constructor builds it from its entries."""
+    kind = type(m.ring.one())
+    assert all(type(v) is kind for v in m.entries.values()), m
+    return ExactMatrix(m.rows, m.cols, m.entries, m.ring)
+
+
+def test_trusted_producers_match_validated_rebuild(corpus):
+    # every matrix built from adopted columns holds exactly what the
+    # validating constructor would: no stored zero, every value in the ring
+    rng = random.Random(11)
+    for name, X in corpus:
+        K = order_complex(X)
+        for ring in (ZZ, QQ, GF(2), GF(3)):
+            closed = random_closed_set(X, rng)
+            slices = [chains.slice(kept)[1]
+                      for chains in (lefschetz_chains(X, ring), order_complex_chains(X, ring))
+                      for kept in (closed, X.cell_ids - closed)]
+            for q in range(X.top_dim + 2):
+                below, above = X.boundary_matrix(q).cast(ring), X.boundary_matrix(q + 1).cast(ring)
+                vectors = [[ring.convert(rng.randint(-2, 2)) for _ in range(below.rows)]
+                           for _ in range(3)]
+                produced = [X.boundary_matrix(q), below, K.boundary_matrix(q, ring),
+                            _beside(below, vectors), below @ above, below.transpose() @ below,
+                            below.drop(rng.sample(range(below.rows), below.rows // 2),
+                                       rng.sample(range(below.cols), below.cols // 3))]
+                produced += [boundary(q) for boundary in slices]
+                for m in produced:
+                    assert m == _as_validated(m), (name, ring, q, m)
+
+
+def test_kernel_entry_points_leave_their_input_alone(corpus):
+    # matrices share their columns, so the kernel must work on copies
+    for name, X in corpus:
+        for q in range(X.top_dim + 2):
+            cached = X.boundary_matrix(q)
+            rhs = [1] * cached.rows
+            for m in [cached] + [cached.cast(ring) for ring in (QQ, GF(2), GF(3))]:
+                before = dict(m.entries)
+                if m.ring == ZZ:
+                    smith_normal_form(m)
+                for ring in ((QQ, GF(2), GF(3)) if m.ring == ZZ else (m.ring,)):
+                    rank_over(m, ring)
+                    kernel_basis(m, ring)
+                    pivot_columns(m, ring)
+                    solve(m, rhs, ring)
+                assert dict(m.entries) == before, (name, q, m.ring)
+            assert X.boundary_matrix(q) is cached
 
 
 def test_degenerate_les_on_empty_complex():

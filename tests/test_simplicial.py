@@ -23,7 +23,7 @@ from lefhom import (
 )
 from lefhom import closure
 from lefhom.errors import TooManySimplices, UnknownCellReference
-from lefhom.formats import GeneratorConfig, random_complex
+from lefhom.formats import GeneratorConfig, parse_simplicial, random_complex
 from tests.test_theorem import _tower
 
 RP2_FACES = ("abc", "acd", "ade", "aef", "afb", "bce", "cdf", "deb", "efc", "fbd")
@@ -246,3 +246,8 @@ def test_simplex_cap_counts_the_reduced_order_complex():
     # the tower is its own core, with 3**12 - 1 chains
     with pytest.raises(TooManySimplices):
         finite_space_homology(_tower(12))
+    # an uncapped profile of the same complex does not answer a capped call
+    X = parse_simplicial("a b c\nc d\nb d e\n")
+    assert str(finite_space_homology(X)) == "H_0: Z; H_1: Z"
+    with pytest.raises(TooManySimplices):
+        finite_space_homology(X, max_simplices=5)
