@@ -162,14 +162,19 @@ def render_lef(X: LefschetzComplex) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _simplex_id(face: tuple, joiner: str) -> str:
+    return joiner.join(face)
+
+
 def import_simplicial(maximal_simplices: Iterable[Sequence[str]],
                       ring: RingSpec = ZZ) -> LefschetzComplex:
     """All faces of the given maximal simplices, with alternating-sign
     incidences on vertex deletion (vertices sorted ascending).
 
     Cell ids concatenate the sorted vertex names, with underscores when any
-    vertex name has more than one character.  Raises ``TooManySimplices``,
-    before building faces, once the face counts sum past the simplex cap.
+    vertex name has more than one character; each is built once per face.
+    Raises ``TooManySimplices``, before building faces, once the face counts
+    sum past the simplex cap.
     """
     faces = set()
     bound = 0
@@ -186,18 +191,15 @@ def import_simplicial(maximal_simplices: Iterable[Sequence[str]],
         raise EmptyInput("no simplices to import")
     plain = all(len(v) == 1 for face in faces for v in face)
     joiner = "" if plain else "_"
-
-    def cid(face: tuple) -> str:
-        return joiner.join(face)
-
-    cells = [(cid(face), len(face) - 1) for face in sorted(faces)]
+    ids = {face: _simplex_id(face, joiner) for face in sorted(faces)}
+    cells = [(cid, len(face) - 1) for face, cid in ids.items()]
     kappa = {}
     for face in faces:
         if len(face) == 1:
             continue
+        x = ids[face]
         for i in range(len(face)):
-            sub = face[:i] + face[i + 1:]
-            kappa[(cid(face), cid(sub))] = 1 if i % 2 == 0 else -1
+            kappa[(x, ids[face[:i] + face[i + 1:]])] = 1 if i % 2 == 0 else -1
     return build_complex(cells, kappa, ring)
 
 
@@ -235,11 +237,11 @@ def import_cubical(cubes: Iterable[Sequence], ring: RingSpec = ZZ) -> LefschetzC
     ``[k, k+1]``; all cubes must share the embedding dimension.  Collapsing
     the j-th non-degenerate interval contributes the sign ``(-1)**s_j`` to
     the upper face and its negative to the lower face, where ``s_j`` counts
-    non-degenerate intervals strictly before position j.  The construction
-    validator (boundary of boundary is zero) is the arbiter of this sign
-    convention.
+    non-degenerate intervals strictly before position j.  Ids are built
+    once per face; the construction validator (boundary of boundary is
+    zero) is still the arbiter of this sign convention.
     """
-    normalized = []
+    all_cubes = set()
     embedding = None
     for cube in cubes:
         axes = []
@@ -261,33 +263,23 @@ def import_cubical(cubes: Iterable[Sequence], ring: RingSpec = ZZ) -> LefschetzC
                 f"cube {tuple(axes)} has embedding dimension {len(axes)}, expected {embedding}")
         if not axes:
             raise MalformedInterval("a cube needs at least one interval")
-        normalized.append(tuple(axes))
-    if not normalized:
+        all_cubes.update(product(*[((lo, hi),) if lo == hi else ((lo, hi), (lo, lo), (hi, hi))
+                                   for lo, hi in axes]))
+    if not all_cubes:
         raise EmptyInput("no cubes to import")
 
-    all_cubes = set()
-    for cube in normalized:
-        options = [((lo, hi),) if lo == hi else ((lo, hi), (lo, lo), (hi, hi))
-                   for lo, hi in cube]
-        for face in product(*options):
-            all_cubes.add(face)
-
-    def dim(cube: tuple) -> int:
-        return sum(1 for lo, hi in cube if lo != hi)
-
-    cells = [(_cube_id(c), dim(c)) for c in sorted(all_cubes)]
+    ids = {cube: _cube_id(cube) for cube in sorted(all_cubes)}
+    cells = [(cid, sum(lo != hi for lo, hi in cube)) for cube, cid in ids.items()]
     kappa = {}
     for cube in all_cubes:
-        seen_nondeg = 0
+        x = ids[cube]
+        sign = 1
         for j, (lo, hi) in enumerate(cube):
             if lo == hi:
                 continue
-            sign = 1 if seen_nondeg % 2 == 0 else -1
-            upper = cube[:j] + ((hi, hi),) + cube[j + 1:]
-            lower = cube[:j] + ((lo, lo),) + cube[j + 1:]
-            kappa[(_cube_id(cube), _cube_id(upper))] = sign
-            kappa[(_cube_id(cube), _cube_id(lower))] = -sign
-            seen_nondeg += 1
+            kappa[(x, ids[cube[:j] + ((hi, hi),) + cube[j + 1:]])] = sign
+            kappa[(x, ids[cube[:j] + ((lo, lo),) + cube[j + 1:]])] = -sign
+            sign = -sign
     return build_complex(cells, kappa, ring)
 
 
@@ -317,6 +309,10 @@ def parse_cubical(text: str, ring: RingSpec = ZZ) -> LefschetzComplex:
 # ---------------------------------------------------------------------------
 
 
+# Inclusive bounds of GeneratorConfig's sizes: one draw stays within a few thousand cells.
+GENERATOR_BOUNDS = {"max_cells_per_dim": 64, "max_dimension": 5, "transform_steps": 1000}
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Seeded recipe for one random complex.
@@ -324,7 +320,7 @@ class GeneratorConfig:
     ``max_cells_per_dim`` bounds the number of drawn vertices and maximal
     faces (or cubes); ``max_dimension`` bounds face/cube dimension;
     ``coefficient_bound`` and ``transform_steps`` drive the basis-change
-    mode's unimodular moves.
+    mode's unimodular moves.  Values above ``GENERATOR_BOUNDS`` are refused.
     """
 
     seed: int
@@ -343,6 +339,9 @@ class GeneratorConfig:
             raise ValueError("size bounds must be positive")
         if self.coefficient_bound < 1 or self.transform_steps < 0:
             raise ValueError("bad basis-change parameters")
+        for name, bound in GENERATOR_BOUNDS.items():
+            if getattr(self, name) > bound:
+                raise ValueError(f"{name} must be at most {bound}")
 
 
 def _random_simplicial(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:

@@ -238,12 +238,15 @@ def _star_file(tmp_path):
     ["search", "--seed", "-1"],
     ["search", "--jobs", "0"],
     ["search", "--jobs", "-4"],
+    ["search", "--budget", "1", "--mode", "simplicial-random", "--max-cells", "100000000"],
+    ["search", "--budget", "1", "--transform-steps", "1000000000"],
     ["homology", _directory],
     ["homology", _latin1_file],
     ["homology", _huge_dimension_file],
     ["corollary", _star_file, "--cap", "0"],
     ["corollary", _star_file, "--cap", "-3"],
-], ids=["budget-0", "negative-seed", "jobs-0", "negative-jobs", "directory", "not-utf8",
+], ids=["budget-0", "negative-seed", "jobs-0", "negative-jobs", "huge-max-cells",
+        "huge-transform-steps", "directory", "not-utf8",
         "huge-dimension", "corollary-cap-0", "corollary-negative-cap"])
 def test_unusable_input_exits_2(capsys, tmp_path, argv):
     argv = [arg(tmp_path) if callable(arg) else arg for arg in argv]

@@ -1,8 +1,10 @@
 """Complex construction, validation, boundary matrices, face order."""
 
+from fractions import Fraction
+
 import pytest
 
-from lefhom import Cell, ExactMatrix, ZZ, build_complex, import_simplicial
+from lefhom import GF, QQ, Cell, ExactMatrix, ZZ, build_complex, import_simplicial
 from lefhom.errors import (
     DuplicateCellId,
     GradingViolation,
@@ -32,12 +34,31 @@ def test_grading_violation_names_the_pair():
     assert err.value.pair == ("w", "v")
 
 
+# c -> b, e -> a with products 1*1 + 1*2: the plain sum is 3
+_SUM_THREE = ([("a", 0), ("b", 1), ("e", 1), ("c", 2)],
+              {("b", "a"): 1, ("e", "a"): 2, ("c", "b"): 1, ("c", "e"): 1})
+
+
 def test_kappa_condition_violation_names_the_pair():
-    with pytest.raises(KappaConditionViolation) as err:
-        build_complex([("a", 0), ("b", 1), ("c", 2)],
-                      {("b", "a"): 1, ("c", "b"): 1}, ZZ)
-    assert err.value.pair == ("c", "a")
-    assert err.value.total == 1
+    chain = [("a", 0), ("b", 1), ("c", 2)]
+    cases = [
+        (chain, {("b", "a"): 1, ("c", "b"): 1}, ZZ, 1),
+        (chain, {("b", "a"): Fraction(1, 2), ("c", "b"): 1}, QQ, Fraction(1, 2)),
+        (*_SUM_THREE, ZZ, 3),
+        # the entry 2 vanishes over F2 and leaves 1
+        (*_SUM_THREE, GF(2), 1),
+        # 1*1 + 4*1 = 5 is 2 in F3: the total is reported in the ring
+        (_SUM_THREE[0], {**_SUM_THREE[1], ("e", "a"): 4}, GF(3), 2),
+    ]
+    for cells, kappa, ring, total in cases:
+        with pytest.raises(KappaConditionViolation) as err:
+            build_complex(cells, kappa, ring)
+        assert err.value.pair == ("c", "a")
+        assert err.value.total == total
+        assert type(err.value.total) is type(total)
+    assert str(err.value) == "kappa condition fails at (c, a): sum = 2"
+    # the sum 3 vanishes over F3
+    assert len(build_complex(*_SUM_THREE, GF(3))) == 4
 
 
 def test_duplicate_and_unknown_and_bad_ids():

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 from lefhom import (
     ZZ,
     GeneratorConfig,
+    build_complex,
     export_dot,
     import_cubical,
     import_simplicial,
@@ -20,6 +22,7 @@ from lefhom import (
     render_lef,
     smith_normal_form,
 )
+from lefhom import formats
 from lefhom.errors import (
     DimensionMismatch,
     EmptyInput,
@@ -27,7 +30,7 @@ from lefhom.errors import (
     MalformedInterval,
 )
 from lefhom.exact import ExactMatrix
-from lefhom.formats import MAX_LEF_DIM
+from lefhom.formats import GENERATOR_BOUNDS, MAX_LEF_DIM
 
 
 STAR_TEXT = """\
@@ -200,6 +203,104 @@ def test_parse_cubical_lines():
         parse_cubical("[0..1]\n")
 
 
+# -- importers against a per-incidence reference --------------------------------
+
+
+def _reference_simplicial(simplices):
+    """Slow reference: each face's id is rebuilt for every incidence naming it."""
+    faces = set()
+    for simplex in simplices:
+        simplex = tuple(sorted(set(simplex)))
+        for size in range(1, len(simplex) + 1):
+            faces.update(combinations(simplex, size))
+    joiner = "" if all(len(v) == 1 for face in faces for v in face) else "_"
+    cells = [(joiner.join(face), len(face) - 1) for face in sorted(faces)]
+    kappa = {}
+    for face in faces:
+        if len(face) == 1:
+            continue
+        for i in range(len(face)):
+            sub = face[:i] + face[i + 1:]
+            kappa[(joiner.join(face), joiner.join(sub))] = 1 if i % 2 == 0 else -1
+    return build_complex(cells, kappa, ZZ)
+
+
+def _reference_cubical(cubes):
+    """Slow reference: each face's id is rebuilt for every incidence naming it."""
+    faces = set()
+    for cube in cubes:
+        options = [((lo, hi),) if lo == hi else ((lo, hi), (lo, lo), (hi, hi))
+                   for lo, hi in cube]
+        faces.update(product(*options))
+    cells = [(formats._cube_id(c), sum(1 for lo, hi in c if lo != hi)) for c in sorted(faces)]
+    kappa = {}
+    for cube in faces:
+        seen_nondeg = 0
+        for j, (lo, hi) in enumerate(cube):
+            if lo == hi:
+                continue
+            sign = 1 if seen_nondeg % 2 == 0 else -1
+            upper = cube[:j] + ((hi, hi),) + cube[j + 1:]
+            lower = cube[:j] + ((lo, lo),) + cube[j + 1:]
+            kappa[(formats._cube_id(cube), formats._cube_id(upper))] = sign
+            kappa[(formats._cube_id(cube), formats._cube_id(lower))] = -sign
+            seen_nondeg += 1
+    return build_complex(cells, kappa, ZZ)
+
+
+def test_import_cubical_matches_the_reference():
+    rng = random.Random(8)
+    for _ in range(150):
+        embedding = rng.randint(1, 3)
+        cubes = []
+        for _ in range(rng.randint(1, 6)):
+            axes = []
+            for _ in range(embedding):
+                k = rng.randint(-3, 2)
+                axes.append((k, k + 1) if rng.random() < 0.6 else (k, k))
+            cubes.append(tuple(axes))
+        # a repeated cube and shared faces must not change the result
+        cubes.append(rng.choice(cubes))
+        assert render_lef(import_cubical(cubes)) == render_lef(_reference_cubical(cubes)), cubes
+
+
+def test_import_simplicial_matches_the_reference():
+    rng = random.Random(9)
+    pools = ("abcdefg", ("a", "b", "v1", "v2", "v10", "x_1"))
+    for trial in range(150):
+        pool = pools[trial % 2]
+        simplices = [rng.sample(pool, rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
+        assert (render_lef(import_simplicial(simplices))
+                == render_lef(_reference_simplicial(simplices))), simplices
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(formats, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(formats, name, counted)
+    return calls
+
+
+def test_import_cubical_builds_each_id_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "_cube_id")
+    X = parse_cubical("\n".join(f"[{i},{i + 1}]x[{j},{j + 1}]"
+                                for i in range(8) for j in range(8)))
+    assert len(X) == 289
+    assert len(calls) == 289
+
+
+def test_import_simplicial_builds_each_id_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "_simplex_id")
+    X = import_simplicial([[f"v{i}" for i in range(8)], ["v7", "w"]])
+    assert len(X) == 255 + 2
+    assert len(calls) == 257
+
+
 # -- generator ----------------------------------------------------------------
 
 
@@ -217,6 +318,14 @@ def test_generator_config_validation():
         GeneratorConfig(seed=-1)
     with pytest.raises(ValueError):
         GeneratorConfig(seed=0, max_dimension=0)
+    # the upper bounds are inclusive
+    assert GENERATOR_BOUNDS == {"max_cells_per_dim": 64, "max_dimension": 5,
+                                "transform_steps": 1000}
+    GeneratorConfig(seed=0, **GENERATOR_BOUNDS)
+    for name, bound in GENERATOR_BOUNDS.items():
+        for too_big in (bound + 1, 1_000_000_000):
+            with pytest.raises(ValueError, match=f"^{name} must be at most {bound}$"):
+                GeneratorConfig(seed=0, **{name: too_big})
 
 
 def test_basis_change_zero_steps_is_identity():
