@@ -108,12 +108,18 @@ class LefschetzComplex:
         items = kappa.items() if isinstance(kappa, Mapping) else kappa
         self._kappa = {}
         self._facets = {x: {} for x in self._dims}
+        p = ring.p
+        plain = ring.kind != "Q"  # an int is an element of Z, and of F_p once reduced
         for (x, y), value in items:
             for ref in (x, y):
                 if ref not in self._dims:
                     raise UnknownCellReference(f"kappa references unknown cell {ref!r}")
-            value = ring.convert(value)
-            if ring.is_zero(value):
+            if plain and type(value) is int:
+                if p:
+                    value %= p
+            else:
+                value = ring.convert(value)
+            if not value:
                 continue
             if self._dims[x] != self._dims[y] + 1:
                 raise GradingViolation(x, y, self._dims[x], self._dims[y])

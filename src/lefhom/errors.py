@@ -63,9 +63,14 @@ class TooManyClosedSets(LefhomError):
 class TooManySimplices(LefhomError):
     """An order complex or a simplicial input exceeded the simplex cap."""
 
-    def __init__(self, cap: int, what: str = "order complex"):
+    def __init__(self, cap: int, what: str = "order complex", remedy: str = "raise the cap"):
+        # the parts are the args, so the error survives pickling between processes
+        super().__init__(cap, what, remedy)
         self.cap = cap
-        super().__init__(f"{what} exceeds {cap} simplices; raise the cap")
+
+    def __str__(self) -> str:
+        cap, what, remedy = self.args
+        return f"{what} exceeds {cap} simplices; {remedy}"
 
 
 class UsageError(LefhomError):

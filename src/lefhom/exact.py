@@ -5,11 +5,22 @@ over Q; no floating point is ever involved.  An :class:`ExactMatrix`
 stores one ``{row: value}`` dict per column, the form in which boundary
 matrices are assembled and sliced, and every elimination runs on copies
 of those columns through one sparse routine, :func:`_eliminate`.  Over Z
-it removes the unit pivots and hands the small residue to the dense Bezout
-Smith form, which also serves ``with_transforms=True``.  A rank over Q
-clears each column's denominators and takes the Z route, so it does no
-``Fraction`` arithmetic.  Kernels and solutions over a field read the
-canonical reduced echelon form off the same routine run left to right.
+an elimination has two phases.  The unit phase, :func:`_eliminate`, takes
+the ±1 pivots; the residue phase, :func:`_residue_divisors`, takes the
+dense Bezout Smith form of the columns left, which hold no unit.  Both
+:func:`smith_normal_form` and a rank over Q, which clears each column's
+denominators and so does no ``Fraction`` arithmetic, run the two phases,
+and so does ``homology.profile_from_boundaries`` on a whole chain complex.
+Going up through the degrees, it drops from each boundary the rows of the
+unit pivot columns of the boundary below before the unit phase: the
+compression of Bauer-Kerber-Reininghaus ("Clear and Compress: Computing
+Persistent Homology in Chunks", 2014).  That is exact over Z because
+those columns meet their pivot rows in a unimodular block, so deleting
+the rows maps the cycles isomorphically onto a saturated sublattice and
+keeps every Smith divisor of the boundaries, which lie in the cycles.
+The dense form with transforms serves ``with_transforms=True``.  Kernels
+and solutions over a field read the canonical reduced echelon form off
+the unit phase run left to right, where every nonzero entry is a unit.
 """
 
 from __future__ import annotations
@@ -480,16 +491,15 @@ def _dense_snf(a: list, n: int, m: int, with_transforms: bool):
     return divisors, [row[m:] for row in a[:n]], [row[:m] for row in a[n:]]
 
 
-def _integer_divisors(cols: list) -> tuple:
-    """Smith divisors of integer columns: one 1 per unit pivot, then the
-    dense Bezout form of the residue that has no unit left."""
-    units = len(_eliminate(cols, None))
+def _residue_divisors(cols: list) -> tuple:
+    """Smith divisors of the integer columns that :func:`_eliminate` over Z
+    left nonempty, which hold no unit: their dense Bezout form."""
     residue = [col for col in cols if col]
     if not residue:
-        return (1,) * units
+        return ()
     rows = sorted({i for col in residue for i in col})
     dense = [[col.get(i, 0) for col in residue] for i in rows]
-    return (1,) * units + _dense_snf(dense, len(rows), len(residue), False)[0]
+    return _dense_snf(dense, len(rows), len(residue), False)[0]
 
 
 def smith_normal_form(matrix: ExactMatrix, with_transforms: bool = False) -> SmithForm:
@@ -504,8 +514,9 @@ def smith_normal_form(matrix: ExactMatrix, with_transforms: bool = False) -> Smi
         raise UnsupportedRing("smith_normal_form expects integer entries")
     n, m = matrix.rows, matrix.cols
     if not with_transforms:
-        return SmithForm(shape=(n, m),
-                         divisors=_integer_divisors([dict(col) for col in matrix._cols]))
+        cols = [dict(col) for col in matrix._cols]
+        units = len(_eliminate(cols, None))
+        return SmithForm(shape=(n, m), divisors=(1,) * units + _residue_divisors(cols))
     divisors, left, right = _dense_snf(matrix.dense(), n, m, True)
     return SmithForm(shape=(n, m), divisors=divisors,
                      left_transform=ExactMatrix.from_rows(left, ZZ),
@@ -532,7 +543,8 @@ def rank_over(matrix: ExactMatrix, ring: RingSpec) -> int:
     cols = _field_columns(matrix, ring)
     if ring.p:
         return len(_eliminate(cols, ring.p))
-    return len(_integer_divisors([_integral(col) for col in cols]))
+    cols = [_integral(col) for col in cols]
+    return len(_eliminate(cols, None)) + len(_residue_divisors(cols))
 
 
 def pivot_columns(matrix: ExactMatrix, ring: RingSpec) -> list:

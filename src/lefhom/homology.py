@@ -22,13 +22,16 @@ from .exact import (
     ExactMatrix,
     RingSpec,
     ZZ,
+    _eliminate,
     _integral,
     _reduce_column,
+    _residue_divisors,
     kernel_basis,
     pivot_columns,
     rank_over,
-    smith_normal_form,
-    # solve stays bound here: perfbench/tracing.py patches lefhom.homology.solve
+    # smith_normal_form and solve stay bound here: perfbench/tracing.py
+    # patches lefhom.homology.smith_normal_form and lefhom.homology.solve
+    smith_normal_form,  # noqa: F401
     solve,  # noqa: F401
 )
 from .topology import closure, is_closed, restrict
@@ -122,22 +125,47 @@ def profile_from_boundaries(ring: RingSpec, sizes: Sequence[int],
     """Homology profile of a chain complex given by its boundary matrices.
 
     ``sizes[q]`` is the number of degree-q generators for q = 0..D and
-    ``boundary(q)`` maps degree q to q-1 (already over ``ring``).  Only
-    degrees that have generators are visited: degree n needs the ranks of
-    ``boundary(n)`` and ``boundary(n + 1)``, and a boundary out of an empty
-    degree has rank 0.
+    ``boundary(q)`` maps degree q to q-1 (already over ``ring``).  One pass
+    goes up through the degrees and asks only for the boundaries between
+    two degrees that have generators; any other boundary has rank 0.
+
+    Each boundary is reduced in two phases.  The unit phase,
+    :func:`~lefhom.exact._eliminate`, takes the pivots that are units (±1
+    over Z and over Q, whose columns are first scaled to integers; every
+    nonzero entry over F_p).  The residue phase takes the Smith divisors of
+    the columns left nonempty.  The rank is the number of unit pivots plus
+    the number of residue divisors, and over Z the torsion of degree q-1 is
+    the residue divisors of ``boundary(q)`` above 1.
+
+    Before it is reduced, ``boundary(q)`` loses the rows of the unit pivot
+    columns of ``boundary(q - 1)``: the compression of Bauer-Kerber-
+    Reininghaus ("Clear and Compress: Computing Persistent Homology in
+    Chunks", 2014), here over Z as well as over fields.  It is exact because
+    those columns P meet their pivot rows in a unimodular block.  So a cycle
+    of degree q-1 is fixed by its coordinates outside P, and when those are
+    all divisible by k, so is the whole cycle.  Projecting away from P thus
+    maps the cycles isomorphically onto a saturated sublattice.  The
+    boundaries lie in the cycles, so deleting those rows keeps the rank and
+    every Smith divisor of ``boundary(q)``.
     """
+    p = ring.p
     populated = [n for n, size in enumerate(sizes) if size]
-    ranks = {}
-    torsion_above = {}
-    for q in sorted({n + k for n in populated for k in (0, 1)}):
+    ranks, torsion, paired = {}, {}, {}  # paired[q]: unit pivot columns of degree q
+    for q in populated:
+        if not q or not sizes[q - 1]:
+            continue
+        drop = paired.get(q - 1, ())
+        cols = [{i: v for i, v in col.items() if i not in drop}
+                for col in boundary(q).cast(ring)._cols]
+        if ring.kind == "Q":
+            cols = [_integral(col) for col in cols]
+        pivots = _eliminate(cols, p)
+        paired[q] = set(pivots)
+        divisors = () if p else _residue_divisors(cols)
+        ranks[q] = len(pivots) + len(divisors)
         if ring == ZZ:
-            divisors = smith_normal_form(boundary(q)).divisors
-            ranks[q] = len(divisors)
-            torsion_above[q - 1] = tuple(d for d in divisors if d > 1)
-        else:
-            ranks[q] = rank_over(boundary(q), ring)
-    data = {n: (sizes[n] - ranks[n] - ranks[n + 1], torsion_above.get(n, ()))
+            torsion[q - 1] = tuple(d for d in divisors if d > 1)
+    data = {n: (sizes[n] - ranks.get(n, 0) - ranks.get(n + 1, 0), torsion.get(n, ()))
             for n in populated}
     return HomologyProfile.from_degrees(ring, data)
 

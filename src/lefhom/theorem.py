@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Optional
 
 from .complexes import LefschetzComplex
-from .errors import LefhomError
+from .errors import LefhomError, TooManySimplices
 from .exact import RingSpec
 from .homology import (
     ChainSlices,
@@ -56,11 +56,13 @@ def is_augmentable(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> bool
     annihilate the degree-1 boundary; vacuously true without 1-cells.
     """
     ring = X.ring if ring is None else ring
-    for x in X.cells_of_dim(1):
-        total = ring.zero()
-        for y in X.facets(x):
-            total = ring.add(total, ring.convert(X.kappa(x, y)))
-        if not ring.is_zero(total):
+    p = ring.p
+    # X's values are ints unless X is over Q; only Fractions need the checks
+    # of converting into another ring, and sums are plain until the zero test
+    convert = ring.convert if X.ring.kind == "Q" and ring.kind != "Q" else None
+    for col in X.boundary_matrix(1)._cols:
+        total = sum(col.values() if convert is None else map(convert, col.values()))
+        if total % p if p else total:
             return False
     return True
 
@@ -266,8 +268,15 @@ def _evaluate_index(args) -> Optional[str]:
     base, ring, index = args
     from .formats import random_complex, render_lef
 
-    X = random_complex(replace(base, seed=_derive_seed(base.seed, index)))
-    return render_lef(X) if _is_candidate(X, ring) else None
+    seed = _derive_seed(base.seed, index)
+    X = random_complex(replace(base, seed=seed))
+    try:
+        candidate = _is_candidate(X, ring)
+    except TooManySimplices as exc:
+        raise TooManySimplices(exc.cap, f"search draw {index} (seed {seed}): order complex",
+                               "lower --transform-steps, --max-cells or --max-dimension "
+                               "to shrink the draws") from None
+    return render_lef(X) if candidate else None
 
 
 def _reverify(lef_text: str, ring: RingSpec) -> TheoremReport:

@@ -274,3 +274,17 @@ def test_singular_cap_error_on_a_complex_without_weak_points(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.splitlines() == ["error: order complex exceeds 200000 simplices; raise the cap"]
+
+
+def test_search_cap_error_names_the_draw_and_what_shrinks_it(capsys):
+    # many unimodular moves make the face order dense: draw 0 outgrows the cap
+    argv = ["search", "--budget", "1", "--max-cells", "64", "--max-dimension", "5",
+            "--transform-steps", "1000"]
+    expected = ["error: search draw 0 (seed 16294208416658607535): order complex exceeds "
+                "200000 simplices; lower --transform-steps, --max-cells or --max-dimension "
+                "to shrink the draws"]
+    for extra in ([], ["--budget", "2", "--jobs", "2"]):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert code == 1
+        assert out.splitlines()[0] == "mode: basis-change"
+        assert err.splitlines() == expected

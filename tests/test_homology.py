@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lefhom import (
     ExactMatrix,
@@ -22,6 +24,7 @@ from lefhom import (
     restrict,
     smith_normal_form,
 )
+from lefhom import homology
 from lefhom.errors import NonFieldRing, NotClosed, TooManyClosedSets
 from lefhom.exact import kernel_basis, pivot_columns, rank_over, solve
 from lefhom.homology import (
@@ -32,9 +35,16 @@ from lefhom.homology import (
     lefschetz_chains,
     profile_from_boundaries,
 )
-from lefhom.simplicial import finite_space_homology, order_complex, order_complex_chains
-from lefhom.topology import count_closed_sets
+from lefhom.simplicial import (
+    finite_space_homology,
+    order_complex,
+    order_complex_chains,
+    weak_point_core,
+)
+from lefhom.topology import closure, count_closed_sets
 from tests.conftest import random_closed_set
+
+RINGS = (ZZ, QQ, GF(2), GF(3))
 
 
 def test_star_homology(star):
@@ -365,20 +375,141 @@ def test_universal_coefficients_on_the_corpus(corpus):
     assert torsion_seen  # the prediction is exercised beyond the free part
 
 
-def test_profile_visits_only_populated_degrees():
-    X = build_complex([("v", 0), ("w", 5000)], {}, ZZ)
+def _asked_degrees(X, ring):
+    """The profile of X over ``ring`` and the degrees whose boundary it read."""
     sizes = [len(X.cells_of_dim(q)) for q in range(X.top_dim + 1)]
+    asked = []
+
+    def boundary(q):
+        asked.append(q)
+        return X.boundary_matrix(q).cast(ring)
+
+    return profile_from_boundaries(ring, sizes, boundary), asked
+
+
+def test_profile_visits_only_populated_degrees():
+    # only a boundary between two populated degrees is read
+    X = build_complex([("v", 0), ("w", 5000)], {}, ZZ)
     for ring in (ZZ, GF(2)):
-        asked = []
-
-        def boundary(q):
-            asked.append(q)
-            return X.boundary_matrix(q).cast(ring)
-
-        profile = profile_from_boundaries(ring, sizes, boundary)
-        assert asked == [0, 1, 5000, 5001]
+        profile, asked = _asked_degrees(X, ring)
+        assert asked == []
         assert profile.entries == ((0, 1, ()), (5000, 1, ()))
     assert lefschetz_homology(X).entries == ((0, 1, ()), (5000, 1, ()))
+
+    X = build_complex([("v", 0), ("w", 0), ("e", 1), ("t", 3), ("f", 4)],
+                      {("e", "v"): 1, ("e", "w"): 1, ("f", "t"): 2}, ZZ)
+    expected = {ZZ: ((0, 1, ()), (3, 0, (2,))),
+                QQ: ((0, 1, ()),),
+                GF(2): ((0, 1, ()), (3, 1, ()), (4, 1, ())),
+                GF(3): ((0, 1, ()),)}
+    for ring, entries in expected.items():
+        profile, asked = _asked_degrees(X, ring)
+        assert asked == [1, 4]
+        assert profile.entries == entries
+
+
+def _per_degree_profile(ring, sizes, boundary):
+    """The per-degree route that the one-pass profile replaced: a whole Smith
+    form (Z) or rank (Q, F_p) of every boundary out of or into a populated
+    degree, with no compression."""
+    populated = [n for n, size in enumerate(sizes) if size]
+    ranks, torsion = {}, {}
+    for q in sorted({n + k for n in populated for k in (0, 1)}):
+        if ring == ZZ:
+            divisors = smith_normal_form(boundary(q)).divisors
+            ranks[q] = len(divisors)
+            torsion[q - 1] = tuple(d for d in divisors if d > 1)
+        else:
+            ranks[q] = rank_over(boundary(q), ring)
+    return HomologyProfile.from_degrees(ring, {
+        n: (sizes[n] - ranks[n] - ranks[n + 1], torsion.get(n, ())) for n in populated})
+
+
+def _chain_complexes(X, ring):
+    """(sizes, boundary) of X's cells, of each cell's closure and of the order
+    complex of X's weak-point core, all over ``ring``."""
+    yield ([len(X.cells_of_dim(q)) for q in range(X.top_dim + 1)],
+           lambda q: X.boundary_matrix(q).cast(ring))
+    cells = lefschetz_chains(X, ring)
+    for cell in X.cells:
+        yield cells.slice(closure(X, {cell.id}))
+    K = order_complex(X, subspace=weak_point_core(X))
+    yield ([len(K.simplices_of_dim(q)) for q in range(K.dim + 1)],
+           lambda q: K.boundary_matrix(q, ring))
+
+
+def test_one_pass_profile_matches_the_per_degree_oracle(corpus, sweep_corpus, monkeypatch):
+    eliminate = homology._eliminate
+    calls = []  # (nonzeros handed to the unit phase, residue left) per degree
+
+    def recorded(cols, p, ordered=False):
+        nnz = sum(map(len, cols))
+        pivots = eliminate(cols, p, ordered)
+        calls.append((nnz, any(cols)))
+        return pivots
+
+    monkeypatch.setattr(homology, "_eliminate", recorded)
+    complexes = [X for _, X in corpus] + [X for _, X in sweep_corpus]
+    compressed_with_residue = 0
+    for X in complexes:
+        for ring in RINGS:
+            for sizes, boundary in _chain_complexes(X, ring):
+                given_nnz = []
+
+                def counted(q):
+                    m = boundary(q)
+                    given_nnz.append(sum(map(len, m._cols)))
+                    return m
+
+                calls.clear()
+                profile = profile_from_boundaries(ring, sizes, counted)
+                assert profile == _per_degree_profile(ring, sizes, boundary)
+                assert len(calls) == len(given_nnz)
+                if ring == ZZ:
+                    compressed_with_residue += sum(
+                        nnz < full and residue
+                        for full, (nnz, residue) in zip(given_nnz, calls))
+    # the torsion-carrying path: rows dropped, then a residue Smith form
+    assert compressed_with_residue > 0
+
+
+@st.composite
+def _small_chain_complexes(draw):
+    """Sizes and integer boundary columns of a chain complex of at most four
+    degrees of at most four generators, every entry in -3..3.  Degree 1's
+    columns are arbitrary; each higher degree's are drawn from the cycles
+    of the boundary below that have entries in that range."""
+    sizes = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    entries = st.integers(-3, 3)
+    columns = [[]]
+    for q in range(1, len(sizes)):
+        if q == 1:
+            cols = draw(st.lists(st.lists(entries, min_size=sizes[0], max_size=sizes[0]),
+                                 min_size=sizes[1], max_size=sizes[1]))
+        else:
+            below = columns[q - 1]
+            cycles = [v for v in product(range(-3, 4), repeat=sizes[q - 1])
+                      if not any(sum(v[j] * col[i] for j, col in enumerate(below))
+                                 for i in range(sizes[q - 2]))]
+            cols = [draw(st.sampled_from(cycles)) for _ in range(sizes[q])]
+        columns.append(cols)
+    return sizes, columns
+
+
+@given(_small_chain_complexes())
+def test_one_pass_profile_matches_the_oracle_on_small_chain_complexes(complex_):
+    sizes, columns = complex_
+    # the oracle also asks for the boundary out of the top degree: no columns
+    integral = [ExactMatrix(sizes[q - 1] if q else 0, len(cols),
+                            {(i, j): v for j, col in enumerate(cols) for i, v in enumerate(col)},
+                            ZZ)
+                for q, cols in enumerate(columns + [[]])]
+    for ring in RINGS:
+        def boundary(q):
+            return integral[q].cast(ring)
+
+        assert (profile_from_boundaries(ring, sizes, boundary)
+                == _per_degree_profile(ring, sizes, boundary))
 
 
 class _SliceOracle:

@@ -29,7 +29,7 @@ from lefhom import (
 )
 from lefhom import complexes
 from lefhom.complexes import LefschetzComplex
-from lefhom.errors import LefhomError, TooManyClosedSets, TooManySimplices
+from lefhom.errors import LefhomError, TooManyClosedSets, TooManySimplices, UnsupportedRing
 from lefhom.homology import ChainSlices, lefschetz_chains
 from lefhom.simplicial import finite_space_homology, order_complex_chains
 from lefhom.theorem import CorollaryReport, _first_local_failure, _is_candidate, _reverify
@@ -45,6 +45,55 @@ def test_augmentable_examples(star, twisted):
 def test_augmentable_depends_on_ring(twisted):
     # the offending column sums to 2, which vanishes mod 2
     assert is_augmentable(twisted, GF(2))
+
+
+def _augmentable_in_ring_arithmetic(X, ring):
+    """Every facet coefficient converted into ``ring`` and summed there."""
+    for x in X.cells_of_dim(1):
+        total = ring.zero()
+        for y in X.facets(x):
+            total = ring.add(total, ring.convert(X.kappa(x, y)))
+        if not ring.is_zero(total):
+            return False
+    return True
+
+
+def test_augmentable_kappa_sum_of_three():
+    cells = [("a", 0), ("b", 0), ("c", 0), ("e", 1)]
+    kappa = {("e", "a"): 1, ("e", "b"): 1, ("e", "c"): 1}
+    for own in (ZZ, QQ, GF(3)):
+        X = build_complex(cells, kappa, own)
+        verdicts = {ring: is_augmentable(X, ring) for ring in (ZZ, QQ, GF(2), GF(3), GF(5))}
+        assert verdicts == {ZZ: False, QQ: False, GF(2): False, GF(3): True, GF(5): False}
+        assert is_augmentable(X) == (own == GF(3))
+
+
+def test_augmentable_with_fraction_values():
+    cells = [("a", 0), ("b", 0), ("c", 0), ("e", 1), ("f", 1)]
+    halves = build_complex(cells, {("e", "a"): Fraction(1, 2), ("e", "b"): Fraction(-1, 2),
+                                   ("f", "b"): Fraction(3, 2), ("f", "c"): Fraction(-3, 2)}, QQ)
+    assert is_augmentable(halves) and is_augmentable(halves, GF(3))
+    with pytest.raises(UnsupportedRing, match="1/2 is not an integer"):
+        is_augmentable(halves, ZZ)
+    with pytest.raises(UnsupportedRing, match="vanishes mod 2"):
+        is_augmentable(halves, GF(2))
+    thirds = build_complex(cells, {("e", "a"): Fraction(1, 3), ("e", "b"): Fraction(2, 3),
+                                   ("f", "b"): 1, ("f", "c"): -1}, QQ)
+    # the sum is 1, and 1/3 has no value mod 3 even though the sum has one
+    assert not is_augmentable(thirds) and not is_augmentable(thirds, GF(2))
+    with pytest.raises(UnsupportedRing, match="vanishes mod 3"):
+        is_augmentable(thirds, GF(3))
+    with pytest.raises(UnsupportedRing, match="1/3 is not an integer"):
+        is_augmentable(thirds, ZZ)
+
+
+def test_augmentable_matches_ring_arithmetic(corpus):
+    for _, X in corpus:
+        for own in (ZZ, QQ, GF(2), GF(3)):
+            Y = build_complex(X.cells, dict(X.kappa_entries), own)
+            for ring in (None, ZZ, QQ, GF(2), GF(3)):
+                assert is_augmentable(Y, ring) == _augmentable_in_ring_arithmetic(
+                    Y, Y.ring if ring is None else ring)
 
 
 def test_local_condition_star(star):
