@@ -11,7 +11,7 @@ with exact arithmetic, checks the comparison theorem tying them together
 searches generated complexes for counterexamples to its converse.
 """
 
-from .complexes import Cell, FacePoset, LefschetzComplex, build_complex
+from .complexes import Cell, FacePoset, LefschetzComplex, build_complex, is_augmentable
 from .exact import (
     GF,
     QQ,
@@ -59,7 +59,6 @@ from .theorem import (
     TheoremReport,
     check_corollary,
     check_theorem,
-    is_augmentable,
     local_condition,
     search_converse,
 )

@@ -33,6 +33,7 @@ from .formats import (
 from .homology import excision_check, lefschetz_homology, long_exact_sequence
 from .simplicial import finite_space_homology
 from .theorem import check_corollary, check_theorem, search_converse
+from .topology import DEFAULT_CLOSED_SET_CAP
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -156,8 +157,8 @@ def _cmd_corollary(args) -> int:
 
 def _cmd_les(args) -> int:
     X = _load_complex(args)
-    ring = _parse_ring(args.ring)
-    if ring is None or not ring.is_field:
+    ring = _ring_for(args, X)
+    if not ring.is_field:
         raise NonFieldRing("les needs field coefficients; pass --ring Q or --ring F<p>")
     report = long_exact_sequence(X, _closed_set(args), ring)
     print(f"ring: {ring.label}")
@@ -292,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corollary", help="sweep all closed subcomplexes")
     _add_input_options(p)
-    p.add_argument("--cap", type=int, default=100_000,
+    p.add_argument("--cap", type=int, default=DEFAULT_CLOSED_SET_CAP,
                    help="maximum number of closed sets to enumerate")
     p.set_defaults(func=_cmd_corollary)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from .errors import (
     DuplicateCellId,
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .exact import ExactMatrix, RingSpec
 
-__all__ = ["Cell", "LefschetzComplex", "FacePoset", "build_complex"]
+__all__ = ["Cell", "LefschetzComplex", "FacePoset", "build_complex", "is_augmentable"]
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -243,6 +243,24 @@ class LefschetzComplex:
     def __repr__(self) -> str:
         return (f"LefschetzComplex({len(self._dims)} cells, "
                 f"top dim {self.top_dim}, ring {self.ring})")
+
+
+def is_augmentable(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> bool:
+    """True when every 1-cell's facet coefficients sum to zero.
+
+    That is exactly the condition for the all-ones functional on 0-cells to
+    annihilate the degree-1 boundary; vacuously true without 1-cells.
+    """
+    ring = X.ring if ring is None else ring
+    p = ring.p
+    # X's values are ints unless X is over Q; only Fractions need the checks
+    # of converting into another ring, and sums are plain until the zero test
+    convert = ring.convert if X.ring.kind == "Q" and ring.kind != "Q" else None
+    for col in X.boundary_matrix(1)._cols:
+        total = sum(col.values() if convert is None else map(convert, col.values()))
+        if total % p if p else total:
+            return False
+    return True
 
 
 def build_complex(cells: Iterable, kappa_entries, ring: RingSpec) -> LefschetzComplex:

@@ -4,23 +4,22 @@ Entries are Python ints over Z, ints in [0, p) over F_p and ``Fraction``
 over Q; no floating point is ever involved.  An :class:`ExactMatrix`
 stores one ``{row: value}`` dict per column, the form in which boundary
 matrices are assembled and sliced, and every elimination runs on copies
-of those columns through one sparse routine, :func:`_eliminate`.  Over Z
-an elimination has two phases.  The unit phase, :func:`_eliminate`, takes
-the ±1 pivots; the residue phase, :func:`_residue_divisors`, takes the
-dense Bezout Smith form of the columns left, which hold no unit.  Both
-:func:`smith_normal_form` and a rank over Q, which clears each column's
-denominators and so does no ``Fraction`` arithmetic, run the two phases,
-and so does ``homology.profile_from_boundaries`` on a whole chain complex.
-Going up through the degrees, it drops from each boundary the rows of the
-unit pivot columns of the boundary below before the unit phase: the
-compression of Bauer-Kerber-Reininghaus ("Clear and Compress: Computing
-Persistent Homology in Chunks", 2014).  That is exact over Z because
-those columns meet their pivot rows in a unimodular block, so deleting
-the rows maps the cycles isomorphically onto a saturated sublattice and
-keeps every Smith divisor of the boundaries, which lie in the cycles.
-The dense form with transforms serves ``with_transforms=True``.  Kernels
-and solutions over a field read the canonical reduced echelon form off
-the unit phase run left to right, where every nonzero entry is a unit.
+of those columns through one sparse routine, :func:`_eliminate`.
+
+The ring policy of a reduction lives here.  Over Q, columns are scaled to
+integers, which keeps their span, so no rank does ``Fraction`` arithmetic.
+Over Z and Q only ±1 is a pivot, over F_p every nonzero entry.
+:func:`_reduce` runs the unit phase, :func:`_eliminate`, and then the
+residue phase, the dense Bezout Smith form of the columns left (none are
+left over F_p).  :func:`smith_normal_form` without transforms,
+:func:`rank_over` and ``homology.profile_from_boundaries`` call it.  For
+a column reduction that grows, as in ``homology.IncrementalReducer``,
+:func:`_unit_form` copies a column into that form and
+:func:`_reduce_column` scales each new pivot column to a 1 at its lowest
+row when that entry is a unit.  The dense form with transforms serves
+``with_transforms=True``.  Kernels and solutions over a field read the
+canonical reduced echelon form off the unit phase run left to right,
+where every nonzero entry is a unit.
 """
 
 from __future__ import annotations
@@ -390,12 +389,17 @@ def _reduce_column(col: dict, pivots: Mapping, p: Optional[int]) -> Optional[int
     the lowest row of each pivot column to that column, stored with a 1
     there.  ``p`` is None over Z (integer entries, so every multiple taken
     is an integer) and the prime over F_p, as for :func:`_eliminate`.
-    Returns the lowest row left, which no pivot has, or None once ``col``
-    is empty."""
+    Returns the lowest row left, which no pivot has, with ``col`` scaled to
+    a 1 there when that entry is a unit, or None once ``col`` is empty."""
     while col:
         low = max(col)
         pivot = pivots.get(low)
         if pivot is None:
+            u = col[low]
+            if u != 1 and (p or u == -1):  # a unit: any nonzero over F_p, else -1
+                inv = pow(u, -1, p) if p else -1
+                for i, v in col.items():
+                    col[i] = v * inv % p if p else -v
             return low
         f = col[low]
         for i, v in pivot.items():
@@ -491,15 +495,26 @@ def _dense_snf(a: list, n: int, m: int, with_transforms: bool):
     return divisors, [row[m:] for row in a[:n]], [row[:m] for row in a[n:]]
 
 
-def _residue_divisors(cols: list) -> tuple:
-    """Smith divisors of the integer columns that :func:`_eliminate` over Z
-    left nonempty, which hold no unit: their dense Bezout form."""
+def _reduce(matrix: ExactMatrix, ring: RingSpec, drop=()) -> tuple:
+    """The unit pivot columns and the residue divisors of ``matrix`` over
+    ``ring``, with the rows in ``drop`` left out; ``matrix`` is not changed."""
+    if ring.kind == "Fp" or matrix.ring.kind == "Fp":
+        matrix = matrix.cast(ring)
+    cols = [{i: v for i, v in col.items() if i not in drop} for col in matrix._cols]
+    if ring.kind == "Q":
+        cols = [_integral(col) for col in cols]
+    pivots = _eliminate(cols, ring.p)
     residue = [col for col in cols if col]
     if not residue:
-        return ()
+        return pivots, ()
     rows = sorted({i for col in residue for i in col})
     dense = [[col.get(i, 0) for col in residue] for i in rows]
-    return _dense_snf(dense, len(rows), len(residue), False)[0]
+    return pivots, _dense_snf(dense, len(rows), len(residue), False)[0]
+
+
+def _unit_form(col: Mapping, ring: RingSpec) -> dict:
+    """A copy of ``col`` in the form that :func:`_reduce` eliminates over ``ring``."""
+    return _integral(dict(col)) if ring.kind == "Q" else dict(col)
 
 
 def smith_normal_form(matrix: ExactMatrix, with_transforms: bool = False) -> SmithForm:
@@ -514,20 +529,23 @@ def smith_normal_form(matrix: ExactMatrix, with_transforms: bool = False) -> Smi
         raise UnsupportedRing("smith_normal_form expects integer entries")
     n, m = matrix.rows, matrix.cols
     if not with_transforms:
-        cols = [dict(col) for col in matrix._cols]
-        units = len(_eliminate(cols, None))
-        return SmithForm(shape=(n, m), divisors=(1,) * units + _residue_divisors(cols))
+        pivots, residue = _reduce(matrix, ZZ)
+        return SmithForm(shape=(n, m), divisors=(1,) * len(pivots) + residue)
     divisors, left, right = _dense_snf(matrix.dense(), n, m, True)
     return SmithForm(shape=(n, m), divisors=divisors,
                      left_transform=ExactMatrix.from_rows(left, ZZ),
                      right_transform=ExactMatrix.from_rows(right, ZZ))
 
 
+def _require_field(ring: RingSpec) -> None:
+    if not ring.is_field:
+        raise NonFieldRing(f"{ring} is not a field; use smith_normal_form over Z")
+
+
 def _field_columns(matrix: ExactMatrix, ring: RingSpec) -> list:
     """Copies of the columns of ``matrix`` over a field; over Q integral
     entries become ints."""
-    if not ring.is_field:
-        raise NonFieldRing(f"{ring} is not a field; use smith_normal_form over Z")
+    _require_field(ring)
     if ring.kind == "Fp" or matrix.ring.kind == "Fp":
         return [dict(col) for col in matrix.cast(ring)._cols]
     return [{i: v.numerator if v.denominator == 1 else v for i, v in col.items()}
@@ -535,16 +553,11 @@ def _field_columns(matrix: ExactMatrix, ring: RingSpec) -> list:
 
 
 def rank_over(matrix: ExactMatrix, ring: RingSpec) -> int:
-    """Rank over Q or F_p.
-
-    Over Q each column is scaled to clear its denominators, which keeps the
-    rank, and the integer Smith form counts it.
-    """
-    cols = _field_columns(matrix, ring)
-    if ring.p:
-        return len(_eliminate(cols, ring.p))
-    cols = [_integral(col) for col in cols]
-    return len(_eliminate(cols, None)) + len(_residue_divisors(cols))
+    """Rank over Q or F_p: the unit pivots plus the residue divisors of
+    :func:`_reduce`, so a rank over Q does no ``Fraction`` arithmetic."""
+    _require_field(ring)
+    pivots, residue = _reduce(matrix, ring)
+    return len(pivots) + len(residue)
 
 
 def pivot_columns(matrix: ExactMatrix, ring: RingSpec) -> list:
@@ -575,6 +588,12 @@ def kernel_basis(matrix: ExactMatrix, ring: RingSpec) -> list:
     return basis
 
 
+def _beside(matrix: ExactMatrix, vectors: Sequence) -> ExactMatrix:
+    """``matrix`` with ``vectors`` (elements of its ring) appended as columns."""
+    return ExactMatrix._wrap(matrix.rows, matrix._cols + [
+        {i: v for i, v in enumerate(vec) if v} for vec in vectors], matrix.ring)
+
+
 def solve(matrix: ExactMatrix, rhs: Sequence, ring: RingSpec):
     """One exact solution of ``matrix @ x = rhs`` over a field, or None.
 
@@ -584,9 +603,7 @@ def solve(matrix: ExactMatrix, rhs: Sequence, ring: RingSpec):
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
     m = matrix.cols
-    entries = dict(matrix.cast(ring).entries)
-    entries.update(((i, m), v) for i, v in enumerate(rhs))
-    basis = kernel_basis(ExactMatrix(matrix.rows, m + 1, entries, ring), ring)
+    basis = kernel_basis(_beside(matrix.cast(ring), [list(map(ring.convert, rhs))]), ring)
     if not basis or not basis[-1][m]:
         return None
     return [ring.neg(v) for v in basis[-1][:m]]

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from .complexes import LefschetzComplex, build_complex
+from .complexes import _ID_RE, LefschetzComplex, build_complex, is_augmentable
 from .errors import (
     DimensionMismatch,
     EmptyInput,
@@ -29,7 +29,6 @@ from .errors import (
 )
 from .exact import RingSpec, ZZ
 from .simplicial import DEFAULT_SIMPLEX_CAP
-from .theorem import is_augmentable
 
 __all__ = [
     "GeneratorConfig",
@@ -54,9 +53,6 @@ MAX_LEF_DIM = 1000
 # ---------------------------------------------------------------------------
 # .lef format
 # ---------------------------------------------------------------------------
-
-_ID_TOKEN = re.compile(r"[A-Za-z0-9_]+\Z")
-
 
 def _parse_value(token: str, ring: RingSpec, line_no: int):
     try:
@@ -109,7 +105,7 @@ def parse_lef(text: str) -> LefschetzComplex:
             if len(parts) != 3:
                 raise LefSyntaxError(line_no, "want: cell <id> <dim>")
             cid = parts[1]
-            if not _ID_TOKEN.match(cid):
+            if not _ID_RE.match(cid):
                 raise LefSyntaxError(line_no, f"bad cell id {cid!r}")
             if cid in seen:
                 raise LefSyntaxError(line_no, f"cell {cid!r} declared twice")

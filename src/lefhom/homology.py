@@ -1,14 +1,19 @@
 """Homology of Lefschetz complexes: absolute, relative, excision, exactness.
 
-Over the integers, homology is read off Smith Normal Forms of the boundary
-matrices; over Q or F_p it is plain rank arithmetic.  Changing the
-coefficient ring never rebuilds the complex: matrices are cast entry-wise,
-so the cell basis and the face order stay those of the stored complex.
+A profile comes out of one compressed pass up through the degrees of a
+chain complex (:func:`profile_from_boundaries`), whose boundaries are
+reduced by :mod:`lefhom.exact`, the owner of the ring policy.  Changing
+the coefficient ring never rebuilds the complex: matrices are cast
+entry-wise, so the cell basis and the face order stay those of the stored
+complex.  A :class:`ChainSlices` cuts the complex spanned by any set of
+generators out of one chain complex, so closed sets are profiled without
+complexes of their own.
 
 Relative homology of a closed subset is *defined* through the open
-complement (the excision route); :func:`excision_check` recomputes it a
-second time by deleting rows/columns from the full boundary matrices and
-compares, which keeps the two routes honest against each other.
+complement, rebuilt as a complex (the excision route);
+:func:`excision_check` recomputes it a second time as a slice of the
+ambient chain complex and compares, which keeps the two routes honest
+against each other.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ from .exact import (
     ExactMatrix,
     RingSpec,
     ZZ,
-    _eliminate,
-    _integral,
+    _beside,
+    _reduce,
     _reduce_column,
-    _residue_divisors,
+    _unit_form,
     kernel_basis,
     pivot_columns,
     rank_over,
@@ -129,13 +134,11 @@ def profile_from_boundaries(ring: RingSpec, sizes: Sequence[int],
     goes up through the degrees and asks only for the boundaries between
     two degrees that have generators; any other boundary has rank 0.
 
-    Each boundary is reduced in two phases.  The unit phase,
-    :func:`~lefhom.exact._eliminate`, takes the pivots that are units (±1
-    over Z and over Q, whose columns are first scaled to integers; every
-    nonzero entry over F_p).  The residue phase takes the Smith divisors of
-    the columns left nonempty.  The rank is the number of unit pivots plus
-    the number of residue divisors, and over Z the torsion of degree q-1 is
-    the residue divisors of ``boundary(q)`` above 1.
+    Each boundary is reduced by :func:`~lefhom.exact._reduce`, which holds
+    the ring policy: a unit phase, then the Smith divisors of the residue.
+    The rank is the number of unit pivots plus the number of residue
+    divisors, and over Z the torsion of degree q-1 is the residue divisors
+    of ``boundary(q)`` above 1.
 
     Before it is reduced, ``boundary(q)`` loses the rows of the unit pivot
     columns of ``boundary(q - 1)``: the compression of Bauer-Kerber-
@@ -148,20 +151,13 @@ def profile_from_boundaries(ring: RingSpec, sizes: Sequence[int],
     boundaries lie in the cycles, so deleting those rows keeps the rank and
     every Smith divisor of ``boundary(q)``.
     """
-    p = ring.p
     populated = [n for n, size in enumerate(sizes) if size]
     ranks, torsion, paired = {}, {}, {}  # paired[q]: unit pivot columns of degree q
     for q in populated:
         if not q or not sizes[q - 1]:
             continue
-        drop = paired.get(q - 1, ())
-        cols = [{i: v for i, v in col.items() if i not in drop}
-                for col in boundary(q).cast(ring)._cols]
-        if ring.kind == "Q":
-            cols = [_integral(col) for col in cols]
-        pivots = _eliminate(cols, p)
+        pivots, divisors = _reduce(boundary(q), ring, paired.get(q - 1, ()))
         paired[q] = set(pivots)
-        divisors = () if p else _residue_divisors(cols)
         ranks[q] = len(pivots) + len(divisors)
         if ring == ZZ:
             torsion[q - 1] = tuple(d for d in divisors if d > 1)
@@ -229,19 +225,19 @@ class IncrementalReducer:
     the rank of every boundary is its number of pivots.  ``undo()`` takes
     back the last include, and ``profile()`` is the homology of the keys in.
 
-    Over F_p every nonzero entry is a pivot.  Over Z and Q only ±1 is, with
-    Q columns first scaled to integers: the pivots then span a unimodular
-    triangle, so no boundary has a divisor other than 1.  A column whose
-    lowest entry is not a unit stops the reduction until its include is
-    undone; until then ``profile()`` is the slice profile, which finds the
-    torsion that a non-unit pivot may carry.
+    Which entries are pivots is the ring policy of :mod:`lefhom.exact`:
+    :func:`~lefhom.exact._reduce_column` leaves a pivot column with a 1 at
+    its lowest row, so the pivots span a unimodular triangle and no
+    boundary has a divisor other than 1.  A column whose lowest entry is
+    not a unit stops the reduction until its include is undone; until then
+    ``profile()`` is the slice profile, which finds the torsion that a
+    non-unit pivot may carry.
     """
 
     def __init__(self, chains: ChainSlices):
         self.chains = chains
         self._p = chains.ring.p
-        scale = _integral if chains.ring.kind == "Q" else dict
-        self._keyed = {key: [(q, scale(dict(chains._columns[q][i]))) for q, i in at]
+        self._keyed = {key: [(q, _unit_form(chains._columns[q][i], chains.ring)) for q, i in at]
                        for key, at in chains._at.items()}
         degrees = len(chains._columns)
         self._sizes = [0] * degrees
@@ -258,15 +254,9 @@ class IncrementalReducer:
             for q, column in self._keyed[key]:
                 self._sizes[q] += 1
                 col = dict(column)
-                low = _reduce_column(col, self._pivots[q], p) if col else None
+                low = _reduce_column(col, self._pivots[q], p)
                 if low is not None:
-                    u = col[low]
-                    if u != 1 and p:
-                        inv = pow(u, -1, p)
-                        col = {i: v * inv % p for i, v in col.items()}
-                    elif u == -1:
-                        col = {i: -v for i, v in col.items()}
-                    elif u != 1:
+                    if col[low] != 1:
                         self._stalled = len(self._undo)
                         record.append((q, None))
                         break
@@ -357,12 +347,6 @@ def excision_check(X: LefschetzComplex, closed_part: Iterable,
 # ---------------------------------------------------------------------------
 # Long exact sequence of a closed pair, over a field.
 # ---------------------------------------------------------------------------
-
-
-def _beside(matrix: ExactMatrix, vectors: Sequence) -> ExactMatrix:
-    """``matrix`` with ``vectors`` (elements of its ring) appended as columns."""
-    return ExactMatrix._wrap(matrix.rows, matrix._cols + [
-        {i: v for i, v in enumerate(vec) if v} for vec in vectors], matrix.ring)
 
 
 def _classes(ring: RingSpec, below: ExactMatrix, above: ExactMatrix,

@@ -79,7 +79,7 @@ class SimplicialComplex:
         if vertex_order is None:
             vertex_order = sorted(vertices)
         else:
-            if set(vertex_order) < vertices:
+            if not vertices <= set(vertex_order):
                 raise ValueError("vertex_order misses some vertices")
             vertex_order = [v for v in vertex_order]
         self.vertex_order = tuple(vertex_order)

@@ -21,7 +21,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Optional
 
-from .complexes import LefschetzComplex
+from . import formats
+from .complexes import LefschetzComplex, is_augmentable
 from .errors import LefhomError, TooManySimplices
 from .exact import RingSpec
 from .homology import (
@@ -34,7 +35,8 @@ from .homology import (
 )
 from .simplicial import finite_space_homology, order_complex_chains
 # restrict stays bound here: perfbench/tracing.py patches lefhom.theorem.restrict
-from .topology import closure, count_closed_sets, enumerate_closed_sets, restrict  # noqa: F401
+from .topology import (DEFAULT_CLOSED_SET_CAP, closure, count_closed_sets,  # noqa: F401
+                       enumerate_closed_sets, restrict)
 
 __all__ = [
     "LocalCheck",
@@ -47,24 +49,6 @@ __all__ = [
     "check_corollary",
     "search_converse",
 ]
-
-
-def is_augmentable(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> bool:
-    """True when every 1-cell's facet coefficients sum to zero.
-
-    That is exactly the condition for the all-ones functional on 0-cells to
-    annihilate the degree-1 boundary; vacuously true without 1-cells.
-    """
-    ring = X.ring if ring is None else ring
-    p = ring.p
-    # X's values are ints unless X is over Q; only Fractions need the checks
-    # of converting into another ring, and sums are plain until the zero test
-    convert = ring.convert if X.ring.kind == "Q" and ring.kind != "Q" else None
-    for col in X.boundary_matrix(1)._cols:
-        total = sum(col.values() if convert is None else map(convert, col.values()))
-        if total % p if p else total:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -182,7 +166,7 @@ class _Mismatches:
 
 
 def check_corollary(X: LefschetzComplex, ring: Optional[RingSpec] = None,
-                    cap: int = 100_000) -> CorollaryReport:
+                    cap: int = DEFAULT_CLOSED_SET_CAP) -> CorollaryReport:
     """Sweep every closed subcomplex and compare both homology pipelines.
 
     One walk over the closed sets carries a column reduction of X's chain
@@ -266,24 +250,20 @@ def _is_candidate(X: LefschetzComplex, ring: RingSpec) -> bool:
 def _evaluate_index(args) -> Optional[str]:
     """The serialized complex of one index if it is a candidate, else None."""
     base, ring, index = args
-    from .formats import random_complex, render_lef
-
     seed = _derive_seed(base.seed, index)
-    X = random_complex(replace(base, seed=seed))
+    X = formats.random_complex(replace(base, seed=seed))
     try:
         candidate = _is_candidate(X, ring)
     except TooManySimplices as exc:
         raise TooManySimplices(exc.cap, f"search draw {index} (seed {seed}): order complex",
                                "lower --transform-steps, --max-cells or --max-dimension "
                                "to shrink the draws") from None
-    return render_lef(X) if candidate else None
+    return formats.render_lef(X) if candidate else None
 
 
 def _reverify(lef_text: str, ring: RingSpec) -> TheoremReport:
     """Recompute everything from the serialized complex, independently."""
-    from .formats import parse_lef
-
-    report = check_theorem(parse_lef(lef_text), ring)
+    report = check_theorem(formats.parse_lef(lef_text), ring)
     if not (report.augmentable and report.failing_cells and report.conclusion_holds):
         raise LefhomError("candidate failed re-verification from its serialization")
     return report

@@ -117,6 +117,16 @@ def test_les_requires_field(capsys, star_file):
     assert code == 2 and "field" in err
 
 
+def test_les_defaults_to_the_field_of_the_complex(capsys, star_file, tmp_path):
+    over_f3 = tmp_path / "star_f3.lef"
+    with open(star_file, encoding="utf-8") as handle:
+        over_f3.write_text(handle.read().replace("ring Z\n", "ring Zp 3\n", 1), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "les", str(over_f3), "--closed", "a,b,c,d")
+    assert code == 0
+    assert out.splitlines()[0] == "ring: F3"
+    assert "exact: true" in out
+
+
 def test_excision_command(capsys, star_file):
     code, out, _ = run_cli(capsys, "excision", star_file, "--closed", "a,b,c,d")
     assert code == 0 and "match: true" in out

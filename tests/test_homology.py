@@ -24,7 +24,7 @@ from lefhom import (
     restrict,
     smith_normal_form,
 )
-from lefhom import homology
+from lefhom import exact
 from lefhom.errors import NonFieldRing, NotClosed, TooManyClosedSets
 from lefhom.exact import kernel_basis, pivot_columns, rank_over, solve
 from lefhom.homology import (
@@ -439,7 +439,7 @@ def _chain_complexes(X, ring):
 
 
 def test_one_pass_profile_matches_the_per_degree_oracle(corpus, sweep_corpus, monkeypatch):
-    eliminate = homology._eliminate
+    eliminate = exact._eliminate
     calls = []  # (nonzeros handed to the unit phase, residue left) per degree
 
     def recorded(cols, p, ordered=False):
@@ -448,7 +448,7 @@ def test_one_pass_profile_matches_the_per_degree_oracle(corpus, sweep_corpus, mo
         calls.append((nnz, any(cols)))
         return pivots
 
-    monkeypatch.setattr(homology, "_eliminate", recorded)
+    monkeypatch.setattr(exact, "_eliminate", recorded)
     complexes = [X for _, X in corpus] + [X for _, X in sweep_corpus]
     compressed_with_residue = 0
     for X in complexes:
@@ -463,12 +463,13 @@ def test_one_pass_profile_matches_the_per_degree_oracle(corpus, sweep_corpus, mo
 
                 calls.clear()
                 profile = profile_from_boundaries(ring, sizes, counted)
-                assert profile == _per_degree_profile(ring, sizes, boundary)
+                # read the calls first: the oracle runs through the same kernel
                 assert len(calls) == len(given_nnz)
                 if ring == ZZ:
                     compressed_with_residue += sum(
                         nnz < full and residue
                         for full, (nnz, residue) in zip(given_nnz, calls))
+                assert profile == _per_degree_profile(ring, sizes, boundary)
     # the torsion-carrying path: rows dropped, then a residue Smith form
     assert compressed_with_residue > 0
 
@@ -574,6 +575,20 @@ def test_incremental_undo_restores_each_profile():
                 reducer.include(x)
                 assert reducer.profile() == chains.profile(branch[:k]), (ring, x)
             assert reducer.profile() == point_profile(ring)  # a path through all four vertices
+
+
+def test_incremental_unit_pivots_are_scaled_not_deferred():
+    # every lowest entry is -1: negated over Z and Q, scaled by 2 over F3
+    X = build_complex([("a", 0), ("b", 0), ("e", 1), ("f", 1), ("t", 2)],
+                      {("e", "a"): 1, ("e", "b"): -1, ("f", "a"): -1, ("f", "b"): 1,
+                       ("t", "e"): -1, ("t", "f"): -1}, ZZ)
+    for ring in RINGS:
+        chains = lefschetz_chains(X, ring)
+        reducer = IncrementalReducer(chains)
+        chains.profile = lambda kept: pytest.fail("a unit pivot stalled the reducer")
+        for x in ("a", "b", "e", "f", "t"):
+            reducer.include(x)
+        assert reducer.profile() == point_profile(ring), ring
 
 
 def test_incremental_non_unit_pivot_falls_back_to_slices():

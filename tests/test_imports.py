@@ -1,0 +1,66 @@
+"""The package's import graph: every import at module level, running one way."""
+
+import ast
+from pathlib import Path
+
+import lefhom
+from lefhom import complexes, theorem
+
+PACKAGE = Path(lefhom.__file__).parent
+MODULES = {path.stem: path for path in PACKAGE.glob("*.py")}
+
+
+def _package_imports(tree):
+    """(lefhom modules imported, line numbers of imports inside a function)."""
+    targets, nested = set(), []
+
+    def visit(node, in_function):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if in_function:
+                nested.append(node.lineno)
+            module = getattr(node, "module", None) or ""
+            if isinstance(node, ast.ImportFrom) and (node.level or module.startswith("lefhom")):
+                base = module.removeprefix("lefhom").lstrip(".")
+                if base:
+                    targets.add(base.split(".")[0])
+                else:  # from . import name: a submodule, or a name of __init__
+                    targets.update(a.name if a.name in MODULES else "__init__"
+                                   for a in node.names)
+            elif isinstance(node, ast.Import):
+                targets.update(a.name.split(".")[1] for a in node.names
+                               if a.name.startswith("lefhom."))
+        inner = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inner)
+
+    visit(tree, False)
+    return targets, nested
+
+
+def test_imports_are_at_module_level_and_acyclic():
+    graph, nested = {}, {}
+    for name, path in MODULES.items():
+        graph[name], lines = _package_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if lines:
+            nested[name] = lines
+    assert nested == {}
+    assert "theorem" not in graph["formats"]
+    # depth-first search: a module met again while still on the stack closes a cycle
+    state = {}
+
+    def walk(name, stack):
+        state[name] = "open"
+        for target in sorted(graph[name]):
+            assert state.get(target) != "open", " -> ".join(stack + [name, target])
+            if target not in state:
+                walk(target, stack + [name])
+        state[name] = "done"
+
+    for name in sorted(graph):
+        if name not in state:
+            walk(name, [])
+
+
+def test_augmentability_has_one_definition():
+    assert lefhom.is_augmentable is theorem.is_augmentable is complexes.is_augmentable
+    assert "is_augmentable" in theorem.__all__ and "is_augmentable" in complexes.__all__

@@ -167,6 +167,8 @@ def test_vertex_order_validation():
         SimplicialComplex([("a",)], vertex_order=["a", "a"])
     with pytest.raises(ValueError):
         SimplicialComplex([("a",), ("b",)], vertex_order=["a"])
+    with pytest.raises(ValueError, match="misses some vertices"):
+        SimplicialComplex([("a",), ("c",)], vertex_order=["a", "b"])
 
 
 def test_full_subcomplex_vertices_only(star):
