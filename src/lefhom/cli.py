@@ -8,6 +8,7 @@ failed or a counterexample was found, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -50,7 +51,10 @@ def _parse_ring(token: Optional[str]) -> Optional[RingSpec]:
         return RingSpec.rationals()
     for prefix in ("F", "Zp", "Z/"):
         if token.startswith(prefix) and token[len(prefix):].isdigit():
-            return RingSpec.prime_field(int(token[len(prefix):]))
+            try:
+                return RingSpec.prime_field(int(token[len(prefix):]))
+            except ValueError:  # past int's digit limit, or a digit int() refuses
+                break
     raise UnsupportedRing(f"bad ring {token!r} (use Z, Q, or F<p>)")
 
 
@@ -271,7 +275,9 @@ def _add_input_options(parser, with_ring: bool = True):
                                  "(default: the complex's own ring)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; command bodies look their functions up at call time."""
     parser = argparse.ArgumentParser(
         prog="lefhom",
         description="Exact homology of Lefschetz complexes and of the finite "

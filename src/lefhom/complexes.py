@@ -89,8 +89,7 @@ class LefschetzComplex:
     memoized per instance, write-once.
     """
 
-    __slots__ = ("ring", "_dims", "_kappa", "_by_dim", "_facets",
-                 "_cells", "_poset", "_boundary_cache")
+    __slots__ = ("ring", "_dims", "_by_dim", "_facets", "_cells", "_poset", "_boundary_cache")
 
     def __init__(self, cells: Iterable, kappa, ring: RingSpec):
         self.ring = ring
@@ -106,8 +105,8 @@ class LefschetzComplex:
             self._dims[cid] = dim
 
         items = kappa.items() if isinstance(kappa, Mapping) else kappa
-        self._kappa = {}
-        self._facets = {x: {} for x in self._dims}
+        # the one store of kappa: cell -> {facet: nonzero value}
+        facets = self._facets = {x: {} for x in self._dims}
         p = ring.p
         plain = ring.kind != "Q"  # an int is an element of Z, and of F_p once reduced
         for (x, y), value in items:
@@ -123,10 +122,9 @@ class LefschetzComplex:
                 continue
             if self._dims[x] != self._dims[y] + 1:
                 raise GradingViolation(x, y, self._dims[x], self._dims[y])
-            if (x, y) in self._kappa:
+            if y in facets[x]:
                 raise DuplicateCellId(f"kappa({x}, {y}) given twice")
-            self._kappa[(x, y)] = value
-            self._facets[x][y] = value
+            facets[x][y] = value
 
         self._check_kappa_condition()
 
@@ -187,12 +185,14 @@ class LefschetzComplex:
 
     @property
     def kappa_entries(self):
-        return MappingProxyType(self._kappa)
+        """Read-only {(x, y): value} of the nonzero incidences, built when read."""
+        return MappingProxyType({(x, y): v for x, ys in self._facets.items()
+                                 for y, v in ys.items()})
 
     def kappa(self, x: str, y: str):
         self.dim_of(x)
         self.dim_of(y)
-        return self._kappa.get((x, y), self.ring.zero())
+        return self._facets[x].get(y, self.ring.zero())
 
     def facets(self, x: str) -> frozenset:
         self.dim_of(x)
@@ -238,7 +238,7 @@ class LefschetzComplex:
         return (isinstance(other, LefschetzComplex)
                 and self.ring == other.ring
                 and self._dims == other._dims
-                and self._kappa == other._kappa)
+                and self._facets == other._facets)
 
     def __repr__(self) -> str:
         return (f"LefschetzComplex({len(self._dims)} cells, "

@@ -74,6 +74,10 @@ class RingSpec:
         if self.kind not in ("Z", "Q", "Fp"):
             raise UnsupportedRing(f"unknown ring kind {self.kind!r}")
         if self.kind == "Fp":
+            # the bound keeps trial division under 46 341 steps
+            if self.p is not None and self.p >= 1 << 31:
+                raise UnsupportedRing("prime field modulus must be below 2**31, "
+                                      f"got a {self.p.bit_length()}-bit number")
             if self.p is None or not _is_prime(self.p):
                 raise UnsupportedRing(f"prime field modulus must be prime, got {self.p!r}")
         elif self.p is not None:

@@ -148,8 +148,8 @@ def render_lef(X: LefschetzComplex) -> str:
         lines = [f"ring {ring.kind}"]
     for cell in X.cells:
         lines.append(f"cell {cell.id} {cell.dim}")
-    for (x, y) in sorted(X.kappa_entries):
-        lines.append(f"kappa {x} {y} {ring.format_element(X.kappa_entries[(x, y)])}")
+    for (x, y), value in sorted(X.kappa_entries.items()):  # unique keys: no value compared
+        lines.append(f"kappa {x} {y} {ring.format_element(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -235,10 +235,13 @@ def import_cubical(cubes: Iterable[Sequence], ring: RingSpec = ZZ) -> LefschetzC
     the upper face and its negative to the lower face, where ``s_j`` counts
     non-degenerate intervals strictly before position j.  Ids are built
     once per face; the construction validator (boundary of boundary is
-    zero) is still the arbiter of this sign convention.
+    zero) is still the arbiter of this sign convention.  Raises
+    ``TooManySimplices``, before building faces, once the face counts (3
+    to the number of non-degenerate intervals per cube) sum past the cap.
     """
     all_cubes = set()
     embedding = None
+    bound = 0
     for cube in cubes:
         axes = []
         for interval in cube:
@@ -259,6 +262,9 @@ def import_cubical(cubes: Iterable[Sequence], ring: RingSpec = ZZ) -> LefschetzC
                 f"cube {tuple(axes)} has embedding dimension {len(axes)}, expected {embedding}")
         if not axes:
             raise MalformedInterval("a cube needs at least one interval")
+        bound += 3 ** sum(lo != hi for lo, hi in axes)
+        if bound > DEFAULT_SIMPLEX_CAP:
+            raise TooManySimplices(DEFAULT_SIMPLEX_CAP, "cubical input")
         all_cubes.update(product(*[((lo, hi),) if lo == hi else ((lo, hi), (lo, lo), (hi, hi))
                                    for lo, hi in axes]))
     if not all_cubes:
@@ -289,10 +295,12 @@ def parse_cubical(text: str, ring: RingSpec = ZZ) -> LefschetzComplex:
         axes = []
         for token in line.split("x"):
             match = _INTERVAL_RE.match(token.strip())
-            if not match:
-                raise LefSyntaxError(line_no, f"bad interval {token.strip()!r}")
-            lo = int(match.group(1))
-            hi = int(match.group(2)) if match.group(2) is not None else lo
+            try:
+                if not match:
+                    raise ValueError(token)
+                lo, hi = map(int, match.groups(match.group(1)))  # [k] is [k, k]
+            except ValueError:  # also an integer past int's digit limit
+                raise LefSyntaxError(line_no, f"bad interval {token.strip()!r}") from None
             axes.append((lo, hi))
         cubes.append(tuple(axes))
     if not cubes:
@@ -372,8 +380,9 @@ def _random_cubical(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComple
 def _basis_change(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:
     X = _random_simplicial(rng, cfg)
     top = X.top_dim
-    basis = {q: list(X.cells_of_dim(q)) for q in range(top + 1)}
-    mats = {q: X.boundary_matrix(q).dense() for q in range(top + 1)}
+    basis = {q: X.cells_of_dim(q) for q in range(top + 1)}
+    # a {row: value} copy of each boundary column, degree q's in cols[q]
+    cols = {q: [dict(col) for col in X.boundary_matrix(q)._cols] for q in range(1, top + 1)}
     augmentable_before = is_augmentable(X)
 
     for _ in range(cfg.transform_steps):
@@ -383,25 +392,21 @@ def _basis_change(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:
         q = rng.choice(eligible)
         u, v = rng.sample(range(len(basis[q])), 2)
         m = rng.randint(1, cfg.coefficient_bound) * rng.choice((1, -1))
-        # new basis chain u := u + m*v in degree q; degree 0 is never touched,
-        # and a degree-1 column move preserves zero column sums
-        for row in mats[q]:
-            row[u] += m * row[v]
-        if q + 1 <= top:
-            upper = mats[q + 1]
-            ncols = len(basis[q + 1])
-            for j in range(ncols):
-                upper[v][j] -= m * upper[u][j]
+        # new basis chain u := u + m*v in degree q: column u of the degree-q
+        # boundary gains m * column v, row v of the degree-(q+1) one loses
+        # m * row u; degree 0 is never touched, and a degree-1 column move
+        # preserves zero column sums.  Entries that cancel stay zeros until
+        # kappa is read.
+        target = cols[q][u]
+        for row, value in cols[q][v].items():
+            target[row] = target.get(row, 0) + m * value
+        for col in cols.get(q + 1, ()):
+            if u in col:
+                col[v] = col.get(v, 0) - m * col[u]
 
     cells = [(cid, q) for q in range(top + 1) for cid in basis[q]]
-    kappa = {}
-    for q in range(1, top + 1):
-        rows, cols = basis[q - 1], basis[q]
-        mat = mats[q]
-        for j, x in enumerate(cols):
-            for i, y in enumerate(rows):
-                if mat[i][j]:
-                    kappa[(x, y)] = mat[i][j]
+    kappa = [((x, basis[q - 1][row]), value) for q in cols
+             for x, col in zip(basis[q], cols[q]) for row, value in sorted(col.items()) if value]
     out = build_complex(cells, kappa, X.ring)
     if augmentable_before and not is_augmentable(out):
         raise AssertionError("basis change broke augmentability")

@@ -19,6 +19,7 @@ counts the core's chains.
 from __future__ import annotations
 
 import heapq
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .complexes import LefschetzComplex
@@ -105,17 +106,8 @@ class SimplicialComplex:
         closed = set()
         for face in faces:
             face = frozenset(face)
-            if not face:
-                continue
-            stack = [face]
-            while stack:
-                s = stack.pop()
-                if s in closed or not s:
-                    continue
-                closed.add(s)
-                for v in s:
-                    if len(s) > 1:
-                        stack.append(s - {v})
+            for size in range(1, len(face) + 1):
+                closed.update(map(frozenset, combinations(face, size)))
         return cls(closed, vertex_order)
 
     @property

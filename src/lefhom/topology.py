@@ -86,9 +86,9 @@ def restrict(X: LefschetzComplex, A: Iterable) -> LefschetzComplex:
     A = _cellset(X, A)
     if not is_locally_closed(X, A):
         raise NotLocallyClosed(f"{sorted(A)} is not locally closed")
-    cells = [(cid, X.dim_of(cid)) for cid in A]
-    kappa = {(x, y): v for (x, y), v in X.kappa_entries.items()
-             if x in A and y in A}
+    # X's facet table in X's order, so the result never follows set order
+    cells = [(x, X.dim_of(x)) for x in X._facets if x in A]
+    kappa = [((x, y), v) for x, _ in cells for y, v in X._facets[x].items() if y in A]
     return LefschetzComplex(cells, kappa, X.ring)
 
 

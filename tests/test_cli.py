@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from lefhom import render_lef
+from lefhom import cli, render_lef
 from lefhom.cli import main
+from lefhom.homology import lefschetz_homology
 from tests.conftest import DATA_DIR
 from tests.test_theorem import _tower
 
@@ -298,3 +299,63 @@ def test_search_cap_error_names_the_draw_and_what_shrinks_it(capsys):
         assert code == 1
         assert out.splitlines()[0] == "mode: basis-change"
         assert err.splitlines() == expected
+
+
+def _modulus_file(tmp_path):
+    path = tmp_path / "modulus.lef"
+    path.write_text("ring Zp 2305843009213693951\ncell a 0\n")
+    return str(path)
+
+
+def _huge_interval_file(tmp_path):
+    path = tmp_path / "huge.cub"
+    path.write_text(f"[{'9' * 5000},0]\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["homology", _star_file, "--ring", "F2305843009213693951"],
+     "error: prime field modulus must be below 2**31, got a 61-bit number"),
+    (["homology", _modulus_file],
+     "error: line 1: bad prime field: prime field modulus must be below 2**31, "
+     "got a 61-bit number"),
+    (["homology", _star_file, "--ring", "F" + "7" * 5000], "error: bad ring 'F7777"),
+    (["validate", "--format", "cubical", _huge_interval_file],
+     "error: line 1: bad interval '[9999"),
+], ids=["ring-option-modulus", "lef-modulus", "ring-option-digits", "cubical-digits"])
+def test_huge_numbers_exit_2_with_one_error_line(capsys, tmp_path, argv, message):
+    # a modulus of 2**61 - 1 once ran trial division for ever; 5 000 digits
+    # once raised int()'s ValueError out of the parsers
+    argv = [arg(tmp_path) if callable(arg) else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(message)
+
+
+def test_cubical_input_over_the_cap_is_one_error_line(capsys, tmp_path):
+    # one cube of 12 unit factors has 3**12 = 531 441 faces: refused before any is built
+    path = tmp_path / "cube12.cub"
+    path.write_text("x".join(["[0,1]"] * 12) + "\n")
+    code, out, err = run_cli(capsys, "homology", "--format", "cubical", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: cubical input exceeds 200000 simplices; raise the cap"]
+
+
+def test_a_patched_profile_function_is_used_after_the_parser_is_built(
+        capsys, monkeypatch, star_file):
+    # the parser is built once per process; command bodies still look their
+    # functions up at call time, which is what the benchmark's tracer patches
+    assert run_cli(capsys, "homology", star_file)[0] == 0
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+
+    def patched(X, ring):
+        seen.append(len(X))
+        return lefschetz_homology(X, ring)
+
+    monkeypatch.setattr(cli, "lefschetz_homology", patched)
+    code, out, _ = run_cli(capsys, "homology", star_file)
+    assert code == 0 and "H_0: Z^3" in out
+    assert seen == [5]

@@ -64,6 +64,8 @@ def test_kappa_condition_violation_names_the_pair():
 def test_duplicate_and_unknown_and_bad_ids():
     with pytest.raises(DuplicateCellId):
         build_complex([("v", 0), ("v", 1)], {}, ZZ)
+    with pytest.raises(DuplicateCellId, match=r"kappa\(e, v\) given twice"):
+        build_complex([("v", 0), ("e", 1)], [(("e", "v"), 1), (("e", "v"), 2)], ZZ)
     with pytest.raises(UnknownCellReference):
         build_complex([("v", 0)], {("w", "v"): 1}, ZZ)
     with pytest.raises(InvalidCellId):

@@ -345,6 +345,45 @@ def test_basis_change_preserves_profile_and_augmentability():
         assert is_augmentable(X), seed  # simplicial seeds are always augmentable
 
 
+def _dense_basis_change(cfg):
+    """The basis-change draw with the moves made on dense matrices: the reference."""
+    rng = random.Random(cfg.seed)
+    X = formats._random_simplicial(rng, cfg)
+    top = X.top_dim
+    basis = {q: X.cells_of_dim(q) for q in range(top + 1)}
+    mats = {q: X.boundary_matrix(q).dense() for q in range(1, top + 1)}
+    for _ in range(cfg.transform_steps):
+        eligible = [q for q in range(1, top + 1) if len(basis[q]) >= 2]
+        if not eligible:
+            break
+        q = rng.choice(eligible)
+        u, v = rng.sample(range(len(basis[q])), 2)
+        m = rng.randint(1, cfg.coefficient_bound) * rng.choice((1, -1))
+        for row in mats[q]:
+            row[u] += m * row[v]
+        if q + 1 <= top:
+            upper = mats[q + 1]
+            for j in range(len(basis[q + 1])):
+                upper[v][j] -= m * upper[u][j]
+    cells = [(cid, q) for q in range(top + 1) for cid in basis[q]]
+    kappa = {(x, y): mats[q][i][j] for q in mats for j, x in enumerate(basis[q])
+             for i, y in enumerate(basis[q - 1]) if mats[q][i][j]}
+    return build_complex(cells, kappa, X.ring)
+
+
+def test_sparse_basis_change_matches_the_dense_moves():
+    for seed in range(150):
+        cfg = GeneratorConfig(seed=seed, mode="basis-change", max_dimension=1 + seed % 3,
+                              max_cells_per_dim=4 + seed % 5, transform_steps=6 * (1 + seed % 7))
+        X, reference = random_complex(cfg), _dense_basis_change(cfg)
+        assert render_lef(X) == render_lef(reference), seed
+        for q in range(1, X.top_dim + 1):
+            # the same rows in the same order in every column, so elimination
+            # takes the same pivots
+            assert ([list(col.items()) for col in X.boundary_matrix(q)._cols]
+                    == [list(col.items()) for col in reference.boundary_matrix(q)._cols]), seed
+
+
 def test_column_operation_preserves_smith_divisors():
     # the elementary move used by the basis-change mode, in isolation:
     # adding a multiple of one column to another is unimodular

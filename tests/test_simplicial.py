@@ -1,5 +1,8 @@
 """Order complexes, simplicial homology, the finite-space pipeline."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from lefhom import (
@@ -73,6 +76,20 @@ def test_simplicial_homology_examples(twisted):
     assert simplicial_homology(cone).entries == ((0, 1, ()),)
     hollow = SimplicialComplex.from_maximal([("a", "b"), ("b", "c"), ("a", "c")])
     assert simplicial_homology(hollow).entries == ((0, 1, ()), (1, 1, ()))
+
+
+def test_from_maximal_closes_under_nonempty_subsets():
+    rng = random.Random(3)
+    for _ in range(40):
+        verts = [f"v{i}" for i in range(rng.randint(1, 7))]
+        faces = [rng.sample(verts, rng.randint(1, len(verts))) for _ in range(rng.randint(1, 4))]
+        expected = {frozenset(sub) for face in faces for size in range(1, len(face) + 1)
+                    for sub in combinations(face, size)}
+        K = SimplicialComplex.from_maximal(faces + [()])  # an empty face adds nothing
+        assert K.simplices == expected
+        assert K.vertex_order == tuple(sorted(set().union(*faces)))
+        order = list(reversed(verts))
+        assert SimplicialComplex.from_maximal(faces, order).vertex_order == tuple(order)
 
 
 def test_simplicial_complex_must_be_subset_closed():

@@ -87,6 +87,10 @@ def test_restrict_validates_on_every_locally_closed_sample(corpus):
             if is_locally_closed(X, subset):
                 sub = restrict(X, subset)  # construction re-validates
                 assert sub.cell_ids == subset, name
+                # X's incidences inside the subset, in X's order
+                assert list(sub.kappa_entries.items()) == [
+                    ((x, y), v) for (x, y), v in X.kappa_entries.items()
+                    if x in subset and y in subset], name
                 tried += 1
         assert tried > 0 or not ids
 
