@@ -45,40 +45,61 @@ class FacePoset:
     ``below(x)`` is the set of faces of x (including x itself); ``above(x)``
     the dual: ``y in below(x)`` exactly when ``x in above(y)``.  Antisymmetry
     is automatic because a strict face has strictly smaller dimension.
+    Both are stored once, as frozensets of ranks (positions in the (dim, id)
+    cell order, which extends the face order): the public methods translate
+    to ids, ``topology`` and ``simplicial`` read the ranks.
     """
 
-    __slots__ = ("_below", "_above", "_elements")
+    __slots__ = ("_ids", "_rank", "_down", "_up")
 
-    def __init__(self, below: Mapping[str, frozenset], above: Mapping[str, frozenset]):
-        self._below = dict(below)
-        self._above = dict(above)
-        self._elements = tuple(sorted(self._below))
+    def __init__(self, ids: Iterable[str], facets: Mapping[str, Iterable[str]]):
+        self._ids = ids = tuple(ids)
+        self._rank = rank = {x: r for r, x in enumerate(ids)}
+        down, cofacets = [], [[] for _ in ids]
+        for r, x in enumerate(ids):
+            faces = {r}
+            for y in facets[x]:
+                s = rank[y]
+                faces |= down[s]
+                cofacets[s].append(r)
+            down.append(frozenset(faces))
+        up = [None] * len(ids)
+        for r in reversed(range(len(ids))):
+            cofaces = {r}
+            for c in cofacets[r]:
+                cofaces |= up[c]
+            up[r] = frozenset(cofaces)
+        self._down, self._up = down, up
 
     @property
     def elements(self) -> tuple:
-        return self._elements
+        return tuple(sorted(self._ids))
+
+    def _union(self, xs: Iterable[str], sets: list) -> frozenset:
+        """The ids in the union of ``sets`` (the down- or up-sets) over the cells xs."""
+        rank, ids, out = self._rank, self._ids, set()
+        for x in xs:
+            if x not in rank:
+                raise UnknownCellReference(f"cell {x!r} not in poset")
+            out |= sets[rank[x]]
+        return frozenset([ids[r] for r in out])
 
     def below(self, x: str) -> frozenset:
-        try:
-            return self._below[x]
-        except KeyError:
-            raise UnknownCellReference(f"cell {x!r} not in poset") from None
+        return self._union((x,), self._down)
 
     def above(self, x: str) -> frozenset:
-        try:
-            return self._above[x]
-        except KeyError:
-            raise UnknownCellReference(f"cell {x!r} not in poset") from None
+        return self._union((x,), self._up)
 
     def leq(self, a: str, b: str) -> bool:
         """True when a is a face of b."""
         return a in self.below(b)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FacePoset) and self._below == other._below
+        return (isinstance(other, FacePoset) and set(self._ids) == set(other._ids)
+                and all(self.below(x) == other.below(x) for x in self._ids))
 
     def __repr__(self) -> str:
-        return f"FacePoset({len(self._elements)} elements)"
+        return f"FacePoset({len(self._ids)} elements)"
 
 
 class LefschetzComplex:
@@ -213,23 +234,7 @@ class LefschetzComplex:
 
     def face_poset(self) -> FacePoset:
         if self._poset is None:
-            # down-sets from the facets' going up in dimension, up-sets from
-            # the cofacets' going down
-            order = [c.id for c in self.cells]
-            below, above = {}, {}
-            cofacets = {cid: [] for cid in order}
-            for cid in order:
-                faces = {cid}
-                for y in self._facets[cid]:
-                    faces |= below[y]
-                    cofacets[y].append(cid)
-                below[cid] = frozenset(faces)
-            for cid in reversed(order):
-                cofaces = {cid}
-                for x in cofacets[cid]:
-                    cofaces |= above[x]
-                above[cid] = frozenset(cofaces)
-            self._poset = FacePoset(below, above)
+            self._poset = FacePoset([c.id for c in self.cells], self._facets)
         return self._poset
 
     # -- misc --------------------------------------------------------------

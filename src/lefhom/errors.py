@@ -41,7 +41,11 @@ class KappaConditionViolation(LefhomError):
     def __init__(self, x: str, z: str, total):
         self.pair = (x, z)
         self.total = total
-        super().__init__(f"kappa condition fails at ({x}, {z}): sum = {total}")
+        try:
+            shown = str(total)
+        except ValueError:  # past str()'s digit limit: the message gives the size only
+            shown = f"a {max(abs(total.numerator), total.denominator).bit_length()}-bit number"
+        super().__init__(f"kappa condition fails at ({x}, {z}): sum = {shown}")
 
 
 class NotLocallyClosed(LefhomError):

@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 from typing import Iterable, Sequence
 
 from .complexes import _ID_RE, LefschetzComplex, build_complex, is_augmentable
@@ -236,12 +237,12 @@ def import_cubical(cubes: Iterable[Sequence], ring: RingSpec = ZZ) -> LefschetzC
     non-degenerate intervals strictly before position j.  Ids are built
     once per face; the construction validator (boundary of boundary is
     zero) is still the arbiter of this sign convention.  Raises
-    ``TooManySimplices``, before building faces, once the face counts (3
-    to the number of non-degenerate intervals per cube) sum past the cap.
+    ``TooManySimplices``, before building faces, once the face counts (3^k per
+    cube with k unit factors) and the bounding box's elementary cubes both pass the cap.
     """
-    all_cubes = set()
+    checked = []
     embedding = None
-    bound = 0
+    per_cube, box = 0, None  # box: (min, max) per axis over the cubes read
     for cube in cubes:
         axes = []
         for interval in cube:
@@ -262,13 +263,17 @@ def import_cubical(cubes: Iterable[Sequence], ring: RingSpec = ZZ) -> LefschetzC
                 f"cube {tuple(axes)} has embedding dimension {len(axes)}, expected {embedding}")
         if not axes:
             raise MalformedInterval("a cube needs at least one interval")
-        bound += 3 ** sum(lo != hi for lo, hi in axes)
-        if bound > DEFAULT_SIMPLEX_CAP:
-            raise TooManySimplices(DEFAULT_SIMPLEX_CAP, "cubical input")
-        all_cubes.update(product(*[((lo, hi),) if lo == hi else ((lo, hi), (lo, lo), (hi, hi))
-                                   for lo, hi in axes]))
-    if not all_cubes:
+        checked.append(axes)
+        per_cube += 3 ** sum(lo != hi for lo, hi in axes)
+        if per_cube > DEFAULT_SIMPLEX_CAP:  # only then is the box needed, and kept from then on
+            box = [(min(lo for lo, _ in axis), max(hi for _, hi in axis))
+                   for axis in zip(*(checked if box is None else (box, axes)))]
+            if prod(2 * (hi - lo) + 1 for lo, hi in box) > DEFAULT_SIMPLEX_CAP:
+                raise TooManySimplices(DEFAULT_SIMPLEX_CAP, "cubical input")
+    if not checked:
         raise EmptyInput("no cubes to import")
+    all_cubes = set().union(*[product(*[((lo, hi),) if lo == hi else ((lo, hi), (lo, lo), (hi, hi))
+                                        for lo, hi in axes]) for axes in checked])
 
     ids = {cube: _cube_id(cube) for cube in sorted(all_cubes)}
     cells = [(cid, sum(lo != hi for lo, hi in cube)) for cube, cid in ids.items()]

@@ -1,19 +1,19 @@
 """Order complexes and simplicial homology.
 
 The homology of the finite space carried by a complex's face order is
-computed here as simplicial homology of the order complex: the abstract
-simplicial complex whose simplices are the chains of the face poset.
-That simplicial stand-in has the same homology as the finite space, which
-is what justifies calling :func:`finite_space_homology` the singular
-homology of the space.
+computed here as simplicial homology of the order complex, whose simplices
+are the chains of the face poset; McCord (Duke Math. J. 1966) shows that it
+is the singular homology of the space.
 
 :func:`finite_space_homology` first shrinks the face poset to a weak-point
 core.  A point is weak when its strict down-set or up-set is contractible,
 and removing one keeps the weak homotopy type of the finite space
 (Barmak-Minian, "Simple homotopy types and finite spaces", Adv. Math.
-2008); by McCord (Duke Math. J. 1966) the singular homology stays the same.
-The order complex is then built on the core only, so the simplex cap
-counts the core's chains.
+2008), so the singular homology stays the same.  Cells go by rank, their
+place in the (dim, id) order, which extends the face order.  The core's
+chains are enumerated once, as rank tuples under the simplex cap, and the
+boundary matrices are read straight off them; :func:`order_complex`
+enumerates the same way and returns a validated ``SimplicialComplex``.
 """
 
 from __future__ import annotations
@@ -39,6 +39,15 @@ __all__ = [
 ]
 
 DEFAULT_SIMPLEX_CAP = 200_000
+
+
+def _boundary(rows: Sequence[tuple], cols: Sequence[tuple], ring: RingSpec) -> ExactMatrix:
+    """Each simplex of ``cols`` gives its face without vertex i the sign (-1)**i."""
+    rindex = {s: i for i, s in enumerate(rows)}
+    signs = (ring.one(), ring.neg(ring.one()))  # over F2 both are 1
+    return ExactMatrix._wrap(len(rows), [
+        {rindex[s[:i] + s[i + 1:]]: signs[i % 2] for i in range(len(s)) if rindex}
+        for s in cols], ring)
 
 
 def _merge_orders(first: Sequence[str], second: Sequence[str]) -> tuple:
@@ -90,15 +99,16 @@ class SimplicialComplex:
 
         # closure under non-empty subsets, checked not repaired
         for s in families:
-            for v in s:
-                if len(s) > 1 and (s - {v}) not in families:
-                    raise ValueError(f"missing face {sorted(s - {v})} of {sorted(s)}")
+            if len(s) > 1:
+                for v in s:
+                    if s - {v} not in families:
+                        raise ValueError(f"missing face {sorted(s - {v})} of {sorted(s)}")
         self._simplices = frozenset(families)
-        by_dim = {}
+        by_dim = {}  # simplices as ascending vertex positions, sorted as such
         for s in families:
-            ordered = tuple(sorted(s, key=self._pos.__getitem__))
-            by_dim.setdefault(len(s) - 1, []).append(ordered)
-        self._by_dim = {q: tuple(sorted(sims, key=lambda t: tuple(self._pos[v] for v in t)))
+            by_dim.setdefault(len(s) - 1, []).append(sorted(map(self._pos.__getitem__, s)))
+        order = self.vertex_order
+        self._by_dim = {q: tuple([tuple([order[i] for i in p]) for p in sorted(sims)])
                         for q, sims in by_dim.items()}
 
     @classmethod
@@ -150,12 +160,7 @@ class SimplicialComplex:
     def boundary_matrix(self, q: int, ring: RingSpec = ZZ) -> ExactMatrix:
         """Boundary from degree q to q-1 over ``ring``: deleting vertex i
         of a simplex gives its face the sign (-1)**i; vertices have none."""
-        rows = self.simplices_of_dim(q - 1)
-        rindex = {s: i for i, s in enumerate(rows)}
-        signs = (ring.one(), ring.neg(ring.one()))  # over F2 both are 1
-        return ExactMatrix._wrap(len(rows), [
-            {rindex[s[:i] + s[i + 1:]]: signs[i % 2] for i in range(len(s)) if q}
-            for s in self.simplices_of_dim(q)], ring)
+        return _boundary(self.simplices_of_dim(q - 1), self.simplices_of_dim(q), ring)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SimplicialComplex)
@@ -163,6 +168,31 @@ class SimplicialComplex:
 
     def __repr__(self) -> str:
         return f"SimplicialComplex({len(self._simplices)} simplices, dim {self.dim})"
+
+
+def _poset_chains(X: LefschetzComplex, subspace: Optional[frozenset], max_simplices: int):
+    """The cell ids, the ranks in ``subspace`` (all when None) and, one list
+    per dimension, the chains inside it as rank tuples.  The chains starting
+    at x are x, then each chain starting at a cell above x, in ascending
+    rank: so every list comes out sorted, as ``SimplicialComplex`` sorts."""
+    poset = X.face_poset()
+    cells = [r for r, x in enumerate(poset._ids) if subspace is None or x in subspace]
+    up, keep = poset._up, set(cells)
+    starting = {}
+    total = 0
+    for x in reversed(cells):
+        acc = [(x,)]
+        for y in sorted(up[x] & keep)[1:]:  # x itself comes first
+            acc.extend([(x,) + chain for chain in starting[y]])
+        starting[x] = acc
+        total += len(acc)
+        if total > max_simplices:
+            raise TooManySimplices(max_simplices)
+    by_dim = {}
+    for x in cells:
+        for chain in starting[x]:
+            by_dim.setdefault(len(chain) - 1, []).append(chain)
+    return poset._ids, cells, [by_dim[q] for q in range(len(by_dim))]  # faces of chains are chains
 
 
 def order_complex(X: LefschetzComplex,
@@ -176,25 +206,9 @@ def order_complex(X: LefschetzComplex,
     kept: the order complex of that subspace of the finite space.
     Chain counting is exponential in poset height, hence the cap.
     """
-    poset = X.face_poset()
-    cells_sorted = [c.id for c in X.cells]
-    if subspace is not None:
-        cells_sorted = [x for x in cells_sorted if x in subspace]
-    chains_ending = {}
-    total = 0
-    for x in cells_sorted:
-        acc = [(x,)]
-        faces = poset.below(x) - {x}
-        if subspace is not None:
-            faces &= subspace
-        for y in sorted(faces):
-            acc.extend(chain + (x,) for chain in chains_ending[y])
-        chains_ending[x] = acc
-        total += len(acc)
-        if total > max_simplices:
-            raise TooManySimplices(max_simplices)
-    simplices = [chain for chains in chains_ending.values() for chain in chains]
-    return SimplicialComplex(simplices, vertex_order=cells_sorted)
+    ids, cells, by_dim = _poset_chains(X, subspace, max_simplices)
+    return SimplicialComplex((map(ids.__getitem__, chain) for chains in by_dim for chain in chains),
+                             vertex_order=[ids[r] for r in cells])
 
 
 def weak_point_core(X: LefschetzComplex) -> frozenset:
@@ -209,29 +223,27 @@ def weak_point_core(X: LefschetzComplex) -> frozenset:
     queued again; the core is deterministic.
     """
     poset = X.face_poset()
-    order = [c.id for c in X.cells]
-    rank = {x: i for i, x in enumerate(order)}.__getitem__
-    live = set(order)
+    down, up = poset._down, poset._up
+    live = set(range(len(down)))
     kept = set()  # live, examined, and not weak at the last examination
-    heap = list(range(len(order)))  # sorted, so already a heap
+    heap = sorted(live)  # sorted, so already a heap
     while heap:
-        x = order[heapq.heappop(heap)]
-        for strict in (poset.below(x), poset.above(x)):
+        x = heapq.heappop(heap)
+        for strict in (down[x], up[x]):
             rest = live & strict
             rest.discard(x)
-            # a maximum has the top rank and a minimum the bottom one
-            if rest and (rest <= poset.below(max(rest, key=rank))
-                         or rest <= poset.above(min(rest, key=rank))):
+            # ranks extend the face order: a maximum has the top rank, a minimum the bottom
+            if rest and (rest <= down[max(rest)] or rest <= up[min(rest)]):
                 live.discard(x)
-                for comparable in (poset.below(x), poset.above(x)):
+                for comparable in (down[x], up[x]):
                     woken = kept & comparable
                     kept -= woken
                     for y in woken:
-                        heapq.heappush(heap, rank(y))
+                        heapq.heappush(heap, y)
                 break
         else:
             kept.add(x)
-    return frozenset(live)
+    return frozenset([poset._ids[r] for r in live])
 
 
 def simplicial_homology(K: SimplicialComplex, ring: RingSpec = ZZ) -> HomologyProfile:
@@ -270,13 +282,15 @@ def finite_space_homology(X: LefschetzComplex, ring: Optional[RingSpec] = None,
                           max_simplices: int = DEFAULT_SIMPLEX_CAP) -> HomologyProfile:
     """Singular homology of the finite space of X, via its order complex.
 
-    The order complex is built on :func:`weak_point_core` only: removing a
-    weak point keeps the weak homotopy type (Barmak-Minian 2008), hence by
-    McCord the singular homology.  ``max_simplices`` caps the chains of the
-    core, not of the whole face poset.
+    Only the chains of :func:`weak_point_core` are enumerated, and their
+    boundaries assembled directly: removing a weak point keeps the weak
+    homotopy type (Barmak-Minian 2008), hence by McCord the singular
+    homology.  ``max_simplices`` caps the core's chains, not the poset's.
     """
     ring = X.ring if ring is None else ring
-    return simplicial_homology(order_complex(X, max_simplices, weak_point_core(X)), ring)
+    _, _, by_dim = _poset_chains(X, weak_point_core(X), max_simplices)
+    return profile_from_boundaries(ring, [len(chains) for chains in by_dim],
+                                   lambda q: _boundary(by_dim[q - 1], by_dim[q], ring))
 
 
 def relative_finite_space_homology(X: LefschetzComplex, subspace: Iterable,

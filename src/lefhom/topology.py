@@ -37,22 +37,14 @@ def _cellset(X: LefschetzComplex, A: Iterable) -> frozenset:
 
 def closure(X: LefschetzComplex, A: Iterable) -> frozenset:
     """Smallest closed set containing A: the union of the face down-sets."""
-    A = _cellset(X, A)
     poset = X.face_poset()
-    out = set()
-    for a in A:
-        out |= poset.below(a)
-    return frozenset(out)
+    return poset._union(_cellset(X, A), poset._down)
 
 
 def open_hull(X: LefschetzComplex, A: Iterable) -> frozenset:
     """Smallest open set containing A: the union of the coface up-sets."""
-    A = _cellset(X, A)
     poset = X.face_poset()
-    out = set()
-    for a in A:
-        out |= poset.above(a)
-    return frozenset(out)
+    return poset._union(_cellset(X, A), poset._up)
 
 
 def mouth(X: LefschetzComplex, A: Iterable) -> frozenset:

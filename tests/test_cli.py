@@ -87,6 +87,20 @@ def test_validate_good_and_broken(capsys, star_file, tmp_path):
     assert "offending_pair: c,a" in out
 
 
+def test_validate_reports_a_kappa_total_past_the_digit_limit(capsys, tmp_path):
+    # the total is a product of two 3 000-digit entries; printing it once
+    # ended in int()'s ValueError
+    big = "9" * 3000
+    path = tmp_path / "long.lef"
+    path.write_text(f"ring Z\ncell a 0\ncell b 0\ncell e 1\ncell f 2\n"
+                    f"kappa e a {big}\nkappa e b 1\nkappa f e {big}\n")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1 and err == ""
+    assert out.splitlines() == ["valid: false",
+                                "error: kappa condition fails at (f, a): sum = a 19932-bit number",
+                                "offending_pair: f,a"]
+
+
 def test_parse_error_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.lef"
     bad.write_text("ring Z\ncell e 1\nkappa e v 1\n")

@@ -61,6 +61,18 @@ def test_kappa_condition_violation_names_the_pair():
     assert len(build_complex(*_SUM_THREE, GF(3))) == 4
 
 
+def test_kappa_total_past_the_digit_limit_is_kept_exact():
+    # the total has about 6 000 digits, past what str() of an int will print
+    big = 10 ** 3000 - 1
+    cells = [("a", 0), ("b", 0), ("e", 1), ("f", 2)]
+    kappa = {("e", "a"): big, ("e", "b"): 1, ("f", "e"): big}
+    for ring, total in ((ZZ, big * big), (QQ, Fraction(big * big))):
+        with pytest.raises(KappaConditionViolation) as err:
+            build_complex(cells, kappa, ring)
+        assert err.value.pair == ("f", "a") and err.value.total == total
+        assert str(err.value) == "kappa condition fails at (f, a): sum = a 19932-bit number"
+
+
 def test_duplicate_and_unknown_and_bad_ids():
     with pytest.raises(DuplicateCellId):
         build_complex([("v", 0), ("v", 1)], {}, ZZ)

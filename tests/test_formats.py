@@ -28,6 +28,7 @@ from lefhom.errors import (
     EmptyInput,
     LefSyntaxError,
     MalformedInterval,
+    TooManySimplices,
 )
 from lefhom.exact import ExactMatrix
 from lefhom.formats import GENERATOR_BOUNDS, MAX_LEF_DIM
@@ -292,6 +293,36 @@ def test_import_cubical_builds_each_id_once(monkeypatch):
                                 for i in range(8) for j in range(8)))
     assert len(X) == 289
     assert len(calls) == 289
+
+
+def test_cubical_cap_bounds_the_distinct_faces(monkeypatch):
+    monkeypatch.setattr(formats, "DEFAULT_SIMPLEX_CAP", 100)
+
+    def grid(n):
+        return [[(i, i + 1), (j, j + 1)] for i in range(n) for j in range(n)]
+
+    # 16 squares have 144 faces counted square by square, but their 9x9
+    # bounding box holds only 81 elementary cubes
+    assert len(import_cubical(grid(4))) == 81
+    with pytest.raises(TooManySimplices):
+        import_cubical(grid(5))  # 225 faces counted by square, an 11x11 box
+    # far apart, the per-cube count is the smaller bound
+    assert len(import_cubical([[(0, 1), (0, 1)], [(1000, 1001), (0, 1)]])) == 18
+
+
+def test_a_large_cubical_grid_is_refused_while_it_is_read():
+    read = []
+
+    def cubes():
+        for i in range(1000):
+            for j in range(1000):
+                read.append((i, j))
+                yield ((i, i + 1), (j, j + 1))
+
+    with pytest.raises(TooManySimplices, match="cubical input exceeds 200000 simplices"):
+        import_cubical(cubes())
+    # refused once the box of the rows read passes the cap: 50 rows of 1 000
+    assert len(read) < 51_000
 
 
 def test_import_simplicial_builds_each_id_once(monkeypatch):

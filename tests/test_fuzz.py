@@ -13,6 +13,7 @@ from lefhom.cli import main
 from tests.conftest import DATA_DIR
 
 HUGE_INT = "9" * 5000  # past int()'s default limit of 4300 digits
+LONG_INT = "9" * 3000  # parses, but a product of two is past that limit
 HUGE_PRIME = "2305843009213693951"  # 2**61 - 1: trial division would not end
 LIMIT_S = 3.0
 
@@ -20,10 +21,12 @@ CORPUS = [(path.read_text(encoding="utf-8"), "lef") for path in sorted(DATA_DIR.
 CORPUS += [
     ("[0,1]x[0,1]\n", "cubical"),
     ("[0,1]x[0]\n[1,2]x[0]\n[1]x[0,1]\n", "cubical"),
+    ("ring Z\ncell a 0\ncell b 0\ncell e 1\ncell f 1\ncell s 2\n"
+     "kappa e a -1\nkappa e b 1\nkappa f a -1\nkappa f b 1\nkappa s e 1\nkappa s f -1\n", "lef"),
     ("a b c\nc d\n", "simplicial"),
     ("a b\nb c\nc a  # a circle\n", "simplicial"),
 ]
-INSERTS = [HUGE_INT, "99999999999999999999", "1001", "-1", "-7", "é", "ß_1",
+INSERTS = [HUGE_INT, LONG_INT, "99999999999999999999", "1001", "-1", "-7", "é", "ß_1",
            "٣", "²", HUGE_PRIME, "Zp", "[0,1]", "[0]"]
 RINGS = [None, "Z", "Q", "F2", "F3", "F4", "F" + HUGE_PRIME, "F" + HUGE_INT, "F²"]
 COMMANDS = ["validate", "homology", "singular", "check", "export-dot"]
@@ -96,6 +99,8 @@ def _run(command, fmt, ring, text):
 @example(("homology", "lef", "F" + HUGE_INT, (DATA_DIR / "star4.lef").read_text()))
 @example(("validate", "cubical", None, f"[{HUGE_INT},0]\n"))
 @example(("validate", "cubical", None, "x".join(["[0,1]"] * 12) + "\n"))
+@example(("validate", "lef", None, f"ring Z\ncell a 0\ncell b 0\ncell e 1\ncell f 2\n"
+                                    f"kappa e a {LONG_INT}\nkappa e b 1\nkappa f e {LONG_INT}\n"))
 def test_mutated_input_ends_in_a_result_or_one_error_line(case):
     code, out, err = _run(*case)
     assert code in (0, 1, 2)

@@ -1,5 +1,6 @@
 """Order complexes, simplicial homology, the finite-space pipeline."""
 
+import heapq
 import random
 from itertools import combinations
 
@@ -24,9 +25,11 @@ from lefhom import (
     simplicial_homology,
     weak_point_core,
 )
-from lefhom import closure
+from lefhom import closure, simplicial
 from lefhom.errors import TooManySimplices, UnknownCellReference
-from lefhom.formats import GeneratorConfig, parse_simplicial, random_complex
+from lefhom.exact import ExactMatrix
+from lefhom.formats import GeneratorConfig, parse_lef, parse_simplicial, random_complex
+from lefhom.homology import profile_from_boundaries
 from tests.test_theorem import _tower
 
 RP2_FACES = ("abc", "acd", "ade", "aef", "afb", "bce", "cdf", "deb", "efc", "fbd")
@@ -270,3 +273,112 @@ def test_simplex_cap_counts_the_reduced_order_complex():
     assert str(finite_space_homology(X)) == "H_0: Z; H_1: Z"
     with pytest.raises(TooManySimplices):
         finite_space_homology(X, max_simplices=5)
+
+
+# -- rank-indexed pipeline against id-keyed references -------------------------
+
+
+def _reference_order_complex(X):
+    """Every chain of the face order, enumerated by ids from the facets alone."""
+    faces = {}
+    for cell in X.cells:  # (dim, id) order: facets come first
+        faces[cell.id] = set().union(*(faces[y] | {y} for y in X.facets(cell.id)))
+    chains = []
+
+    def extend(chain):
+        chains.append(chain)
+        for y in faces[chain[0]]:
+            extend((y,) + chain)
+
+    for cell in X.cells:
+        extend((cell.id,))
+    return SimplicialComplex(chains, vertex_order=[cell.id for cell in X.cells])
+
+
+def _reference_homology(K, ring):
+    """Simplicial homology of K with each boundary entry written out here."""
+    def boundary(q):
+        rows = {s: i for i, s in enumerate(K.simplices_of_dim(q - 1))}
+        cols = K.simplices_of_dim(q)
+        return ExactMatrix(len(rows), len(cols), {
+            (rows[s[:i] + s[i + 1:]], j): (-1) ** i
+            for j, s in enumerate(cols) for i in range(len(s))}, ring)
+
+    return profile_from_boundaries(ring, [len(K.simplices_of_dim(q)) for q in range(K.dim + 1)],
+                                   boundary)
+
+
+def _reference_weak_point_core(X):
+    """The id-keyed weak-point pass, as it stood before ranks indexed the poset."""
+    poset = X.face_poset()
+    order = [c.id for c in X.cells]
+    rank = {x: i for i, x in enumerate(order)}.__getitem__
+    live = set(order)
+    kept = set()
+    heap = list(range(len(order)))
+    while heap:
+        x = order[heapq.heappop(heap)]
+        for strict in (poset.below(x), poset.above(x)):
+            rest = live & strict
+            rest.discard(x)
+            if rest and (rest <= poset.below(max(rest, key=rank))
+                         or rest <= poset.above(min(rest, key=rank))):
+                live.discard(x)
+                for comparable in (poset.below(x), poset.above(x)):
+                    woken = kept & comparable
+                    kept -= woken
+                    for y in woken:
+                        heapq.heappush(heap, rank(y))
+                break
+        else:
+            kept.add(x)
+    return frozenset(live)
+
+
+def _oracle_inputs(data_dir):
+    out = [(path.name, parse_lef(path.read_text())) for path in sorted(data_dir.glob("*.lef"))]
+    out += [(f"grid{n}x{m}", import_cubical([[(i, i + 1), (j, j + 1)]
+                                               for i in range(n) for j in range(m)]))
+            for n in range(1, 5) for m in range(1, 5)]
+    out.append(("cube2x1x1", import_cubical([[(0, 1), (0, 1), (0, 1)], [(1, 2), (0, 1), (0, 1)]])))
+    out.append(("rp2", import_simplicial([tuple(face) for face in RP2_FACES])))
+    for seed in range(5000, 5200):
+        for mode in ("basis-change", "cubical-random"):
+            out.append((f"{mode}-{seed}", random_complex(GeneratorConfig(seed=seed, mode=mode))))
+    return out
+
+
+def test_rank_pipeline_matches_the_full_order_complex(data_dir):
+    for name, X in _oracle_inputs(data_dir):
+        K = _reference_order_complex(X)
+        assert order_complex(X) == K, name
+        assert order_complex(X).vertices == K.vertices, name
+        for q in range(1, K.dim):  # the signs make a chain complex
+            assert (K.boundary_matrix(q) @ K.boundary_matrix(q + 1)).is_zero(), (name, q)
+        for ring in (ZZ, QQ, GF(2), GF(3)):
+            expected = _reference_homology(K, ring)
+            assert simplicial_homology(K, ring) == expected, (name, ring.label)
+            assert finite_space_homology(X, ring) == expected, (name, ring.label)
+
+
+def test_rank_weak_point_core_matches_the_id_keyed_pass(data_dir, corpus, sweep_corpus):
+    inputs = _oracle_inputs(data_dir) + corpus + [(cfg.seed, X) for cfg, X in sweep_corpus]
+    for name, X in inputs:
+        assert weak_point_core(X) == _reference_weak_point_core(X), name
+
+
+def test_core_boundaries_are_those_of_the_core_order_complex(monkeypatch, data_dir):
+    # the same matrices, rows and columns in the same order, reach elimination
+    seen = []
+
+    def spy(ring, sizes, boundary):
+        seen.append((list(sizes), [boundary(q).dense() for q in range(1, len(sizes))]))
+        return profile_from_boundaries(ring, sizes, boundary)
+
+    monkeypatch.setattr(simplicial, "profile_from_boundaries", spy)
+    for name, X in _oracle_inputs(data_dir):
+        seen.clear()
+        finite_space_homology(X)
+        K = order_complex(X, subspace=weak_point_core(X))
+        assert seen == [([len(K.simplices_of_dim(q)) for q in range(K.dim + 1)],
+                         [K.boundary_matrix(q).dense() for q in range(1, K.dim + 1)])], name
