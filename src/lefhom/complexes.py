@@ -47,10 +47,11 @@ class FacePoset:
     is automatic because a strict face has strictly smaller dimension.
     Both are stored once, as frozensets of ranks (positions in the (dim, id)
     cell order, which extends the face order): the public methods translate
-    to ids, ``topology`` and ``simplicial`` read the ranks.
+    to ids, ``topology`` and ``simplicial`` read the ranks.  ``topology``'s
+    closed-set walk also reads ``_cofacets``: each cell's cofacet ranks, ascending.
     """
 
-    __slots__ = ("_ids", "_rank", "_down", "_up")
+    __slots__ = ("_ids", "_rank", "_down", "_up", "_cofacets")
 
     def __init__(self, ids: Iterable[str], facets: Mapping[str, Iterable[str]]):
         self._ids = ids = tuple(ids)
@@ -69,7 +70,7 @@ class FacePoset:
             for c in cofacets[r]:
                 cofaces |= up[c]
             up[r] = frozenset(cofaces)
-        self._down, self._up = down, up
+        self._down, self._up, self._cofacets = down, up, cofacets
 
     @property
     def elements(self) -> tuple:

@@ -290,9 +290,8 @@ def import_cubical(cubes: Iterable[Sequence], ring: RingSpec = ZZ) -> LefschetzC
     return build_complex(cells, kappa, ring)
 
 
-def parse_cubical(text: str, ring: RingSpec = ZZ) -> LefschetzComplex:
-    """One cube per line, e.g. ``[0,1]x[3]x[2,3]``."""
-    cubes = []
+def _cubes(text: str):
+    """The cubes of the lines of ``text``, parsed as they are read."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -307,10 +306,16 @@ def parse_cubical(text: str, ring: RingSpec = ZZ) -> LefschetzComplex:
             except ValueError:  # also an integer past int's digit limit
                 raise LefSyntaxError(line_no, f"bad interval {token.strip()!r}") from None
             axes.append((lo, hi))
-        cubes.append(tuple(axes))
-    if not cubes:
-        raise EmptyInput("no cubes in input")
-    return import_cubical(cubes, ring)
+        yield tuple(axes)
+
+
+def parse_cubical(text: str, ring: RingSpec = ZZ) -> LefschetzComplex:
+    """One cube per line, e.g. ``[0,1]x[3]x[2,3]``.  A line is parsed when
+    :func:`import_cubical` takes its cube, so its errors end the read there."""
+    try:
+        return import_cubical(_cubes(text), ring)
+    except EmptyInput:  # import_cubical raises it only when no cube came
+        raise EmptyInput("no cubes in input") from None
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +393,6 @@ def _basis_change(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:
     basis = {q: X.cells_of_dim(q) for q in range(top + 1)}
     # a {row: value} copy of each boundary column, degree q's in cols[q]
     cols = {q: [dict(col) for col in X.boundary_matrix(q)._cols] for q in range(1, top + 1)}
-    augmentable_before = is_augmentable(X)
 
     for _ in range(cfg.transform_steps):
         eligible = [q for q in range(1, top + 1) if len(basis[q]) >= 2]
@@ -413,7 +417,7 @@ def _basis_change(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:
     kappa = [((x, basis[q - 1][row]), value) for q in cols
              for x, col in zip(basis[q], cols[q]) for row, value in sorted(col.items()) if value]
     out = build_complex(cells, kappa, X.ring)
-    if augmentable_before and not is_augmentable(out):
+    if not is_augmentable(out):  # X is simplicial, so augmentable
         raise AssertionError("basis change broke augmentability")
     return out
 

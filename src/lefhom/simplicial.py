@@ -10,10 +10,10 @@ core.  A point is weak when its strict down-set or up-set is contractible,
 and removing one keeps the weak homotopy type of the finite space
 (Barmak-Minian, "Simple homotopy types and finite spaces", Adv. Math.
 2008), so the singular homology stays the same.  Cells go by rank, their
-place in the (dim, id) order, which extends the face order.  The core's
-chains are enumerated once, as rank tuples under the simplex cap, and the
-boundary matrices are read straight off them; :func:`order_complex`
-enumerates the same way and returns a validated ``SimplicialComplex``.
+place in the (dim, id) order, which extends the face order.  Chains are
+enumerated as rank tuples under the simplex cap, and every boundary matrix,
+also of the corollary sweep and of relative homology, is read off them;
+only :func:`order_complex` turns them into a ``SimplicialComplex``.
 """
 
 from __future__ import annotations
@@ -262,20 +262,22 @@ def relative_simplicial_homology(K: SimplicialComplex, L: SimplicialComplex,
     """
     if not L.is_subcomplex_of(K):
         raise ValueError("relative homology needs a subcomplex")
-    return _chains(K, ring, lambda s: s).profile(
-        s for q in range(K.dim + 1) for s in K.simplices_of_dim(q) if s not in L)
+    simplices = [K.simplices_of_dim(q) for q in range(K.dim + 1)]
+    return ChainSlices(ring, simplices, lambda q: K.boundary_matrix(q, ring)).profile(
+        s for sims in simplices for s in sims if s not in L)
 
 
-def _chains(K: SimplicialComplex, ring: RingSpec, key) -> ChainSlices:
-    return ChainSlices(ring, [[key(s) for s in K.simplices_of_dim(q)] for q in range(K.dim + 1)],
-                       lambda q: K.boundary_matrix(q, ring))
+def _rank_slices(by_dim: list, ring: RingSpec, keys: list) -> ChainSlices:
+    """The chain complex of the rank chains ``by_dim``, generators named by ``keys``."""
+    return ChainSlices(ring, keys, lambda q: _boundary(by_dim[q - 1] if q else (), by_dim[q], ring))
 
 
 def order_complex_chains(X: LefschetzComplex, ring: RingSpec) -> ChainSlices:
     """The order complex of X as slices keyed by top cell: the order complex
     of a closed set A is the chains whose top cell lies in A, so
     ``profile(A)`` is the finite-space homology of A."""
-    return _chains(order_complex(X), ring, lambda chain: chain[-1])
+    ids, _, by_dim = _poset_chains(X, None, DEFAULT_SIMPLEX_CAP)
+    return _rank_slices(by_dim, ring, [[ids[chain[-1]] for chain in chains] for chains in by_dim])
 
 
 def finite_space_homology(X: LefschetzComplex, ring: Optional[RingSpec] = None,
@@ -299,16 +301,18 @@ def relative_finite_space_homology(X: LefschetzComplex, subspace: Iterable,
     """Relative singular homology of (X, A) for an arbitrary subspace A.
 
     A needs no closure property: its order complex is the full subcomplex
-    of the ambient order complex on the cells of A.
+    of the ambient order complex on the cells of A, so the quotient keeps
+    the chains with a cell outside A.
     """
     ring = X.ring if ring is None else ring
     subspace = frozenset(subspace)
     unknown = subspace - X.cell_ids
     if unknown:
         raise UnknownCellReference(f"not cells of the complex: {sorted(unknown)}")
-    K = order_complex(X, max_simplices)
-    L = K.full_subcomplex(subspace)
-    return relative_simplicial_homology(K, L, ring)
+    ids, _, by_dim = _poset_chains(X, None, max_simplices)
+    outside = {r for r, x in enumerate(ids) if x not in subspace}
+    return _rank_slices(by_dim, ring, by_dim).profile(
+        chain for chains in by_dim for chain in chains if not outside.isdisjoint(chain))
 
 
 def simplicial_excision_check(K1: SimplicialComplex, K2: SimplicialComplex,

@@ -87,15 +87,9 @@ def restrict(X: LefschetzComplex, A: Iterable) -> LefschetzComplex:
 def _walk(X: LefschetzComplex, cap: int, sweep=None) -> list:
     """Bitmasks over the (dim, id) cell order of the closed sets found;
     with a sweep, only of those at which ``sweep.visit()`` is true."""
-    ids = [c.id for c in X.cells]  # sorted by (dim, id): a linear extension
-    pos = {x: i for i, x in enumerate(ids)}
-    needs, cofacets = [], [[] for _ in ids]
-    for k, x in enumerate(ids):
-        mask = 0
-        for y in X.facets(x):
-            mask |= 1 << pos[y]
-            cofacets[pos[y]].append(k)
-        needs.append(mask)
+    poset = X.face_poset()  # ranks follow (dim, id): a linear extension
+    ids, rank, cofacets = poset._ids, poset._rank, poset._cofacets
+    needs = [sum(1 << rank[y] for y in X._facets[x]) for x in ids]  # distinct bits: an OR
 
     # Depth first over include/exclude decisions in cell order.  A node is
     # a closed set, its last included cell j, and its addable cells: those
@@ -153,7 +147,7 @@ def enumerate_closed_sets(X: LefschetzComplex,
     last joined cell out again, and ``visit()`` at each closed set.  Only
     the sets at which ``visit()`` is true are returned then.
     """
-    ids = [c.id for c in X.cells]
+    ids = X.face_poset()._ids
     sets = [frozenset(ids[k] for k in range(len(ids)) if mask >> k & 1)
             for mask in _walk(X, cap, sweep)]
     sets.sort(key=lambda s: (len(s), tuple(sorted(s))))

@@ -23,6 +23,7 @@ from lefhom import (
     smith_normal_form,
 )
 from lefhom import formats
+from lefhom.cli import main
 from lefhom.errors import (
     DimensionMismatch,
     EmptyInput,
@@ -323,6 +324,26 @@ def test_a_large_cubical_grid_is_refused_while_it_is_read():
         import_cubical(cubes())
     # refused once the box of the rows read passes the cap: 50 rows of 1 000
     assert len(read) < 51_000
+
+
+def test_the_cubical_cap_ends_the_read_before_a_later_bad_line(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(formats, "DEFAULT_SIMPLEX_CAP", 100)
+    grid = [f"[{i},{i + 1}]x[{j},{j + 1}]" for i in range(20) for j in range(20)]
+    path = tmp_path / "grid.txt"
+    path.write_text("\n".join(grid + ["[0,1]x[oops]"]) + "\n")
+    with pytest.raises(TooManySimplices):
+        parse_cubical(path.read_text())
+    assert main(["validate", "--format", "cubical", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "valid: false\nerror: cubical input exceeds 100 simplices; raise the cap\n")
+    # before the cap, the line is a syntax error numbered as str.splitlines counts
+    path.write_text("\n".join(grid[:3] + ["[0,1]x[oops]"]) + "\n")
+    assert main(["validate", "--format", "cubical", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 4: bad interval '[oops]'\n"
+    with pytest.raises(LefSyntaxError, match=r"line 3: bad interval '\[oops\]'"):
+        parse_cubical("[0,1]x[0,1]\r\n\x0c[0,1]x[oops]\n")
+    with pytest.raises(EmptyInput, match="no cubes in input"):
+        parse_cubical("# nothing\n\n")
 
 
 def test_import_simplicial_builds_each_id_once(monkeypatch):

@@ -25,7 +25,7 @@ from lefhom import (
     smith_normal_form,
 )
 from lefhom import exact
-from lefhom.errors import NonFieldRing, NotClosed, TooManyClosedSets
+from lefhom.errors import NonFieldRing, NotClosed, TooManyClosedSets, TooManySimplices
 from lefhom.exact import kernel_basis, pivot_columns, rank_over, solve
 from lefhom.homology import (
     HomologyProfile,
@@ -43,6 +43,8 @@ from lefhom.simplicial import (
 )
 from lefhom.topology import closure, count_closed_sets
 from tests.conftest import random_closed_set
+from tests.test_simplicial import _oracle_inputs
+from tests.test_theorem import _tower
 
 RINGS = (ZZ, QQ, GF(2), GF(3))
 
@@ -280,6 +282,21 @@ def test_slices_match_rebuilt_closed_subcomplexes(corpus):
                 sub = restrict(X, closed)
                 assert cells.profile(closed) == lefschetz_homology(sub, ring), (name, ring)
                 assert chains.profile(closed) == finite_space_homology(sub, ring), (name, ring)
+
+
+def test_order_complex_chains_are_the_order_complex_keyed_by_top_cell(data_dir):
+    # column for column, in order: a comparison of sets would miss the order
+    for name, X in _oracle_inputs(data_dir):
+        K = order_complex(X)
+        keys = {(q, i): s[-1] for q in range(K.dim + 1) for i, s in enumerate(K.simplices_of_dim(q))}
+        for ring in RINGS:
+            chains = order_complex_chains(X, ring)
+            assert {place: key for key, places in chains._at.items()
+                    for place in places} == keys, name
+            assert chains._columns == [K.boundary_matrix(q, ring)._cols
+                                       for q in range(K.dim + 1)], (name, ring.label)
+    with pytest.raises(TooManySimplices):  # the cap of order_complex(X)
+        order_complex_chains(_tower(12), ZZ)
 
 
 def _as_validated(m):

@@ -25,11 +25,12 @@ from lefhom import (
     simplicial_homology,
     weak_point_core,
 )
-from lefhom import closure, simplicial
+from lefhom import check_corollary, closure, is_closed, open_hull, simplicial
 from lefhom.errors import TooManySimplices, UnknownCellReference
 from lefhom.exact import ExactMatrix
 from lefhom.formats import GeneratorConfig, parse_lef, parse_simplicial, random_complex
 from lefhom.homology import profile_from_boundaries
+from lefhom.simplicial import order_complex_chains
 from tests.test_theorem import _tower
 
 RP2_FACES = ("abc", "acd", "ade", "aef", "afb", "bce", "cdf", "deb", "efc", "fbd")
@@ -335,14 +336,16 @@ def _reference_weak_point_core(X):
     return frozenset(live)
 
 
-def _oracle_inputs(data_dir):
+def _oracle_inputs(data_dir, side=4, seeds=range(5000, 5200)):
+    """data/*.lef, grids 1x1 to side x side, a cube pair, RP2 and one draw
+    of basis-change and of cubical-random per seed."""
     out = [(path.name, parse_lef(path.read_text())) for path in sorted(data_dir.glob("*.lef"))]
     out += [(f"grid{n}x{m}", import_cubical([[(i, i + 1), (j, j + 1)]
                                                for i in range(n) for j in range(m)]))
-            for n in range(1, 5) for m in range(1, 5)]
+            for n in range(1, side + 1) for m in range(1, side + 1)]
     out.append(("cube2x1x1", import_cubical([[(0, 1), (0, 1), (0, 1)], [(1, 2), (0, 1), (0, 1)]])))
     out.append(("rp2", import_simplicial([tuple(face) for face in RP2_FACES])))
-    for seed in range(5000, 5200):
+    for seed in seeds:
         for mode in ("basis-change", "cubical-random"):
             out.append((f"{mode}-{seed}", random_complex(GeneratorConfig(seed=seed, mode=mode))))
     return out
@@ -382,3 +385,48 @@ def test_core_boundaries_are_those_of_the_core_order_complex(monkeypatch, data_d
         K = order_complex(X, subspace=weak_point_core(X))
         assert seen == [([len(K.simplices_of_dim(q)) for q in range(K.dim + 1)],
                          [K.boundary_matrix(q).dense() for q in range(1, K.dim + 1)])], name
+
+
+# -- relative homology and the sweep on the rank chains ------------------------
+
+
+def test_relative_finite_space_homology_matches_the_simplicial_route(data_dir, corpus):
+    # the route it replaced: the quotient of the order complex by the full
+    # subcomplex on A; for a closed A, also the sweep's slice of the chains
+    # whose top cell is outside A
+    rng = random.Random(13)
+    for name, X in _oracle_inputs(data_dir, 3, range(5000, 5060)) + corpus:
+        K = order_complex(X)
+        ids = sorted(X.cell_ids)
+        subspaces = [frozenset(), X.cell_ids,
+                     closure(X, rng.sample(ids, rng.randint(0, len(ids)))),
+                     open_hull(X, rng.sample(ids, rng.randint(0, len(ids)))),
+                     frozenset(rng.sample(ids, rng.randint(0, len(ids))))]
+        for ring in (ZZ, QQ, GF(2), GF(3)):
+            chains = order_complex_chains(X, ring)
+            for A in subspaces:
+                expected = relative_simplicial_homology(K, K.full_subcomplex(A), ring)
+                assert relative_finite_space_homology(X, A, ring) == expected, (name, ring.label)
+                if is_closed(X, A):
+                    assert chains.profile(X.cell_ids - A) == expected, (name, ring.label)
+
+
+def test_relative_finite_space_homology_keeps_the_cap():
+    grid = _grid(3)
+    full = len(order_complex(grid))
+    assert relative_finite_space_homology(grid, (), max_simplices=full).is_point()
+    with pytest.raises(TooManySimplices):
+        relative_finite_space_homology(grid, (), max_simplices=full - 1)
+
+
+def test_rank_routes_build_no_simplicial_complex(monkeypatch, twisted):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a SimplicialComplex was built")
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", refuse)
+    for X in (twisted, _grid(1), import_simplicial([("a", "b", "c")])):
+        order_complex_chains(X, ZZ)
+        relative_finite_space_homology(X, closure(X, {X.cells[0].id}))
+        assert check_corollary(X).consistent_with_corollary
+    with pytest.raises(AssertionError, match="was built"):
+        order_complex(twisted)  # the patch is live
