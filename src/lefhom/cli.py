@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from . import __version__
@@ -219,33 +220,34 @@ def _cmd_search(args) -> int:
         found = search_converse(config, ring, budget=args.budget, jobs=args.jobs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    print(f"mode: {config.mode}")
-    print(f"ring: {ring.label}")
-    print(f"seed: {config.seed}")
-    print(f"budget: {args.budget}")
-    hits = []
-    for candidate in found:
-        hits.append(candidate)
-        print(f"candidate_index: {candidate.index}")
-        print(f"candidate_seed: {candidate.seed}")
-        print(f"candidate_failing_cells: {','.join(candidate.failing_cells)}")
-        print(f"candidate_reverified: {_bool(candidate.reverified)}")
-        top = max(candidate.lefschetz_profile.top_degree,
-                  candidate.singular_profile.top_degree, 0)
-        for line in _profile_lines("candidate_lefschetz_", candidate.lefschetz_profile, top):
-            print(line)
-        for line in _profile_lines("candidate_singular_", candidate.singular_profile, top):
-            print(line)
-        if args.hits:
-            with open(args.hits, "a", encoding="utf-8") as sink:
+    # opened before any output, so an unwritable path ends the run as a usage error
+    with open(args.hits, "a", encoding="utf-8") if args.hits else nullcontext() as sink:
+        print(f"mode: {config.mode}")
+        print(f"ring: {ring.label}")
+        print(f"seed: {config.seed}")
+        print(f"budget: {args.budget}")
+        hits = []
+        for candidate in found:
+            hits.append(candidate)
+            print(f"candidate_index: {candidate.index}")
+            print(f"candidate_seed: {candidate.seed}")
+            print(f"candidate_failing_cells: {','.join(candidate.failing_cells)}")
+            print(f"candidate_reverified: {_bool(candidate.reverified)}")
+            top = max(candidate.lefschetz_profile.top_degree,
+                      candidate.singular_profile.top_degree, 0)
+            for line in _profile_lines("candidate_lefschetz_", candidate.lefschetz_profile, top):
+                print(line)
+            for line in _profile_lines("candidate_singular_", candidate.singular_profile, top):
+                print(line)
+            if sink:
                 sink.write(f"# converse candidate: master_seed={config.seed} "
                            f"index={candidate.index} seed={candidate.seed} "
                            f"mode={candidate.mode} ring={ring.label}\n")
                 sink.write(candidate.lef_text)
                 sink.write("\n")
-        else:
-            for line in candidate.lef_text.rstrip("\n").splitlines():
-                print(f"candidate_lef: {line}")
+            else:
+                for line in candidate.lef_text.rstrip("\n").splitlines():
+                    print(f"candidate_lef: {line}")
     print(f"evaluated: {args.budget}")
     print(f"candidates: {len(hits)}")
     if hits:

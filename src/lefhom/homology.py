@@ -221,17 +221,20 @@ class IncrementalReducer:
     ``include(key)`` appends the key's generators as columns, in ascending
     degree; their boundaries must lie in the generators already in, as for
     a cell joining a closed set after its faces.  Each column is reduced by
-    lowest row against a pivot table, as in the persistence algorithm, so
-    the rank of every boundary is its number of pivots.  ``undo()`` takes
-    back the last include, and ``profile()`` is the homology of the keys in.
+    lowest row against a pivot table, as in the persistence algorithm.  A
+    column of degree q reduced to zero is a birth, 1 more in ``free[q]``,
+    the free rank of H_q; one that takes a pivot is a death, 1 less in
+    ``free[q - 1]``.  ``undo()`` takes back the last include, and
+    ``profile()`` is the homology of the keys in.
 
     Which entries are pivots is the ring policy of :mod:`lefhom.exact`:
     :func:`~lefhom.exact._reduce_column` leaves a pivot column with a 1 at
     its lowest row, so the pivots span a unimodular triangle and no
     boundary has a divisor other than 1.  A column whose lowest entry is
-    not a unit stops the reduction until its include is undone; until then
+    not a unit stops the reduction until its include is undone, and counts
+    as a birth so that the undo balances.  While ``stalled`` is set,
     ``profile()`` is the slice profile, which finds the torsion that a
-    non-unit pivot may carry.
+    non-unit pivot may carry; otherwise it reads ``free``.
     """
 
     def __init__(self, chains: ChainSlices):
@@ -239,49 +242,48 @@ class IncrementalReducer:
         self._p = chains.ring.p
         self._keyed = {key: [(q, _unit_form(chains._columns[q][i], chains.ring)) for q, i in at]
                        for key, at in chains._at.items()}
-        degrees = len(chains._columns)
-        self._sizes = [0] * degrees
-        self._ranks = [0] * (degrees + 1)  # [q]: rank of the boundary out of degree q
-        self._pivots = [{} for _ in range(degrees)]  # [q]: lowest row -> degree-q column
+        self.free = [0] * len(chains._columns)
+        self._pivots = [{} for _ in chains._columns]  # [q]: lowest row -> degree-q column
         self._kept = []
         self._undo = []  # per include: (degree, lowest row or None) of each column
-        self._stalled = None  # index in _undo of the include that met a non-unit
+        self.stalled = None  # index in _undo of the include that met a non-unit
 
     def include(self, key) -> None:
         record = []
-        if self._stalled is None:
-            p = self._p
+        if self.stalled is None:
+            p, free = self._p, self.free
             for q, column in self._keyed[key]:
-                self._sizes[q] += 1
                 col = dict(column)
                 low = _reduce_column(col, self._pivots[q], p)
-                if low is not None:
-                    if col[low] != 1:
-                        self._stalled = len(self._undo)
-                        record.append((q, None))
+                if low is None or col[low] != 1:  # a birth, or a stall counted as one
+                    free[q] += 1
+                    record.append((q, None))
+                    if low is not None:
+                        self.stalled = len(self._undo)
                         break
+                else:  # a death in the degree below
                     self._pivots[q][low] = col
-                    self._ranks[q] += 1
-                record.append((q, low))
+                    free[q - 1] -= 1
+                    record.append((q, low))
         self._kept.append(key)
         self._undo.append(record)
 
     def undo(self) -> None:
         self._kept.pop()
         for q, low in self._undo.pop():
-            self._sizes[q] -= 1
-            if low is not None:
+            if low is None:
+                self.free[q] -= 1
+            else:
                 del self._pivots[q][low]
-                self._ranks[q] -= 1
-        if self._stalled == len(self._undo):
-            self._stalled = None
+                self.free[q - 1] += 1
+        if self.stalled == len(self._undo):
+            self.stalled = None
 
     def profile(self) -> HomologyProfile:
-        if self._stalled is not None:
+        if self.stalled is not None:
             return self.chains.profile(self._kept)
-        ranks = self._ranks
-        free = [size - ranks[n] - ranks[n + 1] for n, size in enumerate(self._sizes)]
-        return HomologyProfile(self.chains.ring, tuple((n, f, ()) for n, f in enumerate(free) if f))
+        return HomologyProfile(self.chains.ring,
+                               tuple((n, f, ()) for n, f in enumerate(self.free) if f))
 
 
 def lefschetz_chains(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> ChainSlices:

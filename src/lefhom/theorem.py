@@ -35,8 +35,7 @@ from .homology import (
 )
 from .simplicial import finite_space_homology, order_complex_chains
 # restrict stays bound here: perfbench/tracing.py patches lefhom.theorem.restrict
-from .topology import (DEFAULT_CLOSED_SET_CAP, closure, count_closed_sets,  # noqa: F401
-                       enumerate_closed_sets, restrict)
+from .topology import DEFAULT_CLOSED_SET_CAP, closure, enumerate_closed_sets, restrict  # noqa: F401
 
 __all__ = [
     "LocalCheck",
@@ -151,6 +150,9 @@ class _Mismatches:
 
     def __init__(self, *chains: ChainSlices):
         self.sides = [IncrementalReducer(c) for c in chains]
+        width = max(len(side.free) for side in self.sides)
+        for side in self.sides:
+            side.free += [0] * (width - len(side.free))  # zero ranks change no profile
 
     def include(self, x: str) -> None:
         for side in self.sides:
@@ -162,24 +164,43 @@ class _Mismatches:
 
     def visit(self) -> bool:
         cells, space = self.sides
+        if cells.stalled is None and space.stalled is None:
+            return cells.free != space.free  # the profiles, over one ring
         return cells.profile() != space.profile()
+
+
+class _Steps(list):
+    """The closed-set walk as recorded: a cell id per include, None per
+    undo.  Every include is followed by a visit of the set it makes."""
+
+    visits = 0
+
+    def include(self, x: str) -> None:
+        self.append(x)
+
+    def undo(self) -> None:
+        self.append(None)
+
+    def visit(self) -> bool:
+        self.visits += 1
+        return False
 
 
 def check_corollary(X: LefschetzComplex, ring: Optional[RingSpec] = None,
                     cap: int = DEFAULT_CLOSED_SET_CAP) -> CorollaryReport:
     """Sweep every closed subcomplex and compare both homology pipelines.
 
-    One walk over the closed sets carries a column reduction of X's chain
-    complex and one of its order complex, each keyed by cell: a cell joins
-    after its faces, so it appends only its own columns, and each closed
-    set's profiles come out of the ranks.  This is the persistence
-    algorithm of Edelsbrunner-Letscher-Zomorodian ("Topological persistence
-    and simplification", DCG 2002) and Zomorodian-Carlsson ("Computing
-    persistent homology", DCG 2005), with undo on backtrack.  Over Z and Q
-    only unit pivots are taken; below a non-unit one, closed sets are
-    profiled as slices.  ``cap`` is checked before the order complex is
-    built; a cap below 1 raises ``ValueError`` at the call, since the empty
-    set is always closed.
+    One walk over the closed sets is recorded; it raises TooManyClosedSets
+    past ``cap`` before the order complex is built.  Its replay carries a
+    column reduction of X's chain complex and one of its order complex,
+    each keyed by cell: a cell joins after its faces, so it appends only
+    its own columns, and each closed set's profiles are its free ranks.
+    This is the persistence algorithm of Edelsbrunner-Letscher-Zomorodian
+    ("Topological persistence and simplification", DCG 2002) and
+    Zomorodian-Carlsson ("Computing persistent homology", DCG 2005), with
+    undo on backtrack.  Over Z and Q only unit pivots are taken; below a
+    non-unit one, closed sets are profiled as slices.  A cap below 1
+    raises ``ValueError`` at the call, since the empty set is always closed.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -187,17 +208,28 @@ def check_corollary(X: LefschetzComplex, ring: Optional[RingSpec] = None,
     augmentable = is_augmentable(X, ring)
     cells = lefschetz_chains(X, ring)
     local_ok = _first_local_failure(X, cells) is None
-    checked = count_closed_sets(X, cap)
+    steps = _Steps()
+    enumerate_closed_sets(X, cap, steps)
     sweep = _Mismatches(cells, order_complex_chains(X, ring))
-    mismatches = [tuple(sorted(closed_set))
-                  for closed_set in enumerate_closed_sets(X, cap, sweep)]
+    kept = []
+    mismatches = [()] if sweep.visit() else []
+    for x in steps:
+        if x is None:
+            sweep.undo()
+            kept.pop()
+        else:
+            sweep.include(x)
+            kept.append(x)
+            if sweep.visit():
+                mismatches.append(tuple(sorted(kept)))
+    mismatches.sort(key=lambda s: (len(s), s))
     all_match = not mismatches
     agree = local_ok == all_match
     return CorollaryReport(
         ring=ring,
         augmentable=augmentable,
         local_condition_holds=local_ok,
-        closed_sets_checked=checked,
+        closed_sets_checked=steps.visits,
         mismatching_closed_sets=tuple(mismatches),
         all_closed_match=all_match,
         directions_agree=agree,

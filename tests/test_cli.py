@@ -210,6 +210,26 @@ def test_search_hits_file(capsys, tmp_path):
         assert "candidate_lef:" not in out  # hits go to the file, not stdout
 
 
+def test_search_unwritable_hits_file_fails_before_any_output(capsys, tmp_path):
+    # seed 1 finds no candidate in two draws and seed 3 finds one: both must
+    # stop at the open, not after a report or inside a candidate block
+    unwritable = tmp_path / "missing" / "hits.lef"
+    for seed, found in (("1", "candidates: 0"), ("3", "candidate_index:")):
+        code, out, _ = run_cli(capsys, "search", "--budget", "2", "--seed", seed)
+        assert found in out, seed
+        code, out, err = run_cli(capsys, "search", "--budget", "2", "--seed", seed,
+                                 "--hits", str(unwritable))
+        assert (code, out) == (2, ""), seed
+        assert err.startswith("error: ") and "hits.lef" in err, seed
+
+
+def test_search_hits_file_is_created_when_nothing_is_found(capsys, tmp_path):
+    hits = tmp_path / "hits.lef"
+    code, out, _ = run_cli(capsys, "search", "--budget", "2", "--seed", "1", "--hits", str(hits))
+    assert code == 0 and "candidates: 0" in out
+    assert hits.read_text() == ""
+
+
 def test_version(capsys):
     assert main(["--version"]) == 0
     capsys.readouterr()

@@ -27,12 +27,14 @@ from lefhom import (
     restrict,
     search_converse,
 )
-from lefhom import complexes
+from lefhom import complexes, theorem
 from lefhom.complexes import LefschetzComplex
 from lefhom.errors import LefhomError, TooManyClosedSets, TooManySimplices, UnsupportedRing
 from lefhom.homology import ChainSlices, lefschetz_chains
 from lefhom.simplicial import finite_space_homology, order_complex_chains
-from lefhom.theorem import CorollaryReport, _first_local_failure, _is_candidate, _reverify
+from lefhom.theorem import (CorollaryReport, _first_local_failure, _is_candidate, _Mismatches,
+                            _reverify)
+from lefhom.topology import count_closed_sets
 
 
 def test_augmentable_examples(star, twisted):
@@ -299,6 +301,71 @@ def test_corollary_matches_the_sliced_sweep(corpus, sweep_corpus):
             mismatched += bool(report.mismatching_closed_sets)
         non_unit += any(v not in (1, -1) for v in X.kappa_entries.values())
     assert non_unit >= 20 and mismatched >= 100
+
+
+class _VisitOracle:
+    """Follows the closed-set walk with the corollary's two reducers and
+    checks every visit against a comparison of their profiles."""
+
+    def __init__(self, X, ring):
+        self.sweep = _Mismatches(lefschetz_chains(X, ring), order_complex_chains(X, ring))
+        self.visits = self.stalled = 0
+
+    def include(self, x):
+        self.sweep.include(x)
+
+    def undo(self):
+        self.sweep.undo()
+
+    def visit(self):
+        cells, space = self.sweep.sides
+        assert self.sweep.visit() == (cells.profile() != space.profile())
+        self.visits += 1
+        self.stalled += cells.stalled is not None or space.stalled is not None
+        return False
+
+
+def test_corollary_visits_match_the_profiles(data_dir):
+    grids = [[[(0, 1), (0, 1)], [(0, 1), (1, 2)]], [[(0, 1), (0, 1)], [(1, 2), (0, 1)]],
+             [[(0, 1), (0, 1)], [(0, 1), (1, 2)], [(0, 1), (2, 3)]]]
+    modes = ("simplicial-random", "cubical-random", "basis-change")
+    inputs = ([parse_lef(path.read_text()) for path in sorted(data_dir.glob("*.lef"))]
+              + [import_cubical(cubes) for cubes in grids] + [_torsion_witness()]
+              # a 2-cell over a facetless edge: the longest chain has 2 cells, not 3
+              + [build_complex([("v", 0), ("e", 1), ("t", 2)], {("t", "e"): 1}, ZZ)]
+              + [random_complex(GeneratorConfig(seed=seed, mode=modes[seed % 3]))
+                 for seed in range(120)])
+    stalled = 0
+    for X in inputs:
+        try:
+            count = count_closed_sets(X, 6000)
+        except TooManyClosedSets:
+            continue
+        for ring in (ZZ, QQ, GF(2), GF(3)):
+            oracle = _VisitOracle(X, ring)
+            assert enumerate_closed_sets(X, sweep=oracle) == []
+            assert oracle.visits == count
+            stalled += oracle.stalled
+            if count > 600:
+                continue  # the 1x3 grid: slicing its 5 679 sets from scratch takes seconds
+            report = check_corollary(X, ring)
+            cells, space = lefschetz_chains(X, ring), order_complex_chains(X, ring)
+            expected = tuple(tuple(sorted(closed)) for closed in enumerate_closed_sets(X)
+                             if cells.profile(closed) != space.profile(closed))
+            assert report.closed_sets_checked == count, (render_lef(X), ring)
+            assert report.mismatching_closed_sets == expected, (render_lef(X), ring)
+    assert stalled
+
+
+def test_corollary_cap_comes_before_the_order_complex(monkeypatch):
+    def refused(*args):
+        raise AssertionError("order complex built before the cap")
+
+    monkeypatch.setattr(theorem, "order_complex_chains", refused)
+    X = import_cubical([[(0, 1), (0, 1)], [(0, 1), (1, 2)]])  # 518 closed sets
+    for cap in (1, 17, 517):
+        with pytest.raises(TooManyClosedSets):
+            check_corollary(X, cap=cap)
 
 
 def test_local_condition_builds_the_cell_set_at_most_once(monkeypatch):
