@@ -13,13 +13,15 @@ Over Z and Q only ±1 is a pivot, over F_p every nonzero entry.
 residue phase, the dense Bezout Smith form of the columns left (none are
 left over F_p).  :func:`smith_normal_form` without transforms,
 :func:`rank_over` and ``homology.profile_from_boundaries`` call it.  For
-a column reduction that grows, as in ``homology.IncrementalReducer``,
-:func:`_unit_form` copies a column into that form and
-:func:`_reduce_column` scales each new pivot column to a 1 at its lowest
-row when that entry is a unit.  The dense form with transforms serves
-``with_transforms=True``.  Kernels and solutions over a field read the
-canonical reduced echelon form off the unit phase run left to right,
-where every nonzero entry is a unit.
+a column reduction by lowest row, :func:`_reduce_column` scales each new
+pivot column to a 1 at its lowest row when that entry is a unit.  It
+serves the reduction that grows in ``homology.IncrementalReducer``, on
+columns that :func:`_unit_form` copies into the form above, and, over a
+field, the one reduction per boundary of ``homology.long_exact_sequence``,
+whose columns carry the record of their operations at negative rows.
+The dense form with transforms serves ``with_transforms=True``.  Kernels
+and solutions over a field read the canonical reduced echelon form off
+the unit phase run left to right, where every nonzero entry is a unit.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ __all__ = [
     "smith_normal_form",
     "rank_over",
     "kernel_basis",
-    "pivot_columns",
     "solve",
     "ZZ",
     "QQ",
@@ -392,18 +393,21 @@ def _reduce_column(col: dict, pivots: Mapping, p: Optional[int]) -> Optional[int
     """Reduce ``col`` in place by lowest row against ``pivots``, which maps
     the lowest row of each pivot column to that column, stored with a 1
     there.  ``p`` is None over Z (integer entries, so every multiple taken
-    is an integer) and the prime over F_p, as for :func:`_eliminate`.
-    Returns the lowest row left, which no pivot has, with ``col`` scaled to
-    a 1 there when that entry is a unit, or None once ``col`` is empty."""
+    is an integer), 0 over Q (int or ``Fraction`` values) and the prime
+    over F_p, as for :func:`_eliminate`.  Returns the lowest row left, which
+    no pivot has, with ``col`` scaled to a 1 there when that entry is a
+    unit, or None once ``col`` is empty.  Negative rows are never pivots,
+    so entries at rows ``~j`` record the operations, and a lowest row below
+    0, left unscaled, means that the rest of ``col`` has reduced to zero."""
     while col:
         low = max(col)
         pivot = pivots.get(low)
         if pivot is None:
             u = col[low]
-            if u != 1 and (p or u == -1):  # a unit: any nonzero over F_p, else -1
-                inv = pow(u, -1, p) if p else -1
+            if low >= 0 and u != 1 and (p is not None or u == -1):  # a unit: over Z, -1
+                inv = pow(u, -1, p) if p else -1 if u == -1 else 1 / Fraction(u)
                 for i, v in col.items():
-                    col[i] = v * inv % p if p else -v
+                    col[i] = v * inv % p if p else v * inv
             return low
         f = col[low]
         for i, v in pivot.items():
@@ -562,12 +566,6 @@ def rank_over(matrix: ExactMatrix, ring: RingSpec) -> int:
     _require_field(ring)
     pivots, residue = _reduce(matrix, ring)
     return len(pivots) + len(residue)
-
-
-def pivot_columns(matrix: ExactMatrix, ring: RingSpec) -> list:
-    """Ascending indices of the columns independent of those to their left,
-    over a field: the pivot columns of the reduced echelon form."""
-    return _eliminate(_field_columns(matrix, ring), ring.p or 0, ordered=True)
 
 
 def kernel_basis(matrix: ExactMatrix, ring: RingSpec) -> list:

@@ -27,15 +27,14 @@ from .exact import (
     ExactMatrix,
     RingSpec,
     ZZ,
-    _beside,
+    _field_columns,
     _reduce,
     _reduce_column,
     _unit_form,
-    kernel_basis,
-    pivot_columns,
     rank_over,
-    # smith_normal_form and solve stay bound here: perfbench/tracing.py
-    # patches lefhom.homology.smith_normal_form and lefhom.homology.solve
+    # kernel_basis, smith_normal_form and solve stay bound here:
+    # perfbench/tracing.py patches them in lefhom.homology by name
+    kernel_basis,  # noqa: F401
     smith_normal_form,  # noqa: F401
     solve,  # noqa: F401
 )
@@ -348,35 +347,75 @@ def excision_check(X: LefschetzComplex, closed_part: Iterable,
 
 # ---------------------------------------------------------------------------
 # Long exact sequence of a closed pair, over a field.
+#
+# Each boundary of the closed part, of X and of the pair is reduced once, by
+# lowest row, as in the persistence algorithm (Edelsbrunner-Letscher-
+# Zomorodian, DCG 2002; Zomorodian-Carlsson, DCG 2005), and the homology
+# bases are read off its pairing.  Degrees go down, so each reduction skips
+# the columns paired above (the clearing of Chen-Kerber, EuroCG 2011).
 # ---------------------------------------------------------------------------
 
 
-def _classes(ring: RingSpec, below: ExactMatrix, above: ExactMatrix,
+def _reduction(boundary: ExactMatrix, ring: RingSpec, cleared=()) -> tuple:
+    """``(cycles, boundaries)`` of one reduction of ``boundary`` over a field.
+
+    Column j is reduced by lowest row against the columns before it, with
+    the record of its operations at rows ``~j``.  ``cycles`` maps each
+    column f that reduces to zero, in ascending order, to its record as a
+    sparse ``{column: value}`` dict: the kernel vector with a 1 at f and
+    its support on f and the pivot columns before it, which is the vector
+    :func:`~lefhom.exact.kernel_basis` gives for f.  ``boundaries`` maps
+    the lowest row of every other column to that column, with a 1 there
+    and its record dropped: an echelon basis of the image.
+
+    The columns in ``cleared`` must be lowest rows of boundaries, and are
+    skipped: a boundary ending at row j makes column j a combination of the
+    columns before it, whose cycle is then no basis cycle.
+    """
+    p = ring.p or 0
+    cycles, pivots = {}, {}
+    for j, col in enumerate(_field_columns(boundary, ring)):
+        if j in cleared:
+            continue
+        col[~j] = 1
+        low = _reduce_column(col, pivots, p)
+        if low < 0:
+            cycles[j] = {~i: v for i, v in col.items()}
+        else:
+            pivots[low] = col
+    return cycles, {low: {i: v for i, v in col.items() if i >= 0}
+                    for low, col in pivots.items()}
+
+
+def _classes(ring: RingSpec, cycles: Mapping, boundaries: Mapping,
              targets: Sequence) -> tuple:
     """The canonical homology basis of one degree, and the classes of
-    ``targets`` (cycles of that degree) in it, over a field.
+    ``targets`` (sparse cycles of that degree) in it, over a field.
 
-    ``below`` is the boundary out of the degree and ``above`` the boundary
-    into it.  The basis consists of the kernel-basis cycles of ``below`` that
-    are independent of the boundaries and of the cycles before them: the
-    pivot columns among the cycles of ``[above | cycles]``.  Column j of the
-    returned matrix holds the coordinates of ``targets[j]``, read off the
-    kernel vector of ``[above | basis | targets]`` whose free column is j's.
+    ``cycles`` comes from the :func:`_reduction` of the boundary out of the
+    degree, ``boundaries`` from that of the boundary into it.  The cycle of
+    column f is a basis cycle exactly when no boundary has lowest row f:
+    every cycle is a combination of the cycles up to its lowest row, so
+    that is the cycle being independent of the boundaries and of the cycles
+    before it, the pivot columns among the cycles of ``[above | cycles]``.
+    The boundaries and the basis then have distinct lowest rows, and a
+    target reduces to zero against them exactly when it is a cycle.  The
+    i-th basis cycle carries a 1 at row ``~i``, so minus that record of
+    ``targets[j]`` is its coordinate i, in column j of the returned matrix.
     """
-    cycles = kernel_basis(below, ring)
-    pivots = set(pivot_columns(_beside(above, cycles), ring))
-    basis = [z for j, z in enumerate(cycles, start=above.cols) if j in pivots]
+    p = ring.p or 0
+    basis, table = [], dict(boundaries)
+    for f, z in cycles.items():
+        if f not in boundaries:
+            table[f] = {**z, ~len(basis): 1}
+            basis.append(z)
     classes = {}
-    if basis and targets:
-        first = above.cols + len(basis)
-        # one kernel vector per free column, ascending: a target in the span
-        # of the columns before it is free, and its vector is the last ones
-        vectors = kernel_basis(_beside(above, basis + targets), ring)[-len(targets):]
-        if len(vectors) < len(targets) or not all(
-                vec[first + j] for j, vec in enumerate(vectors)):
+    for j, target in enumerate(targets):
+        col = dict(target)
+        low = _reduce_column(col, table, p)
+        if low is not None and low >= 0:
             raise AssertionError("vector is not a cycle of its degree")
-        classes = {(i, j): ring.neg(vec[above.cols + i])
-                   for j, vec in enumerate(vectors) for i in range(len(basis))}
+        classes.update(((~i, j), -v) for i, v in col.items())
     return basis, ExactMatrix(len(basis), len(targets), classes, ring)
 
 
@@ -414,15 +453,27 @@ def long_exact_sequence(X: LefschetzComplex, closed_part: Iterable,
         raise NonFieldRing("the exact-sequence checker needs field coefficients")
     part = _require_closed(X, closed_part)
 
-    top = X.top_dim
+    top, p = X.top_dim, ring.p
     chains = lefschetz_chains(X, ring)
     sub_pos, rel_pos = chains.positions(part), chains.positions(X.cell_ids - part)
+    sub_at, rel_at = ([{i: k for k, i in enumerate(pos)} for pos in positions]
+                      for positions in (sub_pos, rel_pos))
     slices = [chains.slice(kept)[1] for kept in (part, X.cell_ids, X.cell_ids - part)]
 
-    def lift(vector: Sequence, positions: Sequence, q: int) -> list:
-        out = [ring.zero()] * len(X.cells_of_dim(q))
-        for value, i in zip(vector, positions):
-            out[i] = value
+    def connect(z: Mapping, n: int) -> dict:
+        """The boundary of a relative (n+1)-cycle lifted to X, in the closed part."""
+        image = {}
+        for k, v in z.items():
+            for i, w in chains._columns[n + 1][rel_pos[n + 1][k]].items():
+                image[i] = image.get(i, 0) + v * w
+        out = {}
+        for i, v in image.items():
+            if p:
+                v %= p
+            if v:
+                if i in rel_at[n]:
+                    raise AssertionError("lifted boundary escaped the closed part")
+                out[sub_at[n][i]] = v
         return out
 
     # nodes[k] --maps[k]--> nodes[k+1], descending through the degrees with
@@ -430,21 +481,19 @@ def long_exact_sequence(X: LefschetzComplex, closed_part: Iterable,
     # connecting map into degree n.
     nodes = [("0", 0)]
     maps = []
-    above = [boundary(top + 1) for boundary in slices]
+    above = [_reduction(boundary(top + 1), ring) for boundary in slices]
     rel_basis = []
     for n in range(top, -1, -1):
-        below = [boundary(n) for boundary in slices]
-        boundaries = []
-        for z in rel_basis:
-            image = above[1].apply(lift(z, rel_pos[n + 1], n + 1))
-            if any(image[i] for i in rel_pos[n]):
-                raise AssertionError("lifted boundary escaped the closed part")
-            boundaries.append([image[i] for i in sub_pos[n]])
-        sub_basis, connecting = _classes(ring, below[0], above[0], boundaries)
-        x_basis, include = _classes(ring, below[1], above[1],
-                                    [lift(z, sub_pos[n], n) for z in sub_basis])
-        rel_basis, project = _classes(ring, below[2], above[2],
-                                      [[z[i] for i in rel_pos[n]] for z in x_basis])
+        below = [_reduction(boundary(n), ring, paired[1])
+                 for boundary, paired in zip(slices, above)]
+        sub_basis, connecting = _classes(ring, below[0][0], above[0][1],
+                                         [connect(z, n) for z in rel_basis])
+        x_basis, include = _classes(ring, below[1][0], above[1][1],
+                                    [{sub_pos[n][k]: v for k, v in z.items()}
+                                     for z in sub_basis])
+        rel_basis, project = _classes(ring, below[2][0], above[2][1],
+                                      [{rel_at[n][i]: v for i, v in z.items() if i in rel_at[n]}
+                                       for z in x_basis])
         maps += [connecting, include, project]
         nodes += [(f"H_{n}(X')", len(sub_basis)), (f"H_{n}(X)", len(x_basis)),
                   (f"H_{n}(X, X')", len(rel_basis))]

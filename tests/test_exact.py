@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from lefhom import ExactMatrix, GF, QQ, ZZ, kernel_basis, rank_over, smith_normal_form
 from lefhom.errors import NonFieldRing, UnsupportedRing
-from lefhom.exact import RingSpec, solve
+from lefhom.exact import RingSpec, _field_columns, _reduce_column, solve
 
 
 # -- oracles -----------------------------------------------------------------
@@ -130,6 +130,29 @@ def test_kernel_vectors_are_killed_and_independent():
             assert all(ring.is_zero(v) for v in cast.apply(vec))
         stacked = ExactMatrix.from_rows(basis, ring)
         assert rank_over(stacked, ring) == len(basis)
+
+
+def test_reduce_column_with_records_gives_the_kernel_basis():
+    # oracle: kernel_basis, read off the left-to-right unit phase of _eliminate
+    rng = random.Random(4)
+    for ring in (QQ, GF(2), GF(3), GF(5)):
+        for _ in range(150):
+            rows, cols = rng.randint(0, 5), rng.randint(0, 6)
+            den = (1, 2, 3) if ring == QQ else (1,)
+            m = ExactMatrix(rows, cols, {(i, j): Fraction(rng.choice((0, 0, 1, -1, 2, 3)),
+                                                          rng.choice(den))
+                                         for i in range(rows) for j in range(cols)}, ring)
+            pivots, vectors = {}, []
+            for j, col in enumerate(_field_columns(m, ring)):
+                col[~j] = 1
+                low = _reduce_column(col, pivots, ring.p or 0)
+                if low < 0:
+                    vectors.append([col.get(~i, 0) for i in range(cols)])
+                else:
+                    assert col[low] == 1
+                    pivots[low] = col
+            assert vectors == kernel_basis(m, ring), (ring, m.dense())
+            assert len(pivots) == rank_over(m, ring)
 
 
 class _NoArithmetic(Fraction):

@@ -19,6 +19,8 @@ from lefhom import (
     import_simplicial,
     lefschetz_homology,
     long_exact_sequence,
+    parse_lef,
+    parse_simplicial,
     point_profile,
     relative_homology,
     restrict,
@@ -26,12 +28,12 @@ from lefhom import (
 )
 from lefhom import exact
 from lefhom.errors import NonFieldRing, NotClosed, TooManyClosedSets, TooManySimplices
-from lefhom.exact import kernel_basis, pivot_columns, rank_over, solve
+from lefhom.exact import _beside, kernel_basis, rank_over, solve
 from lefhom.homology import (
     HomologyProfile,
     IncrementalReducer,
-    _beside,
     _classes,
+    _reduction,
     lefschetz_chains,
     profile_from_boundaries,
 )
@@ -201,6 +203,10 @@ def _element(ring, rng):
     return Fraction(rng.randint(-3, 3)) if ring == QQ else rng.randrange(ring.p)
 
 
+def _sparse(vector):
+    return {i: v for i, v in enumerate(vector) if v}
+
+
 def test_classes_match_solve_on_the_corpus(corpus):
     # oracle: each class's coordinates solve [above | basis] x = target
     rng = random.Random(11)
@@ -218,14 +224,15 @@ def test_classes_match_solve_on_the_corpus(corpus):
                         c = _element(ring, rng)
                         chain = [ring.add(v, ring.mul(c, w)) for v, w in zip(chain, z)]
                     targets.append(chain)
-                basis, classes = _classes(ring, below, above, targets)
+                basis, classes = _classes(ring, _reduction(below, ring)[0],
+                                          _reduction(above, ring)[1], list(map(_sparse, targets)))
                 assert len(basis) == profile.free_rank(n), (name, ring, n)
                 assert (classes.rows, classes.cols) == (len(basis), len(targets))
                 if not basis:
                     continue
                 entries = dict(above.entries)
                 for j, z in enumerate(basis, start=above.cols):
-                    entries.update(((i, j), v) for i, v in enumerate(z))
+                    entries.update(((i, j), v) for i, v in z.items())
                 system = ExactMatrix(above.rows, above.cols + len(basis), entries, ring)
                 for j, target in enumerate(targets):
                     expected = solve(system, target, ring)[above.cols:]
@@ -235,9 +242,116 @@ def test_classes_match_solve_on_the_corpus(corpus):
 def test_classes_reject_a_non_cycle(twisted):
     _, boundary = lefschetz_chains(twisted, GF(2)).slice(twisted.cell_ids)
     with pytest.raises(AssertionError, match="not a cycle"):
-        _classes(GF(2), boundary(1), boundary(2), [[1, 0]])
+        _classes(GF(2), _reduction(boundary(1), GF(2))[0], _reduction(boundary(2), GF(2))[1],
+                 [{0: 1}])
 
 
+def test_classes_reject_a_non_cycle_in_a_degree_without_homology():
+    # the edge of a segment is no cycle, and H_1 of the segment is 0
+    X = parse_simplicial("a b\n")
+    _, boundary = lefschetz_chains(X, GF(2)).slice(X.cell_ids)
+    cycles, boundaries = _reduction(boundary(1), GF(2))[0], _reduction(boundary(2), GF(2))[1]
+    assert _classes(GF(2), cycles, boundaries, [])[0] == []
+    with pytest.raises(AssertionError, match="not a cycle"):
+        _classes(GF(2), cycles, boundaries, [{0: 1}])
+
+
+def test_reduction_gives_the_kernel_basis_and_an_echelon_image(corpus):
+    # with or without clearing the columns paired in the degree above
+    for name, X in corpus:
+        for ring in (QQ, GF(2), GF(3)):
+            _, boundary = lefschetz_chains(X, ring).slice(X.cell_ids)
+            paired = {}
+            for n in range(X.top_dim + 1, -1, -1):
+                matrix = boundary(n)
+                cycles, boundaries = _reduction(matrix, ring)
+                assert [[z.get(i, ring.zero()) for i in range(matrix.cols)]
+                        for z in cycles.values()] == kernel_basis(matrix, ring), (name, ring, n)
+                assert len(boundaries) == rank_over(matrix, ring)
+                assert all(max(col) == low and col[low] == 1 for low, col in boundaries.items())
+                cleared = _reduction(matrix, ring, paired)
+                assert cleared == ({f: z for f, z in cycles.items() if f not in paired},
+                                   boundaries), (name, ring, n)
+                paired = boundaries
+
+
+def _pivot_columns(matrix, ring):
+    """Ascending indices of the columns independent of those to their left."""
+    return exact._eliminate(exact._field_columns(matrix, ring), ring.p or 0, ordered=True)
+
+
+def _reference_classes(ring, below, above, targets):
+    """Basis and classes by three eliminations: the kernel basis of ``below``,
+    the pivot columns among the cycles of ``[above | cycles]``, and one
+    kernel basis of ``[above | basis | targets]``."""
+    cycles = kernel_basis(below, ring)
+    pivots = set(_pivot_columns(_beside(above, cycles), ring))
+    basis = [z for j, z in enumerate(cycles, start=above.cols) if j in pivots]
+    classes = {}
+    if targets:
+        first = above.cols + len(basis)
+        vectors = kernel_basis(_beside(above, basis + targets), ring)[-len(targets):]
+        assert len(vectors) == len(targets)
+        assert all(vec[first + j] for j, vec in enumerate(vectors))
+        classes = {(i, j): ring.neg(vec[above.cols + i])
+                   for j, vec in enumerate(vectors) for i in range(len(basis))}
+    return basis, ExactMatrix(len(basis), len(targets), classes, ring)
+
+
+def _reference_les(X, part, ring):
+    """Nodes and maps of the homology sequence of (X, part), every degree's
+    basis and classes taken by :func:`_reference_classes` on dense vectors."""
+    top = X.top_dim
+    chains = lefschetz_chains(X, ring)
+    sub_pos, rel_pos = chains.positions(part), chains.positions(X.cell_ids - part)
+    slices = [chains.slice(kept)[1] for kept in (part, X.cell_ids, X.cell_ids - part)]
+
+    def lift(vector, positions, q):
+        out = [ring.zero()] * len(X.cells_of_dim(q))
+        for value, i in zip(vector, positions):
+            out[i] = value
+        return out
+
+    nodes, maps = [("0", 0)], []
+    above = [boundary(top + 1) for boundary in slices]
+    rel_basis = []
+    for n in range(top, -1, -1):
+        below = [boundary(n) for boundary in slices]
+        boundaries = []
+        for z in rel_basis:
+            image = above[1].apply(lift(z, rel_pos[n + 1], n + 1))
+            assert not any(image[i] for i in rel_pos[n])
+            boundaries.append([image[i] for i in sub_pos[n]])
+        sub_basis, connecting = _reference_classes(ring, below[0], above[0], boundaries)
+        x_basis, include = _reference_classes(ring, below[1], above[1],
+                                              [lift(z, sub_pos[n], n) for z in sub_basis])
+        rel_basis, project = _reference_classes(ring, below[2], above[2],
+                                                [[z[i] for i in rel_pos[n]] for z in x_basis])
+        maps += [connecting, include, project]
+        nodes += [(f"H_{n}(X')", len(sub_basis)), (f"H_{n}(X)", len(x_basis)),
+                  (f"H_{n}(X, X')", len(rel_basis))]
+        above = below
+    maps.append(ExactMatrix.zeros(0, nodes[-1][1], ring))
+    nodes.append(("0", 0))
+    return tuple(nodes), tuple(maps)
+
+
+def test_les_matches_the_three_elimination_route(corpus, data_dir):
+    # oracle: the route that eliminated every boundary three times per degree
+    grids = [(f"grid{n}x{n}", import_cubical([[(i, i + 1), (j, j + 1)]
+                                               for i in range(n) for j in range(n)]))
+             for n in range(1, 9)]
+    files = [(path.name, parse_lef(path.read_text())) for path in sorted(data_dir.glob("*.lef"))]
+    rng = random.Random(15)
+    for name, X in files + grids + corpus:
+        closed_sets = [random_closed_set(X, rng) for _ in range(2)]
+        if name.startswith("grid"):  # the middle column of squares, as in the benchmark
+            n = int(name.split("x")[1])
+            closed_sets.append(closure(X, [f"{n // 2}_{n // 2 + 1}x{j}_{j + 1}" for j in range(n)]))
+        for closed in closed_sets:
+            for ring in (QQ, GF(2), GF(3), GF(5)):
+                report = long_exact_sequence(X, closed, ring)
+                assert (report.nodes, report.maps) == _reference_les(X, closed, ring), (name, ring)
 def test_euler_characteristic_identity(corpus):
     for name, X in corpus:
         combinatorial = sum((-1) ** c.dim for c in X.cells)
@@ -343,7 +457,7 @@ def test_kernel_entry_points_leave_their_input_alone(corpus):
                 for ring in ((QQ, GF(2), GF(3)) if m.ring == ZZ else (m.ring,)):
                     rank_over(m, ring)
                     kernel_basis(m, ring)
-                    pivot_columns(m, ring)
+                    _reduction(m, ring)
                     solve(m, rhs, ring)
                 assert dict(m.entries) == before, (name, q, m.ring)
             assert X.boundary_matrix(q) is cached
