@@ -3,8 +3,9 @@
 Entries are Python ints over Z, ints in [0, p) over F_p and ``Fraction``
 over Q; no floating point is ever involved.  An :class:`ExactMatrix`
 stores one ``{row: value}`` dict per column, the form in which boundary
-matrices are assembled and sliced, and every elimination runs on copies
-of those columns through one sparse routine, :func:`_eliminate`.
+matrices are assembled and sliced, and every reduction runs on copies of
+those columns through one of two sparse routines: :func:`_eliminate` for
+ranks and Smith forms, :func:`_reduce_column` for reductions by lowest row.
 
 The ring policy of a reduction lives here.  Over Q, columns are scaled to
 integers, which keeps their span, so no rank does ``Fraction`` arithmetic.
@@ -17,11 +18,12 @@ a column reduction by lowest row, :func:`_reduce_column` scales each new
 pivot column to a 1 at its lowest row when that entry is a unit.  It
 serves the reduction that grows in ``homology.IncrementalReducer``, on
 columns that :func:`_unit_form` copies into the form above, and, over a
-field, the one reduction per boundary of ``homology.long_exact_sequence``,
-whose columns carry the record of their operations at negative rows.
-The dense form with transforms serves ``with_transforms=True``.  Kernels
-and solutions over a field read the canonical reduced echelon form off
-the unit phase run left to right, where every nonzero entry is a unit.
+field, :func:`_reduction`, which reduces a whole matrix once, left to
+right, with the record of each column's operations at negative rows.
+Its cycles are the canonical kernel basis of :func:`kernel_basis` and
+:func:`solve` and the homology cycles of ``homology.long_exact_sequence``,
+and its pivot table stands for the image.  The dense form with transforms
+serves ``with_transforms=True``.
 """
 
 from __future__ import annotations
@@ -327,17 +329,16 @@ class SmithForm:
         return ExactMatrix(n, m, {(k, k): d for k, d in enumerate(self.divisors)}, ZZ)
 
 
-def _eliminate(cols: list, p: Optional[int], ordered: bool = False) -> list:
+def _eliminate(cols: list, p: Optional[int]) -> list:
     """Sparse elimination, in place, on ``cols``: one ``{row: value}`` dict per column.
 
     ``p`` is None over Z, where only entries ±1 are pivots, 0 over Q (int or
     ``Fraction`` values) and the prime over F_p (ints in [0, p)).  Pivot
-    columns go shortest first, or left to right if ``ordered``; within one,
-    the unit whose row has the fewest entries.  A pivot clears its row from
-    the other columns by column operations and empties its own column.
-    Negative rows are never pivots, so an entry at row ``~j`` records the
-    operations on column j.  Returns the pivot columns in the order taken;
-    over Z the columns left nonempty are the residue without units.
+    columns go shortest first; within one, the unit whose row has the
+    fewest entries.  A pivot clears its row from the other columns by
+    column operations and empties its own column.  Returns the pivot
+    columns in the order taken; over Z the columns left nonempty are the
+    residue without units.
     """
     rows = {}
     order = []
@@ -346,8 +347,7 @@ def _eliminate(cols: list, p: Optional[int], ordered: bool = False) -> list:
             order.append(j)
             for i in col:
                 rows.setdefault(i, set()).add(j)
-    if not ordered:
-        order.sort(key=lambda j: len(cols[j]))
+    order.sort(key=lambda j: len(cols[j]))
     pivots = []
     while True:
         taken = len(pivots)
@@ -356,7 +356,7 @@ def _eliminate(cols: list, p: Optional[int], ordered: bool = False) -> list:
             col = cols[c]
             r, fewest = None, None
             for i, v in col.items():
-                if (i >= 0 and (p is not None or v == 1 or v == -1)
+                if ((p is not None or v == 1 or v == -1)
                         and (fewest is None or len(rows[i]) < fewest)):
                     r, fewest = i, len(rows[i])
             if r is None:
@@ -568,25 +568,52 @@ def rank_over(matrix: ExactMatrix, ring: RingSpec) -> int:
     return len(pivots) + len(residue)
 
 
+def _reduction(matrix: ExactMatrix, ring: RingSpec, cleared=()) -> tuple:
+    """``(cycles, boundaries)`` of one reduction of ``matrix`` over a field.
+
+    Column j is reduced by lowest row against the columns before it, with
+    the record of its operations at rows ``~j``.  ``cycles`` maps each
+    column f that reduces to zero, in ascending order, to its record as a
+    sparse ``{column: value}`` dict: the kernel vector with a 1 at f and
+    its support on f and the pivot columns before it.  ``boundaries`` maps
+    the lowest row of every other column to that column, with a 1 there
+    and its record dropped: an echelon basis of the image.
+
+    The columns in ``cleared`` must be lowest rows of the reduction of the
+    boundary into the degree of ``matrix``, and are skipped: a boundary
+    ending at row j makes column j a combination of the columns before it,
+    whose cycle is then no basis cycle.
+    """
+    p = ring.p or 0
+    cycles, pivots = {}, {}
+    for j, col in enumerate(_field_columns(matrix, ring)):
+        if j in cleared:
+            continue
+        col[~j] = 1
+        low = _reduce_column(col, pivots, p)
+        if low < 0:
+            cycles[j] = {~i: v for i, v in col.items()}
+        else:
+            pivots[low] = col
+    return cycles, {low: {i: v for i, v in col.items() if i >= 0}
+                    for low, col in pivots.items()}
+
+
 def kernel_basis(matrix: ExactMatrix, ring: RingSpec) -> list:
     """A canonical basis of the right kernel over a field.
 
     One vector per free column of the reduced echelon form, in ascending
     free-column order; this makes downstream homology bases reproducible.
     The vector of free column f has a 1 at f and zeros at the other free
-    columns: the record of the column operations that zeroed column f.
+    columns: the record of the column operations that zeroed column f in
+    the :func:`_reduction` of ``matrix``.
     """
-    cols = _field_columns(matrix, ring)
-    for j, col in enumerate(cols):
-        col[~j] = 1
-    pivots = set(_eliminate(cols, ring.p or 0, ordered=True))
     basis = []
-    for free in range(matrix.cols):
-        if free not in pivots:
-            vec = [ring.zero()] * matrix.cols
-            for i, v in cols[free].items():
-                vec[~i] = ring.convert(v)
-            basis.append(vec)
+    for z in _reduction(matrix, ring)[0].values():
+        vec = [ring.zero()] * matrix.cols
+        for i, v in z.items():
+            vec[i] = ring.convert(v)
+        basis.append(vec)
     return basis
 
 

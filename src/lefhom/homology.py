@@ -27,9 +27,9 @@ from .exact import (
     ExactMatrix,
     RingSpec,
     ZZ,
-    _field_columns,
     _reduce,
     _reduce_column,
+    _reduction,
     _unit_form,
     rank_over,
     # kernel_basis, smith_normal_form and solve stay bound here:
@@ -349,42 +349,11 @@ def excision_check(X: LefschetzComplex, closed_part: Iterable,
 # Long exact sequence of a closed pair, over a field.
 #
 # Each boundary of the closed part, of X and of the pair is reduced once, by
-# lowest row, as in the persistence algorithm (Edelsbrunner-Letscher-
+# lowest row in exact._reduction, as in the persistence algorithm (Edelsbrunner-Letscher-
 # Zomorodian, DCG 2002; Zomorodian-Carlsson, DCG 2005), and the homology
 # bases are read off its pairing.  Degrees go down, so each reduction skips
 # the columns paired above (the clearing of Chen-Kerber, EuroCG 2011).
 # ---------------------------------------------------------------------------
-
-
-def _reduction(boundary: ExactMatrix, ring: RingSpec, cleared=()) -> tuple:
-    """``(cycles, boundaries)`` of one reduction of ``boundary`` over a field.
-
-    Column j is reduced by lowest row against the columns before it, with
-    the record of its operations at rows ``~j``.  ``cycles`` maps each
-    column f that reduces to zero, in ascending order, to its record as a
-    sparse ``{column: value}`` dict: the kernel vector with a 1 at f and
-    its support on f and the pivot columns before it, which is the vector
-    :func:`~lefhom.exact.kernel_basis` gives for f.  ``boundaries`` maps
-    the lowest row of every other column to that column, with a 1 there
-    and its record dropped: an echelon basis of the image.
-
-    The columns in ``cleared`` must be lowest rows of boundaries, and are
-    skipped: a boundary ending at row j makes column j a combination of the
-    columns before it, whose cycle is then no basis cycle.
-    """
-    p = ring.p or 0
-    cycles, pivots = {}, {}
-    for j, col in enumerate(_field_columns(boundary, ring)):
-        if j in cleared:
-            continue
-        col[~j] = 1
-        low = _reduce_column(col, pivots, p)
-        if low < 0:
-            cycles[j] = {~i: v for i, v in col.items()}
-        else:
-            pivots[low] = col
-    return cycles, {low: {i: v for i, v in col.items() if i >= 0}
-                    for low, col in pivots.items()}
 
 
 def _classes(ring: RingSpec, cycles: Mapping, boundaries: Mapping,
@@ -392,7 +361,7 @@ def _classes(ring: RingSpec, cycles: Mapping, boundaries: Mapping,
     """The canonical homology basis of one degree, and the classes of
     ``targets`` (sparse cycles of that degree) in it, over a field.
 
-    ``cycles`` comes from the :func:`_reduction` of the boundary out of the
+    ``cycles`` comes from the :func:`~lefhom.exact._reduction` of the boundary out of the
     degree, ``boundaries`` from that of the boundary into it.  The cycle of
     column f is a basis cycle exactly when no boundary has lowest row f:
     every cycle is a combination of the cycles up to its lowest row, so

@@ -155,6 +155,28 @@ def test_reduce_column_with_records_gives_the_kernel_basis():
             assert len(pivots) == rank_over(m, ring)
 
 
+def test_kernel_basis_is_the_reduced_echelon_kernel():
+    # oracle: ranks of column prefixes pick the free columns, and one kernel
+    # vector has a 1 at free column f and zeros at the other free columns
+    # and after f, since the pivot columns are independent
+    rng = random.Random(8)
+    for ring in (QQ, GF(2), GF(3), GF(5)):
+        for _ in range(100):
+            rows, cols = rng.randint(0, 4), rng.randint(0, 5)
+            den = (1, 2, 3) if ring == QQ else (1,)
+            m = ExactMatrix(rows, cols, {(i, j): Fraction(rng.choice((0, 0, 1, -1, 2, 3)),
+                                                          rng.choice(den))
+                                         for i in range(rows) for j in range(cols)}, ring)
+            ranks = [rank_over(m.drop(cols=range(j, cols)), ring) for j in range(cols + 1)]
+            free = [j for j in range(cols) if ranks[j + 1] == ranks[j]]
+            basis = kernel_basis(m, ring)
+            assert len(basis) == len(free), (ring, m.dense())
+            for f, vec in zip(free, basis):
+                assert not any(m.apply(vec))
+                assert vec[f] == 1 and not any(vec[f + 1:]), (ring, m.dense())
+                assert not any(vec[g] for g in free if g != f), (ring, m.dense())
+
+
 class _NoArithmetic(Fraction):
     """A Fraction that refuses arithmetic: reading it is all a rank may do."""
 
