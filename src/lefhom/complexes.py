@@ -47,7 +47,7 @@ class FacePoset:
     is automatic because a strict face has strictly smaller dimension.
     Both are stored once, as frozensets of ranks (positions in the (dim, id)
     cell order, which extends the face order): the public methods translate
-    to ids, ``topology`` and ``simplicial`` read the ranks.  ``topology``'s
+    to ids, ``topology``, ``simplicial`` and ``theorem`` read the ranks.  ``topology``'s
     closed-set walk also reads ``_cofacets``: each cell's cofacet ranks, ascending.
     """
 

@@ -77,6 +77,18 @@ class TooManySimplices(LefhomError):
         return f"{what} exceeds {cap} simplices; {remedy}"
 
 
+class TooManyClosureCells(LefhomError):
+    """The closures of a complex's cells hold more cells in all than the cap."""
+
+    def __init__(self, total: int, cap: int):
+        super().__init__(total, cap)
+        self.total, self.cap = total, cap
+
+    def __str__(self) -> str:
+        total, cap = self.args
+        return f"the closures of the cells hold {total} cells in all, over the cap of {cap}"
+
+
 class UsageError(LefhomError):
     """A command-line value or input file that a command cannot use."""
 

@@ -18,7 +18,9 @@ against each other.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .complexes import LefschetzComplex
@@ -173,6 +175,12 @@ class ChainSlices:
     ``boundary(q)`` is the degree-q boundary over ``ring``.  Keeping the keys
     of a subcomplex, or of the complement of one, gives a chain complex; a
     slice costs the nonzeros of its kept columns.
+
+    A subcomplex can also be named by the ranks of its generators, their
+    places in the order of degree, then index: for :func:`lefschetz_chains`
+    those are the ranks of the face poset.  :meth:`closed_profile` renumbers
+    its columns once, into a key of the slice's content, and eliminates only
+    when a memo has no profile for that key.
     """
 
     def __init__(self, ring: RingSpec, keys: Sequence[Sequence],
@@ -183,6 +191,7 @@ class ChainSlices:
             for i, key in enumerate(names):
                 self._at.setdefault(key, []).append((q, i))
         self._columns = [boundary(q)._cols for q in range(len(keys))]
+        self._ranked = None
 
     def positions(self, kept: Iterable) -> list:
         """Per degree, the ascending ambient indices of the kept generators."""
@@ -211,6 +220,57 @@ class ChainSlices:
 
     def profile(self, kept: Iterable) -> HomologyProfile:
         return profile_from_boundaries(self.ring, *self.slice(kept))
+
+    def _rank_columns(self) -> tuple:
+        """Where each degree starts among the ranks, and per rank the rows of
+        its boundary column as ranks, ascending, and their values; built once."""
+        if self._ranked is None:
+            starts, rows, values = [0], [], []
+            for q, columns in enumerate(self._columns):
+                below = starts[q - 1] if q else 0
+                for col in columns:
+                    ascending = sorted(col)
+                    rows.append([below + i for i in ascending])
+                    values.append(tuple(map(col.__getitem__, ascending)))
+                starts.append(starts[-1] + len(columns))
+            self._ranked = starts, rows, values
+        return self._ranked
+
+    def closed_profile(self, ranks: Iterable[int], memo: dict) -> HomologyProfile:
+        """The profile of the generators at ``ranks``, which must hold every
+        row of their columns, as the closure of a cell does.
+
+        The sorted ranks are cut where each degree starts, and each generator
+        is renumbered by its place among them.  The key is the cuts, the
+        renumbered rows of the columns, in rank order, and their values.
+        ``memo`` maps keys to profiles over this ring; on a miss the columns
+        are copied out of the key, with the rows counted from where their
+        degree starts, and eliminated.
+        """
+        starts, rows, values = self._rank_columns()
+        ranks = sorted(ranks)
+        # the degrees up to the top rank's: each starts at one of the cuts
+        cuts = [bisect_left(ranks, start) for start in starts[:bisect_right(starts, ranks[-1])]]
+        cuts.append(len(ranks))
+        kept = ranks[cuts[1]:]  # degree 0 has no columns
+        at = dict(zip(ranks, range(len(ranks))))
+        cols = tuple(map(values.__getitem__, kept))
+        flat = tuple(map(at.__getitem__, chain.from_iterable(map(rows.__getitem__, kept))))
+        key = (tuple(cuts), cols, flat)
+        profile = memo.get(key)
+        if profile is None:
+            sizes = [b - a for a, b in zip(cuts, cuts[1:])]
+            columns, end = [[] for _ in sizes], 0
+            for q in range(1, len(sizes)):
+                for col in cols[cuts[q] - cuts[1]:cuts[q + 1] - cuts[1]]:
+                    start, end = end, end + len(col)
+                    columns[q].append({i - cuts[q - 1]: v for i, v in zip(flat[start:end], col)})
+
+            def boundary(q: int) -> ExactMatrix:
+                return ExactMatrix._wrap(sizes[q - 1], columns[q], self.ring)
+
+            profile = memo[key] = profile_from_boundaries(self.ring, sizes, boundary)
+        return profile
 
 
 class IncrementalReducer:

@@ -19,11 +19,12 @@ import concurrent.futures
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterator, Mapping, Optional
 
 from . import formats
 from .complexes import LefschetzComplex, is_augmentable
-from .errors import LefhomError, TooManySimplices
+from .errors import LefhomError, TooManyClosureCells, TooManySimplices
 from .exact import RingSpec
 from .homology import (
     ChainSlices,
@@ -34,7 +35,8 @@ from .homology import (
     point_profile,
 )
 from .simplicial import finite_space_homology, order_complex_chains
-# restrict stays bound here: perfbench/tracing.py patches lefhom.theorem.restrict
+# closure and restrict stay bound here: perfbench/tracing.py patches them in
+# lefhom.theorem by name
 from .topology import DEFAULT_CLOSED_SET_CAP, closure, enumerate_closed_sets, restrict  # noqa: F401
 
 __all__ = [
@@ -49,6 +51,11 @@ __all__ = [
     "search_converse",
 ]
 
+# The most cells that the closures of a complex's cells may hold in all for
+# local_condition: the simplex on 14 vertices has 4 766 585, on 15 vertices
+# 14 316 139.
+DEFAULT_CLOSURE_CAP = 10_000_000
+
 
 @dataclass(frozen=True)
 class LocalCheck:
@@ -56,12 +63,14 @@ class LocalCheck:
     profile: HomologyProfile
 
 
-def _closure_checks(X: LefschetzComplex, chains: ChainSlices) -> Iterator:
-    """(cell id, LocalCheck) in canonical cell order, computed lazily."""
+def _closure_checks(X: LefschetzComplex, chains: ChainSlices, memo: dict) -> Iterator:
+    """(cell id, LocalCheck) in canonical cell order, computed lazily; the
+    profiles of closures are looked up in, and added to, ``memo``."""
     expected = point_profile(chains.ring)
-    for cell in X.cells:
+    down = X.face_poset()._down  # ranks follow X.cells, as chains' degree order does
+    for cell, closed in zip(X.cells, down):
         # the closure of a 0-cell is the cell itself
-        profile = expected if cell.dim == 0 else chains.profile(closure(X, {cell.id}))
+        profile = expected if cell.dim == 0 else chains.closed_profile(closed, memo)
         yield cell.id, LocalCheck(profile == expected, profile)
 
 
@@ -70,13 +79,25 @@ def local_condition(X: LefschetzComplex,
     """Per cell: does the closure of the cell have point homology?
 
     Returned in canonical cell order; the failing cells are the obstruction
-    to the comparison theorem's hypothesis.
+    to the comparison theorem's hypothesis.  Closures repeat: each is
+    profiled through :meth:`~lefhom.homology.ChainSlices.closed_profile`,
+    which eliminates only the first closure of each content.  The memo
+    lives for this call only.  Raises ``TooManyClosureCells`` before any
+    profile when the closures hold more than ``DEFAULT_CLOSURE_CAP`` cells
+    in all.
     """
-    return dict(_closure_checks(X, lefschetz_chains(X, ring)))
+    total = sum(map(len, X.face_poset()._down))
+    if total > DEFAULT_CLOSURE_CAP:
+        raise TooManyClosureCells(total, DEFAULT_CLOSURE_CAP)
+    return dict(_closure_checks(X, lefschetz_chains(X, ring), {}))
 
 
-def _first_local_failure(X: LefschetzComplex, chains: ChainSlices) -> Optional[str]:
-    return next((cid for cid, check in _closure_checks(X, chains) if not check.passes), None)
+def _first_local_failure(X: LefschetzComplex, chains: ChainSlices,
+                         memo: Optional[dict] = None) -> Optional[str]:
+    """The first cell whose closure is not acyclic; ``memo`` holds closure
+    profiles over ``chains.ring``, a fresh one by default."""
+    return next((cid for cid, check in _closure_checks(X, chains, {} if memo is None else memo)
+                 if not check.passes), None)
 
 
 @dataclass(frozen=True)
@@ -271,21 +292,23 @@ def _derive_seed(master: int, index: int) -> int:
     return x ^ (x >> 31)
 
 
-def _is_candidate(X: LefschetzComplex, ring: RingSpec) -> bool:
+def _is_candidate(X: LefschetzComplex, ring: RingSpec, memo: Optional[dict] = None) -> bool:
+    """``memo`` may carry closure profiles over ``ring`` from earlier draws."""
     if not is_augmentable(X, ring):
         return False
-    if _first_local_failure(X, lefschetz_chains(X, ring)) is None:
+    if _first_local_failure(X, lefschetz_chains(X, ring), memo) is None:
         return False  # hypothesis holds: not a converse instance
     return lefschetz_homology(X, ring) == finite_space_homology(X, ring)
 
 
-def _evaluate_index(args) -> Optional[str]:
-    """The serialized complex of one index if it is a candidate, else None."""
+def _evaluate_index(args, memo: dict) -> Optional[str]:
+    """The serialized complex of one index if it is a candidate, else None;
+    ``memo`` carries closure profiles over the search's ring between draws."""
     base, ring, index = args
     seed = _derive_seed(base.seed, index)
     X = formats.random_complex(replace(base, seed=seed))
     try:
-        candidate = _is_candidate(X, ring)
+        candidate = _is_candidate(X, ring, memo)
     except TooManySimplices as exc:
         raise TooManySimplices(exc.cap, f"search draw {index} (seed {seed}): order complex",
                                "lower --transform-steps, --max-cells or --max-dimension "
@@ -323,10 +346,12 @@ def search_converse(base_config, ring: Optional[RingSpec] = None,
 def _search(base_config, ring: RingSpec, budget: int, jobs: int) -> Iterator[ConverseCandidate]:
     workers = min(jobs, os.cpu_count() or 1, budget)
     tasks = ((base_config, ring, index) for index in range(budget))
+    # one memo for a serial search; a pool pickles it, empty, with each chunk
+    evaluate = partial(_evaluate_index, memo={})
     with (concurrent.futures.ProcessPoolExecutor(max_workers=workers)
           if workers > 1 else nullcontext()) as pool:
-        results = (pool.map(_evaluate_index, tasks, chunksize=max(1, budget // (workers * 8)))
-                   if workers > 1 else map(_evaluate_index, tasks))
+        results = (pool.map(evaluate, tasks, chunksize=max(1, budget // (workers * 8)))
+                   if workers > 1 else map(evaluate, tasks))
         for index, text in enumerate(results):
             if text is not None:
                 report = _reverify(text, ring)

@@ -29,11 +29,12 @@ from lefhom import (
 )
 from lefhom import complexes, theorem
 from lefhom.complexes import LefschetzComplex
-from lefhom.errors import LefhomError, TooManyClosedSets, TooManySimplices, UnsupportedRing
+from lefhom.errors import (LefhomError, TooManyClosedSets, TooManyClosureCells, TooManySimplices,
+                           UnsupportedRing)
 from lefhom.homology import ChainSlices, lefschetz_chains
 from lefhom.simplicial import finite_space_homology, order_complex_chains
-from lefhom.theorem import (CorollaryReport, _first_local_failure, _is_candidate, _Mismatches,
-                            _reverify)
+from lefhom.theorem import (CorollaryReport, _derive_seed, _first_local_failure, _is_candidate,
+                            _Mismatches, _reverify)
 from lefhom.topology import count_closed_sets
 
 
@@ -194,13 +195,17 @@ def test_corollary_silent_when_not_augmentable(twisted):
     assert report.consistent_with_corollary
 
 
-def test_fraction_kappa_through_local_condition_and_sweep():
-    # the star with halved coefficients over Q: closures and closed sets are
-    # sliced from matrices whose entries are Fractions
+def _fraction_star():
+    """The star with halved coefficients over Q."""
     half = Fraction(1, 2)
-    X = build_complex(
+    return build_complex(
         [("a", 0), ("b", 0), ("c", 0), ("d", 0), ("e", 1)],
         {("e", "a"): half, ("e", "b"): half, ("e", "c"): -half, ("e", "d"): -half}, QQ)
+
+
+def test_fraction_kappa_through_local_condition_and_sweep():
+    # closures and closed sets are sliced from matrices whose entries are Fractions
+    X = _fraction_star()
     checks = local_condition(X)
     for cid, check in checks.items():
         assert check.profile == lefschetz_homology(restrict(X, closure(X, {cid})))
@@ -387,6 +392,115 @@ def test_local_condition_builds_the_cell_set_at_most_once(monkeypatch):
     assert built["Cell"] == len(X)  # X.cells is built once, then reused
 
 
+def test_local_condition_equals_the_uncached_closure_profiles(corpus, sweep_corpus):
+    # the oracle slices each closure by ids and eliminates it, with no memo;
+    # the halved star has no values over Z or F2
+    rings = (ZZ, QQ, GF(2), GF(3))
+    inputs = ([(X, rings) for _, X in corpus] + [(X, rings) for _, X in sweep_corpus]
+              + [(_torsion_witness(), rings), (_fraction_star(), (QQ, GF(3)))])
+    failing = 0
+    for X, X_rings in inputs:
+        for ring in X_rings:
+            chains = lefschetz_chains(X, ring)
+            checks = local_condition(X, ring)
+            assert list(checks) == [cell.id for cell in X.cells]
+            for cid, check in checks.items():
+                expected = chains.profile(closure(X, {cid}))
+                assert check.profile == expected, (render_lef(X), ring, cid)
+                assert check.passes == (expected == point_profile(ring))
+                failing += not check.passes
+    assert failing >= 100
+
+
+def test_torsion_witness_closures_share_a_shape_but_not_a_profile():
+    # cl e0 and cl e1 have the same sizes and the same rows after
+    # renumbering; only the values (-2, 2) and (-1, 1) tell them apart
+    X = _torsion_witness()
+    chains = lefschetz_chains(X, ZZ)
+    (sizes0, boundary0), (sizes1, boundary1) = (chains.slice(closure(X, {e})) for e in ("e0", "e1"))
+    assert sizes0 == sizes1 == [2, 1]
+    assert ([sorted(col) for col in boundary0(1)._cols]
+            == [sorted(col) for col in boundary1(1)._cols])
+    checks = local_condition(X)
+    assert checks["e0"].profile.entries == ((0, 1, (2,)),)
+    assert checks["e1"].profile.is_point()
+    assert [cid for cid, check in checks.items() if not check.passes] == ["e0"]
+    # over F2, cl e0 has no boundary at all
+    f2 = local_condition(X, GF(2))
+    assert f2["e0"].profile.entries == ((0, 2, ()), (1, 1, ()))
+    assert f2["e1"].profile.is_point()
+
+
+def test_closures_with_equal_sizes_and_values_differ_by_their_rows():
+    # cl s is a square a0-a1-a3-a2, cl t two digons b0=b1 and b2=b3: in
+    # rank order both have 4 vertices, 4 edges with values (-1, 1) and a
+    # face with values (1, -1, 1, -1); only the edges' rows differ
+    edges = {"p1": ("a0", "a1"), "p2": ("a0", "a2"), "p3": ("a1", "a3"), "p4": ("a2", "a3"),
+             "q1": ("b0", "b1"), "q2": ("b0", "b1"), "q3": ("b2", "b3"), "q4": ("b2", "b3")}
+    kappa = {}
+    for e, (u, v) in edges.items():
+        kappa.update({(e, u): -1, (e, v): 1})
+    for face, e in (("s", "p"), ("t", "q")):
+        kappa.update({(face, f"{e}{k}"): (-1) ** (k + 1) for k in range(1, 5)})
+    vertices = [(f"{t}{k}", 0) for t in "ab" for k in range(4)]
+    X = build_complex(vertices + [(e, 1) for e in edges] + [("s", 2), ("t", 2)], kappa, ZZ)
+    chains = lefschetz_chains(X, ZZ)
+    (sizes_s, _), (sizes_t, _) = (chains.slice(closure(X, {x})) for x in "st")
+    assert sizes_s == sizes_t == [4, 4, 1]
+    for ring in (ZZ, QQ, GF(2), GF(3)):
+        checks = local_condition(X, ring)
+        assert checks["s"].passes
+        assert checks["t"].profile.entries == ((0, 2, ()), (1, 1, ()))
+
+
+def test_local_condition_eliminates_each_closure_content_once(monkeypatch):
+    # the 5x5 grid's 96 closures of 1- and 2-cells, keyed as the oracle
+    # slices them: sizes and renumbered columns, rows in ascending order
+    X = import_cubical([[(i, i + 1), (j, j + 1)] for i in range(5) for j in range(5)])
+    chains = lefschetz_chains(X, ZZ)
+    contents = set()
+    for cell in X.cells:
+        if cell.dim:
+            sizes, boundary = chains.slice(closure(X, {cell.id}))
+            columns = [tuple(sorted(col.items()))
+                       for q in range(1, len(sizes)) for col in boundary(q)._cols]
+            contents.add((tuple(sizes), tuple(columns)))
+    from lefhom import homology
+
+    calls = []
+    original = homology.profile_from_boundaries
+    monkeypatch.setattr(homology, "profile_from_boundaries",
+                        lambda *args: calls.append(args[1]) or original(*args))
+    for _ in range(2):  # each call starts with an empty memo
+        calls.clear()
+        assert all(check.passes for check in local_condition(X).values())
+        assert len(calls) == len(contents) < 96
+
+
+def test_local_condition_cap_counts_closure_cells_before_any_profile(monkeypatch, tmp_path, capsys):
+    # the closures of the k-simplex's faces hold 3**k - 2**k cells in all
+    assert 3 ** 14 - 2 ** 14 == 4_766_585 <= theorem.DEFAULT_CLOSURE_CAP < 3 ** 15 - 2 ** 15
+    X = import_simplicial([("a", "b", "c", "d", "e")])
+    assert sum(map(len, X.face_poset()._down)) == 3 ** 5 - 2 ** 5 == 211
+    monkeypatch.setattr(theorem, "lefschetz_chains", None)  # reached only past the cap
+    monkeypatch.setattr(theorem, "DEFAULT_CLOSURE_CAP", 210)
+    with pytest.raises(TooManyClosureCells) as info:
+        local_condition(X)
+    assert (info.value.total, info.value.cap) == (211, 210)
+    path = tmp_path / "simplex5.txt"
+    path.write_text("a b c d e\n")
+    from lefhom.cli import main
+
+    assert main(["check", "--format", "simplicial", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the closures of the cells hold 211 cells in all, over the cap of 210\n"
+    monkeypatch.undo()
+    monkeypatch.setattr(theorem, "DEFAULT_CLOSURE_CAP", 211)
+    assert main(["check", "--format", "simplicial", str(path)]) == 0
+    assert "hypothesis: true\n" in capsys.readouterr().out
+
+
 # -- converse search ---------------------------------------------------------
 
 
@@ -442,6 +556,24 @@ def test_search_parallel_matches_serial():
     serial = [(c.index, c.lef_text) for c in search_converse(cfg, ZZ, budget=60, jobs=1)]
     parallel = [(c.index, c.lef_text) for c in search_converse(cfg, ZZ, budget=60, jobs=2)]
     assert serial == parallel
+
+
+@pytest.mark.parametrize("mode", ["simplicial-random", "cubical-random", "basis-change"])
+def test_search_candidates_equal_fresh_candidate_checks(mode):
+    # the search keeps closure profiles across draws; each draw checked on
+    # its own, with a fresh memo, must pick the same candidates
+    cfg = GeneratorConfig(seed=7, mode=mode, max_cells_per_dim=4, transform_steps=5)
+    budget = 40
+    hits = 0
+    for ring in (ZZ, QQ, GF(2), GF(3)):
+        draws = [random_complex(replace(cfg, seed=_derive_seed(cfg.seed, i)))
+                 for i in range(budget)]
+        expected = [(i, render_lef(X)) for i, X in enumerate(draws) if _is_candidate(X, ring)]
+        for jobs in (1, 2):
+            found = [(c.index, c.lef_text) for c in search_converse(cfg, ring, budget, jobs)]
+            assert found == expected, (ring, jobs)
+        hits += len(expected)
+    assert hits or mode != "basis-change"
 
 
 def test_search_budget_validation():
