@@ -173,13 +173,6 @@ def import_simplicial(maximal_simplices: Iterable[Sequence[str]],
     Raises ``TooManySimplices``, before building faces, once the face counts
     sum past the simplex cap.
     """
-    ids, kappa = _simplicial_faces(maximal_simplices)
-    return build_complex([(cid, len(face) - 1) for face, cid in ids.items()], kappa, ring)
-
-
-def _simplicial_faces(maximal_simplices: Iterable[Sequence[str]]) -> tuple:
-    """The faces of :func:`import_simplicial`: ``{face: id}`` in sorted face
-    order, and ``{(x, y): ±1}`` with the incidences."""
     faces = set()
     bound = 0
     for simplex in maximal_simplices:
@@ -196,6 +189,7 @@ def _simplicial_faces(maximal_simplices: Iterable[Sequence[str]]) -> tuple:
     plain = all(len(v) == 1 for face in faces for v in face)
     joiner = "" if plain else "_"
     ids = {face: _simplex_id(face, joiner) for face in sorted(faces)}
+    cells = [(cid, len(face) - 1) for face, cid in ids.items()]
     kappa = {}
     for face in faces:
         if len(face) == 1:
@@ -203,7 +197,7 @@ def _simplicial_faces(maximal_simplices: Iterable[Sequence[str]]) -> tuple:
         x = ids[face]
         for i in range(len(face)):
             kappa[(x, ids[face[:i] + face[i + 1:]])] = 1 if i % 2 == 0 else -1
-    return ids, kappa
+    return build_complex(cells, kappa, ring)
 
 
 def parse_simplicial(text: str, ring: RingSpec = ZZ) -> LefschetzComplex:
@@ -364,7 +358,7 @@ class GeneratorConfig:
                 raise ValueError(f"{name} must be at most {bound}")
 
 
-def _draw_simplices(rng: random.Random, cfg: GeneratorConfig) -> list:
+def _random_simplicial(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:
     nverts = rng.randint(1, cfg.max_cells_per_dim)
     verts = [f"v{i}" for i in range(nverts)]
     nfaces = rng.randint(1, cfg.max_cells_per_dim)
@@ -372,11 +366,7 @@ def _draw_simplices(rng: random.Random, cfg: GeneratorConfig) -> list:
     for _ in range(nfaces):
         size = rng.randint(1, min(cfg.max_dimension + 1, nverts))
         faces.append(rng.sample(verts, size))
-    return faces
-
-
-def _random_simplicial(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:
-    return import_simplicial(_draw_simplices(rng, cfg))
+    return import_simplicial(faces)
 
 
 def _random_cubical(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:
@@ -398,18 +388,11 @@ def _random_cubical(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComple
 
 
 def _basis_change(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:
-    # the simplicial draw's faces, not built as a complex: its cells of each
-    # degree in id order, and degree q's boundary columns as {row: value}
-    ids, kappa = _simplicial_faces(_draw_simplices(rng, cfg))
-    dims = {cid: len(face) - 1 for face, cid in ids.items()}
-    top = max(dims.values())
-    basis = {q: [] for q in range(top + 1)}
-    for cid in sorted(dims):
-        basis[dims[cid]].append(cid)
-    place = {cid: i for cells in basis.values() for i, cid in enumerate(cells)}
-    cols = {q: [{} for _ in basis[q]] for q in range(1, top + 1)}
-    for (x, y), value in kappa.items():
-        cols[dims[x]][place[x]][place[y]] = value
+    X = _random_simplicial(rng, cfg)
+    top = X.top_dim
+    basis = {q: X.cells_of_dim(q) for q in range(top + 1)}
+    # a {row: value} copy of each boundary column, degree q's in cols[q]
+    cols = {q: [dict(col) for col in X.boundary_matrix(q)._cols] for q in range(1, top + 1)}
 
     for _ in range(cfg.transform_steps):
         eligible = [q for q in range(1, top + 1) if len(basis[q]) >= 2]
@@ -433,8 +416,8 @@ def _basis_change(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:
     cells = [(cid, q) for q in range(top + 1) for cid in basis[q]]
     kappa = [((x, basis[q - 1][row]), value) for q in cols
              for x, col in zip(basis[q], cols[q]) for row, value in sorted(col.items()) if value]
-    out = build_complex(cells, kappa, ZZ)
-    if not is_augmentable(out):  # the draw is simplicial, so augmentable
+    out = build_complex(cells, kappa, X.ring)
+    if not is_augmentable(out):  # X is simplicial, so augmentable
         raise AssertionError("basis change broke augmentability")
     return out
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .complexes import LefschetzComplex
@@ -191,7 +191,11 @@ class ChainSlices:
             for i, key in enumerate(names):
                 self._at.setdefault(key, []).append((q, i))
         self._columns = [boundary(q)._cols for q in range(len(keys))]
-        self._ranked = None
+        # where each degree starts among the ranks; per rank, filled in rank
+        # order as far as a closure has reached, the rows of its boundary
+        # column as ranks, ascending, and their values
+        self._starts = list(accumulate(map(len, self._columns), initial=0))
+        self._rows, self._values = [], []
 
     def positions(self, kept: Iterable) -> list:
         """Per degree, the ascending ambient indices of the kept generators."""
@@ -221,20 +225,16 @@ class ChainSlices:
     def profile(self, kept: Iterable) -> HomologyProfile:
         return profile_from_boundaries(self.ring, *self.slice(kept))
 
-    def _rank_columns(self) -> tuple:
-        """Where each degree starts among the ranks, and per rank the rows of
-        its boundary column as ranks, ascending, and their values; built once."""
-        if self._ranked is None:
-            starts, rows, values = [0], [], []
-            for q, columns in enumerate(self._columns):
-                below = starts[q - 1] if q else 0
-                for col in columns:
-                    ascending = sorted(col)
-                    rows.append([below + i for i in ascending])
-                    values.append(tuple(map(col.__getitem__, ascending)))
-                starts.append(starts[-1] + len(columns))
-            self._ranked = starts, rows, values
-        return self._ranked
+    def _rank_columns(self, top: int) -> None:
+        """Fill the rows and values of the columns up to rank ``top``."""
+        starts, rows, values = self._starts, self._rows, self._values
+        for r in range(len(rows), top + 1):
+            q = bisect_right(starts, r) - 1
+            col = self._columns[q][r - starts[q]]
+            ascending = sorted(col)
+            below = starts[q - 1] if q else 0
+            rows.append([below + i for i in ascending])
+            values.append(tuple(map(col.__getitem__, ascending)))
 
     def closed_profile(self, ranks: Iterable[int], memo: dict) -> HomologyProfile:
         """The profile of the generators at ``ranks``, which must hold every
@@ -247,8 +247,10 @@ class ChainSlices:
         are copied out of the key, with the rows counted from where their
         degree starts, and eliminated.
         """
-        starts, rows, values = self._rank_columns()
         ranks = sorted(ranks)
+        if ranks[-1] >= len(self._rows):
+            self._rank_columns(ranks[-1])
+        starts, rows, values = self._starts, self._rows, self._values
         # the degrees up to the top rank's: each starts at one of the cuts
         cuts = [bisect_left(ranks, start) for start in starts[:bisect_right(starts, ranks[-1])]]
         cuts.append(len(ranks))

@@ -19,7 +19,6 @@ import concurrent.futures
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Iterator, Mapping, Optional
 
 from . import formats
@@ -63,14 +62,15 @@ class LocalCheck:
     profile: HomologyProfile
 
 
-def _closure_checks(X: LefschetzComplex, chains: ChainSlices, memo: dict) -> Iterator:
+def _closure_checks(X: LefschetzComplex, chains: ChainSlices) -> Iterator:
     """(cell id, LocalCheck) in canonical cell order, computed lazily; the
-    profiles of closures are looked up in, and added to, ``memo``."""
+    closure profiles' memo lives as long as the iterator."""
     expected = point_profile(chains.ring)
-    down = X.face_poset()._down  # ranks follow X.cells, as chains' degree order does
-    for cell, closed in zip(X.cells, down):
+    memo = {}
+    for rank, cell in enumerate(X.cells):  # ranks follow X.cells, as chains' degrees do
         # the closure of a 0-cell is the cell itself
-        profile = expected if cell.dim == 0 else chains.closed_profile(closed, memo)
+        profile = (expected if cell.dim == 0
+                   else chains.closed_profile(X.face_poset()._down[rank], memo))
         yield cell.id, LocalCheck(profile == expected, profile)
 
 
@@ -89,15 +89,11 @@ def local_condition(X: LefschetzComplex,
     total = sum(map(len, X.face_poset()._down))
     if total > DEFAULT_CLOSURE_CAP:
         raise TooManyClosureCells(total, DEFAULT_CLOSURE_CAP)
-    return dict(_closure_checks(X, lefschetz_chains(X, ring), {}))
+    return dict(_closure_checks(X, lefschetz_chains(X, ring)))
 
 
-def _first_local_failure(X: LefschetzComplex, chains: ChainSlices,
-                         memo: Optional[dict] = None) -> Optional[str]:
-    """The first cell whose closure is not acyclic; ``memo`` holds closure
-    profiles over ``chains.ring``, a fresh one by default."""
-    return next((cid for cid, check in _closure_checks(X, chains, {} if memo is None else memo)
-                 if not check.passes), None)
+def _first_local_failure(X: LefschetzComplex, chains: ChainSlices) -> Optional[str]:
+    return next((cid for cid, check in _closure_checks(X, chains) if not check.passes), None)
 
 
 @dataclass(frozen=True)
@@ -292,23 +288,21 @@ def _derive_seed(master: int, index: int) -> int:
     return x ^ (x >> 31)
 
 
-def _is_candidate(X: LefschetzComplex, ring: RingSpec, memo: Optional[dict] = None) -> bool:
-    """``memo`` may carry closure profiles over ``ring`` from earlier draws."""
+def _is_candidate(X: LefschetzComplex, ring: RingSpec) -> bool:
     if not is_augmentable(X, ring):
         return False
-    if _first_local_failure(X, lefschetz_chains(X, ring), memo) is None:
+    if _first_local_failure(X, lefschetz_chains(X, ring)) is None:
         return False  # hypothesis holds: not a converse instance
     return lefschetz_homology(X, ring) == finite_space_homology(X, ring)
 
 
-def _evaluate_index(args, memo: dict) -> Optional[str]:
-    """The serialized complex of one index if it is a candidate, else None;
-    ``memo`` carries closure profiles over the search's ring between draws."""
+def _evaluate_index(args) -> Optional[str]:
+    """The serialized complex of one index if it is a candidate, else None."""
     base, ring, index = args
     seed = _derive_seed(base.seed, index)
     X = formats.random_complex(replace(base, seed=seed))
     try:
-        candidate = _is_candidate(X, ring, memo)
+        candidate = _is_candidate(X, ring)
     except TooManySimplices as exc:
         raise TooManySimplices(exc.cap, f"search draw {index} (seed {seed}): order complex",
                                "lower --transform-steps, --max-cells or --max-dimension "
@@ -346,12 +340,10 @@ def search_converse(base_config, ring: Optional[RingSpec] = None,
 def _search(base_config, ring: RingSpec, budget: int, jobs: int) -> Iterator[ConverseCandidate]:
     workers = min(jobs, os.cpu_count() or 1, budget)
     tasks = ((base_config, ring, index) for index in range(budget))
-    # one memo for a serial search; a pool pickles it, empty, with each chunk
-    evaluate = partial(_evaluate_index, memo={})
     with (concurrent.futures.ProcessPoolExecutor(max_workers=workers)
           if workers > 1 else nullcontext()) as pool:
-        results = (pool.map(evaluate, tasks, chunksize=max(1, budget // (workers * 8)))
-                   if workers > 1 else map(evaluate, tasks))
+        results = (pool.map(_evaluate_index, tasks, chunksize=max(1, budget // (workers * 8)))
+                   if workers > 1 else map(_evaluate_index, tasks))
         for index, text in enumerate(results):
             if text is not None:
                 report = _reverify(text, ring)

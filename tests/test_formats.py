@@ -438,8 +438,8 @@ def test_sparse_basis_change_matches_the_dense_moves():
 
 
 def test_generator_draws_are_pinned():
-    # digests of 200 renders per mode, taken when each basis-change draw
-    # still built its simplicial complex before moving the basis
+    # digests of 200 renders per mode: any change to a mode's RNG calls or
+    # to what it builds from them changes its digest
     pinned = {"simplicial-random": "5ab0524290a6760bebcbcf5f46c5fa70",
               "cubical-random": "5a64c564ddbabd514d14acc699624263",
               "basis-change": "1b2d27b51b1ae55c04b8d3ebf551a935"}
@@ -450,14 +450,6 @@ def test_generator_draws_are_pinned():
                                   max_cells_per_dim=3 + seed % 6, transform_steps=4 * (seed % 8))
             h.update(render_lef(random_complex(cfg)).encode())
         assert h.hexdigest()[:32] == digest, mode
-
-
-def test_basis_change_builds_one_complex_per_draw(monkeypatch):
-    calls = _count_calls(monkeypatch, "build_complex")
-    for seed in range(20):
-        calls.clear()
-        random_complex(GeneratorConfig(seed=seed, mode="basis-change"))
-        assert len(calls) == 1, seed
 
 
 def test_column_operation_preserves_smith_divisors():

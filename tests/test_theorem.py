@@ -404,9 +404,14 @@ def test_local_condition_equals_the_uncached_closure_profiles(corpus, sweep_corp
             chains = lefschetz_chains(X, ring)
             checks = local_condition(X, ring)
             assert list(checks) == [cell.id for cell in X.cells]
+            # top rank first, so the rank-column table is filled in one go
+            down = X.face_poset()._down
+            backwards = {cell.id: chains.closed_profile(down[r], {})
+                         for r, cell in reversed(list(enumerate(X.cells)))}
             for cid, check in checks.items():
                 expected = chains.profile(closure(X, {cid}))
                 assert check.profile == expected, (render_lef(X), ring, cid)
+                assert backwards[cid] == expected, (render_lef(X), ring, cid)
                 assert check.passes == (expected == point_profile(ring))
                 failing += not check.passes
     assert failing >= 100
@@ -475,6 +480,9 @@ def test_local_condition_eliminates_each_closure_content_once(monkeypatch):
         calls.clear()
         assert all(check.passes for check in local_condition(X).values())
         assert len(calls) == len(contents) < 96
+        calls.clear()  # so does the search's first-failure pass
+        assert _first_local_failure(X, lefschetz_chains(X, ZZ)) is None
+        assert len(calls) == len(contents)
 
 
 def test_local_condition_cap_counts_closure_cells_before_any_profile(monkeypatch, tmp_path, capsys):
@@ -560,8 +568,8 @@ def test_search_parallel_matches_serial():
 
 @pytest.mark.parametrize("mode", ["simplicial-random", "cubical-random", "basis-change"])
 def test_search_candidates_equal_fresh_candidate_checks(mode):
-    # the search keeps closure profiles across draws; each draw checked on
-    # its own, with a fresh memo, must pick the same candidates
+    # each draw checked on its own, outside the search and its worker pool,
+    # must pick the same candidates
     cfg = GeneratorConfig(seed=7, mode=mode, max_cells_per_dim=4, transform_steps=5)
     budget = 40
     hits = 0
