@@ -115,60 +115,65 @@ class LefschetzComplex:
 
     def __init__(self, cells: Iterable, kappa, ring: RingSpec):
         self.ring = ring
-        self._dims = {}
+        dims = self._dims = {}
+        valid_id = _ID_RE.match
         for cell in cells:
             cid, dim = (cell.id, cell.dim) if isinstance(cell, Cell) else cell
-            if not isinstance(cid, str) or not _ID_RE.match(cid):
+            if not isinstance(cid, str) or not valid_id(cid):
                 raise InvalidCellId(f"bad cell id {cid!r} (want [A-Za-z0-9_]+)")
-            if not isinstance(dim, int) or dim < 0:
+            # a bool is an int, but render_lef would write it as True or False
+            if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
                 raise InvalidCellId(f"cell {cid!r} has bad dimension {dim!r}")
-            if cid in self._dims:
+            if cid in dims:
                 raise DuplicateCellId(f"cell id {cid!r} declared twice")
-            self._dims[cid] = dim
+            dims[cid] = dim
 
         items = kappa.items() if isinstance(kappa, Mapping) else kappa
         # the one store of kappa: cell -> {facet: nonzero value}
-        facets = self._facets = {x: {} for x in self._dims}
-        p = ring.p
+        facets = self._facets = {x: {} for x in dims}
+        p, convert, dim_of = ring.p, ring.convert, dims.get
         plain = ring.kind != "Q"  # an int is an element of Z, and of F_p once reduced
         for (x, y), value in items:
-            for ref in (x, y):
-                if ref not in self._dims:
-                    raise UnknownCellReference(f"kappa references unknown cell {ref!r}")
+            if (dx := dim_of(x)) is None:  # a known cell's dimension is an int
+                raise UnknownCellReference(f"kappa references unknown cell {x!r}")
+            if (dy := dim_of(y)) is None:
+                raise UnknownCellReference(f"kappa references unknown cell {y!r}")
             if plain and type(value) is int:
                 if p:
                     value %= p
             else:
-                value = ring.convert(value)
+                value = convert(value)
             if not value:
                 continue
-            if self._dims[x] != self._dims[y] + 1:
-                raise GradingViolation(x, y, self._dims[x], self._dims[y])
-            if y in facets[x]:
+            if dx != dy + 1:
+                raise GradingViolation(x, y, dx, dy)
+            row = facets[x]
+            if y in row:
                 raise DuplicateCellId(f"kappa({x}, {y}) given twice")
-            facets[x][y] = value
+            row[y] = value
 
-        self._check_kappa_condition()
-
-        by_dim = {}
-        for cid, dim in self._dims.items():
-            by_dim.setdefault(dim, []).append(cid)
-        self._by_dim = {d: tuple(sorted(ids)) for d, ids in by_dim.items()}
-        self._cells = None
-        self._poset = None
-        self._boundary_cache = {}
-
-    def _check_kappa_condition(self):
-        p = self.ring.p  # plain int/Fraction sums; over F_p only the total is reduced
-        for x, mids in self._facets.items():
+        # boundary of boundary, cell by cell, in plain int/Fraction sums; over
+        # F_p only the total is reduced.  facets has dims' key order, and the
+        # facets of a cell below dimension 2 are 0-cells, which have no facets.
+        for (x, mids), dim in zip(facets.items(), dims.values()):
+            if dim < 2:
+                continue
             acc = {}
             for y, v in mids.items():
-                for z, w in self._facets[y].items():
+                for z, w in facets[y].items():
                     acc[z] = acc.get(z, 0) + v * w
             for z, total in acc.items():
                 total = total % p if p else total
                 if total:
                     raise KappaConditionViolation(x, z, total)
+
+        by_dim = {}
+        for cid, dim in dims.items():
+            by_dim.setdefault(dim, []).append(cid)
+        self._by_dim = {d: tuple(sorted(ids)) for d, ids in by_dim.items()}
+        self._cells = None
+        self._poset = None
+        self._boundary_cache = {}
 
     # -- cell access ---------------------------------------------------
 

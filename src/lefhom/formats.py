@@ -223,8 +223,11 @@ def _interval_id(lo: int, hi: int) -> str:
     return enc(lo) if lo == hi else f"{enc(lo)}_{enc(hi)}"
 
 
+_join_id = "x".join  # a cube's id: its interval ids, axis by axis
+
+
 def _cube_id(cube: tuple) -> str:
-    return "x".join(_interval_id(lo, hi) for lo, hi in cube)
+    return _join_id([_interval_id(lo, hi) for lo, hi in cube])
 
 
 def import_cubical(cubes: Iterable[Sequence], ring: RingSpec = ZZ) -> LefschetzComplex:
@@ -234,9 +237,10 @@ def import_cubical(cubes: Iterable[Sequence], ring: RingSpec = ZZ) -> LefschetzC
     ``[k, k+1]``; all cubes must share the embedding dimension.  Collapsing
     the j-th non-degenerate interval contributes the sign ``(-1)**s_j`` to
     the upper face and its negative to the lower face, where ``s_j`` counts
-    non-degenerate intervals strictly before position j.  Ids are built
-    once per face; the construction validator (boundary of boundary is
-    zero) is still the arbiter of this sign convention.  Raises
+    non-degenerate intervals strictly before position j.  Each interval is
+    named once and each face id joined once from those names, and kappa
+    comes in sorted-face order; the construction validator (boundary of
+    boundary is zero) is still the arbiter of this sign convention.  Raises
     ``TooManySimplices``, before building faces, once the face counts (3^k per
     cube with k unit factors) and the bounding box's elementary cubes both pass the cap.
     """
@@ -272,21 +276,21 @@ def import_cubical(cubes: Iterable[Sequence], ring: RingSpec = ZZ) -> LefschetzC
                 raise TooManySimplices(DEFAULT_SIMPLEX_CAP, "cubical input")
     if not checked:
         raise EmptyInput("no cubes to import")
-    all_cubes = set().union(*[product(*[((lo, hi),) if lo == hi else ((lo, hi), (lo, lo), (hi, hi))
-                                        for lo, hi in axes]) for axes in checked])
-
-    ids = {cube: _cube_id(cube) for cube in sorted(all_cubes)}
-    cells = [(cid, sum(lo != hi for lo, hi in cube)) for cube, cid in ids.items()]
-    kappa = {}
-    for cube in all_cubes:
-        x = ids[cube]
-        sign = 1
-        for j, (lo, hi) in enumerate(cube):
-            if lo == hi:
-                continue
-            kappa[(x, ids[cube[:j] + ((hi, hi),) + cube[j + 1:]])] = sign
-            kappa[(x, ids[cube[:j] + ((lo, lo),) + cube[j + 1:]])] = -sign
-            sign = -sign
+    # faces in doubled coordinates, [k] as 2k and [k, k+1] as 2k + 1: they sort
+    # as the intervals do, and a unit interval's facets are its coordinate ± 1
+    faces = sorted(set().union(*[product(*[(2 * lo,) if lo == hi else (lo + hi, 2 * lo, 2 * hi)
+                                           for lo, hi in axes]) for axes in checked]))
+    names = {c: _interval_id(c >> 1, (c + 1) >> 1) for c in set().union(*faces)}
+    ids = {face: _join_id(map(names.__getitem__, face)) for face in faces}
+    cells, kappa = [], []
+    for face, x in ids.items():
+        dim, sign = 0, 1
+        for j, c in enumerate(face):
+            if c & 1:
+                kappa.append(((x, ids[face[:j] + (c + 1,) + face[j + 1:]]), sign))
+                kappa.append(((x, ids[face[:j] + (c - 1,) + face[j + 1:]]), -sign))
+                dim, sign = dim + 1, -sign
+        cells.append((x, dim))
     return build_complex(cells, kappa, ring)
 
 

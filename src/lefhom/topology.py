@@ -1,8 +1,10 @@
 """The finite-space topology carried by a complex's face order.
 
 Closed sets are the down-sets of the face poset, open sets the up-sets.
-All functions take cell-id iterables and return frozensets; rendering
-layers sort ids when determinism of output text matters.
+The facets generate the face order, so closures and closedness walk
+``X._facets``; open hulls, openness and the closed-set walk read the face
+poset.  All functions take cell-id iterables and return frozensets;
+rendering layers sort ids when determinism of output text matters.
 """
 
 from __future__ import annotations
@@ -36,9 +38,14 @@ def _cellset(X: LefschetzComplex, A: Iterable) -> frozenset:
 
 
 def closure(X: LefschetzComplex, A: Iterable) -> frozenset:
-    """Smallest closed set containing A: the union of the face down-sets."""
-    poset = X.face_poset()
-    return poset._union(_cellset(X, A), poset._down)
+    """Smallest closed set containing A: everything reached from A down the facets."""
+    facets, out = X._facets, set(_cellset(X, A))
+    stack = list(out)
+    while stack:
+        below = facets[stack.pop()].keys() - out
+        out |= below
+        stack += below
+    return frozenset(out)
 
 
 def open_hull(X: LefschetzComplex, A: Iterable) -> frozenset:
@@ -54,8 +61,9 @@ def mouth(X: LefschetzComplex, A: Iterable) -> frozenset:
 
 
 def is_closed(X: LefschetzComplex, A: Iterable) -> bool:
-    A = _cellset(X, A)
-    return closure(X, A) == A
+    """True when A holds the facets of each of its cells."""
+    A, facets = _cellset(X, A), X._facets
+    return all(A.issuperset(facets[x]) for x in A)
 
 
 def is_open(X: LefschetzComplex, A: Iterable) -> bool:
@@ -78,8 +86,8 @@ def restrict(X: LefschetzComplex, A: Iterable) -> LefschetzComplex:
     A = _cellset(X, A)
     if not is_locally_closed(X, A):
         raise NotLocallyClosed(f"{sorted(A)} is not locally closed")
-    # X's facet table in X's order, so the result never follows set order
-    cells = [(x, X.dim_of(x)) for x in X._facets if x in A]
+    # X's cells and facets in X's order, so the result never follows set order
+    cells = [(x, dim) for x, dim in X._dims.items() if x in A]
     kappa = [((x, y), v) for x, _ in cells for y, v in X._facets[x].items() if y in A]
     return LefschetzComplex(cells, kappa, X.ring)
 

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from lefhom import GF, QQ, Cell, ExactMatrix, ZZ, build_complex, import_simplicial
+from lefhom import GF, QQ, Cell, ExactMatrix, ZZ, build_complex, import_simplicial, parse_lef, render_lef
 from lefhom.errors import (
     DuplicateCellId,
     GradingViolation,
     InvalidCellId,
     KappaConditionViolation,
+    LefSyntaxError,
     UnknownCellReference,
 )
 
@@ -84,6 +85,65 @@ def test_duplicate_and_unknown_and_bad_ids():
         build_complex([("bad id", 0)], {}, ZZ)
     with pytest.raises(InvalidCellId):
         build_complex([("v", -1)], {}, ZZ)
+
+
+_TRIANGLE = [("a", 0), ("b", 0), ("c", 0), ("e", 1), ("f", 1), ("g", 1), ("t", 2)]
+
+# (cells, kappa, ring, error class, message): each input has two faults, and
+# the one that construction meets first decides the error
+_TWO_FAULTS = [
+    # a bad id after a duplicate, and before it
+    ([("a", 0), ("a", 0), ("b-", 0)], {}, ZZ,
+     DuplicateCellId, "cell id 'a' declared twice"),
+    ([("b-", 0), ("a", 0), ("a", 0)], {}, ZZ,
+     InvalidCellId, "bad cell id 'b-' (want [A-Za-z0-9_]+)"),
+    # a bad dimension beside a duplicate, and a bad id beside a bad dimension
+    ([("a", 0), ("b", -1), ("a", 0)], {}, ZZ,
+     InvalidCellId, "cell 'b' has bad dimension -1"),
+    ([("a b", 1.5)], {}, ZZ,
+     InvalidCellId, "bad cell id 'a b' (want [A-Za-z0-9_]+)"),
+    # an unknown reference before a grading error, and after it
+    ([("a", 0), ("b", 0), ("e", 1)], [(("e", "zz"), 1), (("a", "b"), 1)], ZZ,
+     UnknownCellReference, "kappa references unknown cell 'zz'"),
+    ([("a", 0), ("b", 0), ("e", 1)], [(("a", "b"), 1), (("zz", "e"), 1)], ZZ,
+     GradingViolation, "kappa(a, b) nonzero but dim a = 0, dim b = 0"),
+    # both ends unknown: the first is named
+    ([("a", 0)], [(("yy", "zz"), 1)], ZZ,
+     UnknownCellReference, "kappa references unknown cell 'yy'"),
+    # a zero value on a misgraded pair is dropped, so the other pair is the error
+    ([("a", 0), ("b", 0), ("e", 1), ("f", 1)], [(("a", "b"), 0), (("e", "f"), 1)], ZZ,
+     GradingViolation, "kappa(e, f) nonzero but dim e = 1, dim f = 1"),
+    ([("a", 0), ("b", 0), ("e", 1), ("f", 1)], [(("a", "b"), 3), (("f", "e"), -2)], GF(3),
+     GradingViolation, "kappa(f, e) nonzero but dim f = 1, dim e = 1"),
+    ([("a", 0), ("b", 0), ("e", 1), ("f", 1)], [(("a", "b"), Fraction(0)), (("e", "f"), 1)], QQ,
+     GradingViolation, "kappa(e, f) nonzero but dim e = 1, dim f = 1"),
+    # a duplicate incidence beside a boundary-of-boundary violation
+    (_TRIANGLE, [(("e", "a"), 1), (("e", "b"), -1), (("t", "e"), 1), (("e", "a"), 1)], ZZ,
+     DuplicateCellId, "kappa(e, a) given twice"),
+    (_TRIANGLE, [(("e", "a"), 1), (("e", "b"), -1), (("t", "e"), 1)], ZZ,
+     KappaConditionViolation, "kappa condition fails at (t, a): sum = 1"),
+]
+
+
+@pytest.mark.parametrize("cells, kappa, ring, error, message", _TWO_FAULTS)
+def test_construction_meets_faults_in_a_fixed_order(cells, kappa, ring, error, message):
+    with pytest.raises(error) as err:
+        build_complex(cells, kappa, ring)
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_a_bool_dimension_is_refused():
+    # a bool is an int, but render_lef would write "cell e True", which
+    # parse_lef refuses
+    for cells in ([("a", False), ("b", False), ("e", True)], [Cell("a", False)]):
+        with pytest.raises(InvalidCellId) as err:
+            build_complex(cells, {}, ZZ)
+        assert str(err.value) == "cell 'a' has bad dimension False"
+    X = build_complex([("a", 0), ("b", 0), ("e", 1)], {("e", "a"): 1, ("e", "b"): -1}, ZZ)
+    text = render_lef(X)
+    assert "cell e 1\n" in text and parse_lef(text) == X
+    with pytest.raises(LefSyntaxError, match="^line 2: bad dimension 'False'$"):
+        parse_lef(text.replace("cell a 0", "cell a False"))
 
 
 def test_zero_kappa_entries_are_dropped():

@@ -289,12 +289,22 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_import_cubical_builds_each_id_once(monkeypatch):
-    calls = _count_calls(monkeypatch, "_cube_id")
+def test_import_cubical_names_each_interval_once(monkeypatch):
+    named = _count_calls(monkeypatch, "_interval_id")
+    joined, join = [], formats._join_id
+
+    def counted(names):
+        joined.append(join(names))
+        return joined[-1]
+
+    monkeypatch.setattr(formats, "_join_id", counted)
     X = parse_cubical("\n".join(f"[{i},{i + 1}]x[{j},{j + 1}]"
                                 for i in range(8) for j in range(8)))
     assert len(X) == 289
-    assert len(calls) == 289
+    # [k] for k = 0..8 and [k, k+1] for k = 0..7, each named once for both axes
+    assert sorted(named) == sorted([(k, k) for k in range(9)] + [(k, k + 1) for k in range(8)])
+    # each of the 289 ids joined once
+    assert sorted(joined) == sorted(X.cell_ids)
 
 
 def test_cubical_cap_bounds_the_distinct_faces(monkeypatch):

@@ -27,6 +27,8 @@ from lefhom import (
     smith_normal_form,
 )
 from lefhom import exact
+from lefhom.cli import main
+from lefhom.complexes import FacePoset
 from lefhom.errors import NonFieldRing, NotClosed, TooManyClosedSets, TooManySimplices
 from lefhom.exact import _beside, _reduction, kernel_basis, rank_over, solve
 from lefhom.homology import (
@@ -182,6 +184,31 @@ def test_les_ranks_each_map_once(monkeypatch):
     assert report.exact
     assert len(report.nodes) == 11
     assert ranked == list(report.maps)
+
+
+def test_closed_pairs_never_build_the_face_poset(monkeypatch, tmp_path, capsys):
+    # closedness is read off the facets: les, excision, relative homology and
+    # restriction of a 4x4 grid with a closed column build no face poset
+    cubes = [[(i, i + 1), (j, j + 1)] for i in range(4) for j in range(4)]
+    X = import_cubical(cubes)
+    column = closure(X, [f"2_3x{j}_{j + 1}" for j in range(4)])
+
+    def refuse(*args):
+        raise AssertionError("a face poset was built")
+
+    monkeypatch.setattr(FacePoset, "__init__", refuse)
+    assert long_exact_sequence(X, column, QQ).exact
+    assert excision_check(X, column)
+    assert relative_homology(X, column).entries == ()  # the pair is acyclic
+    assert len(restrict(X, X.cell_ids - column)) == len(X) - len(column)
+    with pytest.raises(NotClosed, match="missing faces"):
+        relative_homology(X, column - {"2x0"})
+    path = tmp_path / "grid.txt"
+    path.write_text("".join(f"[{a},{b}]x[{c},{d}]\n" for (a, b), (c, d) in cubes))
+    for command, ring in (("les", "F3"), ("excision", "Z")):
+        argv = [command, "--format", "cubical", "--ring", ring, "--closed", ",".join(column)]
+        assert main(argv + [str(path)]) == 0, command
+    capsys.readouterr()
 
 
 def test_les_exactness_matches_ranking_both_ends(corpus):

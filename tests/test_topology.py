@@ -10,12 +10,14 @@ from lefhom import (
     build_complex,
     closure,
     enumerate_closed_sets,
+    import_cubical,
     import_simplicial,
     is_closed,
     is_locally_closed,
     is_open,
     mouth,
     open_hull,
+    parse_lef,
     restrict,
 )
 from lefhom.errors import NotLocallyClosed, TooManyClosedSets, UnknownCellReference
@@ -199,3 +201,94 @@ def test_order_closure_duality(corpus):
                 b = y in open_hull(X, {x})
                 c = poset.leq(x, y)
                 assert a == b == c, name
+
+
+# -- the facet walk against the face-poset route --------------------------------
+
+RP2_FACES = ("abc", "acd", "ade", "aef", "afb", "bce", "cdf", "deb", "efc", "fbd")
+
+
+def _cells_of(X, A):
+    A = frozenset(A)
+    unknown = sorted(a for a in A if a not in X)
+    if unknown:
+        raise UnknownCellReference(f"not cells of the complex: {unknown}")
+    return A
+
+
+def _poset_closure(X, A):
+    """The union of the face poset's down-sets over A."""
+    poset = X.face_poset()
+    return poset._union(_cells_of(X, A), poset._down)
+
+
+def _poset_is_closed(X, A):
+    A = _cells_of(X, A)
+    return _poset_closure(X, A) == A
+
+
+def _poset_restrict(X, A):
+    """The complex on A in X's order, or None when A is not locally closed."""
+    A = _cells_of(X, A)
+    if not _poset_is_closed(X, _poset_closure(X, A) - A):
+        return None
+    return build_complex([(x, X.dim_of(x)) for x in X._dims if x in A],
+                         [((x, y), v) for (x, y), v in X.kappa_entries.items()
+                          if x in A and y in A], X.ring)
+
+
+def _facet_walk_inputs(data_dir):
+    out = [(path.name, parse_lef(path.read_text())) for path in sorted(data_dir.glob("*.lef"))]
+    out += [(f"grid{n}x{n}", import_cubical([[(i, i + 1), (j, j + 1)]
+                                              for i in range(n) for j in range(n)]))
+            for n in range(1, 9)]
+    out.append(("cube2x1x1", import_cubical([[(0, 1), (0, 1), (0, 1)], [(1, 2), (0, 1), (0, 1)]])))
+    out.append(("rp2", import_simplicial([tuple(face) for face in RP2_FACES])))
+    return out
+
+
+def _assert_walk_matches_poset(name, X, A):
+    cA = _poset_closure(X, A)
+    assert closure(X, A) == cA, name
+    assert is_closed(X, A) == _poset_is_closed(X, A), name
+    assert mouth(X, A) == cA - frozenset(A), name
+    assert is_locally_closed(X, A) == _poset_is_closed(X, cA - frozenset(A)), name
+    expected = _poset_restrict(X, A)
+    if expected is None:
+        with pytest.raises(NotLocallyClosed) as err:
+            restrict(X, A)
+        assert str(err.value) == f"{sorted(A)} is not locally closed", name
+    else:
+        sub = restrict(X, A)
+        assert sub == expected, name
+        assert list(sub.kappa_entries.items()) == list(expected.kappa_entries.items()), name
+
+
+def test_facet_walk_matches_the_face_poset(data_dir, sweep_corpus):
+    rng = random.Random(31)
+    inputs = _facet_walk_inputs(data_dir) + [(repr(cfg), X) for cfg, X in sweep_corpus]
+    for name, X in inputs:
+        ids = sorted(X.cell_ids)
+        picks = [rng.sample(ids, rng.randint(0, len(ids))) for _ in range(3)]
+        picks += [[x] for x in rng.sample(ids, min(3, len(ids)))]
+        sets = [frozenset(), frozenset(ids)]
+        for pick in picks:
+            cA = _poset_closure(X, pick)
+            # a subset, a closed set, an open set and a closed set less a cell
+            sets += [frozenset(pick), cA, frozenset(ids) - cA, cA - {max(cA, default=None)}]
+        for A in sets:
+            _assert_walk_matches_poset(name, X, A)
+            # the walk takes any iterable, as the poset route does
+            assert closure(X, iter(sorted(A))) == _poset_closure(X, A), name
+
+
+def test_facet_walk_names_unknown_cells_as_the_poset_route_does(data_dir):
+    for name, X in _facet_walk_inputs(data_dir):
+        A = sorted(X.cell_ids)[:2] + ["zz9", "no such cell"]
+        with pytest.raises(UnknownCellReference) as ref:
+            _poset_closure(X, A)
+        assert str(ref.value) == "not cells of the complex: ['no such cell', 'zz9']"
+        for function in (closure, is_closed, mouth, is_locally_closed, restrict):
+            with pytest.raises(UnknownCellReference) as err:
+                function(X, A)
+            assert str(err.value) == str(ref.value), (name, function.__name__)
