@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_export_dot)
 
     p = sub.add_parser("validate", help="parse and validate only")
-    _add_input_options(p)
+    _add_input_options(p, with_ring=False)
     p.set_defaults(func=_cmd_validate)
 
     return parser

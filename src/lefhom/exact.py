@@ -8,8 +8,9 @@ those columns through one of two sparse routines: :func:`_eliminate` for
 ranks and Smith forms, :func:`_reduce_column` for reductions by lowest row.
 
 The ring policy of a reduction lives here.  Over Q, columns are scaled to
-integers, which keeps their span, so no rank does ``Fraction`` arithmetic.
-Over Z and Q only ±1 is a pivot, over F_p every nonzero entry.
+integers, which keeps their span, so no rank does ``Fraction`` arithmetic
+and :func:`_eliminate` sees ints only.  Over Z and Q only ±1 is a pivot,
+over F_p every nonzero entry.
 :func:`_reduce` runs the unit phase, :func:`_eliminate`, and then the
 residue phase, the dense Bezout Smith form of the columns left (none are
 left over F_p).  :func:`smith_normal_form` without transforms,
@@ -332,8 +333,8 @@ class SmithForm:
 def _eliminate(cols: list, p: Optional[int]) -> list:
     """Sparse elimination, in place, on ``cols``: one ``{row: value}`` dict per column.
 
-    ``p`` is None over Z, where only entries ±1 are pivots, 0 over Q (int or
-    ``Fraction`` values) and the prime over F_p (ints in [0, p)).  Pivot
+    ``p`` is None over Z and over Q scaled to integers, where only entries
+    ±1 are pivots, and the prime over F_p (ints in [0, p)).  Pivot
     columns go shortest first; within one, the unit whose row has the
     fewest entries.  A pivot clears its row from the other columns by
     column operations and empties its own column.  Returns the pivot
@@ -363,7 +364,7 @@ def _eliminate(cols: list, p: Optional[int]) -> list:
                 deferred.append(c)
                 continue
             u = col.pop(r)
-            inv = pow(u, -1, p) if p else u if u in (1, -1) else 1 / Fraction(u)
+            inv = pow(u, -1, p) if p else u
             items = list(col.items())
             for i, _ in items:
                 rows[i].discard(c)

@@ -34,9 +34,10 @@ from .homology import (
     point_profile,
 )
 from .simplicial import finite_space_homology, order_complex_chains
-# closure and restrict stay bound here: perfbench/tracing.py patches them in
-# lefhom.theorem by name
-from .topology import DEFAULT_CLOSED_SET_CAP, closure, enumerate_closed_sets, restrict  # noqa: F401
+from .topology import DEFAULT_CLOSED_SET_CAP, closed_set_walk
+# closure, enumerate_closed_sets and restrict stay bound here, though unused:
+# perfbench/tracing.py patches them in lefhom.theorem by name
+from .topology import closure, enumerate_closed_sets, restrict  # noqa: F401
 
 __all__ = [
     "LocalCheck",
@@ -161,57 +162,16 @@ class CorollaryReport:
     consistent_with_corollary: bool
 
 
-class _Mismatches:
-    """Follows the closed-set walk with one reducer per homology; ``visit()``
-    is true on the closed sets where the two profiles differ."""
-
-    def __init__(self, *chains: ChainSlices):
-        self.sides = [IncrementalReducer(c) for c in chains]
-        width = max(len(side.free) for side in self.sides)
-        for side in self.sides:
-            side.free += [0] * (width - len(side.free))  # zero ranks change no profile
-
-    def include(self, x: str) -> None:
-        for side in self.sides:
-            side.include(x)
-
-    def undo(self) -> None:
-        for side in self.sides:
-            side.undo()
-
-    def visit(self) -> bool:
-        cells, space = self.sides
-        if cells.stalled is None and space.stalled is None:
-            return cells.free != space.free  # the profiles, over one ring
-        return cells.profile() != space.profile()
-
-
-class _Steps(list):
-    """The closed-set walk as recorded: a cell id per include, None per
-    undo.  Every include is followed by a visit of the set it makes."""
-
-    visits = 0
-
-    def include(self, x: str) -> None:
-        self.append(x)
-
-    def undo(self) -> None:
-        self.append(None)
-
-    def visit(self) -> bool:
-        self.visits += 1
-        return False
-
-
 def check_corollary(X: LefschetzComplex, ring: Optional[RingSpec] = None,
                     cap: int = DEFAULT_CLOSED_SET_CAP) -> CorollaryReport:
     """Sweep every closed subcomplex and compare both homology pipelines.
 
-    One walk over the closed sets is recorded; it raises TooManyClosedSets
-    past ``cap`` before the order complex is built.  Its replay carries a
-    column reduction of X's chain complex and one of its order complex,
-    each keyed by cell: a cell joins after its faces, so it appends only
-    its own columns, and each closed set's profiles are its free ranks.
+    The steps of :func:`~lefhom.topology.closed_set_walk` are taken first;
+    the walk raises TooManyClosedSets past ``cap`` before the order complex
+    is built.  Their replay carries a column reduction of X's chain complex
+    and one of its order complex, each keyed by cell: a cell joins after
+    its faces, so it appends only its own columns, and each closed set's
+    profiles are its free ranks.
     This is the persistence algorithm of Edelsbrunner-Letscher-Zomorodian
     ("Topological persistence and simplification", DCG 2002) and
     Zomorodian-Carlsson ("Computing persistent homology", DCG 2005), with
@@ -225,20 +185,28 @@ def check_corollary(X: LefschetzComplex, ring: Optional[RingSpec] = None,
     augmentable = is_augmentable(X, ring)
     cells = lefschetz_chains(X, ring)
     local_ok = _first_local_failure(X, cells) is None
-    steps = _Steps()
-    enumerate_closed_sets(X, cap, steps)
-    sweep = _Mismatches(cells, order_complex_chains(X, ring))
-    kept = []
-    mismatches = [()] if sweep.visit() else []
+    steps = closed_set_walk(X, cap)
+    sides = [IncrementalReducer(c) for c in (cells, order_complex_chains(X, ring))]
+    width = max(len(side.free) for side in sides)
+    for side in sides:
+        side.free += [0] * (width - len(side.free))  # zero ranks change no profile
+    lef, space = sides
+    kept, mismatches = [], []  # the empty set has no homology on either side
     for x in steps:
         if x is None:
-            sweep.undo()
             kept.pop()
+            lef.undo()
+            space.undo()
+            continue
+        kept.append(x)
+        lef.include(x)
+        space.include(x)
+        if lef.stalled is None and space.stalled is None:
+            differ = lef.free != space.free  # the profiles, over one ring
         else:
-            sweep.include(x)
-            kept.append(x)
-            if sweep.visit():
-                mismatches.append(tuple(sorted(kept)))
+            differ = lef.profile() != space.profile()
+        if differ:
+            mismatches.append(tuple(sorted(kept)))
     mismatches.sort(key=lambda s: (len(s), s))
     all_match = not mismatches
     agree = local_ok == all_match
@@ -246,7 +214,7 @@ def check_corollary(X: LefschetzComplex, ring: Optional[RingSpec] = None,
         ring=ring,
         augmentable=augmentable,
         local_condition_holds=local_ok,
-        closed_sets_checked=steps.visits,
+        closed_sets_checked=len(steps) // 2 + 1,  # one undo per join
         mismatching_closed_sets=tuple(mismatches),
         all_closed_match=all_match,
         directions_agree=agree,

@@ -22,7 +22,7 @@ __all__ = [
     "is_open",
     "is_locally_closed",
     "restrict",
-    "count_closed_sets",
+    "closed_set_walk",
     "enumerate_closed_sets",
 ]
 
@@ -92,9 +92,17 @@ def restrict(X: LefschetzComplex, A: Iterable) -> LefschetzComplex:
     return LefschetzComplex(cells, kappa, X.ring)
 
 
-def _walk(X: LefschetzComplex, cap: int, sweep=None) -> list:
-    """Bitmasks over the (dim, id) cell order of the closed sets found;
-    with a sweep, only of those at which ``sweep.visit()`` is true."""
+def closed_set_walk(X: LefschetzComplex, cap: int = DEFAULT_CLOSED_SET_CAP) -> list:
+    """The depth-first walk over the closed sets, as a list of steps.
+
+    A step is a cell id where that cell joins the current set, or None
+    where the walk takes the last joined cell out again.  The walk starts
+    at the empty set and makes a new closed set at each join, so it finds
+    one more set than it has joins; it ends back at the empty set.  Cells
+    join in (dim, id) order, each after all its faces and while nothing
+    above it is in.  Raises TooManyClosedSets past ``cap`` sets, before
+    returning anything.
+    """
     poset = X.face_poset()  # ranks follow (dim, id): a linear extension
     ids, rank, cofacets = poset._ids, poset._rank, poset._cofacets
     needs = [sum(1 << rank[y] for y in X._facets[x]) for x in ids]  # distinct bits: an OR
@@ -107,56 +115,42 @@ def _walk(X: LefschetzComplex, cap: int, sweep=None) -> list:
     # among them) go on a stack instead of recursion, because the depth is
     # the number of cells; None marks where the walk backs out of an
     # include.
-    found = []
+    steps = []
     count = 0
     stack = [(-1, 0, [k for k, need in enumerate(needs) if not need], -1)]
     while stack:
         entry = stack.pop()
         if entry is None:
-            sweep.undo()
+            steps.append(None)
             continue
         j, chosen, siblings, place = entry
         count += 1
         if count > cap:
             raise TooManyClosedSets(cap)
-        if sweep is None:
-            found.append(chosen)
-        else:
-            if j >= 0:
-                sweep.include(ids[j])
-                stack.append(None)
-            if sweep.visit():
-                found.append(chosen)
         addable = siblings[place + 1:]
         if j >= 0:
+            steps.append(ids[j])
+            stack.append(None)
             addable += [c for c in cofacets[j] if needs[c] & chosen == needs[c]]
             addable.sort()
         stack.extend((c, chosen | 1 << c, addable, place) for place, c in enumerate(addable))
-    return found
+    return steps
 
 
-def count_closed_sets(X: LefschetzComplex, cap: int = DEFAULT_CLOSED_SET_CAP) -> int:
-    """The number of closed sets; raises TooManyClosedSets past ``cap``."""
-    return len(_walk(X, cap))
-
-
-def enumerate_closed_sets(X: LefschetzComplex,
-                          cap: int = DEFAULT_CLOSED_SET_CAP, sweep=None) -> list:
+def enumerate_closed_sets(X: LefschetzComplex, cap: int = DEFAULT_CLOSED_SET_CAP) -> list:
     """All closed sets (down-sets of the face poset), smallest first.
 
     Raises TooManyClosedSets when the count exceeds ``cap``: down-set
     counting is exponential in the width of the poset, so callers must
-    opt in to large enumerations explicitly.
-
-    The sets are walked depth first by include/exclude decisions in (dim,
-    id) order, so a cell joins the current set after all its faces and
-    while nothing above it is in.  A ``sweep`` follows the walk: it is told
-    ``include(x)`` when cell x joins, ``undo()`` when the walk takes the
-    last joined cell out again, and ``visit()`` at each closed set.  Only
-    the sets at which ``visit()`` is true are returned then.
+    opt in to large enumerations explicitly.  The sets are those made by
+    replaying the steps of :func:`closed_set_walk`.
     """
-    ids = X.face_poset()._ids
-    sets = [frozenset(ids[k] for k in range(len(ids)) if mask >> k & 1)
-            for mask in _walk(X, cap, sweep)]
+    kept, sets = [], [frozenset()]
+    for x in closed_set_walk(X, cap):
+        if x is None:
+            kept.pop()
+        else:
+            kept.append(x)
+            sets.append(frozenset(kept))
     sets.sort(key=lambda s: (len(s), tuple(sorted(s))))
     return sets

@@ -258,6 +258,14 @@ def test_jobs_is_a_search_option_only(capsys, star_file):
     assert "unrecognized arguments: --jobs 2" in err
 
 
+def test_validate_takes_no_ring(capsys, star_file):
+    # validate only parses; a ring it would ignore is refused as a usage error
+    code, out, err = run_cli(capsys, "validate", star_file, "--ring", "Z")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --ring Z" in err
+
+
 def _directory(tmp_path):
     return str(tmp_path)
 

@@ -62,7 +62,7 @@ _EDITS = st.lists(st.tuples(st.sampled_from(["delete", "duplicate", "replace", "
 def _cases(draw):
     text, fmt = draw(st.sampled_from(CORPUS))
     command = draw(st.sampled_from(COMMANDS))
-    ring = None if command == "export-dot" else draw(st.sampled_from(RINGS))
+    ring = None if command in ("export-dot", "validate") else draw(st.sampled_from(RINGS))
     return command, fmt, ring, _mutate(text, draw(_EDITS))
 
 

@@ -21,7 +21,7 @@ from lefhom import (
     restrict,
 )
 from lefhom.errors import NotLocallyClosed, TooManyClosedSets, UnknownCellReference
-from lefhom.topology import count_closed_sets
+from lefhom.topology import closed_set_walk
 
 
 def test_closure_examples(star, twisted):
@@ -116,53 +116,62 @@ def test_enumerate_closed_sets_chain_prefixes():
         frozenset(), frozenset({"a"}), frozenset({"a", "e"})]
 
 
-class _Follower:
-    """Tracks the walk's current set through include and undo alone."""
-
-    def __init__(self, X):
-        self.X = X
-        self.current = []
-        self.seen = []
-
-    def include(self, x):
-        # a cell joins after all its faces, while nothing above it is in
-        assert closure(self.X, {x}) - {x} <= set(self.current)
-        assert not any(x in closure(self.X, {y}) for y in self.current)
-        self.current.append(x)
-
-    def undo(self):
-        self.current.pop()
-
-    def visit(self):
-        self.seen.append(frozenset(self.current))
-        return len(self.current) % 2 == 1
-
-
 def test_sweep_follows_every_closed_set(corpus):
     for name, X in corpus:
         try:
-            sets = enumerate_closed_sets(X, cap=600)
+            steps = closed_set_walk(X, cap=600)
         except TooManyClosedSets:
             continue
+        sets = enumerate_closed_sets(X, cap=600)
         if len(X) <= 10:  # against every subset that is its own closure
             ids = sorted(X.cell_ids)
             subsets = (frozenset(c) for r in range(len(ids) + 1) for c in combinations(ids, r))
             assert set(sets) == {s for s in subsets if closure(X, s) == s}, name
-        follower = _Follower(X)
-        odd = enumerate_closed_sets(X, 600, follower)
-        assert sorted(follower.seen, key=sorted) == sorted(sets, key=sorted), name
-        assert len(set(follower.seen)) == len(sets) == count_closed_sets(X), name
-        assert follower.current == [], name
-        # the sweep picks the returned sets; they come smallest first
-        assert odd == [s for s in sets if len(s) % 2 == 1], name
+        current, seen = [], [frozenset()]
+        for x in steps:
+            if x is None:
+                current.pop()
+                continue
+            # a cell joins after all its faces, while nothing above it is in
+            assert closure(X, {x}) - {x} <= set(current), name
+            assert not any(x in closure(X, {y}) for y in current), name
+            current.append(x)
+            seen.append(frozenset(current))
+        assert sorted(seen, key=sorted) == sorted(sets, key=sorted), name
+        assert len(set(seen)) == len(sets), name
+        assert current == [], name
+        # the returned sets come smallest first
+        assert sets == sorted(sets, key=lambda s: (len(s), sorted(s))), name
+
+
+def test_walk_steps_are_balanced_and_replay_to_the_closed_sets(corpus, star):
+    for name, X in corpus:
+        steps = closed_set_walk(X)
+        depth = 0
+        for x in steps:
+            depth += 1 if x is not None else -1
+            assert depth >= 0, name  # no step back past the empty set
+        assert depth == 0, name
+        kept, sets = [], [frozenset()]
+        for x in steps:
+            if x is None:
+                kept.pop()
+            else:
+                kept.append(x)
+                sets.append(frozenset(kept))
+        assert len(sets) == len(set(sets)) == len(steps) // 2 + 1, name
+        assert sorted(sets, key=lambda s: (len(s), sorted(s))) == enumerate_closed_sets(X), name
+    assert len(closed_set_walk(star, cap=17)) == 2 * 16
+    with pytest.raises(TooManyClosedSets):
+        closed_set_walk(star, cap=16)
 
 
 def test_enumerate_closed_sets_cap(star):
     with pytest.raises(TooManyClosedSets):
         enumerate_closed_sets(star, cap=5)
     with pytest.raises(TooManyClosedSets):
-        count_closed_sets(star, cap=16)
-    assert count_closed_sets(star, cap=17) == 17
+        len(enumerate_closed_sets(star, cap=16))
+    assert len(enumerate_closed_sets(star, cap=17)) == 17
 
 
 def test_enumerate_closed_sets_cap_on_many_cells():
