@@ -226,9 +226,9 @@ def _cmd_search(args) -> int:
         print(f"ring: {ring.label}")
         print(f"seed: {config.seed}")
         print(f"budget: {args.budget}")
-        hits = []
+        hits = 0
         for candidate in found:
-            hits.append(candidate)
+            hits += 1
             print(f"candidate_index: {candidate.index}")
             print(f"candidate_seed: {candidate.seed}")
             print(f"candidate_failing_cells: {','.join(candidate.failing_cells)}")
@@ -249,7 +249,7 @@ def _cmd_search(args) -> int:
                 for line in candidate.lef_text.rstrip("\n").splitlines():
                     print(f"candidate_lef: {line}")
     print(f"evaluated: {args.budget}")
-    print(f"candidates: {len(hits)}")
+    print(f"candidates: {hits}")
     if hits:
         print("result: CRITICAL: converse candidate(s) found; verify by hand")
         return EXIT_FAILED

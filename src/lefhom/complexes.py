@@ -103,6 +103,15 @@ class FacePoset:
         return f"FacePoset({len(self._ids)} elements)"
 
 
+def _graded(dims: Mapping[str, int]) -> dict:
+    """{dim: the ids of that dimension, sorted}: the (dim, id) order of the
+    cells, degree by degree, which boundary matrices and ranks follow."""
+    by_dim = {}
+    for cid, dim in dims.items():
+        by_dim.setdefault(dim, []).append(cid)
+    return {d: tuple(sorted(ids)) for d, ids in by_dim.items()}
+
+
 class LefschetzComplex:
     """Validated, immutable Lefschetz complex over a :class:`RingSpec`.
 
@@ -167,10 +176,7 @@ class LefschetzComplex:
                 if total:
                     raise KappaConditionViolation(x, z, total)
 
-        by_dim = {}
-        for cid, dim in dims.items():
-            by_dim.setdefault(dim, []).append(cid)
-        self._by_dim = {d: tuple(sorted(ids)) for d, ids in by_dim.items()}
+        self._by_dim = _graded(dims)
         self._cells = None
         self._poset = None
         self._boundary_cache = {}

@@ -19,7 +19,7 @@ from itertools import combinations, product
 from math import prod
 from typing import Iterable, Sequence
 
-from .complexes import _ID_RE, LefschetzComplex, build_complex, is_augmentable
+from .complexes import _ID_RE, LefschetzComplex, _graded, build_complex, is_augmentable
 from .errors import (
     DimensionMismatch,
     EmptyInput,
@@ -173,6 +173,12 @@ def import_simplicial(maximal_simplices: Iterable[Sequence[str]],
     Raises ``TooManySimplices``, before building faces, once the face counts
     sum past the simplex cap.
     """
+    return build_complex(*_simplicial_cells(maximal_simplices), ring)
+
+
+def _simplicial_cells(maximal_simplices: Iterable[Sequence[str]]) -> tuple:
+    """The (id, dim) cells and the {(x, y): ±1} kappa of
+    :func:`import_simplicial`, unvalidated."""
     faces = set()
     bound = 0
     for simplex in maximal_simplices:
@@ -197,7 +203,7 @@ def import_simplicial(maximal_simplices: Iterable[Sequence[str]],
         x = ids[face]
         for i in range(len(face)):
             kappa[(x, ids[face[:i] + face[i + 1:]])] = 1 if i % 2 == 0 else -1
-    return build_complex(cells, kappa, ring)
+    return cells, kappa
 
 
 def parse_simplicial(text: str, ring: RingSpec = ZZ) -> LefschetzComplex:
@@ -363,6 +369,10 @@ class GeneratorConfig:
 
 
 def _random_simplicial(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:
+    return import_simplicial(_random_faces(rng, cfg))
+
+
+def _random_faces(rng: random.Random, cfg: GeneratorConfig) -> list:
     nverts = rng.randint(1, cfg.max_cells_per_dim)
     verts = [f"v{i}" for i in range(nverts)]
     nfaces = rng.randint(1, cfg.max_cells_per_dim)
@@ -370,7 +380,7 @@ def _random_simplicial(rng: random.Random, cfg: GeneratorConfig) -> LefschetzCom
     for _ in range(nfaces):
         size = rng.randint(1, min(cfg.max_dimension + 1, nverts))
         faces.append(rng.sample(verts, size))
-    return import_simplicial(faces)
+    return faces
 
 
 def _random_cubical(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:
@@ -392,11 +402,17 @@ def _random_cubical(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComple
 
 
 def _basis_change(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:
-    X = _random_simplicial(rng, cfg)
-    top = X.top_dim
-    basis = {q: X.cells_of_dim(q) for q in range(top + 1)}
-    # a {row: value} copy of each boundary column, degree q's in cols[q]
-    cols = {q: [dict(col) for col in X.boundary_matrix(q)._cols] for q in range(1, top + 1)}
+    # the simplicial draw's cells and kappa, in the columns its complex would
+    # have: nothing is built or validated until the moves are made
+    faces, signs = _simplicial_cells(_random_faces(rng, cfg))
+    dims = dict(faces)
+    basis = _graded(dims)  # a simplicial complex has cells in each degree up to its top
+    top = len(basis) - 1
+    at = {cid: i for ids in basis.values() for i, cid in enumerate(ids)}
+    # a {row: value} boundary column per cell, degree q's in cols[q]
+    cols = {q: [{} for _ in basis[q]] for q in range(1, top + 1)}
+    for (x, y), sign in signs.items():
+        cols[dims[x]][at[x]][at[y]] = sign
 
     for _ in range(cfg.transform_steps):
         eligible = [q for q in range(1, top + 1) if len(basis[q]) >= 2]
@@ -420,8 +436,8 @@ def _basis_change(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:
     cells = [(cid, q) for q in range(top + 1) for cid in basis[q]]
     kappa = [((x, basis[q - 1][row]), value) for q in cols
              for x, col in zip(basis[q], cols[q]) for row, value in sorted(col.items()) if value]
-    out = build_complex(cells, kappa, X.ring)
-    if not is_augmentable(out):  # X is simplicial, so augmentable
+    out = build_complex(cells, kappa, ZZ)
+    if not is_augmentable(out):  # the draw was simplicial, so augmentable
         raise AssertionError("basis change broke augmentability")
     return out
 

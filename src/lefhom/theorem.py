@@ -27,6 +27,7 @@ from .errors import LefhomError, TooManyClosureCells, TooManySimplices
 from .exact import RingSpec
 from .homology import (
     ChainSlices,
+    ClosureMemo,
     HomologyProfile,
     IncrementalReducer,
     lefschetz_chains,
@@ -63,11 +64,19 @@ class LocalCheck:
     profile: HomologyProfile
 
 
-def _closure_checks(X: LefschetzComplex, chains: ChainSlices) -> Iterator:
-    """(cell id, LocalCheck) in canonical cell order, computed lazily; the
-    closure profiles' memo lives as long as the iterator."""
+def _closure_checks(X: LefschetzComplex, chains: ChainSlices,
+                    memo: Optional[dict] = None) -> Iterator:
+    """(cell id, LocalCheck) in canonical cell order, computed lazily.
+
+    The closure profiles go through ``memo``: a fresh dict for this
+    iterator when none is given, which ``local_condition``, ``check`` and
+    ``corollary`` use.  A search passes a :class:`ClosureMemo` that lasts
+    across its complexes: one for the first-failure pass over its draws,
+    the whole search in serial or one per pool task, and another for
+    re-verification, which that pass never fills.
+    """
     expected = point_profile(chains.ring)
-    memo = {}
+    memo = {} if memo is None else memo
     for rank, cell in enumerate(X.cells):  # ranks follow X.cells, as chains' degrees do
         # the closure of a 0-cell is the cell itself
         profile = (expected if cell.dim == 0
@@ -87,14 +96,21 @@ def local_condition(X: LefschetzComplex,
     profile when the closures hold more than ``DEFAULT_CLOSURE_CAP`` cells
     in all.
     """
+    return _local_condition(X, ring)
+
+
+def _local_condition(X: LefschetzComplex, ring: Optional[RingSpec],
+                     memo: Optional[dict] = None) -> Mapping[str, LocalCheck]:
     total = sum(map(len, X.face_poset()._down))
     if total > DEFAULT_CLOSURE_CAP:
         raise TooManyClosureCells(total, DEFAULT_CLOSURE_CAP)
-    return dict(_closure_checks(X, lefschetz_chains(X, ring)))
+    return dict(_closure_checks(X, lefschetz_chains(X, ring), memo))
 
 
-def _first_local_failure(X: LefschetzComplex, chains: ChainSlices) -> Optional[str]:
-    return next((cid for cid, check in _closure_checks(X, chains) if not check.passes), None)
+def _first_local_failure(X: LefschetzComplex, chains: ChainSlices,
+                         memo: Optional[dict] = None) -> Optional[str]:
+    return next((cid for cid, check in _closure_checks(X, chains, memo)
+                 if not check.passes), None)
 
 
 @dataclass(frozen=True)
@@ -123,9 +139,13 @@ class TheoremReport:
 
 def check_theorem(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> TheoremReport:
     """Evaluate hypotheses and conclusion of the comparison theorem on X."""
-    ring = X.ring if ring is None else ring
+    return _check_theorem(X, X.ring if ring is None else ring)
+
+
+def _check_theorem(X: LefschetzComplex, ring: RingSpec,
+                   memo: Optional[dict] = None) -> TheoremReport:
     augmentable = is_augmentable(X, ring)
-    local = local_condition(X, ring)
+    local = _local_condition(X, ring, memo)
     hypothesis = augmentable and all(check.passes for check in local.values())
     lef = lefschetz_homology(X, ring)
     sing = finite_space_homology(X, ring)
@@ -256,31 +276,59 @@ def _derive_seed(master: int, index: int) -> int:
     return x ^ (x >> 31)
 
 
-def _is_candidate(X: LefschetzComplex, ring: RingSpec) -> bool:
+def _is_candidate(X: LefschetzComplex, ring: RingSpec, memo: Optional[dict] = None) -> bool:
     if not is_augmentable(X, ring):
         return False
-    if _first_local_failure(X, lefschetz_chains(X, ring)) is None:
+    if _first_local_failure(X, lefschetz_chains(X, ring), memo) is None:
         return False  # hypothesis holds: not a converse instance
     return lefschetz_homology(X, ring) == finite_space_homology(X, ring)
 
 
-def _evaluate_index(args) -> Optional[str]:
-    """The serialized complex of one index if it is a candidate, else None."""
-    base, ring, index = args
-    seed = _derive_seed(base.seed, index)
-    X = formats.random_complex(replace(base, seed=seed))
-    try:
-        candidate = _is_candidate(X, ring)
-    except TooManySimplices as exc:
-        raise TooManySimplices(exc.cap, f"search draw {index} (seed {seed}): order complex",
-                               "lower --transform-steps, --max-cells or --max-dimension "
-                               "to shrink the draws") from None
-    return formats.render_lef(X) if candidate else None
+def _hits(base, ring: RingSpec, indices: range, memo: dict) -> Iterator[tuple]:
+    """(index, serialized complex) of each candidate among the draws at
+    ``indices``, as it is found; their first-failure passes share ``memo``."""
+    for index in indices:
+        seed = _derive_seed(base.seed, index)
+        X = formats.random_complex(replace(base, seed=seed))
+        try:
+            candidate = _is_candidate(X, ring, memo)
+        except TooManySimplices as exc:
+            raise TooManySimplices(exc.cap, f"search draw {index} (seed {seed}): order complex",
+                                   "lower --transform-steps, --max-cells or --max-dimension "
+                                   "to shrink the draws") from None
+        if candidate:
+            yield index, formats.render_lef(X)
 
 
-def _reverify(lef_text: str, ring: RingSpec) -> TheoremReport:
-    """Recompute everything from the serialized complex, independently."""
-    report = check_theorem(formats.parse_lef(lef_text), ring)
+def _range_hits(args) -> list:
+    """One pool task: the hits of an index range, with a memo of its own."""
+    base, ring, indices = args
+    return list(_hits(base, ring, indices, ClosureMemo()))
+
+
+# The most draws in one pool task, so that a task's hits stay small, and
+# the most tasks handed to the pool at once per worker.
+_RANGE_CAP = 1000
+_TASKS_PER_WORKER = 8
+
+
+def _pool_hits(pool, base, ring: RingSpec, budget: int, workers: int) -> Iterator[tuple]:
+    """The hits of indices 0 to budget - 1, in order, from tasks that each
+    name an index range; tasks are made a window at a time, so memory does
+    not grow with the budget."""
+    size = min(-(-budget // (workers * _TASKS_PER_WORKER)), _RANGE_CAP)
+    window = size * workers * _TASKS_PER_WORKER
+    for first in range(0, budget, window):
+        tasks = [(base, ring, range(start, min(start + size, budget)))
+                 for start in range(first, min(first + window, budget), size)]
+        for hits in pool.map(_range_hits, tasks):
+            yield from hits
+
+
+def _reverify(lef_text: str, ring: RingSpec, memo: Optional[dict] = None) -> TheoremReport:
+    """Recompute everything from the serialized complex, independently of
+    the draw: ``memo`` holds only what re-verification itself profiled."""
+    report = _check_theorem(formats.parse_lef(lef_text), ring, memo)
     if not (report.augmentable and report.failing_cells and report.conclusion_holds):
         raise LefhomError("candidate failed re-verification from its serialization")
     return report
@@ -307,17 +355,16 @@ def search_converse(base_config, ring: Optional[RingSpec] = None,
 
 def _search(base_config, ring: RingSpec, budget: int, jobs: int) -> Iterator[ConverseCandidate]:
     workers = min(jobs, os.cpu_count() or 1, budget)
-    tasks = ((base_config, ring, index) for index in range(budget))
+    reverified = ClosureMemo()
     with (concurrent.futures.ProcessPoolExecutor(max_workers=workers)
           if workers > 1 else nullcontext()) as pool:
-        results = (pool.map(_evaluate_index, tasks, chunksize=max(1, budget // (workers * 8)))
-                   if workers > 1 else map(_evaluate_index, tasks))
-        for index, text in enumerate(results):
-            if text is not None:
-                report = _reverify(text, ring)
-                yield ConverseCandidate(
-                    index=index, seed=_derive_seed(base_config.seed, index),
-                    mode=base_config.mode, lef_text=text, failing_cells=report.failing_cells,
-                    lefschetz_profile=report.lefschetz_profile,
-                    singular_profile=report.singular_profile, reverified=True,
-                )
+        hits = (_pool_hits(pool, base_config, ring, budget, workers) if workers > 1
+                else _hits(base_config, ring, range(budget), ClosureMemo()))
+        for index, text in hits:
+            report = _reverify(text, ring, reverified)
+            yield ConverseCandidate(
+                index=index, seed=_derive_seed(base_config.seed, index),
+                mode=base_config.mode, lef_text=text, failing_cells=report.failing_cells,
+                lefschetz_profile=report.lefschetz_profile,
+                singular_profile=report.singular_profile, reverified=True,
+            )

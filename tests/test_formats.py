@@ -435,16 +435,35 @@ def _dense_basis_change(cfg):
 
 
 def test_sparse_basis_change_matches_the_dense_moves():
-    for seed in range(150):
-        cfg = GeneratorConfig(seed=seed, mode="basis-change", max_dimension=1 + seed % 3,
-                              max_cells_per_dim=4 + seed % 5, transform_steps=6 * (1 + seed % 7))
+    configs = [GeneratorConfig(seed=seed, mode="basis-change", max_dimension=1 + seed % 3,
+                               max_cells_per_dim=4 + seed % 5, transform_steps=6 * (1 + seed % 7))
+               for seed in range(150)]
+    # from v10 on, a degree's ids sort otherwise than its vertex tuples
+    # (v10_v11 before v1_v2), and the moves pick cells by place in id order
+    configs += [GeneratorConfig(seed=seed, mode="basis-change", max_dimension=2,
+                                max_cells_per_dim=12 + seed % 8, transform_steps=30)
+                for seed in range(20)]
+    for cfg in configs:
         X, reference = random_complex(cfg), _dense_basis_change(cfg)
-        assert render_lef(X) == render_lef(reference), seed
+        assert render_lef(X) == render_lef(reference), cfg
         for q in range(1, X.top_dim + 1):
             # the same rows in the same order in every column, so elimination
             # takes the same pivots
             assert ([list(col.items()) for col in X.boundary_matrix(q)._cols]
-                    == [list(col.items()) for col in reference.boundary_matrix(q)._cols]), seed
+                    == [list(col.items()) for col in reference.boundary_matrix(q)._cols]), cfg
+
+
+def test_basis_change_builds_one_complex_per_draw(monkeypatch):
+    # the simplicial draw is moved as columns: only the moved complex is
+    # built, with the full validation
+    built = _count_calls(monkeypatch, "build_complex")
+    for seed in range(30):
+        cfg = GeneratorConfig(seed=seed, mode="basis-change", max_dimension=1 + seed % 3,
+                              max_cells_per_dim=3 + seed % 6, transform_steps=4 * (seed % 8))
+        built.clear()
+        X = random_complex(cfg)
+        assert len(built) == 1, seed
+        assert render_lef(X) == render_lef(_dense_basis_change(cfg)), seed
 
 
 def test_generator_draws_are_pinned():

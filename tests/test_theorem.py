@@ -27,7 +27,7 @@ from lefhom import (
     restrict,
     search_converse,
 )
-from lefhom import complexes, theorem
+from lefhom import complexes, homology, theorem
 from lefhom.complexes import LefschetzComplex
 from lefhom.errors import (LefhomError, TooManyClosedSets, TooManyClosureCells, TooManySimplices,
                            UnsupportedRing)
@@ -578,6 +578,131 @@ def test_search_candidates_equal_fresh_candidate_checks(mode):
             assert found == expected, (ring, jobs)
         hits += len(expected)
     assert hits or mode != "basis-change"
+
+
+def _record_closure_memos(monkeypatch):
+    """(memo, inside _reverify) for each closed_profile call from here on."""
+    calls, reverifying = [], []
+    closed_profile, reverify = ChainSlices.closed_profile, theorem._reverify
+
+    def recorded(self, ranks, memo):
+        calls.append((memo, bool(reverifying)))
+        return closed_profile(self, ranks, memo)
+
+    def flagged(*args):
+        reverifying.append(True)
+        try:
+            return reverify(*args)
+        finally:
+            reverifying.pop()
+
+    monkeypatch.setattr(ChainSlices, "closed_profile", recorded)
+    monkeypatch.setattr(theorem, "_reverify", flagged)
+    return calls
+
+
+def _key_length(memo) -> int:
+    return sum(len(cuts) + sum(map(len, values)) + len(rows) for cuts, values, rows in memo)
+
+
+def test_search_memos_stay_within_their_bound(monkeypatch):
+    # unbounded, this search's draw memo would hold 3 276 key entries and
+    # its re-verification memo 19 148
+    bound = 1000
+    monkeypatch.setattr(homology, "CLOSURE_MEMO_BOUND", bound)
+    cfg = GeneratorConfig(seed=21, mode="basis-change")
+    budget = 3000
+    expected = [(i, render_lef(X)) for i in range(budget)
+                if _is_candidate(X := random_complex(replace(cfg, seed=_derive_seed(cfg.seed, i))),
+                                 ZZ)]
+    calls = _record_closure_memos(monkeypatch)
+    lengths = {}
+    original = ChainSlices.closed_profile
+
+    def checked(self, ranks, memo):
+        profile = original(self, ranks, memo)
+        lengths[id(memo)] = length = _key_length(memo)
+        assert length == memo.length <= bound
+        return profile
+
+    monkeypatch.setattr(ChainSlices, "closed_profile", checked)
+    found = [(c.index, c.lef_text) for c in search_converse(cfg, ZZ, budget, 1)]
+    assert len({id(memo) for memo, _ in calls}) == 2
+    assert all(bound - 100 < length <= bound for length in lengths.values())
+    # a bounded memo changes no candidate, serial or pooled
+    assert found == expected and len(found) > 500
+    assert [(c.index, c.lef_text) for c in search_converse(cfg, ZZ, budget, 2)] == expected
+
+
+def test_reverification_memo_is_never_filled_by_the_draws(monkeypatch):
+    calls = _record_closure_memos(monkeypatch)
+    cfg = GeneratorConfig(seed=4, mode="basis-change")
+    hits = list(search_converse(cfg, ZZ, budget=300))
+    draws = {id(memo) for memo, reverifying in calls if not reverifying}
+    reverified = {id(memo) for memo, reverifying in calls if reverifying}
+    assert hits and len(draws) == len(reverified) == 1  # one memo each for the whole search
+    assert not draws & reverified
+    memos = {id(memo): memo for memo, _ in calls}
+    assert all(isinstance(memo, homology.ClosureMemo) for memo in memos.values())
+
+
+def test_serial_search_eliminates_each_closure_content_once_per_memo(monkeypatch):
+    eliminated, current = [], []  # current: the memo of the closed_profile call under way
+    closed_profile = ChainSlices.closed_profile
+    profile_from_boundaries = homology.profile_from_boundaries
+
+    def entered(self, ranks, memo):
+        current.append(memo)
+        try:
+            return closed_profile(self, ranks, memo)
+        finally:
+            current.pop()
+
+    def recorded(ring, sizes, boundary):
+        if current:
+            columns = tuple(tuple(sorted(col.items()))
+                            for q in range(1, len(sizes)) for col in boundary(q)._cols)
+            eliminated.append((id(current[-1]), tuple(sizes), columns))
+        return profile_from_boundaries(ring, sizes, boundary)
+
+    monkeypatch.setattr(ChainSlices, "closed_profile", entered)
+    monkeypatch.setattr(homology, "profile_from_boundaries", recorded)
+    for ring in (ZZ, GF(3)):
+        eliminated.clear()
+        cfg = GeneratorConfig(seed=8, mode="basis-change")
+        assert list(search_converse(cfg, ring, budget=400))
+        assert len(set(eliminated)) == len(eliminated) > 50
+        assert len({memo for memo, *_ in eliminated}) == 2  # the draws' and re-verification's
+
+
+def test_pool_tasks_are_index_ranges_handed_out_a_window_at_a_time():
+    class RecordingPool:
+        def __init__(self):
+            self.windows = []
+
+        def map(self, fn, tasks):
+            self.windows.append([indices for _, _, indices in tasks])
+            return [[(indices.start, "")] for _, _, indices in tasks]  # one hit per task
+
+    for budget, workers in ((1, 2), (17, 2), (1000, 2), (40_000, 2), (10**8, 3)):
+        pool = RecordingPool()
+        hits = [index for index, _ in theorem._pool_hits(pool, None, ZZ, budget, workers)]
+        ranges = [indices for window in pool.windows for indices in window]
+        assert hits == [indices.start for indices in ranges]
+        assert [r.start for r in ranges] == [0] + [r.stop for r in ranges[:-1]]
+        assert ranges[-1].stop == budget and {r.step for r in ranges} == {1}
+        assert max(map(len, ranges)) <= theorem._RANGE_CAP
+        assert max(map(len, pool.windows)) <= workers * theorem._TASKS_PER_WORKER
+
+
+def test_serial_search_yields_each_candidate_as_it_is_found(monkeypatch):
+    drawn = []
+    random_complex = theorem.formats.random_complex
+    monkeypatch.setattr(theorem.formats, "random_complex",
+                        lambda cfg: drawn.append(cfg) or random_complex(cfg))
+    cfg = GeneratorConfig(seed=11, mode="basis-change")
+    first = next(search_converse(cfg, ZZ, budget=10**9))
+    assert len(drawn) == first.index + 1
 
 
 def test_search_budget_validation():
