@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import signal
 import sys
-from contextlib import nullcontext
+import threading
+from contextlib import closing, contextmanager, nullcontext
 from typing import Optional, Sequence
 
 from . import __version__
@@ -206,6 +208,25 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+@contextmanager
+def _sigterm_exits():
+    """In the main thread, SIGTERM raises SystemExit(143) inside the block,
+    so that the search's pool shuts down on the way out; the previous
+    handler is restored after.  Other threads cannot set a handler."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def _cmd_search(args) -> int:
     ring = _parse_ring(args.ring) or RingSpec.integers()
     try:
@@ -220,8 +241,11 @@ def _cmd_search(args) -> int:
         found = search_converse(config, ring, budget=args.budget, jobs=args.jobs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    # opened before any output, so an unwritable path ends the run as a usage error
-    with open(args.hits, "a", encoding="utf-8") if args.hits else nullcontext() as sink:
+    # closing(found) shuts the search's pool down however the block ends; the
+    # hits file is opened before any output, so an unwritable path ends the
+    # run as a usage error
+    with (_sigterm_exits(), closing(found),
+          open(args.hits, "a", encoding="utf-8") if args.hits else nullcontext() as sink):
         print(f"mode: {config.mode}")
         print(f"ring: {ring.label}")
         print(f"seed: {config.seed}")

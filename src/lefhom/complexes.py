@@ -15,9 +15,8 @@ relies on them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import (
     DuplicateCellId,
@@ -33,8 +32,7 @@ __all__ = ["Cell", "LefschetzComplex", "FacePoset", "build_complex", "is_augment
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     id: str
     dim: int
 
@@ -127,7 +125,7 @@ class LefschetzComplex:
         dims = self._dims = {}
         valid_id = _ID_RE.match
         for cell in cells:
-            cid, dim = (cell.id, cell.dim) if isinstance(cell, Cell) else cell
+            cid, dim = cell
             if not isinstance(cid, str) or not valid_id(cid):
                 raise InvalidCellId(f"bad cell id {cid!r} (want [A-Za-z0-9_]+)")
             # a bool is an int, but render_lef would write it as True or False
@@ -246,7 +244,7 @@ class LefschetzComplex:
 
     def face_poset(self) -> FacePoset:
         if self._poset is None:
-            self._poset = FacePoset([c.id for c in self.cells], self._facets)
+            self._poset = FacePoset([cid for cid, _ in self.cells], self._facets)
         return self._poset
 
     # -- misc --------------------------------------------------------------

@@ -30,10 +30,9 @@ serves ``with_transforms=True``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import NonFieldRing, UnsupportedRing
 
@@ -62,30 +61,41 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RingSpec:
-    """A supported coefficient ring: Z, Q, or a prime field F_p.
-
-    Instances are immutable and hashable, so they double as cache keys.
-    Elements are plain ``int`` (for Z and F_p, the latter kept canonical
-    in [0, p)) or ``Fraction`` (for Q).
-    """
-
+class _RingFields(NamedTuple):
     kind: str  # "Z" | "Q" | "Fp"
     p: Optional[int] = None
 
-    def __post_init__(self):
-        if self.kind not in ("Z", "Q", "Fp"):
-            raise UnsupportedRing(f"unknown ring kind {self.kind!r}")
-        if self.kind == "Fp":
+
+class RingSpec(_RingFields):
+    """A supported coefficient ring: Z, Q, or a prime field F_p.
+
+    Instances are immutable named tuples, hashable, so they double as cache
+    keys.  Every construction path validates: the constructor, ``_make``,
+    ``_replace`` and unpickling.  Elements are plain ``int`` (for Z and F_p,
+    the latter kept canonical in [0, p)) or ``Fraction`` (for Q).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        kind, p = self
+        if kind not in ("Z", "Q", "Fp"):
+            raise UnsupportedRing(f"unknown ring kind {kind!r}")
+        if kind == "Fp":
             # the bound keeps trial division under 46 341 steps
-            if self.p is not None and self.p >= 1 << 31:
+            if p is not None and p >= 1 << 31:
                 raise UnsupportedRing("prime field modulus must be below 2**31, "
-                                      f"got a {self.p.bit_length()}-bit number")
-            if self.p is None or not _is_prime(self.p):
-                raise UnsupportedRing(f"prime field modulus must be prime, got {self.p!r}")
-        elif self.p is not None:
-            raise UnsupportedRing(f"ring {self.kind} takes no modulus")
+                                      f"got a {p.bit_length()}-bit number")
+            if p is None or not _is_prime(p):
+                raise UnsupportedRing(f"prime field modulus must be prime, got {p!r}")
+        elif p is not None:
+            raise UnsupportedRing(f"ring {kind} takes no modulus")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "RingSpec":
+        return cls(*iterable)  # through __new__, so _replace validates too
 
     @staticmethod
     def integers() -> "RingSpec":
@@ -312,8 +322,7 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols} over {self.ring}, {nonzero} nonzero)"
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple):
     """Diagonal divisors (d_i | d_{i+1}, all positive) of an integer matrix."""
 
     shape: tuple

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import _ID_RE, LefschetzComplex, _graded, build_complex, is_augmentable
 from .errors import (
@@ -147,8 +146,8 @@ def render_lef(X: LefschetzComplex) -> str:
         lines = [f"ring Zp {ring.p}"]
     else:
         lines = [f"ring {ring.kind}"]
-    for cell in X.cells:
-        lines.append(f"cell {cell.id} {cell.dim}")
+    for cid, dim in X.cells:
+        lines.append(f"cell {cid} {dim}")
     for (x, y), value in sorted(X.kappa_entries.items()):  # unique keys: no value compared
         lines.append(f"kappa {x} {y} {ring.format_element(value)}")
     return "\n".join(lines) + "\n"
@@ -337,16 +336,7 @@ def parse_cubical(text: str, ring: RingSpec = ZZ) -> LefschetzComplex:
 GENERATOR_BOUNDS = {"max_cells_per_dim": 64, "max_dimension": 5, "transform_steps": 1000}
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Seeded recipe for one random complex.
-
-    ``max_cells_per_dim`` bounds the number of drawn vertices and maximal
-    faces (or cubes); ``max_dimension`` bounds face/cube dimension;
-    ``coefficient_bound`` and ``transform_steps`` drive the basis-change
-    mode's unimodular moves.  Values above ``GENERATOR_BOUNDS`` are refused.
-    """
-
+class _GeneratorFields(NamedTuple):
     seed: int
     mode: str = "simplicial-random"
     max_dimension: int = 2
@@ -354,7 +344,22 @@ class GeneratorConfig:
     coefficient_bound: int = 2
     transform_steps: int = 6
 
-    def __post_init__(self):
+
+class GeneratorConfig(_GeneratorFields):
+    """Seeded recipe for one random complex.
+
+    ``max_cells_per_dim`` bounds the number of drawn vertices and maximal
+    faces (or cubes); ``max_dimension`` bounds face/cube dimension;
+    ``coefficient_bound`` and ``transform_steps`` drive the basis-change
+    mode's unimodular moves.  Values above ``GENERATOR_BOUNDS`` are refused.
+    An immutable named tuple: the constructor, ``_make``, ``_replace`` and
+    unpickling all validate.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in GENERATOR_MODES:
             raise ValueError(f"unknown generator mode {self.mode!r}")
         if not (0 <= self.seed < 1 << 64):
@@ -366,6 +371,11 @@ class GeneratorConfig:
         for name, bound in GENERATOR_BOUNDS.items():
             if getattr(self, name) > bound:
                 raise ValueError(f"{name} must be at most {bound}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "GeneratorConfig":
+        return cls(*iterable)  # through __new__, so _replace validates too
 
 
 def _random_simplicial(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:
@@ -469,8 +479,8 @@ def export_dot(X: LefschetzComplex) -> str:
         if ids:
             row = " ".join(f'"{cid}";' for cid in ids)
             lines.append(f"  {{ rank=same; {row} }}")
-    for cell in X.cells:
-        for y in sorted(X.facets(cell.id)):
-            lines.append(f'  "{cell.id}" -> "{y}";')
+    for cid, _ in X.cells:
+        for y in sorted(X.facets(cid)):
+            lines.append(f'  "{cid}" -> "{y}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -19,9 +19,8 @@ against each other.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .complexes import LefschetzComplex
 from .errors import NonFieldRing, NotClosed
@@ -53,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(NamedTuple):
     """Per-degree invariants deciding isomorphism of homology.
 
     ``entries`` holds (degree, free_rank, torsion divisors) triples, sorted
@@ -477,8 +475,7 @@ def _classes(ring: RingSpec, cycles: Mapping, boundaries: Mapping,
     return basis, ExactMatrix(len(basis), len(targets), classes, ring)
 
 
-@dataclass(frozen=True)
-class ExactSequenceReport:
+class ExactSequenceReport(NamedTuple):
     """Exactness ledger for the homology sequence of a closed pair.
 
     ``nodes`` is the sequence of (label, dimension), zero sentinels at both

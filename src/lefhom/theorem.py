@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
-from contextlib import nullcontext
-from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Optional
+from contextlib import closing, nullcontext
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from . import formats
 from .complexes import LefschetzComplex, is_augmentable
@@ -58,8 +57,7 @@ __all__ = [
 DEFAULT_CLOSURE_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class LocalCheck:
+class LocalCheck(NamedTuple):
     passes: bool
     profile: HomologyProfile
 
@@ -77,11 +75,11 @@ def _closure_checks(X: LefschetzComplex, chains: ChainSlices,
     """
     expected = point_profile(chains.ring)
     memo = {} if memo is None else memo
-    for rank, cell in enumerate(X.cells):  # ranks follow X.cells, as chains' degrees do
+    for rank, (cid, dim) in enumerate(X.cells):  # ranks follow X.cells, as chains' degrees do
         # the closure of a 0-cell is the cell itself
-        profile = (expected if cell.dim == 0
+        profile = (expected if dim == 0
                    else chains.closed_profile(X.face_poset()._down[rank], memo))
-        yield cell.id, LocalCheck(profile == expected, profile)
+        yield cid, LocalCheck(profile == expected, profile)
 
 
 def local_condition(X: LefschetzComplex,
@@ -113,8 +111,7 @@ def _first_local_failure(X: LefschetzComplex, chains: ChainSlices,
                  if not check.passes), None)
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Hypotheses, conclusion and consistency verdict for one complex.
 
     ``consistent_with_theorem`` is False only for an instance that would
@@ -163,8 +160,7 @@ def _check_theorem(X: LefschetzComplex, ring: RingSpec,
     )
 
 
-@dataclass(frozen=True)
-class CorollaryReport:
+class CorollaryReport(NamedTuple):
     """Both directions of the closed-subcomplex equivalence on one instance.
 
     For an augmentable complex, the local condition is equivalent to every
@@ -247,8 +243,7 @@ def check_corollary(X: LefschetzComplex, ring: Optional[RingSpec] = None,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConverseCandidate:
+class ConverseCandidate(NamedTuple):
     """A generated complex on which the converse of the theorem fails.
 
     The candidate is augmentable, its global chain and space homology agree,
@@ -289,7 +284,7 @@ def _hits(base, ring: RingSpec, indices: range, memo: dict) -> Iterator[tuple]:
     ``indices``, as it is found; their first-failure passes share ``memo``."""
     for index in indices:
         seed = _derive_seed(base.seed, index)
-        X = formats.random_complex(replace(base, seed=seed))
+        X = formats.random_complex(base._replace(seed=seed))
         try:
             candidate = _is_candidate(X, ring, memo)
         except TooManySimplices as exc:
@@ -360,11 +355,16 @@ def _search(base_config, ring: RingSpec, budget: int, jobs: int) -> Iterator[Con
           if workers > 1 else nullcontext()) as pool:
         hits = (_pool_hits(pool, base_config, ring, budget, workers) if workers > 1
                 else _hits(base_config, ring, range(budget), ClosureMemo()))
-        for index, text in hits:
-            report = _reverify(text, ring, reverified)
-            yield ConverseCandidate(
-                index=index, seed=_derive_seed(base_config.seed, index),
-                mode=base_config.mode, lef_text=text, failing_cells=report.failing_cells,
-                lefschetz_profile=report.lefschetz_profile,
-                singular_profile=report.singular_profile, reverified=True,
-            )
+        # A search that ends early (an error, SystemExit, or the caller closing
+        # this iterator) closes the hits before the pool shuts down: that drops
+        # _pool_hits' map iterator, which cancels the window's queued tasks,
+        # so the shutdown waits only for the tasks already running.
+        with closing(hits):
+            for index, text in hits:
+                report = _reverify(text, ring, reverified)
+                yield ConverseCandidate(
+                    index=index, seed=_derive_seed(base_config.seed, index),
+                    mode=base_config.mode, lef_text=text, failing_cells=report.failing_cells,
+                    lefschetz_profile=report.lefschetz_profile,
+                    singular_profile=report.singular_profile, reverified=True,
+                )

@@ -1,7 +1,12 @@
 """Command-line surface: reports, exit codes, determinism."""
 
+import contextlib
+import os
+import signal
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -241,6 +246,49 @@ def test_search_determinism_across_jobs(capsys):
     code1, out1, _ = run_cli(capsys, *args)
     code2, out2, _ = run_cli(capsys, *args, "--jobs", "2")
     assert (code1, out1.replace("\n", "|")) == (code2, out2.replace("\n", "|"))
+
+
+def test_search_puts_the_sigterm_handler_back(capsys):
+    def handler(signum, frame):
+        pass
+
+    previous = signal.signal(signal.SIGTERM, handler)
+    try:
+        code, out, _ = run_cli(capsys, "search", "--seed", "9", "--budget", "5")
+        assert code == 1 and "candidates: 2\n" in out
+        assert signal.getsignal(signal.SIGTERM) is handler
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+def test_sigterm_ends_a_pooled_search_and_its_workers():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lefhom", "search", "--mode", "basis-change", "--seed", "42",
+         "--budget", "1000000", "--jobs", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, start_new_session=True,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1"))
+    pgid = proc.pid  # the leader of a new session leads its process group
+    try:
+        assert proc.stdout.readline() == "mode: basis-change\n"
+        time.sleep(1)  # the pool starts once the header is out
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 143
+        if (os.cpu_count() or 1) >= 2:  # on one CPU the search runs in this process
+            deadline = time.monotonic() + 5
+            while True:
+                try:
+                    os.killpg(pgid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "pool workers outlived the search"
+                time.sleep(0.05)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(pgid, signal.SIGKILL)
+        proc.wait(timeout=10)
+        proc.stdout.close()
 
 
 def test_subprocess_byte_determinism(star_file, twisted_file):

@@ -1,6 +1,8 @@
 """The package's import graph: every import at module level, running one way."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import lefhom
@@ -35,6 +37,21 @@ def _package_imports(tree):
 
     visit(tree, False)
     return targets, nested
+
+
+def test_import_loads_no_dataclasses_and_no_process_machinery():
+    # a fresh interpreter, isolated from the environment: what importing the
+    # package and its command line pulls in, and so what every run pays for
+    probe = ("import sys\n"
+             f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+             "import lefhom, lefhom.cli\n"
+             "assert lefhom.__file__.startswith(sys.path[0]), lefhom.__file__\n"
+             "print(' '.join(sorted(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True,
+                         text=True, check=True, timeout=60).stdout.split()
+    assert "lefhom.cli" in out
+    for heavy in ("dataclasses", "inspect", "concurrent.futures.process", "multiprocessing"):
+        assert heavy not in out
 
 
 def test_imports_are_at_module_level_and_acyclic():

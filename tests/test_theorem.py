@@ -1,6 +1,5 @@
 """The comparison theorem as executable checks, plus the converse search."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -570,7 +569,7 @@ def test_search_candidates_equal_fresh_candidate_checks(mode):
     budget = 40
     hits = 0
     for ring in (ZZ, QQ, GF(2), GF(3)):
-        draws = [random_complex(replace(cfg, seed=_derive_seed(cfg.seed, i)))
+        draws = [random_complex(cfg._replace(seed=_derive_seed(cfg.seed, i)))
                  for i in range(budget)]
         expected = [(i, render_lef(X)) for i, X in enumerate(draws) if _is_candidate(X, ring)]
         for jobs in (1, 2):
@@ -613,7 +612,7 @@ def test_search_memos_stay_within_their_bound(monkeypatch):
     cfg = GeneratorConfig(seed=21, mode="basis-change")
     budget = 3000
     expected = [(i, render_lef(X)) for i in range(budget)
-                if _is_candidate(X := random_complex(replace(cfg, seed=_derive_seed(cfg.seed, i))),
+                if _is_candidate(X := random_complex(cfg._replace(seed=_derive_seed(cfg.seed, i))),
                                  ZZ)]
     calls = _record_closure_memos(monkeypatch)
     lengths = {}
@@ -763,5 +762,5 @@ def test_candidate_seeds_depend_only_on_index():
 
     for candidate in hits:
         assert candidate.seed == _derive_seed(cfg.seed, candidate.index)
-        regenerated = random_complex(replace(cfg, seed=candidate.seed))
+        regenerated = random_complex(cfg._replace(seed=candidate.seed))
         assert render_lef(regenerated) == candidate.lef_text
