@@ -30,6 +30,7 @@ serves ``with_transforms=True``.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -61,14 +62,10 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class _RingFields(NamedTuple):
-    kind: str  # "Z" | "Q" | "Fp"
-    p: Optional[int] = None
-
-
-class RingSpec(_RingFields):
+class RingSpec(namedtuple("RingSpec", "kind p", defaults=(None,))):
     """A supported coefficient ring: Z, Q, or a prime field F_p.
 
+    ``kind`` is "Z", "Q" or "Fp", and ``p`` the modulus of F_p, else None.
     Instances are immutable named tuples, hashable, so they double as cache
     keys.  Every construction path validates: the constructor, ``_make``,
     ``_replace`` and unpickling.  Elements are plain ``int`` (for Z and F_p,

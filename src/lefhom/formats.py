@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import random
 import re
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .complexes import _ID_RE, LefschetzComplex, _graded, build_complex, is_augmentable
 from .errors import (
@@ -336,16 +337,13 @@ def parse_cubical(text: str, ring: RingSpec = ZZ) -> LefschetzComplex:
 GENERATOR_BOUNDS = {"max_cells_per_dim": 64, "max_dimension": 5, "transform_steps": 1000}
 
 
-class _GeneratorFields(NamedTuple):
-    seed: int
-    mode: str = "simplicial-random"
-    max_dimension: int = 2
-    max_cells_per_dim: int = 4
-    coefficient_bound: int = 2
-    transform_steps: int = 6
+# GeneratorConfig's fields after ``seed``, with their defaults.
+_GENERATOR_DEFAULTS = {"mode": "simplicial-random", "max_dimension": 2, "max_cells_per_dim": 4,
+                       "coefficient_bound": 2, "transform_steps": 6}
 
 
-class GeneratorConfig(_GeneratorFields):
+class GeneratorConfig(namedtuple("GeneratorConfig", ["seed", *_GENERATOR_DEFAULTS],
+                                 defaults=_GENERATOR_DEFAULTS.values())):
     """Seeded recipe for one random complex.
 
     ``max_cells_per_dim`` bounds the number of drawn vertices and maximal

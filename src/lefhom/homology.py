@@ -304,64 +304,125 @@ class IncrementalReducer:
     """The homology of a growing set of a :class:`ChainSlices`' keys, read
     off a column reduction that grows with it, and can be undone.
 
-    ``include(key)`` appends the key's generators as columns, in ascending
-    degree; their boundaries must lie in the generators already in, as for
-    a cell joining a closed set after its faces.  Each column is reduced by
-    lowest row against a pivot table, as in the persistence algorithm.  A
-    column of degree q reduced to zero is a birth, 1 more in ``free[q]``,
-    the free rank of H_q; one that takes a pivot is a death, 1 less in
+    ``include(key)`` appends the key's generators as columns; their
+    boundaries must lie in the generators already in, as for a cell joining
+    a closed set after its faces.  Each column is reduced by lowest row
+    against a pivot table, as in the persistence algorithm.  A column of
+    degree q reduced to zero is a birth, 1 more in ``free[q]``, the free
+    rank of H_q; one that takes a pivot is a death, 1 less in
     ``free[q - 1]``.  ``undo()`` takes back the last include, and
     ``profile()`` is the homology of the keys in.
+
+    Each key's block of columns is reduced once, when the reducer is built,
+    against the pivots of that block alone: the chunk algorithm of
+    Bauer-Kerber-Reininghaus ("Clear and Compress: Computing Persistent
+    Homology in Chunks", 2014).  This needs the key's own generators to be
+    the highest rows of its columns, as :func:`lefschetz_chains` and
+    ``simplicial.order_complex_chains`` list them, since then no column of
+    the keys already in touches those rows.  A column whose lowest row is
+    the key's own is a ready pivot, and the generator there is a cleared
+    birth, one that the reduction would zero (Chen-Kerber, "Persistent
+    homology computation with a twist", EuroCG 2011); a column reduced to
+    zero is a birth too.  Only the essential columns, whose own part
+    vanishes, are reduced by ``include`` against the shared table.
 
     Which entries are pivots is the ring policy of :mod:`lefhom.exact`:
     :func:`~lefhom.exact._reduce_column` leaves a pivot column with a 1 at
     its lowest row, so the pivots span a unimodular triangle and no
     boundary has a divisor other than 1.  A column whose lowest entry is
-    not a unit stops the reduction until its include is undone, and counts
-    as a birth so that the undo balances.  While ``stalled`` is set,
-    ``profile()`` is the slice profile, which finds the torsion that a
+    not a unit, in the key's own block or among its essential columns,
+    stops the reduction until its include is undone.  While ``stalled`` is
+    set, ``profile()`` is the slice profile, which finds the torsion that a
     non-unit pivot may carry; otherwise it reads ``free``.
     """
 
     def __init__(self, chains: ChainSlices):
         self.chains = chains
         self._p = chains.ring.p
-        self._keyed = {key: [(q, _unit_form(chains._columns[q][i], chains.ring)) for q, i in at]
-                       for key, at in chains._at.items()}
+        self._plans = {key: self._plan(at) for key, at in chains._at.items()}
         self.free = [0] * len(chains._columns)
         self._pivots = [{} for _ in chains._columns]  # [q]: lowest row -> degree-q column
         self._kept = []
-        self._undo = []  # per include: (degree, lowest row or None) of each column
+        self._undo = []  # per include: its ready pivots, its changes of free, its essential records
         self.stalled = None  # index in _undo of the include that met a non-unit
 
+    def _plan(self, at: list) -> Optional[tuple]:
+        """The include of the generators ``at`` (degree, index), reduced by
+        lowest row against their own pivots: per degree the ready pivots,
+        per degree the change of ``free``, and the essential columns in
+        order; None when a lowest entry in the key's own rows is not a unit."""
+        own = {}  # degree -> the indices of the key's generators
+        for q, i in at:
+            own.setdefault(q, set()).add(i)
+        ready, rest = {}, []  # ready[q]: own lowest row -> degree-q column
+        for q, i in at:
+            col = _unit_form(self.chains._columns[q][i], self.chains.ring)
+            table = ready.setdefault(q, {})
+            low = _reduce_column(col, table, self._p)
+            if low in own.get(q - 1, ()):
+                if col[low] != 1:
+                    return None
+                table[low] = col
+            else:
+                rest.append((q, i, col))
+        change = [0] * (max(own) + 1)
+        for q, table in ready.items():
+            change[q - 1] -= len(table)
+        essential = []
+        for q, i, col in rest:
+            if col and i not in ready.get(q + 1, ()):
+                essential.append((q, col))
+            else:
+                change[q] += 1
+        return ([(q, table) for q, table in ready.items() if table],
+                [(q, d) for q, d in enumerate(change) if d], essential)
+
     def include(self, key) -> None:
-        record = []
+        record = (), (), ()
         if self.stalled is None:
-            p, free = self._p, self.free
-            for q, column in self._keyed[key]:
-                col = dict(column)
-                low = _reduce_column(col, self._pivots[q], p)
-                if low is None or col[low] != 1:  # a birth, or a stall counted as one
-                    free[q] += 1
-                    record.append((q, None))
-                    if low is not None:
-                        self.stalled = len(self._undo)
-                        break
-                else:  # a death in the degree below
-                    self._pivots[q][low] = col
-                    free[q - 1] -= 1
-                    record.append((q, low))
+            plan = self._plans[key]
+            if plan is None:
+                self.stalled = len(self._undo)
+            else:
+                ready, change, essential = plan
+                p, free, pivots = self._p, self.free, self._pivots
+                for q, table in ready:
+                    pivots[q].update(table)
+                for q, d in change:
+                    free[q] += d
+                done = []  # (degree, lowest row or None) of each essential column
+                for q, column in essential:
+                    col = dict(column)
+                    low = _reduce_column(col, pivots[q], p)
+                    if low is None or col[low] != 1:  # a birth, or a stall counted as one
+                        free[q] += 1
+                        done.append((q, None))
+                        if low is not None:
+                            self.stalled = len(self._undo)
+                            break
+                    else:  # a death in the degree below
+                        pivots[q][low] = col
+                        free[q - 1] -= 1
+                        done.append((q, low))
+                record = ready, change, done
         self._kept.append(key)
         self._undo.append(record)
 
     def undo(self) -> None:
         self._kept.pop()
-        for q, low in self._undo.pop():
+        ready, change, done = self._undo.pop()
+        free, pivots = self.free, self._pivots
+        for q, low in done:
             if low is None:
-                self.free[q] -= 1
+                free[q] -= 1
             else:
-                del self._pivots[q][low]
-                self.free[q - 1] += 1
+                del pivots[q][low]
+                free[q - 1] += 1
+        for q, d in change:
+            free[q] -= d
+        for q, table in ready:
+            for low in table:
+                del pivots[q][low]
         if self.stalled == len(self._undo):
             self.stalled = None
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .complexes import LefschetzComplex
@@ -275,8 +276,15 @@ def _rank_slices(by_dim: list, ring: RingSpec, keys: list) -> ChainSlices:
 def order_complex_chains(X: LefschetzComplex, ring: RingSpec) -> ChainSlices:
     """The order complex of X as slices keyed by top cell: the order complex
     of a closed set A is the chains whose top cell lies in A, so
-    ``profile(A)`` is the finite-space homology of A."""
+    ``profile(A)`` is the finite-space homology of A.
+
+    Each degree lists its chains by the rank of their top cell, a stable
+    sort of the lexicographic order.  So the rows of a chain's boundary
+    column that share its top cell are the highest, which
+    ``homology.IncrementalReducer`` needs to reduce each cell's block of
+    chains once; a filtration by closed sets needs the same row order."""
     ids, _, by_dim = _poset_chains(X, None, DEFAULT_SIMPLEX_CAP)
+    by_dim = [sorted(chains, key=itemgetter(-1)) for chains in by_dim]
     return _rank_slices(by_dim, ring, [[ids[chain[-1]] for chain in chains] for chains in by_dim])
 
 

@@ -191,9 +191,15 @@ def check_corollary(X: LefschetzComplex, ring: Optional[RingSpec] = None,
     This is the persistence algorithm of Edelsbrunner-Letscher-Zomorodian
     ("Topological persistence and simplification", DCG 2002) and
     Zomorodian-Carlsson ("Computing persistent homology", DCG 2005), with
-    undo on backtrack.  Over Z and Q only unit pivots are taken; below a
-    non-unit one, closed sets are profiled as slices.  A cap below 1
-    raises ``ValueError`` at the call, since the empty set is always closed.
+    undo on backtrack.  Each cell's block of columns (a square has 17
+    chains in the order complex) is reduced once, before the replay, so a
+    join reduces only the block's essential columns against the cells
+    already in: the chunk algorithm of Bauer-Kerber-Reininghaus (2014),
+    with the clearing of Chen-Kerber (2011); see
+    :class:`~lefhom.homology.IncrementalReducer`.  Over Z and Q only unit
+    pivots are taken; below a non-unit one, closed sets are profiled as
+    slices.  A cap below 1 raises ``ValueError`` at the call, since the
+    empty set is always closed.
     """
     if cap < 1:
         raise ValueError("cap must be positive")

@@ -26,7 +26,7 @@ from lefhom import (
     restrict,
     smith_normal_form,
 )
-from lefhom import exact
+from lefhom import exact, homology
 from lefhom.cli import main
 from lefhom.complexes import FacePoset
 from lefhom.errors import NonFieldRing, NotClosed, TooManyClosedSets, TooManySimplices
@@ -430,16 +430,28 @@ def test_slices_match_rebuilt_closed_subcomplexes(corpus):
 
 
 def test_order_complex_chains_are_the_order_complex_keyed_by_top_cell(data_dir):
-    # column for column, in order: a comparison of sets would miss the order
+    # column for column, in order: a comparison of sets would miss the order.
+    # Each degree lists K's simplices stably sorted by the rank of their top
+    # cell, K's vertex order being the rank order
     for name, X in _oracle_inputs(data_dir):
         K = order_complex(X)
-        keys = {(q, i): s[-1] for q in range(K.dim + 1) for i, s in enumerate(K.simplices_of_dim(q))}
+        rank = {x: r for r, x in enumerate(K.vertex_order)}
+        simplices = [K.simplices_of_dim(q) for q in range(K.dim + 1)]
+        order = [sorted(range(len(sims)), key=lambda j, sims=sims: rank[sims[j][-1]])
+                 for sims in simplices]
+        keys = {(q, i): simplices[q][j][-1] for q in range(K.dim + 1) for i, j in enumerate(order[q])}
+        at = [{j: i for i, j in enumerate(js)} for js in order]
         for ring in RINGS:
             chains = order_complex_chains(X, ring)
-            assert {place: key for key, places in chains._at.items()
-                    for place in places} == keys, name
-            assert chains._columns == [K.boundary_matrix(q, ring)._cols
-                                       for q in range(K.dim + 1)], (name, ring.label)
+            places = {place: key for key, spots in chains._at.items() for place in spots}
+            assert places == keys, name
+            expected = []
+            for q in range(K.dim + 1):
+                tops = [rank[places[q, i]] for i in range(len(simplices[q]))]
+                assert tops == sorted(tops), (name, q)  # top-cell ranks never fall along a degree
+                cols = K.boundary_matrix(q, ring)._cols
+                expected.append([{at[q - 1][r]: v for r, v in cols[j].items()} for j in order[q]])
+            assert chains._columns == expected, (name, ring.label)
     with pytest.raises(TooManySimplices):  # the cap of order_complex(X)
         order_complex_chains(_tower(12), ZZ)
 
@@ -705,6 +717,39 @@ def test_incremental_profiles_match_slices(corpus):
                 visit()
                 visited += 1
             assert visited == expected, (name, ring)
+
+
+def test_a_square_joins_with_one_reduction_against_the_shared_table(monkeypatch):
+    # the square's 17 chains pair among themselves the same way at every
+    # join: 8 ready pivots, 8 cleared births and one essential column, the
+    # only one that include reduces against the pivots of the cells already in
+    X = import_cubical([[(0, 1), (0, 1)]])
+    faces = [c.id for c in X.cells if c.dim < 2]
+    square = X.cells_of_dim(2)[0]
+    for ring in RINGS:
+        chains = order_complex_chains(X, ring)
+        reducer = IncrementalReducer(chains)
+        for x in faces:
+            reducer.include(x)
+        calls = []
+
+        def counted(col, pivots, p):
+            calls.append(pivots)
+            return exact._reduce_column(col, pivots, p)
+
+        monkeypatch.setattr(homology, "_reduce_column", counted)
+        reducer.include(square)
+        monkeypatch.undo()
+        assert len(calls) == 1 and calls[0] is reducer._pivots[2], ring
+        assert reducer.stalled is None and reducer.profile() == point_profile(ring), ring
+        # the table holds a pivot for every death: the rank of each boundary
+        sizes, boundary = chains.slice(faces + [square])
+        field = QQ if ring == ZZ else ring
+        assert [len(table) for table in reducer._pivots] == [0] + [
+            rank_over(boundary(q).cast(field), field) for q in range(1, len(sizes))], ring
+        reducer.undo()
+        assert reducer.profile() == chains.profile(faces), ring
+        assert [len(table) for table in reducer._pivots] == [0, 7, 0], ring
 
 
 def test_incremental_undo_restores_each_profile():

@@ -2,6 +2,7 @@
 frozen dataclasses, and two that validate on every construction path."""
 
 import pickle
+import re
 
 import pytest
 
@@ -111,3 +112,16 @@ def test_validated_records_keep_good_values_on_every_path():
     assert GF(5)._replace(p=7) == RingSpec("Fp", 7)
     assert cfg._replace(seed=8) == GeneratorConfig(8, "cubical-random", transform_steps=0)
     assert type(cfg._replace(seed=8)) is GeneratorConfig
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: RingSpec(), r"RingSpec.__new__() missing 1 required positional argument: 'kind'"),
+    (lambda: RingSpec("Fp", 3, 5), r"RingSpec.__new__() takes from 2 to 3 positional arguments"),
+    (lambda: GeneratorConfig(seed=1, bogus=2),
+     r"GeneratorConfig.__new__() got an unexpected keyword argument 'bogus'"),
+    (lambda: GeneratorConfig(), r"GeneratorConfig.__new__() missing 1 required positional argument"),
+])
+def test_wrong_arguments_name_the_public_record(make, message):
+    # the message names the record, not a private named-tuple base
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}"):
+        make()
