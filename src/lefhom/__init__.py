@@ -49,7 +49,6 @@ from .simplicial import (
     order_complex,
     relative_finite_space_homology,
     relative_simplicial_homology,
-    simplicial_excision_check,
     simplicial_homology,
     weak_point_core,
 )
@@ -67,7 +66,6 @@ from .topology import (
     enumerate_closed_sets,
     is_closed,
     is_locally_closed,
-    is_open,
     mouth,
     open_hull,
     restrict,
@@ -105,7 +103,6 @@ __all__ = [
     "is_augmentable",
     "is_closed",
     "is_locally_closed",
-    "is_open",
     "kernel_basis",
     "lefschetz_homology",
     "local_condition",
@@ -125,7 +122,6 @@ __all__ = [
     "render_lef",
     "restrict",
     "search_converse",
-    "simplicial_excision_check",
     "simplicial_homology",
     "smith_normal_form",
     "weak_point_core",

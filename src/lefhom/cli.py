@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedRing,
     UsageError,
 )
-from .exact import RingSpec
+from .exact import GF, QQ, ZZ, RingSpec
 from .formats import (
     GENERATOR_MODES,
     GeneratorConfig,
@@ -49,13 +49,13 @@ def _parse_ring(token: Optional[str]) -> Optional[RingSpec]:
         return None
     token = token.strip()
     if token == "Z":
-        return RingSpec.integers()
+        return ZZ
     if token == "Q":
-        return RingSpec.rationals()
+        return QQ
     for prefix in ("F", "Zp", "Z/"):
         if token.startswith(prefix) and token[len(prefix):].isdigit():
             try:
-                return RingSpec.prime_field(int(token[len(prefix):]))
+                return GF(int(token[len(prefix):]))
             except ValueError:  # past int's digit limit, or a digit int() refuses
                 break
     raise UnsupportedRing(f"bad ring {token!r} (use Z, Q, or F<p>)")
@@ -94,10 +94,14 @@ def _profile_lines(prefix: str, profile, top: int) -> list:
     return [prefix + line for line in profile.lines(top)]
 
 
-def _closed_set(args) -> frozenset:
+def _closed_set(args, X: LefschetzComplex) -> frozenset:
+    """The ``--closed`` ids; one that names no cell of X is a usage error."""
     raw = args.closed or ""
-    ids = [part.strip() for part in raw.split(",") if part.strip()]
-    return frozenset(ids)
+    ids = frozenset([part.strip() for part in raw.split(",") if part.strip()])
+    unknown = ids - X.cell_ids
+    if unknown:
+        raise UsageError(f"not cells of the complex: {sorted(unknown)}")
+    return ids
 
 
 # -- command bodies --------------------------------------------------------
@@ -167,9 +171,10 @@ def _cmd_les(args) -> int:
     ring = _ring_for(args, X)
     if not ring.is_field:
         raise NonFieldRing("les needs field coefficients; pass --ring Q or --ring F<p>")
-    report = long_exact_sequence(X, _closed_set(args), ring)
+    closed = _closed_set(args, X)
+    report = long_exact_sequence(X, closed, ring)
     print(f"ring: {ring.label}")
-    print(f"closed: {','.join(sorted(_closed_set(args)))}")
+    print(f"closed: {','.join(sorted(closed))}")
     print("sequence: " + " -> ".join(label for label, _ in report.nodes))
     print("dimensions: " + " -> ".join(str(dim) for _, dim in report.nodes))
     print(f"exact: {_bool(report.exact)}")
@@ -181,7 +186,7 @@ def _cmd_les(args) -> int:
 def _cmd_excision(args) -> int:
     X = _load_complex(args)
     ring = _ring_for(args, X)
-    closed = _closed_set(args)
+    closed = _closed_set(args, X)
     match = excision_check(X, closed, ring)
     print(f"ring: {ring.label}")
     print(f"closed: {','.join(sorted(closed))}")
@@ -228,7 +233,7 @@ def _sigterm_exits():
 
 
 def _cmd_search(args) -> int:
-    ring = _parse_ring(args.ring) or RingSpec.integers()
+    ring = _parse_ring(args.ring) or ZZ
     try:
         config = GeneratorConfig(
             seed=args.seed,

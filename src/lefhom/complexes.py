@@ -70,10 +70,6 @@ class FacePoset:
             up[r] = frozenset(cofaces)
         self._down, self._up, self._cofacets = down, up, cofacets
 
-    @property
-    def elements(self) -> tuple:
-        return tuple(sorted(self._ids))
-
     def _union(self, xs: Iterable[str], sets: list) -> frozenset:
         """The ids in the union of ``sets`` (the down- or up-sets) over the cells xs."""
         rank, ids, out = self._rank, self._ids, set()
@@ -88,10 +84,6 @@ class FacePoset:
 
     def above(self, x: str) -> frozenset:
         return self._union((x,), self._up)
-
-    def leq(self, a: str, b: str) -> bool:
-        """True when a is a face of b."""
-        return a in self.below(b)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FacePoset) and set(self._ids) == set(other._ids)

@@ -94,18 +94,6 @@ class RingSpec(namedtuple("RingSpec", "kind p", defaults=(None,))):
     def _make(cls, iterable) -> "RingSpec":
         return cls(*iterable)  # through __new__, so _replace validates too
 
-    @staticmethod
-    def integers() -> "RingSpec":
-        return ZZ
-
-    @staticmethod
-    def rationals() -> "RingSpec":
-        return QQ
-
-    @staticmethod
-    def prime_field(p: int) -> "RingSpec":
-        return RingSpec("Fp", p)
-
     @property
     def is_field(self) -> bool:
         return self.kind in ("Q", "Fp")
@@ -172,7 +160,7 @@ QQ = RingSpec("Q")
 
 
 def GF(p: int) -> RingSpec:
-    return RingSpec.prime_field(p)
+    return RingSpec("Fp", p)
 
 
 class ExactMatrix:
@@ -229,10 +217,6 @@ class ExactMatrix:
     def zeros(cls, rows: int, cols: int, ring: RingSpec) -> "ExactMatrix":
         return cls(rows, cols, {}, ring)
 
-    @classmethod
-    def identity(cls, n: int, ring: RingSpec) -> "ExactMatrix":
-        return cls(n, n, {(i, i): ring.one() for i in range(n)}, ring)
-
     # access
 
     @property
@@ -253,17 +237,10 @@ class ExactMatrix:
                 out[i][j] = v
         return out
 
-    def column(self, j: int) -> list:
-        return [self.get(i, j) for i in range(self.rows)]
-
     def is_zero(self) -> bool:
         return not any(self._cols)
 
     # transformations
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.cols, self.rows,
-                           {(j, i): v for (i, j), v in self.entries.items()}, self.ring)
 
     def cast(self, ring: RingSpec) -> "ExactMatrix":
         """Reinterpret entries in another ring (entries may vanish, e.g. mod p)."""

@@ -28,7 +28,7 @@ from .errors import (
     TooManySimplices,
     UnsupportedRing,
 )
-from .exact import RingSpec, ZZ
+from .exact import GF, QQ, ZZ, RingSpec
 from .simplicial import DEFAULT_SIMPLEX_CAP
 
 __all__ = [
@@ -89,12 +89,12 @@ def parse_lef(text: str) -> LefschetzComplex:
             if ring is not None:
                 raise LefSyntaxError(line_no, "ring declared twice")
             if parts[1:] == ["Z"]:
-                ring = RingSpec.integers()
+                ring = ZZ
             elif parts[1:] == ["Q"]:
-                ring = RingSpec.rationals()
+                ring = QQ
             elif len(parts) == 3 and parts[1] == "Zp":
                 try:
-                    ring = RingSpec.prime_field(int(parts[2]))
+                    ring = GF(int(parts[2]))
                 except (ValueError, UnsupportedRing) as exc:
                     raise LefSyntaxError(line_no, f"bad prime field: {exc}") from None
             else:
@@ -230,10 +230,6 @@ def _interval_id(lo: int, hi: int) -> str:
 
 
 _join_id = "x".join  # a cube's id: its interval ids, axis by axis
-
-
-def _cube_id(cube: tuple) -> str:
-    return _join_id([_interval_id(lo, hi) for lo, hi in cube])
 
 
 def import_cubical(cubes: Iterable[Sequence], ring: RingSpec = ZZ) -> LefschetzComplex:

@@ -87,19 +87,8 @@ class HomologyProfile(NamedTuple):
         return ()
 
     @property
-    def degrees(self) -> tuple:
-        return tuple(d for d, _, _ in self.entries)
-
-    @property
     def top_degree(self) -> int:
         return self.entries[-1][0] if self.entries else -1
-
-    def is_trivial(self) -> bool:
-        return not self.entries
-
-    def is_point(self) -> bool:
-        """True for the profile of a one-point space: rank 1 in degree 0 only."""
-        return self.entries == ((0, 1, ()),)
 
     def describe(self, degree: int) -> str:
         """Render one degree, e.g. ``Z^3``, ``Z + Z/2``, ``Q^2`` or ``0``."""
@@ -316,15 +305,19 @@ class IncrementalReducer:
     Each key's block of columns is reduced once, when the reducer is built,
     against the pivots of that block alone: the chunk algorithm of
     Bauer-Kerber-Reininghaus ("Clear and Compress: Computing Persistent
-    Homology in Chunks", 2014).  This needs the key's own generators to be
-    the highest rows of its columns, as :func:`lefschetz_chains` and
-    ``simplicial.order_complex_chains`` list them, since then no column of
-    the keys already in touches those rows.  A column whose lowest row is
-    the key's own is a ready pivot, and the generator there is a cleared
-    birth, one that the reduction would zero (Chen-Kerber, "Persistent
-    homology computation with a twist", EuroCG 2011); a column reduced to
-    zero is a birth too.  Only the essential columns, whose own part
-    vanishes, are reduced by ``include`` against the shared table.
+    Homology in Chunks", 2014).  A column whose lowest row is the key's own
+    is a ready pivot, and the generator there is a cleared birth, one that
+    the reduction would zero (Chen-Kerber, "Persistent homology computation
+    with a twist", EuroCG 2011); a column reduced to zero is a birth too.
+    Only the essential columns, whose own part vanishes, are reduced by
+    ``include`` against the shared table, which holds every key's ready
+    pivots from the start: a column of the keys in has rows only among
+    them, so a pivot of a key that is out is never looked up.  So the
+    reduction is exact for any row order.  :func:`lefschetz_chains` and
+    ``simplicial.order_complex_chains`` make a key's own generators the
+    highest rows of its columns, the order a filtration by closed sets
+    needs; in that order no essential column has met a ready pivot on any
+    input tried.
 
     Which entries are pivots is the ring policy of :mod:`lefhom.exact`:
     :func:`~lefhom.exact._reduce_column` leaves a pivot column with a 1 at
@@ -339,16 +332,16 @@ class IncrementalReducer:
     def __init__(self, chains: ChainSlices):
         self.chains = chains
         self._p = chains.ring.p
+        self._pivots = [{} for _ in chains._columns]  # [q]: lowest row -> degree-q column
         self._plans = {key: self._plan(at) for key, at in chains._at.items()}
         self.free = [0] * len(chains._columns)
-        self._pivots = [{} for _ in chains._columns]  # [q]: lowest row -> degree-q column
         self._kept = []
-        self._undo = []  # per include: its ready pivots, its changes of free, its essential records
+        self._undo = []  # per include: its changes of free and its essential records
         self.stalled = None  # index in _undo of the include that met a non-unit
 
     def _plan(self, at: list) -> Optional[tuple]:
         """The include of the generators ``at`` (degree, index), reduced by
-        lowest row against their own pivots: per degree the ready pivots,
+        lowest row against their own pivots, which go into the shared table:
         per degree the change of ``free``, and the essential columns in
         order; None when a lowest entry in the key's own rows is not a unit."""
         own = {}  # degree -> the indices of the key's generators
@@ -368,26 +361,24 @@ class IncrementalReducer:
         change = [0] * (max(own) + 1)
         for q, table in ready.items():
             change[q - 1] -= len(table)
+            self._pivots[q].update(table)
         essential = []
         for q, i, col in rest:
             if col and i not in ready.get(q + 1, ()):
                 essential.append((q, col))
             else:
                 change[q] += 1
-        return ([(q, table) for q, table in ready.items() if table],
-                [(q, d) for q, d in enumerate(change) if d], essential)
+        return [(q, d) for q, d in enumerate(change) if d], essential
 
     def include(self, key) -> None:
-        record = (), (), ()
+        record = (), ()
         if self.stalled is None:
             plan = self._plans[key]
             if plan is None:
                 self.stalled = len(self._undo)
             else:
-                ready, change, essential = plan
+                change, essential = plan
                 p, free, pivots = self._p, self.free, self._pivots
-                for q, table in ready:
-                    pivots[q].update(table)
                 for q, d in change:
                     free[q] += d
                 done = []  # (degree, lowest row or None) of each essential column
@@ -404,13 +395,13 @@ class IncrementalReducer:
                         pivots[q][low] = col
                         free[q - 1] -= 1
                         done.append((q, low))
-                record = ready, change, done
+                record = change, done
         self._kept.append(key)
         self._undo.append(record)
 
     def undo(self) -> None:
         self._kept.pop()
-        ready, change, done = self._undo.pop()
+        change, done = self._undo.pop()
         free, pivots = self.free, self._pivots
         for q, low in done:
             if low is None:
@@ -420,9 +411,6 @@ class IncrementalReducer:
                 free[q - 1] += 1
         for q, d in change:
             free[q] -= d
-        for q, table in ready:
-            for low in table:
-                del pivots[q][low]
         if self.stalled == len(self._undo):
             self.stalled = None
 

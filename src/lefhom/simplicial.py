@@ -36,7 +36,6 @@ __all__ = [
     "relative_simplicial_homology",
     "finite_space_homology",
     "relative_finite_space_homology",
-    "simplicial_excision_check",
 ]
 
 DEFAULT_SIMPLEX_CAP = 200_000
@@ -49,25 +48,6 @@ def _boundary(rows: Sequence[tuple], cols: Sequence[tuple], ring: RingSpec) -> E
     return ExactMatrix._wrap(len(rows), [
         {rindex[s[:i] + s[i + 1:]]: signs[i % 2] for i in range(len(s)) if rindex}
         for s in cols], ring)
-
-
-def _merge_orders(first: Sequence[str], second: Sequence[str]) -> tuple:
-    """Merge two vertex orders that agree on their common vertices."""
-    in_first, in_second = set(first), set(second)
-    out = []
-    j = 0
-    for x in first:
-        if x in in_second:
-            while second[j] != x:
-                y = second[j]
-                if y in in_first:
-                    raise ValueError(f"vertex orders disagree near {x!r}/{y!r}")
-                out.append(y)
-                j += 1
-            j += 1
-        out.append(x)
-    out.extend(second[j:])
-    return tuple(out)
 
 
 class SimplicialComplex:
@@ -126,10 +106,6 @@ class SimplicialComplex:
         return self._simplices
 
     @property
-    def vertices(self) -> tuple:
-        return self.vertex_order
-
-    @property
     def dim(self) -> int:
         return max(self._by_dim, default=-1)
 
@@ -141,17 +117,6 @@ class SimplicialComplex:
 
     def __contains__(self, simplex) -> bool:
         return frozenset(simplex) in self._simplices
-
-    def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        return self._simplices <= other._simplices
-
-    def union(self, other: "SimplicialComplex") -> "SimplicialComplex":
-        order = _merge_orders(self.vertex_order, other.vertex_order)
-        return SimplicialComplex(self._simplices | other._simplices, order)
-
-    def intersection(self, other: "SimplicialComplex") -> "SimplicialComplex":
-        order = [v for v in self.vertex_order if v in other._pos]
-        return SimplicialComplex(self._simplices & other._simplices, order)
 
     def full_subcomplex(self, vertices: Iterable) -> "SimplicialComplex":
         keep = set(vertices)
@@ -261,7 +226,7 @@ def relative_simplicial_homology(K: SimplicialComplex, L: SimplicialComplex,
     Unlike the cell-complex side there is no open-complement shortcut here:
     the rows and columns of L are deleted from K's boundary matrices.
     """
-    if not L.is_subcomplex_of(K):
+    if not L.simplices <= K.simplices:
         raise ValueError("relative homology needs a subcomplex")
     simplices = [K.simplices_of_dim(q) for q in range(K.dim + 1)]
     return ChainSlices(ring, simplices, lambda q: K.boundary_matrix(q, ring)).profile(
@@ -280,9 +245,11 @@ def order_complex_chains(X: LefschetzComplex, ring: RingSpec) -> ChainSlices:
 
     Each degree lists its chains by the rank of their top cell, a stable
     sort of the lexicographic order.  So the rows of a chain's boundary
-    column that share its top cell are the highest, which
-    ``homology.IncrementalReducer`` needs to reduce each cell's block of
-    chains once; a filtration by closed sets needs the same row order."""
+    column that share its top cell are the highest, the row order that a
+    filtration by closed sets needs.  ``homology.IncrementalReducer`` is
+    exact in any row order, since every ready pivot sits in its table; in
+    this one its essential columns have met no ready pivot on any input
+    tried."""
     ids, _, by_dim = _poset_chains(X, None, DEFAULT_SIMPLEX_CAP)
     by_dim = [sorted(chains, key=itemgetter(-1)) for chains in by_dim]
     return _rank_slices(by_dim, ring, [[ids[chain[-1]] for chain in chains] for chains in by_dim])
@@ -321,13 +288,3 @@ def relative_finite_space_homology(X: LefschetzComplex, subspace: Iterable,
     outside = {r for r, x in enumerate(ids) if x not in subspace}
     return _rank_slices(by_dim, ring, by_dim).profile(
         chain for chains in by_dim for chain in chains if not outside.isdisjoint(chain))
-
-
-def simplicial_excision_check(K1: SimplicialComplex, K2: SimplicialComplex,
-                              ring: RingSpec = ZZ) -> bool:
-    """True when H(K2, K1 ∩ K2) equals H(K1 ∪ K2, K1), profile for profile."""
-    union = K1.union(K2)
-    common = K1.intersection(K2)
-    left = relative_simplicial_homology(K2, common, ring)
-    right = relative_simplicial_homology(union, K1, ring)
-    return left == right

@@ -23,7 +23,7 @@ from typing import Iterator, Mapping, NamedTuple, Optional
 from . import formats
 from .complexes import LefschetzComplex, is_augmentable
 from .errors import LefhomError, TooManyClosureCells, TooManySimplices
-from .exact import RingSpec
+from .exact import ZZ, RingSpec
 from .homology import (
     ChainSlices,
     ClosureMemo,
@@ -351,7 +351,7 @@ def search_converse(base_config, ring: Optional[RingSpec] = None,
         raise ValueError("budget must be positive")
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    return _search(base_config, RingSpec.integers() if ring is None else ring, budget, jobs)
+    return _search(base_config, ZZ if ring is None else ring, budget, jobs)
 
 
 def _search(base_config, ring: RingSpec, budget: int, jobs: int) -> Iterator[ConverseCandidate]:

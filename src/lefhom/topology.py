@@ -2,7 +2,7 @@
 
 Closed sets are the down-sets of the face poset, open sets the up-sets.
 The facets generate the face order, so closures and closedness walk
-``X._facets``; open hulls, openness and the closed-set walk read the face
+``X._facets``; open hulls and the closed-set walk read the face
 poset.  All functions take cell-id iterables and return frozensets;
 rendering layers sort ids when determinism of output text matters.
 """
@@ -19,7 +19,6 @@ __all__ = [
     "open_hull",
     "mouth",
     "is_closed",
-    "is_open",
     "is_locally_closed",
     "restrict",
     "closed_set_walk",
@@ -64,11 +63,6 @@ def is_closed(X: LefschetzComplex, A: Iterable) -> bool:
     """True when A holds the facets of each of its cells."""
     A, facets = _cellset(X, A), X._facets
     return all(A.issuperset(facets[x]) for x in A)
-
-
-def is_open(X: LefschetzComplex, A: Iterable) -> bool:
-    A = _cellset(X, A)
-    return open_hull(X, A) == A
 
 
 def is_locally_closed(X: LefschetzComplex, A: Iterable) -> bool:

@@ -157,6 +157,12 @@ def test_excision_not_closed_exits_1(capsys, star_file):
     assert code == 1 and "not closed" in err
 
 
+@pytest.mark.parametrize("command", [["les", "--ring", "Q"], ["excision"]], ids=["les", "excision"])
+def test_closed_id_that_names_no_cell_exits_2(capsys, star_file, command):
+    code, out, err = run_cli(capsys, *command, star_file, "--closed", "a,zz")
+    assert (code, out, err) == (2, "", "error: not cells of the complex: ['zz']\n")
+
+
 def test_corollary_command(capsys, star_file):
     code, out, _ = run_cli(capsys, "corollary", star_file)
     assert code == 0

@@ -19,6 +19,7 @@ from lefhom import (
     parse_cubical,
     parse_lef,
     parse_simplicial,
+    point_profile,
     random_complex,
     render_lef,
     smith_normal_form,
@@ -181,7 +182,7 @@ def test_import_cubical_point():
 def test_import_cubical_square():
     X = import_cubical([[(0, 1), (0, 1)]])
     assert len(X) == 9
-    assert lefschetz_homology(X).is_point()
+    assert lefschetz_homology(X) == point_profile(ZZ)
 
 
 def test_import_cubical_negative_coordinates():
@@ -201,7 +202,7 @@ def test_import_cubical_errors():
 def test_parse_cubical_lines():
     X = parse_cubical("[0,1]x[3]\n[1,2]x[3]\n")
     assert X.top_dim == 1
-    assert lefschetz_homology(X).is_point()
+    assert lefschetz_homology(X) == point_profile(ZZ)
     with pytest.raises(LefSyntaxError):
         parse_cubical("[0..1]\n")
 
@@ -229,13 +230,15 @@ def _reference_simplicial(simplices):
 
 
 def _reference_cubical(cubes):
-    """Slow reference: each face's id is rebuilt for every incidence naming it."""
+    """Slow reference: faces as tuples of intervals, each id the names of its
+    intervals joined by "x"."""
     faces = set()
     for cube in cubes:
         options = [((lo, hi),) if lo == hi else ((lo, hi), (lo, lo), (hi, hi))
                    for lo, hi in cube]
         faces.update(product(*options))
-    cells = [(formats._cube_id(c), sum(1 for lo, hi in c if lo != hi)) for c in sorted(faces)]
+    ids = {c: "x".join(formats._interval_id(lo, hi) for lo, hi in c) for c in faces}
+    cells = [(ids[c], sum(1 for lo, hi in c if lo != hi)) for c in sorted(faces)]
     kappa = {}
     for cube in faces:
         seen_nondeg = 0
@@ -245,8 +248,8 @@ def _reference_cubical(cubes):
             sign = 1 if seen_nondeg % 2 == 0 else -1
             upper = cube[:j] + ((hi, hi),) + cube[j + 1:]
             lower = cube[:j] + ((lo, lo),) + cube[j + 1:]
-            kappa[(formats._cube_id(cube), formats._cube_id(upper))] = sign
-            kappa[(formats._cube_id(cube), formats._cube_id(lower))] = -sign
+            kappa[(ids[cube], ids[upper])] = sign
+            kappa[(ids[cube], ids[lower])] = -sign
             seen_nondeg += 1
     return build_complex(cells, kappa, ZZ)
 

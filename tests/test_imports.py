@@ -1,6 +1,7 @@
 """The package's import graph: every import at module level, running one way."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,18 @@ from lefhom import complexes, theorem
 
 PACKAGE = Path(lefhom.__file__).parent
 MODULES = {path.stem: path for path in PACKAGE.glob("*.py")}
+
+# helpers deleted for having no caller: (module, class or None, names)
+DELETED = [
+    ("simplicial", None, ["_merge_orders", "simplicial_excision_check"]),
+    ("simplicial", "SimplicialComplex", ["union", "intersection", "is_subcomplex_of", "vertices"]),
+    ("exact", "RingSpec", ["integers", "rationals", "prime_field"]),
+    ("exact", "ExactMatrix", ["identity", "column", "transpose"]),
+    ("complexes", "FacePoset", ["leq", "elements"]),
+    ("topology", None, ["is_open"]),
+    ("homology", "HomologyProfile", ["is_trivial", "is_point", "degrees"]),
+    ("formats", None, ["_cube_id"]),
+]
 
 
 def _package_imports(tree):
@@ -76,6 +89,20 @@ def test_imports_are_at_module_level_and_acyclic():
     for name in sorted(graph):
         if name not in state:
             walk(name, [])
+
+
+def test_every_exported_name_resolves_and_no_deleted_name_is_left():
+    # __main__ runs the command line when imported, and exports nothing
+    modules = {name: importlib.import_module(f"lefhom.{name}")
+               for name in MODULES if name not in ("__init__", "__main__")}
+    for module in [lefhom, *modules.values()]:
+        for name in getattr(module, "__all__", ()):
+            getattr(module, name)  # raises AttributeError when the name is gone
+    for module, owner, names in DELETED:
+        holder = getattr(modules[module], owner) if owner else modules[module]
+        for name in names:
+            assert not hasattr(holder, name), (module, owner, name)
+            assert not hasattr(lefhom, name), name
 
 
 def test_augmentability_has_one_definition():

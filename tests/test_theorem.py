@@ -110,8 +110,8 @@ def test_local_condition_star(star):
 def test_local_condition_twisted(twisted):
     checks = local_condition(twisted)
     assert all(check.passes for check in checks.values())
-    assert checks["c"].profile.is_point()
-    assert checks["d"].profile.is_point()
+    assert checks["c"].profile == point_profile(ZZ)
+    assert checks["d"].profile == point_profile(ZZ)
 
 
 def test_check_theorem_star(star):
@@ -423,12 +423,12 @@ def test_torsion_witness_closures_share_a_shape_but_not_a_profile():
             == [sorted(col) for col in boundary1(1)._cols])
     checks = local_condition(X)
     assert checks["e0"].profile.entries == ((0, 1, (2,)),)
-    assert checks["e1"].profile.is_point()
+    assert checks["e1"].profile == point_profile(ZZ)
     assert [cid for cid, check in checks.items() if not check.passes] == ["e0"]
     # over F2, cl e0 has no boundary at all
     f2 = local_condition(X, GF(2))
     assert f2["e0"].profile.entries == ((0, 2, ()), (1, 1, ()))
-    assert f2["e1"].profile.is_point()
+    assert f2["e1"].profile == point_profile(GF(2))
 
 
 def test_closures_with_equal_sizes_and_values_differ_by_their_rows():
