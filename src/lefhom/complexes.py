@@ -85,10 +85,6 @@ class FacePoset:
     def above(self, x: str) -> frozenset:
         return self._union((x,), self._up)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FacePoset) and set(self._ids) == set(other._ids)
-                and all(self.below(x) == other.below(x) for x in self._ids))
-
     def __repr__(self) -> str:
         return f"FacePoset({len(self._ids)} elements)"
 

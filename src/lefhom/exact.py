@@ -552,7 +552,7 @@ def rank_over(matrix: ExactMatrix, ring: RingSpec) -> int:
     return len(pivots) + len(residue)
 
 
-def _reduction(matrix: ExactMatrix, ring: RingSpec, cleared=()) -> tuple:
+def _reduction(matrix: ExactMatrix, ring: RingSpec, cleared=(), dropped=frozenset()) -> tuple:
     """``(cycles, boundaries)`` of one reduction of ``matrix`` over a field.
 
     Column j is reduced by lowest row against the columns before it, with
@@ -563,8 +563,11 @@ def _reduction(matrix: ExactMatrix, ring: RingSpec, cleared=()) -> tuple:
     the lowest row of every other column to that column, with a 1 there
     and its record dropped: an echelon basis of the image.
 
-    The columns in ``cleared`` must be lowest rows of the reduction of the
-    boundary into the degree of ``matrix``, and are skipped: a boundary
+    The columns in ``cleared`` are left out, and the rows in ``dropped``
+    are deleted from the others, so that a subcomplex or a quotient of a
+    chain complex is reduced in the indices of the whole.  Left out are
+    the columns outside the complex reduced, and the lowest rows of the
+    reduction of the boundary into the degree of ``matrix``: a boundary
     ending at row j makes column j a combination of the columns before it,
     whose cycle is then no basis cycle.
     """
@@ -573,6 +576,8 @@ def _reduction(matrix: ExactMatrix, ring: RingSpec, cleared=()) -> tuple:
     for j, col in enumerate(_field_columns(matrix, ring)):
         if j in cleared:
             continue
+        for i in dropped.intersection(col):
+            del col[i]
         col[~j] = 1
         low = _reduce_column(col, pivots, p)
         if low < 0:

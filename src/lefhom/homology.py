@@ -299,8 +299,8 @@ class IncrementalReducer:
     against a pivot table, as in the persistence algorithm.  A column of
     degree q reduced to zero is a birth, 1 more in ``free[q]``, the free
     rank of H_q; one that takes a pivot is a death, 1 less in
-    ``free[q - 1]``.  ``undo()`` takes back the last include, and
-    ``profile()`` is the homology of the keys in.
+    ``free[q - 1]``.  ``undo()`` takes back the last include, ``kept``
+    lists the keys in, and ``profile()`` is their homology.
 
     Each key's block of columns is reduced once, when the reducer is built,
     against the pivots of that block alone: the chunk algorithm of
@@ -335,7 +335,7 @@ class IncrementalReducer:
         self._pivots = [{} for _ in chains._columns]  # [q]: lowest row -> degree-q column
         self._plans = {key: self._plan(at) for key, at in chains._at.items()}
         self.free = [0] * len(chains._columns)
-        self._kept = []
+        self.kept = []
         self._undo = []  # per include: its changes of free and its essential records
         self.stalled = None  # index in _undo of the include that met a non-unit
 
@@ -396,11 +396,11 @@ class IncrementalReducer:
                         free[q - 1] -= 1
                         done.append((q, low))
                 record = change, done
-        self._kept.append(key)
+        self.kept.append(key)
         self._undo.append(record)
 
     def undo(self) -> None:
-        self._kept.pop()
+        self.kept.pop()
         change, done = self._undo.pop()
         free, pivots = self.free, self._pivots
         for q, low in done:
@@ -416,7 +416,7 @@ class IncrementalReducer:
 
     def profile(self) -> HomologyProfile:
         if self.stalled is not None:
-            return self.chains.profile(self._kept)
+            return self.chains.profile(self.kept)
         return HomologyProfile(self.chains.ring,
                                tuple((n, f, ()) for n, f in enumerate(self.free) if f))
 
@@ -461,24 +461,19 @@ def relative_homology(X: LefschetzComplex, closed_part: Iterable,
     return lefschetz_homology(restrict(X, X.cell_ids - part), ring)
 
 
-def _quotient_profile(X: LefschetzComplex, part: frozenset,
-                      ring: RingSpec) -> HomologyProfile:
-    """Relative homology the direct way: slice the closed part's rows/columns out."""
-    return lefschetz_chains(X, ring).profile(X.cell_ids - part)
-
-
 def excision_check(X: LefschetzComplex, closed_part: Iterable,
                    ring: Optional[RingSpec] = None) -> bool:
     """Compare the two routes to relative homology; True when they agree.
 
-    Route one rebuilds the open complement as a complex of its own and
-    computes its homology; route two slices the ambient boundary matrices.
+    Route one, :func:`relative_homology`, checks that the part is closed,
+    rebuilds the open complement as a complex of its own and computes its
+    homology; route two slices the closed part's rows and columns out of
+    the ambient boundary matrices.
     """
     ring = X.ring if ring is None else ring
-    part = _require_closed(X, closed_part)
+    part = frozenset(closed_part)
     via_restriction = relative_homology(X, part, ring)
-    via_quotient = _quotient_profile(X, part, ring)
-    return via_restriction == via_quotient
+    return via_restriction == lefschetz_chains(X, ring).profile(X.cell_ids - part)
 
 
 # ---------------------------------------------------------------------------
@@ -558,50 +553,46 @@ def long_exact_sequence(X: LefschetzComplex, closed_part: Iterable,
     part = _require_closed(X, closed_part)
 
     top, p = X.top_dim, ring.p
-    chains = lefschetz_chains(X, ring)
-    sub_pos, rel_pos = chains.positions(part), chains.positions(X.cell_ids - part)
-    sub_at, rel_at = ([{i: k for k, i in enumerate(pos)} for pos in positions]
-                      for positions in (sub_pos, rel_pos))
-    slices = [chains.slice(kept)[1] for kept in (part, X.cell_ids, X.cell_ids - part)]
+    # per degree, X's indices of the cells in the closed part and out of it;
+    # below degree 0, at [-1], there are none
+    inside, outside = ([{i for i, x in enumerate(X.cells_of_dim(q)) if (x in part) == side}
+                        for q in range(top + 1)] + [set()] for side in (True, False))
 
-    def connect(z: Mapping, n: int) -> dict:
+    def connect(z: Mapping, columns: list, n: int) -> dict:
         """The boundary of a relative (n+1)-cycle lifted to X, in the closed part."""
         image = {}
         for k, v in z.items():
-            for i, w in chains._columns[n + 1][rel_pos[n + 1][k]].items():
+            for i, w in columns[k].items():
                 image[i] = image.get(i, 0) + v * w
-        out = {}
-        for i, v in image.items():
-            if p:
-                v %= p
-            if v:
-                if i in rel_at[n]:
-                    raise AssertionError("lifted boundary escaped the closed part")
-                out[sub_at[n][i]] = v
-        return out
+        if p:
+            image = {i: v % p for i, v in image.items()}
+        if any(v for i, v in image.items() if i in outside[n]):
+            raise AssertionError("lifted boundary escaped the closed part")
+        return {i: v for i, v in image.items() if v}
 
     # nodes[k] --maps[k]--> nodes[k+1], descending through the degrees with
     # zero sentinels at both ends.  Degree n+1's relative basis feeds the
-    # connecting map into degree n.
+    # connecting map into degree n.  The closed part, X and the pair are
+    # reduced in X's indices: the part leaves out the columns outside it,
+    # the pair those inside and their rows.
     nodes = [("0", 0)]
     maps = []
-    above = [_reduction(boundary(top + 1), ring) for boundary in slices]
-    rel_basis = []
+    above, columns, rel_basis = [({}, {})] * 3, [], []
     for n in range(top, -1, -1):
-        below = [_reduction(boundary(n), ring, paired[1])
-                 for boundary, paired in zip(slices, above)]
+        matrix = X.boundary_matrix(n).cast(ring)
+        below = [_reduction(matrix, ring, outside[n].union(above[0][1])),
+                 _reduction(matrix, ring, above[1][1]),
+                 _reduction(matrix, ring, inside[n].union(above[2][1]), inside[n - 1])]
         sub_basis, connecting = _classes(ring, below[0][0], above[0][1],
-                                         [connect(z, n) for z in rel_basis])
-        x_basis, include = _classes(ring, below[1][0], above[1][1],
-                                    [{sub_pos[n][k]: v for k, v in z.items()}
-                                     for z in sub_basis])
+                                         [connect(z, columns, n) for z in rel_basis])
+        x_basis, include = _classes(ring, below[1][0], above[1][1], sub_basis)
         rel_basis, project = _classes(ring, below[2][0], above[2][1],
-                                      [{rel_at[n][i]: v for i, v in z.items() if i in rel_at[n]}
+                                      [{i: v for i, v in z.items() if i in outside[n]}
                                        for z in x_basis])
         maps += [connecting, include, project]
         nodes += [(f"H_{n}(X')", len(sub_basis)), (f"H_{n}(X)", len(x_basis)),
                   (f"H_{n}(X, X')", len(rel_basis))]
-        above = below
+        above, columns = below, matrix._cols
     maps.append(ExactMatrix.zeros(0, nodes[-1][1], ring))
     nodes.append(("0", 0))
 

@@ -213,14 +213,12 @@ def check_corollary(X: LefschetzComplex, ring: Optional[RingSpec] = None,
     for side in sides:
         side.free += [0] * (width - len(side.free))  # zero ranks change no profile
     lef, space = sides
-    kept, mismatches = [], []  # the empty set has no homology on either side
+    mismatches = []  # the empty set has no homology on either side
     for x in steps:
         if x is None:
-            kept.pop()
             lef.undo()
             space.undo()
             continue
-        kept.append(x)
         lef.include(x)
         space.include(x)
         if lef.stalled is None and space.stalled is None:
@@ -228,7 +226,7 @@ def check_corollary(X: LefschetzComplex, ring: Optional[RingSpec] = None,
         else:
             differ = lef.profile() != space.profile()
         if differ:
-            mismatches.append(tuple(sorted(kept)))
+            mismatches.append(tuple(sorted(lef.kept)))
     mismatches.sort(key=lambda s: (len(s), s))
     all_match = not mismatches
     agree = local_ok == all_match

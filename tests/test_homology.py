@@ -383,6 +383,41 @@ def test_les_matches_the_three_elimination_route(corpus, data_dir):
                 assert (report.nodes, report.maps) == _reference_les(X, closed, ring), (name, ring)
 
 
+def test_les_reads_the_three_complexes_in_the_indices_of_x(corpus, data_dir, monkeypatch):
+    # the closed part, X and the pair are reduced in X's own cell indices:
+    # no chain complex is sliced out and renumbered
+    def refuse(*args):
+        raise AssertionError("a chain complex was sliced")
+
+    monkeypatch.setattr(homology.ChainSlices, "slice", refuse)
+    grids = [import_cubical([[(i, i + 1), (j, j + 1)] for i in range(n) for j in range(n)])
+             for n in range(1, 9)]
+    pairs = [(X, closure(X, [f"{n // 2}_{n // 2 + 1}x{j}_{j + 1}" for j in range(n)]))
+             for n, X in enumerate(grids, start=1)]
+    rng = random.Random(23)
+    files = [parse_lef(path.read_text()) for path in sorted(data_dir.glob("*.lef"))]
+    pairs += [(X, random_closed_set(X, rng)) for X in files + grids + [X for _, X in corpus]]
+    pairs += [(X, frozenset()) for X in files] + [(X, X.cell_ids) for X in files]
+    for X, closed in pairs:
+        for ring in (QQ, GF(2), GF(3)):
+            assert long_exact_sequence(X, closed, ring).exact
+
+
+def test_excision_checks_closedness_once(star, monkeypatch):
+    calls = []
+
+    def counting(X, part):
+        calls.append(part)
+        return homology.closure(X, part) == part
+
+    monkeypatch.setattr("lefhom.homology.is_closed", counting)
+    assert excision_check(star, {"a", "b", "c", "d"})
+    assert len(calls) == 1
+    with pytest.raises(NotClosed, match="missing faces"):
+        excision_check(star, {"e"})
+    assert len(calls) == 2
+
+
 def test_euler_characteristic_identity(corpus):
     for name, X in corpus:
         combinatorial = sum((-1) ** c.dim for c in X.cells)
@@ -406,10 +441,8 @@ def test_universal_coefficients(corpus):
 
 def test_quotient_matrices_match_restriction(star):
     # the direct quotient path used by excision_check, exercised explicitly
-    from lefhom.homology import _quotient_profile
-
     part = frozenset({"a", "b", "c", "d"})
-    assert _quotient_profile(star, part, ZZ) == relative_homology(star, part)
+    assert lefschetz_chains(star, ZZ).profile(star.cell_ids - part) == relative_homology(star, part)
 
 
 def test_slices_match_rebuilt_closed_subcomplexes(corpus):

@@ -18,7 +18,7 @@ DELETED = [
     ("simplicial", "SimplicialComplex", ["union", "intersection", "is_subcomplex_of", "vertices"]),
     ("exact", "RingSpec", ["integers", "rationals", "prime_field"]),
     ("exact", "ExactMatrix", ["identity", "column", "transpose"]),
-    ("complexes", "FacePoset", ["leq", "elements"]),
+    ("complexes", "FacePoset", ["leq", "elements", "__eq__"]),
     ("topology", None, ["is_open"]),
     ("homology", "HomologyProfile", ["is_trivial", "is_point", "degrees"]),
     ("formats", None, ["_cube_id"]),
@@ -101,6 +101,9 @@ def test_every_exported_name_resolves_and_no_deleted_name_is_left():
     for module, owner, names in DELETED:
         holder = getattr(modules[module], owner) if owner else modules[module]
         for name in names:
+            if name.startswith("__"):  # every object has one: a deleted one is object's
+                assert getattr(holder, name) is getattr(object, name), (module, owner, name)
+                continue
             assert not hasattr(holder, name), (module, owner, name)
             assert not hasattr(lefhom, name), name
 
