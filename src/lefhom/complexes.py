@@ -25,7 +25,7 @@ from .errors import (
     KappaConditionViolation,
     UnknownCellReference,
 )
-from .exact import ExactMatrix, RingSpec
+from .exact import ExactMatrix, RingSpec, _converter
 
 __all__ = ["Cell", "LefschetzComplex", "FacePoset", "build_complex", "is_augmentable"]
 
@@ -255,15 +255,9 @@ def is_augmentable(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> bool
     annihilate the degree-1 boundary; vacuously true without 1-cells.
     """
     ring = X.ring if ring is None else ring
-    p = ring.p
-    # X's values are ints unless X is over Q; only Fractions need the checks
-    # of converting into another ring, and sums are plain until the zero test
-    convert = ring.convert if X.ring.kind == "Q" and ring.kind != "Q" else None
-    for col in X.boundary_matrix(1)._cols:
-        total = sum(col.values() if convert is None else map(convert, col.values()))
-        if total % p if p else total:
-            return False
-    return True
+    p, convert = ring.p, _converter(X.ring, ring)  # scaling keeps a Q column's sum 0 or not
+    totals = (sum(convert(col).values()) for col in X.boundary_matrix(1)._cols)
+    return not any(total % p if p else total for total in totals)
 
 
 def build_complex(cells: Iterable, kappa_entries, ring: RingSpec) -> LefschetzComplex:

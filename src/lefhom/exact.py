@@ -7,7 +7,9 @@ matrices are assembled and sliced, and every reduction runs on copies of
 those columns through one of two sparse routines: :func:`_eliminate` for
 ranks and Smith forms, :func:`_reduce_column` for reductions by lowest row.
 
-The ring policy of a reduction lives here.  Over Q, columns are scaled to
+The ring policy of a reduction lives here: :func:`_converter` copies each
+column of a matrix in its own ring, once, into the ring of the reduction,
+and refuses F_p entries over any other.  Over Q, columns are scaled to
 integers, which keeps their span, so no rank does ``Fraction`` arithmetic
 and :func:`_eliminate` sees ints only.  Over Z and Q only ±1 is a pivot,
 over F_p every nonzero entry.
@@ -17,9 +19,8 @@ left over F_p).  :func:`smith_normal_form` without transforms,
 :func:`rank_over` and ``homology.profile_from_boundaries`` call it.  For
 a column reduction by lowest row, :func:`_reduce_column` scales each new
 pivot column to a 1 at its lowest row when that entry is a unit.  It
-serves the reduction that grows in ``homology.IncrementalReducer``, on
-columns that :func:`_unit_form` copies into the form above, and, over a
-field, :func:`_reduction`, which reduces a whole matrix once, left to
+serves the reduction that grows in ``homology.IncrementalReducer`` and,
+over a field, :func:`_reduction`, which reduces a whole matrix once, left to
 right, with the record of each column's operations at negative rows.
 Its cycles are the canonical kernel basis of :func:`kernel_basis` and
 :func:`solve` and the homology cycles of ``homology.long_exact_sequence``,
@@ -33,7 +34,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import NonFieldRing, UnsupportedRing
 
@@ -133,9 +134,6 @@ class RingSpec(namedtuple("RingSpec", "kind p", defaults=(None,))):
 
     def zero(self):
         return Fraction(0) if self.kind == "Q" else 0
-
-    def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
 
     def add(self, a, b):
         return (a + b) % self.p if self.kind == "Fp" else a + b
@@ -246,11 +244,9 @@ class ExactMatrix:
         """Reinterpret entries in another ring (entries may vanish, e.g. mod p)."""
         if ring == self.ring:
             return self
-        if self.ring.kind == "Fp":
-            raise UnsupportedRing(f"cannot lift {self.ring} entries into {ring}")
-        convert = ring.convert
-        return ExactMatrix._wrap(self.rows, [{i: w for i, v in col.items() if (w := convert(v))}
-                                             for col in self._cols], ring)
+        _converter(self.ring, ring)  # refuses F_p entries over another ring
+        return ExactMatrix._wrap(self.rows, [
+            {i: w for i, v in col.items() if (w := ring.convert(v))} for col in self._cols], ring)
 
     def drop(self, rows: Iterable[int] = (), cols: Iterable[int] = ()) -> "ExactMatrix":
         """Delete the given row/column indices, keeping the order of the rest."""
@@ -405,13 +401,39 @@ def _reduce_column(col: dict, pivots: Mapping, p: Optional[int]) -> Optional[int
     return None
 
 
-def _integral(col: dict) -> dict:
-    """Scale a column of ints and Fractions, in place, to clear its
-    denominators; the span and so every rank over Q stay the same."""
-    den = math.lcm(*(v.denominator for v in col.values()))
-    for i, v in col.items():
-        col[i] = v.numerator * (den // v.denominator)
-    return col
+def _integral(col: Mapping, drop=()) -> dict:
+    """The ints and Fractions of ``col`` outside ``drop``, scaled to integers: the span stays."""
+    den = math.lcm(*(v.denominator for i, v in col.items() if i not in drop))
+    return {i: v.numerator * (den // v.denominator) for i, v in col.items() if i not in drop}
+
+
+def _converter(source: RingSpec, ring: RingSpec, scaled: bool = True) -> Callable[..., dict]:
+    """A column over ``source``, rows in an optional ``drop`` left out, as a
+    reduction over ``ring`` takes it: ints over Z, nonzero residues over F_p,
+    over Q ints scaled to integers or, unless ``scaled``, ints and Fractions.
+    Refused: F_p over another ring, at once; what ``convert`` refuses, dropped or not."""
+    if source.kind == "Fp" and source != ring:
+        raise UnsupportedRing(f"cannot lift {source} entries into {ring}")
+    if source.kind == "Q":
+        if ring.kind == "Q":
+            return _integral if scaled else lambda col, drop=(): {
+                i: int(v) if v.denominator == 1 else v for i, v in col.items() if i not in drop}
+        return lambda col, drop=(): {
+            i: w for i, v in col.items() if (w := ring.convert(v)) and i not in drop}
+    if ring.kind == "Fp":  # also over its own field: sums of residues come here too
+        p = ring.p
+        return lambda col, drop=(): {
+            i: w for i, v in col.items() if i not in drop and (w := v % p)}
+    return lambda col, drop=(): {  # ints over Z or Q
+        i: v for i, v in col.items() if i not in drop} if drop else dict(col)
+
+
+def _admit(columns: Iterable[Mapping], source: RingSpec, ring: RingSpec) -> None:
+    """Refuse, as :func:`_converter` would, each entry of ``columns`` that ``ring`` cannot hold."""
+    if source.kind == "Q" and ring.kind != "Q":
+        for col in columns:
+            for v in col.values():
+                ring.convert(v)
 
 
 def _dense_snf(a: list, n: int, m: int, with_transforms: bool):
@@ -490,11 +512,8 @@ def _dense_snf(a: list, n: int, m: int, with_transforms: bool):
 def _reduce(matrix: ExactMatrix, ring: RingSpec, drop=()) -> tuple:
     """The unit pivot columns and the residue divisors of ``matrix`` over
     ``ring``, with the rows in ``drop`` left out; ``matrix`` is not changed."""
-    if ring.kind == "Fp" or matrix.ring.kind == "Fp":
-        matrix = matrix.cast(ring)
-    cols = [{i: v for i, v in col.items() if i not in drop} for col in matrix._cols]
-    if ring.kind == "Q":
-        cols = [_integral(col) for col in cols]
+    convert = _converter(matrix.ring, ring)
+    cols = [convert(col, drop) for col in matrix._cols]
     pivots = _eliminate(cols, ring.p)
     residue = [col for col in cols if col]
     if not residue:
@@ -502,11 +521,6 @@ def _reduce(matrix: ExactMatrix, ring: RingSpec, drop=()) -> tuple:
     rows = sorted({i for col in residue for i in col})
     dense = [[col.get(i, 0) for col in residue] for i in rows]
     return pivots, _dense_snf(dense, len(rows), len(residue), False)[0]
-
-
-def _unit_form(col: Mapping, ring: RingSpec) -> dict:
-    """A copy of ``col`` in the form that :func:`_reduce` eliminates over ``ring``."""
-    return _integral(dict(col)) if ring.kind == "Q" else dict(col)
 
 
 def smith_normal_form(matrix: ExactMatrix, with_transforms: bool = False) -> SmithForm:
@@ -532,16 +546,6 @@ def smith_normal_form(matrix: ExactMatrix, with_transforms: bool = False) -> Smi
 def _require_field(ring: RingSpec) -> None:
     if not ring.is_field:
         raise NonFieldRing(f"{ring} is not a field; use smith_normal_form over Z")
-
-
-def _field_columns(matrix: ExactMatrix, ring: RingSpec) -> list:
-    """Copies of the columns of ``matrix`` over a field; over Q integral
-    entries become ints."""
-    _require_field(ring)
-    if ring.kind == "Fp" or matrix.ring.kind == "Fp":
-        return [dict(col) for col in matrix.cast(ring)._cols]
-    return [{i: v.numerator if v.denominator == 1 else v for i, v in col.items()}
-            for col in matrix._cols]
 
 
 def rank_over(matrix: ExactMatrix, ring: RingSpec) -> int:
@@ -571,13 +575,13 @@ def _reduction(matrix: ExactMatrix, ring: RingSpec, cleared=(), dropped=frozense
     ending at row j makes column j a combination of the columns before it,
     whose cycle is then no basis cycle.
     """
-    p = ring.p or 0
+    _require_field(ring)
+    p, convert = ring.p or 0, _converter(matrix.ring, ring, scaled=False)
     cycles, pivots = {}, {}
-    for j, col in enumerate(_field_columns(matrix, ring)):
+    for j, col in enumerate(matrix._cols):
         if j in cleared:
             continue
-        for i in dropped.intersection(col):
-            del col[i]
+        col = convert(col, dropped)
         col[~j] = 1
         low = _reduce_column(col, pivots, p)
         if low < 0:

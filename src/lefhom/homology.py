@@ -3,11 +3,11 @@
 A profile comes out of one compressed pass up through the degrees of a
 chain complex (:func:`profile_from_boundaries`), whose boundaries are
 reduced by :mod:`lefhom.exact`, the owner of the ring policy.  Changing
-the coefficient ring never rebuilds the complex: matrices are cast
-entry-wise, so the cell basis and the face order stay those of the stored
-complex.  A :class:`ChainSlices` cuts the complex spanned by any set of
-generators out of one chain complex, so closed sets are profiled without
-complexes of their own.
+the coefficient ring never rebuilds the complex: exact converts each column
+of its own boundaries as it reduces it, so the cell basis and the face order
+stay those of the stored complex.  A :class:`ChainSlices` cuts the complex
+spanned by any set of generators out of one chain complex, so closed sets
+are profiled without complexes of their own.
 
 Relative homology of a closed subset is *defined* through the open
 complement, rebuilt as a complex (the excision route);
@@ -28,10 +28,11 @@ from .exact import (
     ExactMatrix,
     RingSpec,
     ZZ,
+    _admit,
+    _converter,
     _reduce,
     _reduce_column,
     _reduction,
-    _unit_form,
     rank_over,
     # kernel_basis, smith_normal_form and solve stay bound here:
     # perfbench/tracing.py patches them in lefhom.homology by name
@@ -117,8 +118,8 @@ def profile_from_boundaries(ring: RingSpec, sizes: Sequence[int],
                             boundary: Callable[[int], ExactMatrix]) -> HomologyProfile:
     """Homology profile of a chain complex given by its boundary matrices.
 
-    ``sizes[q]`` is the number of degree-q generators for q = 0..D and
-    ``boundary(q)`` maps degree q to q-1 (already over ``ring``).  One pass
+    ``sizes[q]`` is the number of degree-q generators for q = 0..D, and
+    ``boundary(q)`` maps degree q to q-1 in any ring exact reads.  One pass
     goes up through the degrees and asks only for the boundaries between
     two degrees that have generators; any other boundary has rank 0.
 
@@ -155,13 +156,14 @@ def profile_from_boundaries(ring: RingSpec, sizes: Sequence[int],
 
 
 class ChainSlices:
-    """One chain complex over one ring, from which the complex spanned by
-    any set of its generators is cut without being rebuilt or re-checked.
+    """One chain complex, from which the complex spanned by any set of its
+    generators is cut without being rebuilt or re-checked.
 
     ``keys[q][i]`` names the i-th degree-q generator (keys may repeat) and
-    ``boundary(q)`` is the degree-q boundary over ``ring``.  Keeping the keys
-    of a subcomplex, or of the complement of one, gives a chain complex; a
-    slice costs the nonzeros of its kept columns.
+    ``boundary(q)`` is the degree-q boundary, over ``source``, as the slices
+    are; profiles are over ``ring``.  Keeping the keys of a subcomplex, or of
+    the complement of one, gives a chain complex; a slice costs the nonzeros
+    of its kept columns.
 
     A subcomplex can also be named by the ranks of its generators, their
     places in the order of degree, then index: for :func:`lefschetz_chains`
@@ -172,12 +174,14 @@ class ChainSlices:
 
     def __init__(self, ring: RingSpec, keys: Sequence[Sequence],
                  boundary: Callable[[int], ExactMatrix]):
-        self.ring = ring
+        matrices = [boundary(q) for q in range(len(keys))]
+        self.ring, self.source = ring, matrices[0].ring if matrices else ring
         self._at = {}
         for q, names in enumerate(keys):
             for i, key in enumerate(names):
                 self._at.setdefault(key, []).append((q, i))
-        self._columns = [boundary(q)._cols for q in range(len(keys))]
+        self._columns = [matrix._cols for matrix in matrices]
+        _admit(chain.from_iterable(self._columns), self.source, ring)  # a slice may skip some
         # where each degree starts among the ranks; per rank, filled in rank
         # order as far as a closure has reached, the rows of its boundary
         # column as ranks, ascending, and their values
@@ -205,7 +209,7 @@ class ChainSlices:
             cols = positions[q] if q < len(positions) else ()
             return ExactMatrix._wrap(len(rows), [
                 {rows[i]: v for i, v in self._columns[q][j].items() if i in rows}
-                for j in cols], self.ring)
+                for j in cols], self.source)
 
         return [len(pos) for pos in positions], boundary
 
@@ -257,7 +261,7 @@ class ChainSlices:
                     columns[q].append({i - cuts[q - 1]: v for i, v in zip(flat[start:end], col)})
 
             def boundary(q: int) -> ExactMatrix:
-                return ExactMatrix._wrap(sizes[q - 1], columns[q], self.ring)
+                return ExactMatrix._wrap(sizes[q - 1], columns[q], self.source)
 
             profile = memo[key] = profile_from_boundaries(self.ring, sizes, boundary)
         return profile
@@ -331,7 +335,7 @@ class IncrementalReducer:
 
     def __init__(self, chains: ChainSlices):
         self.chains = chains
-        self._p = chains.ring.p
+        self._p, self._convert = chains.ring.p, _converter(chains.source, chains.ring)
         self._pivots = [{} for _ in chains._columns]  # [q]: lowest row -> degree-q column
         self._plans = {key: self._plan(at) for key, at in chains._at.items()}
         self.free = [0] * len(chains._columns)
@@ -349,7 +353,7 @@ class IncrementalReducer:
             own.setdefault(q, set()).add(i)
         ready, rest = {}, []  # ready[q]: own lowest row -> degree-q column
         for q, i in at:
-            col = _unit_form(self.chains._columns[q][i], self.chains.ring)
+            col = self._convert(self.chains._columns[q][i])
             table = ready.setdefault(q, {})
             low = _reduce_column(col, table, self._p)
             if low in own.get(q - 1, ()):
@@ -425,8 +429,8 @@ def lefschetz_chains(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> Ch
     """The cell chain complex of X as slices keyed by cell: ``profile(A)``
     of a closed set A is the homology of A as a subcomplex."""
     ring = X.ring if ring is None else ring
-    return ChainSlices(ring, [X.cells_of_dim(q) for q in range(X.top_dim + 1)],
-                       lambda q: X.boundary_matrix(q).cast(ring))
+    _converter(X.ring, ring)  # refuses F_p entries over another ring, with cells or not
+    return ChainSlices(ring, [X.cells_of_dim(q) for q in range(X.top_dim + 1)], X.boundary_matrix)
 
 
 def lefschetz_homology(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> HomologyProfile:
@@ -435,10 +439,9 @@ def lefschetz_homology(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> 
     Defaults to the ring of the complex.
     """
     ring = X.ring if ring is None else ring
-    top = X.top_dim
-    sizes = [len(X.cells_of_dim(q)) for q in range(top + 1)]
-    return profile_from_boundaries(
-        ring, sizes, lambda q: X.boundary_matrix(q).cast(ring))
+    _converter(X.ring, ring)  # refuses F_p entries over another ring, with boundaries or not
+    sizes = [len(X.cells_of_dim(q)) for q in range(X.top_dim + 1)]
+    return profile_from_boundaries(ring, sizes, X.boundary_matrix)
 
 
 def _require_closed(X: LefschetzComplex, part: Iterable) -> frozenset:
@@ -552,7 +555,7 @@ def long_exact_sequence(X: LefschetzComplex, closed_part: Iterable,
         raise NonFieldRing("the exact-sequence checker needs field coefficients")
     part = _require_closed(X, closed_part)
 
-    top, p = X.top_dim, ring.p
+    top, convert = X.top_dim, _converter(X.ring, ring, scaled=False)
     # per degree, X's indices of the cells in the closed part and out of it;
     # below degree 0, at [-1], there are none
     inside, outside = ([{i for i, x in enumerate(X.cells_of_dim(q)) if (x in part) == side}
@@ -564,8 +567,7 @@ def long_exact_sequence(X: LefschetzComplex, closed_part: Iterable,
         for k, v in z.items():
             for i, w in columns[k].items():
                 image[i] = image.get(i, 0) + v * w
-        if p:
-            image = {i: v % p for i, v in image.items()}
+        image = convert(image)
         if any(v for i, v in image.items() if i in outside[n]):
             raise AssertionError("lifted boundary escaped the closed part")
         return {i: v for i, v in image.items() if v}
@@ -579,7 +581,7 @@ def long_exact_sequence(X: LefschetzComplex, closed_part: Iterable,
     maps = []
     above, columns, rel_basis = [({}, {})] * 3, [], []
     for n in range(top, -1, -1):
-        matrix = X.boundary_matrix(n).cast(ring)
+        matrix = X.boundary_matrix(n)
         below = [_reduction(matrix, ring, outside[n].union(above[0][1])),
                  _reduction(matrix, ring, above[1][1]),
                  _reduction(matrix, ring, inside[n].union(above[2][1]), inside[n - 1])]

@@ -41,13 +41,12 @@ __all__ = [
 DEFAULT_SIMPLEX_CAP = 200_000
 
 
-def _boundary(rows: Sequence[tuple], cols: Sequence[tuple], ring: RingSpec) -> ExactMatrix:
+def _boundary(rows: Sequence[tuple], cols: Sequence[tuple]) -> ExactMatrix:
     """Each simplex of ``cols`` gives its face without vertex i the sign (-1)**i."""
     rindex = {s: i for i, s in enumerate(rows)}
-    signs = (ring.one(), ring.neg(ring.one()))  # over F2 both are 1
     return ExactMatrix._wrap(len(rows), [
-        {rindex[s[:i] + s[i + 1:]]: signs[i % 2] for i in range(len(s)) if rindex}
-        for s in cols], ring)
+        {rindex[s[:i] + s[i + 1:]]: (1, -1)[i % 2] for i in range(len(s)) if rindex}
+        for s in cols], ZZ)
 
 
 class SimplicialComplex:
@@ -126,7 +125,7 @@ class SimplicialComplex:
     def boundary_matrix(self, q: int, ring: RingSpec = ZZ) -> ExactMatrix:
         """Boundary from degree q to q-1 over ``ring``: deleting vertex i
         of a simplex gives its face the sign (-1)**i; vertices have none."""
-        return _boundary(self.simplices_of_dim(q - 1), self.simplices_of_dim(q), ring)
+        return _boundary(self.simplices_of_dim(q - 1), self.simplices_of_dim(q)).cast(ring)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SimplicialComplex)
@@ -214,9 +213,8 @@ def weak_point_core(X: LefschetzComplex) -> frozenset:
 
 def simplicial_homology(K: SimplicialComplex, ring: RingSpec = ZZ) -> HomologyProfile:
     """Homology of the simplicial chain complex with alternating signs."""
-    top = K.dim
-    sizes = [len(K.simplices_of_dim(q)) for q in range(top + 1)]
-    return profile_from_boundaries(ring, sizes, lambda q: K.boundary_matrix(q, ring))
+    sizes = [len(K.simplices_of_dim(q)) for q in range(K.dim + 1)]
+    return profile_from_boundaries(ring, sizes, K.boundary_matrix)
 
 
 def relative_simplicial_homology(K: SimplicialComplex, L: SimplicialComplex,
@@ -229,13 +227,13 @@ def relative_simplicial_homology(K: SimplicialComplex, L: SimplicialComplex,
     if not L.simplices <= K.simplices:
         raise ValueError("relative homology needs a subcomplex")
     simplices = [K.simplices_of_dim(q) for q in range(K.dim + 1)]
-    return ChainSlices(ring, simplices, lambda q: K.boundary_matrix(q, ring)).profile(
+    return ChainSlices(ring, simplices, K.boundary_matrix).profile(
         s for sims in simplices for s in sims if s not in L)
 
 
 def _rank_slices(by_dim: list, ring: RingSpec, keys: list) -> ChainSlices:
     """The chain complex of the rank chains ``by_dim``, generators named by ``keys``."""
-    return ChainSlices(ring, keys, lambda q: _boundary(by_dim[q - 1] if q else (), by_dim[q], ring))
+    return ChainSlices(ring, keys, lambda q: _boundary(by_dim[q - 1] if q else (), by_dim[q]))
 
 
 def order_complex_chains(X: LefschetzComplex, ring: RingSpec) -> ChainSlices:
@@ -267,7 +265,7 @@ def finite_space_homology(X: LefschetzComplex, ring: Optional[RingSpec] = None,
     ring = X.ring if ring is None else ring
     _, _, by_dim = _poset_chains(X, weak_point_core(X), max_simplices)
     return profile_from_boundaries(ring, [len(chains) for chains in by_dim],
-                                   lambda q: _boundary(by_dim[q - 1], by_dim[q], ring))
+                                   lambda q: _boundary(by_dim[q - 1], by_dim[q]))
 
 
 def relative_finite_space_homology(X: LefschetzComplex, subspace: Iterable,

@@ -409,21 +409,63 @@ def _huge_interval_file(tmp_path):
     return str(path)
 
 
+# Reading kappa over another ring: a Fraction that Z or F_2 cannot hold is
+# refused, and so are F_3 entries over any other ring, also without an edge.
+CONVERSION_INPUTS = {
+    "halves-Q": "ring Q\ncell a 0\ncell b 0\ncell e 1\nkappa e a -1/2\nkappa e b 1/2\n",
+    "edge-F3": "ring Zp 3\ncell a 0\ncell b 0\ncell e 1\nkappa e a 2\nkappa e b 1\n",
+    "two-Q": "ring Q\ncell a 0\ncell b 0\n",
+    "two-F3": "ring Zp 3\ncell a 0\ncell b 0\n",
+}
+CONVERSION_COMMANDS = {"homology": ["homology"], "check": ["check"], "corollary": ["corollary"],
+                       "excision": ["excision", "--closed", "a"], "les": ["les", "--closed", "a"]}
+
+
+def _conversion_error(name: str, command: str, ring: str):
+    """The error line of one run, or None when it answers."""
+    if command == "les" and ring == "Z":
+        return "error: les needs field coefficients; pass --ring Q or --ring F<p>"
+    if name.endswith("F3") and ring != "F3":
+        return f"error: cannot lift F3 entries into {ring}"
+    if name == "halves-Q":  # excision reads the edge without a: its kappa is 1/2
+        value = "1/2" if command == "excision" else "-1/2"
+        return {"Z": f"error: {value} is not an integer",
+                "F2": f"error: denominator of {value} vanishes mod 2"}.get(ring)
+    return None
+
+
+def _conversion_case(name: str, command: str, ring: str):
+    def write(tmp_path):
+        path = tmp_path / f"{name}.lef"
+        path.write_text(CONVERSION_INPUTS[name])
+        return str(path)
+
+    return pytest.param([*CONVERSION_COMMANDS[command], "--ring", ring, write],
+                        _conversion_error(name, command, ring), id=f"{command}-{ring}-{name}")
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["homology", _star_file, "--ring", "F2305843009213693951"],
-     "error: prime field modulus must be below 2**31, got a 61-bit number"),
-    (["homology", _modulus_file],
-     "error: line 1: bad prime field: prime field modulus must be below 2**31, "
-     "got a 61-bit number"),
-    (["homology", _star_file, "--ring", "F" + "7" * 5000], "error: bad ring 'F7777"),
-    (["validate", "--format", "cubical", _huge_interval_file],
-     "error: line 1: bad interval '[9999"),
-], ids=["ring-option-modulus", "lef-modulus", "ring-option-digits", "cubical-digits"])
+    pytest.param(["homology", _star_file, "--ring", "F2305843009213693951"],
+                 "error: prime field modulus must be below 2**31, got a 61-bit number",
+                 id="ring-option-modulus"),
+    pytest.param(["homology", _modulus_file],
+                 "error: line 1: bad prime field: prime field modulus must be below 2**31, "
+                 "got a 61-bit number", id="lef-modulus"),
+    pytest.param(["homology", _star_file, "--ring", "F" + "7" * 5000], "error: bad ring 'F7777",
+                 id="ring-option-digits"),
+    pytest.param(["validate", "--format", "cubical", _huge_interval_file],
+                 "error: line 1: bad interval '[9999", id="cubical-digits"),
+] + [_conversion_case(name, command, ring) for name in CONVERSION_INPUTS
+     for command in CONVERSION_COMMANDS for ring in ("Z", "Q", "F2", "F3", "F5")])
 def test_huge_numbers_exit_2_with_one_error_line(capsys, tmp_path, argv, message):
     # a modulus of 2**61 - 1 once ran trial division for ever; 5 000 digits
-    # once raised int()'s ValueError out of the parsers
+    # once raised int()'s ValueError out of the parsers.  The conversion
+    # cases with no message answer: exit 0, nothing on stderr
     argv = [arg(tmp_path) if callable(arg) else arg for arg in argv]
     code, out, err = run_cli(capsys, *argv)
+    if message is None:
+        assert code == 0 and out and err == ""
+        return
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith(message)

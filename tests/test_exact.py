@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from lefhom import ExactMatrix, GF, QQ, ZZ, kernel_basis, rank_over, smith_normal_form
 from lefhom.errors import NonFieldRing, UnsupportedRing
-from lefhom.exact import RingSpec, _field_columns, _reduce_column, solve
+from lefhom.exact import RingSpec, _converter, _reduce, _reduce_column, solve
 
 
 # -- oracles -----------------------------------------------------------------
@@ -143,7 +143,7 @@ def test_reduce_column_with_records_gives_the_kernel_basis():
                                                           rng.choice(den))
                                          for i in range(rows) for j in range(cols)}, ring)
             pivots, vectors = {}, []
-            for j, col in enumerate(_field_columns(m, ring)):
+            for j, col in enumerate(map(_converter(m.ring, ring, scaled=False), m._cols)):
                 col[~j] = 1
                 low = _reduce_column(col, pivots, ring.p or 0)
                 if low < 0:
@@ -192,6 +192,13 @@ def test_rational_rank_does_no_fraction_arithmetic():
             [_NoArithmetic(3, 2), _NoArithmetic(1), _NoArithmetic(5, 7)],
             [_NoArithmetic(2), _NoArithmetic(4, 3), _NoArithmetic(5, 7)]]
     assert rank_over(ExactMatrix.from_rows(rows, QQ), QQ) == 2
+
+
+def test_reduce_over_q_drops_rows_before_it_scales():
+    # {0: 1, 1: 1/2} without row 1 is the unit pivot {0: 1}, not the residue {0: 2}
+    m = ExactMatrix.from_rows([[Fraction(1)], [Fraction(1, 2)]], QQ)
+    assert _reduce(m, QQ, {1}) == ([0], ())
+    assert _converter(QQ, QQ)(m._cols[0], {1}) == {0: 1}
 
 
 def test_solve_consistency():

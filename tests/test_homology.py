@@ -13,11 +13,15 @@ from lefhom import (
     QQ,
     ZZ,
     build_complex,
+    check_corollary,
+    check_theorem,
     enumerate_closed_sets,
     excision_check,
     import_cubical,
     import_simplicial,
+    is_augmentable,
     lefschetz_homology,
+    local_condition,
     long_exact_sequence,
     parse_lef,
     parse_simplicial,
@@ -29,7 +33,8 @@ from lefhom import (
 from lefhom import exact, homology, simplicial
 from lefhom.cli import main
 from lefhom.complexes import FacePoset
-from lefhom.errors import NonFieldRing, NotClosed, TooManyClosedSets, TooManySimplices
+from lefhom.errors import (LefhomError, NonFieldRing, NotClosed, TooManyClosedSets, TooManySimplices,
+                           UnsupportedRing)
 from lefhom.exact import _beside, _reduction, kernel_basis, rank_over, solve
 from lefhom.homology import (
     HomologyProfile,
@@ -342,10 +347,10 @@ def _reference_les(X, part, ring):
         return out
 
     nodes, maps = [("0", 0)], []
-    above = [boundary(top + 1) for boundary in slices]
+    above = [boundary(top + 1).cast(ring) for boundary in slices]  # slices are over X's ring
     rel_basis = []
     for n in range(top, -1, -1):
-        below = [boundary(n) for boundary in slices]
+        below = [boundary(n).cast(ring) for boundary in slices]
         boundaries = []
         for z in rel_basis:
             image = above[1].apply(lift(z, rel_pos[n + 1], n + 1))
@@ -482,16 +487,16 @@ def test_order_complex_chains_are_the_order_complex_keyed_by_top_cell(data_dir):
             for q in range(K.dim + 1):
                 tops = [rank[places[q, i]] for i in range(len(simplices[q]))]
                 assert tops == sorted(tops), (name, q)  # top-cell ranks never fall along a degree
-                cols = K.boundary_matrix(q, ring)._cols
+                cols = K.boundary_matrix(q)._cols  # over Z, whatever ring the chains profile over
                 expected.append([{at[q - 1][r]: v for r, v in cols[j].items()} for j in order[q]])
-            assert chains._columns == expected, (name, ring.label)
+            assert chains.source == ZZ and chains._columns == expected, (name, ring.label)
     with pytest.raises(TooManySimplices):  # the cap of order_complex(X)
         order_complex_chains(_tower(12), ZZ)
 
 
 def _as_validated(m):
     """``m`` as the validating constructor builds it from its entries."""
-    kind = type(m.ring.one())
+    kind = type(m.ring.convert(1))
     assert all(type(v) is kind for v in m.entries.values()), m
     return ExactMatrix(m.rows, m.cols, m.entries, m.ring)
 
@@ -886,3 +891,105 @@ def test_incremental_non_unit_pivot_falls_back_to_slices():
         profiled.clear()
         assert reducer.profile().entries == ((0, 2, ()),)
         assert profiled == [], ring  # the undo lifted the fallback
+
+
+def _chain_side(X, closed, ring):
+    """Every chain-side result on X over a field, with an error as its value;
+    the sweeps past 2 000 closed sets, a few large draws, stop at the cap."""
+    out = []
+    for compute in (lambda: lefschetz_homology(X, ring), lambda: check_theorem(X, ring),
+                    lambda: check_corollary(X, ring, cap=2_000),
+                    lambda: long_exact_sequence(X, closed, ring),
+                    lambda: excision_check(X, closed, ring),
+                    lambda: finite_space_homology(X, ring)):
+        try:
+            out.append(compute())
+        except LefhomError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def test_the_chain_side_never_casts(monkeypatch, data_dir, sweep_corpus):
+    # boundaries reach exact in the complex's own ring, and exact converts
+    # each column: ExactMatrix.cast is left for solve and the simplicial API
+    grids = [import_cubical([[(i, i + 1), (j, j + 1)] for i in range(n) for j in range(n)])
+             for n in range(1, 7)]
+    files = [parse_lef(path.read_text()) for path in sorted(data_dir.glob("*.lef"))]
+    rng = random.Random(24)
+    runs = []
+    for X in files + grids + [X for _, X in sweep_corpus]:
+        closed = random_closed_set(X, rng)
+        runs += [(X, closed, ring) for ring in (QQ, GF(2), GF(3))]
+    expected = [_chain_side(*run) for run in runs]
+
+    def refuse(matrix, ring):
+        raise AssertionError(f"cast of {matrix} into {ring}")
+
+    monkeypatch.setattr(ExactMatrix, "cast", refuse)
+    for run, before in zip(runs, expected):
+        assert _chain_side(*run) == before, run[1:]
+
+
+def test_fp_entries_are_refused_over_another_ring_with_an_edge_or_without():
+    # every chain-side entry point refuses F3 entries over another ring, also
+    # when no boundary is read; is_augmentable does not read 2 and 1 as integers
+    vertices = [("a", 0), ("b", 0)]
+    complexes = [build_complex([], {}, GF(3)), build_complex(vertices, {}, GF(3)),
+                 build_complex(vertices + [("e", 1)], {("e", "a"): 2, ("e", "b"): 1}, GF(3))]
+    for X in complexes:
+        closed = frozenset("a") if X.cell_ids else frozenset()
+        for ring in (ZZ, QQ, GF(2), GF(5)):
+            calls = [lambda: lefschetz_homology(X, ring), lambda: is_augmentable(X, ring),
+                     lambda: check_theorem(X, ring), lambda: check_corollary(X, ring),
+                     lambda: local_condition(X, ring), lambda: excision_check(X, closed, ring),
+                     lambda: relative_homology(X, closed, ring)]
+            if ring.is_field:
+                calls.append(lambda: long_exact_sequence(X, closed, ring))
+            for call in calls:
+                with pytest.raises(UnsupportedRing, match=f"^cannot lift F3 entries into {ring}$"):
+                    call()
+            assert finite_space_homology(X, ring).ring == ring  # the space never reads kappa
+        assert check_theorem(X).ring == GF(3) and long_exact_sequence(X, closed, GF(3)).exact
+
+
+def test_les_of_fp_complexes_over_their_own_field_reduces_the_connecting_map():
+    # the lifted boundary of the relative cycle e + f is 3a + 3b, zero over F3
+    # only once the sum is reduced mod 3
+    cells = [("a", 0), ("b", 0), ("e", 1), ("f", 1)]
+    kappa = {("e", "a"): 1, ("e", "b"): 2, ("f", "a"): 2, ("f", "b"): 1}
+    X = build_complex(cells, kappa, GF(3))
+    report = long_exact_sequence(X, {"a"}, GF(3))
+    assert report.exact and report.dimensions() == (0, 0, 1, 1, 1, 1, 0, 0)
+    assert (report.nodes, report.maps) == _reference_les(X, {"a"}, GF(3))
+    rng = random.Random(24)
+    for _ in range(60):  # edges with random F5 coefficients between three vertices
+        edges = [(f"e{k}", *rng.sample("abc", 2), rng.randrange(1, 5), rng.randrange(1, 5))
+                 for k in range(rng.randint(1, 5))]
+        Y = build_complex([(v, 0) for v in "abc"] + [(e, 1) for e, *_ in edges],
+                          {key: value for e, u, v, x, y in edges
+                           for key, value in (((e, u), x), ((e, v), y))}, GF(5))
+        closed = random_closed_set(Y, rng)
+        report = long_exact_sequence(Y, closed, GF(5))
+        assert report.exact and (report.nodes, report.maps) == _reference_les(Y, closed, GF(5))
+
+
+def test_fractions_that_no_slice_reads_are_refused():
+    # a triangle of edges with kappa 1/3 and the 2-cell they bound: with every
+    # cell closed, excision slices no column of the pair; it still refuses
+    # 1/3 as a cast would, and so do the chains and the LES
+    cells = [("a", 0), ("b", 0), ("c", 0), ("f", 1), ("g", 1), ("h", 1), ("s", 2)]
+    third = Fraction(1, 3)
+    kappa = {("f", "a"): -third, ("f", "b"): third, ("g", "b"): -third, ("g", "c"): third,
+             ("h", "c"): -third, ("h", "a"): third, ("s", "f"): 1, ("s", "g"): 1, ("s", "h"): 1}
+    X = build_complex(cells, kappa, QQ)
+    everything = set(X.cell_ids)
+    for ring, message in ((ZZ, "is not an integer"), (GF(3), "vanishes mod 3")):
+        calls = [lambda: excision_check(X, everything, ring), lambda: lefschetz_chains(X, ring)]
+        if ring.is_field:
+            calls.append(lambda: long_exact_sequence(X, everything, ring))
+        for call in calls:
+            with pytest.raises(UnsupportedRing, match=message):
+                call()
+    for ring in (QQ, GF(2)):
+        assert excision_check(X, everything, ring)
+        assert long_exact_sequence(X, everything, ring).exact

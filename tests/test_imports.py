@@ -16,7 +16,8 @@ MODULES = {path.stem: path for path in PACKAGE.glob("*.py")}
 DELETED = [
     ("simplicial", None, ["_merge_orders", "simplicial_excision_check"]),
     ("simplicial", "SimplicialComplex", ["union", "intersection", "is_subcomplex_of", "vertices"]),
-    ("exact", "RingSpec", ["integers", "rationals", "prime_field"]),
+    ("exact", "RingSpec", ["integers", "rationals", "prime_field", "one"]),
+    ("exact", None, ["_field_columns", "_unit_form"]),
     ("exact", "ExactMatrix", ["identity", "column", "transpose"]),
     ("complexes", "FacePoset", ["leq", "elements", "__eq__"]),
     ("topology", None, ["is_open"]),

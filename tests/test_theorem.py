@@ -63,11 +63,16 @@ def _augmentable_in_ring_arithmetic(X, ring):
 def test_augmentable_kappa_sum_of_three():
     cells = [("a", 0), ("b", 0), ("c", 0), ("e", 1)]
     kappa = {("e", "a"): 1, ("e", "b"): 1, ("e", "c"): 1}
-    for own in (ZZ, QQ, GF(3)):
+    for own in (ZZ, QQ):
         X = build_complex(cells, kappa, own)
         verdicts = {ring: is_augmentable(X, ring) for ring in (ZZ, QQ, GF(2), GF(3), GF(5))}
         assert verdicts == {ZZ: False, QQ: False, GF(2): False, GF(3): True, GF(5): False}
-        assert is_augmentable(X) == (own == GF(3))
+        assert not is_augmentable(X)
+    X = build_complex(cells, kappa, GF(3))
+    assert is_augmentable(X) and is_augmentable(X, GF(3))
+    for ring in (ZZ, QQ, GF(2), GF(5)):  # residues are refused, not read as integers
+        with pytest.raises(UnsupportedRing, match=f"cannot lift F3 entries into {ring}"):
+            is_augmentable(X, ring)
 
 
 def test_augmentable_with_fraction_values():
@@ -94,6 +99,10 @@ def test_augmentable_matches_ring_arithmetic(corpus):
         for own in (ZZ, QQ, GF(2), GF(3)):
             Y = build_complex(X.cells, dict(X.kappa_entries), own)
             for ring in (None, ZZ, QQ, GF(2), GF(3)):
+                if own.kind == "Fp" and ring not in (None, own):
+                    with pytest.raises(UnsupportedRing, match=f"cannot lift {own} entries"):
+                        is_augmentable(Y, ring)
+                    continue
                 assert is_augmentable(Y, ring) == _augmentable_in_ring_arithmetic(
                     Y, Y.ring if ring is None else ring)
 
