@@ -52,15 +52,23 @@ def show(name: str, X):
 star = show("four-leaf star", parse_lef((DATA / "star4.lef").read_text()))
 twisted = show("twisted loop", parse_lef((DATA / "twisted_loop.lef").read_text()))
 
+
+
+def edges(X):
+    """The 1-simplices of X's order complex as pairs of cell ids: an order
+    complex cell's id lists the ranks of its chain's cells in X.cells."""
+    return sorted(tuple(X.cells[int(r)].id for r in x.split("_"))
+                  for x in order_complex(X).cells_of_dim(1))
+
+
 print("-" * 70)
 print("The star's order complex is a cone (hence the space is acyclic):")
-K = order_complex(star)
-print("  maximal simplices:", sorted(K.simplices_of_dim(1)))
+print("  maximal simplices:", edges(star))
 
 print()
 print("The twisted loop's order complex is a circle, which is where the")
 print("space picks up the H_1 that the chain side cannot see:")
-print("  maximal simplices:", sorted(order_complex(twisted).simplices_of_dim(1)))
+print("  maximal simplices:", edges(twisted))
 
 print("-" * 70)
 print("Relative homology and the excision cross-check, on (star, leaves):")

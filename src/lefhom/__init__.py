@@ -48,8 +48,6 @@ from .simplicial import (
     finite_space_homology,
     order_complex,
     relative_finite_space_homology,
-    relative_simplicial_homology,
-    simplicial_homology,
     weak_point_core,
 )
 from .theorem import (
@@ -118,11 +116,9 @@ __all__ = [
     "rank_over",
     "relative_finite_space_homology",
     "relative_homology",
-    "relative_simplicial_homology",
     "render_lef",
     "restrict",
     "search_converse",
-    "simplicial_homology",
     "smith_normal_form",
     "weak_point_core",
 ]

@@ -15,8 +15,7 @@ import random
 import re
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations, product
-from math import prod
+from itertools import combinations, islice, product
 from typing import Iterable, Sequence
 
 from .complexes import _ID_RE, LefschetzComplex, _graded, build_complex, is_augmentable
@@ -159,7 +158,7 @@ def render_lef(X: LefschetzComplex) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _simplex_id(face: tuple, joiner: str) -> str:
+def _simplex_id(face: Iterable[str], joiner: str) -> str:
     return joiner.join(face)
 
 
@@ -169,9 +168,12 @@ def import_simplicial(maximal_simplices: Iterable[Sequence[str]],
     incidences on vertex deletion (vertices sorted ascending).
 
     Cell ids concatenate the sorted vertex names, with underscores when any
-    vertex name has more than one character; each is built once per face.
-    Raises ``TooManySimplices``, before building faces, once the face counts
-    sum past the simplex cap.
+    vertex name has more than one character, and each name written as its
+    length, ``_`` and itself (``3_a_b1_c``) when some name holds an
+    underscore; each id is built once per face.  Raises
+    ``TooManySimplices`` once the distinct faces pass the simplex cap,
+    counted as each simplex's faces of each size are added, at most cap + 1
+    of them.
     """
     return build_complex(*_simplicial_cells(maximal_simplices), ring)
 
@@ -180,21 +182,26 @@ def _simplicial_cells(maximal_simplices: Iterable[Sequence[str]]) -> tuple:
     """The (id, dim) cells and the {(x, y): ±1} kappa of
     :func:`import_simplicial`, unvalidated."""
     faces = set()
-    bound = 0
     for simplex in maximal_simplices:
         simplex = tuple(sorted(set(str(v) for v in simplex)))
         if not simplex:
             raise EmptyInput("empty simplex in input")
-        bound += (1 << len(simplex)) - 1
-        if bound > DEFAULT_SIMPLEX_CAP:
-            raise TooManySimplices(DEFAULT_SIMPLEX_CAP, "simplicial input")
         for size in range(1, len(simplex) + 1):
-            faces.update(combinations(simplex, size))
+            faces.update(islice(combinations(simplex, size), DEFAULT_SIMPLEX_CAP + 1))
+            if len(faces) > DEFAULT_SIMPLEX_CAP:
+                raise TooManySimplices(DEFAULT_SIMPLEX_CAP, "simplicial input")
     if not faces:
         raise EmptyInput("no simplices to import")
-    plain = all(len(v) == 1 for face in faces for v in face)
-    joiner = "" if plain else "_"
-    ids = {face: _simplex_id(face, joiner) for face in sorted(faces)}
+    vertices = [face[0] for face in faces if len(face) == 1]
+    spell = None
+    if all(len(v) == 1 for v in vertices):
+        joiner = ""
+    elif all("_" not in v for v in vertices):
+        joiner = "_"
+    else:  # a_b c and a b_c would both join to a_b_c
+        joiner, spell = "", {v: f"{len(v)}_{v}" for v in vertices}.__getitem__
+    ids = {face: _simplex_id(face if spell is None else map(spell, face), joiner)
+           for face in sorted(faces)}
     cells = [(cid, len(face) - 1) for face, cid in ids.items()]
     kappa = {}
     for face in faces:
@@ -243,12 +250,13 @@ def import_cubical(cubes: Iterable[Sequence], ring: RingSpec = ZZ) -> LefschetzC
     named once and each face id joined once from those names, and kappa
     comes in sorted-face order; the construction validator (boundary of
     boundary is zero) is still the arbiter of this sign convention.  Raises
-    ``TooManySimplices``, before building faces, once the face counts (3^k per
-    cube with k unit factors) and the bounding box's elementary cubes both pass the cap.
+    ``TooManySimplices`` once the distinct faces pass the cap, counted as
+    each cube's faces are added, at most cap + 1 of them.
     """
-    checked = []
+    # faces in doubled coordinates, [k] as 2k and [k, k+1] as 2k + 1: they sort
+    # as the intervals do, and a unit interval's facets are its coordinate ± 1
+    faces = set()
     embedding = None
-    per_cube, box = 0, None  # box: (min, max) per axis over the cubes read
     for cube in cubes:
         axes = []
         for interval in cube:
@@ -269,19 +277,13 @@ def import_cubical(cubes: Iterable[Sequence], ring: RingSpec = ZZ) -> LefschetzC
                 f"cube {tuple(axes)} has embedding dimension {len(axes)}, expected {embedding}")
         if not axes:
             raise MalformedInterval("a cube needs at least one interval")
-        checked.append(axes)
-        per_cube += 3 ** sum(lo != hi for lo, hi in axes)
-        if per_cube > DEFAULT_SIMPLEX_CAP:  # only then is the box needed, and kept from then on
-            box = [(min(lo for lo, _ in axis), max(hi for _, hi in axis))
-                   for axis in zip(*(checked if box is None else (box, axes)))]
-            if prod(2 * (hi - lo) + 1 for lo, hi in box) > DEFAULT_SIMPLEX_CAP:
-                raise TooManySimplices(DEFAULT_SIMPLEX_CAP, "cubical input")
-    if not checked:
+        faces.update(islice(product(*[(2 * lo,) if lo == hi else (lo + hi, 2 * lo, 2 * hi)
+                                      for lo, hi in axes]), DEFAULT_SIMPLEX_CAP + 1))
+        if len(faces) > DEFAULT_SIMPLEX_CAP:
+            raise TooManySimplices(DEFAULT_SIMPLEX_CAP, "cubical input")
+    if embedding is None:
         raise EmptyInput("no cubes to import")
-    # faces in doubled coordinates, [k] as 2k and [k, k+1] as 2k + 1: they sort
-    # as the intervals do, and a unit interval's facets are its coordinate ± 1
-    faces = sorted(set().union(*[product(*[(2 * lo,) if lo == hi else (lo + hi, 2 * lo, 2 * hi)
-                                           for lo, hi in axes]) for axes in checked]))
+    faces = sorted(faces)
     names = {c: _interval_id(c >> 1, (c + 1) >> 1) for c in set().union(*faces)}
     ids = {face: _join_id(map(names.__getitem__, face)) for face in faces}
     cells, kappa = [], []

@@ -326,16 +326,19 @@ class IncrementalReducer:
     Which entries are pivots is the ring policy of :mod:`lefhom.exact`:
     :func:`~lefhom.exact._reduce_column` leaves a pivot column with a 1 at
     its lowest row, so the pivots span a unimodular triangle and no
-    boundary has a divisor other than 1.  A column whose lowest entry is
-    not a unit, in the key's own block or among its essential columns,
-    stops the reduction until its include is undone.  While ``stalled`` is
-    set, ``profile()`` is the slice profile, which finds the torsion that a
-    non-unit pivot may carry; otherwise it reads ``free``.
+    boundary has a divisor other than 1.  Over a field every nonzero entry
+    is a unit.  Over Z, a column whose lowest entry is not a unit, in the
+    key's own block or among its essential columns, stops the reduction
+    until its include is undone.  While ``stalled`` is set, ``profile()``
+    is the slice profile, which finds the torsion that a non-unit pivot may
+    carry; otherwise it reads ``free``.
     """
 
     def __init__(self, chains: ChainSlices):
         self.chains = chains
-        self._p, self._convert = chains.ring.p, _converter(chains.source, chains.ring)
+        ring = chains.ring  # p as _reduce_column takes it: None over Z, 0 over Q
+        self._p = 0 if ring.kind == "Q" else ring.p
+        self._convert = _converter(chains.source, ring, scaled=False)
         self._pivots = [{} for _ in chains._columns]  # [q]: lowest row -> degree-q column
         self._plans = {key: self._plan(at) for key, at in chains._at.items()}
         self.free = [0] * len(chains._columns)

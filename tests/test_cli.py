@@ -364,7 +364,7 @@ def test_unusable_input_exits_2(capsys, tmp_path, argv):
 
 
 def test_simplicial_input_over_the_cap_is_one_error_line(capsys, tmp_path):
-    # 2**40 - 1 faces: refused before any face is built
+    # 2**40 - 1 faces: refused once 200 001 of them are built
     path = tmp_path / "wide.txt"
     path.write_text(" ".join(f"v{i}" for i in range(40)) + "\n")
     code, out, err = run_cli(capsys, "homology", "--format", "simplicial", str(path))

@@ -217,15 +217,22 @@ def _reference_simplicial(simplices):
         simplex = tuple(sorted(set(simplex)))
         for size in range(1, len(simplex) + 1):
             faces.update(combinations(simplex, size))
-    joiner = "" if all(len(v) == 1 for face in faces for v in face) else "_"
-    cells = [(joiner.join(face), len(face) - 1) for face in sorted(faces)]
+    names = {v for face in faces for v in face}
+    plain = all(len(v) == 1 for v in names)
+    prefixed = not plain and any("_" in v for v in names)  # each name led by its length
+    joiner = "" if plain or prefixed else "_"
+
+    def name(face):
+        return joiner.join(f"{len(v)}_{v}" if prefixed else v for v in face)
+
+    cells = [(name(face), len(face) - 1) for face in sorted(faces)]
     kappa = {}
     for face in faces:
         if len(face) == 1:
             continue
         for i in range(len(face)):
             sub = face[:i] + face[i + 1:]
-            kappa[(joiner.join(face), joiner.join(sub))] = 1 if i % 2 == 0 else -1
+            kappa[(name(face), name(sub))] = 1 if i % 2 == 0 else -1
     return build_complex(cells, kappa, ZZ)
 
 
@@ -272,12 +279,17 @@ def test_import_cubical_matches_the_reference():
 
 def test_import_simplicial_matches_the_reference():
     rng = random.Random(9)
-    pools = ("abcdefg", ("a", "b", "v1", "v2", "v10", "x_1"))
-    for trial in range(150):
-        pool = pools[trial % 2]
+    pools = ("abcdefg", ("a", "b", "v1", "v2", "v10", "x_1"), ("a", "b", "c", "a_b", "b_c"),
+             ("a", "b", "v1", "v10"))
+    for trial in range(200):
+        pool = pools[trial % 4]
         simplices = [rng.sample(pool, rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
         assert (render_lef(import_simplicial(simplices))
                 == render_lef(_reference_simplicial(simplices))), simplices
+    # {a_b, c} and {a, b_c} joined by "_" would both be a_b_c
+    X = parse_simplicial("a_b c\na b_c\n")
+    assert X.cells_of_dim(1) == ("1_a3_b_c", "3_a_b1_c")
+    assert lefschetz_homology(X).entries == ((0, 2, ()),)
 
 
 def _count_calls(monkeypatch, name):
@@ -316,13 +328,29 @@ def test_cubical_cap_bounds_the_distinct_faces(monkeypatch):
     def grid(n):
         return [[(i, i + 1), (j, j + 1)] for i in range(n) for j in range(n)]
 
-    # 16 squares have 144 faces counted square by square, but their 9x9
-    # bounding box holds only 81 elementary cubes
+    # 16 squares have 144 faces counted square by square, 81 distinct ones
     assert len(import_cubical(grid(4))) == 81
     with pytest.raises(TooManySimplices):
-        import_cubical(grid(5))  # 225 faces counted by square, an 11x11 box
-    # far apart, the per-cube count is the smaller bound
+        import_cubical(grid(5))  # 121 distinct faces
     assert len(import_cubical([[(0, 1), (0, 1)], [(1000, 1001), (0, 1)]])) == 18
+
+
+def test_importer_caps_count_distinct_faces(monkeypatch):
+    # each input has exactly cap distinct faces, and more by the estimates
+    # that 2**k - 1 per simplex, 3**k per cube and the bounding box give
+    monkeypatch.setattr(formats, "DEFAULT_SIMPLEX_CAP", 15)
+    strip = [(f"v{i}", f"v{i + 1}", f"v{i + 2}") for i in range(3)]  # 5 + 7 + 3 faces, not 21
+    assert len(import_simplicial(strip)) == 15
+    with pytest.raises(TooManySimplices, match="simplicial input exceeds 15 simplices"):
+        import_simplicial(strip + [("w",)])
+    monkeypatch.setattr(formats, "DEFAULT_SIMPLEX_CAP", 97)
+    diagonal = [[(i, i + 1), (i, i + 1)] for i in range(12)]  # 8 * 12 + 1 faces, not 108 or 625
+    assert len(import_cubical(diagonal)) == 97
+    with pytest.raises(TooManySimplices, match="cubical input exceeds 97 simplices"):
+        import_cubical(diagonal + [[(100,), (100,)]])
+    # a simplex far past the cap is refused after cap + 1 faces, not 2**1000 - 1
+    with pytest.raises(TooManySimplices):
+        import_simplicial([[f"v{i}" for i in range(1000)]])
 
 
 def test_a_large_cubical_grid_is_refused_while_it_is_read():
@@ -336,7 +364,7 @@ def test_a_large_cubical_grid_is_refused_while_it_is_read():
 
     with pytest.raises(TooManySimplices, match="cubical input exceeds 200000 simplices"):
         import_cubical(cubes())
-    # refused once the box of the rows read passes the cap: 50 rows of 1 000
+    # refused once the distinct faces of the cubes read pass the cap: 49 475 cubes
     assert len(read) < 51_000
 
 

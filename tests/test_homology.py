@@ -469,23 +469,25 @@ def test_slices_match_rebuilt_closed_subcomplexes(corpus):
 
 def test_order_complex_chains_are_the_order_complex_keyed_by_top_cell(data_dir):
     # column for column, in order: a comparison of sets would miss the order.
-    # Each degree lists K's simplices stably sorted by the rank of their top
-    # cell, K's vertex order being the rank order
+    # Each degree lists K's cells stably sorted by the rank of their top
+    # cell, the last rank that a cell's id lists
     for name, X in _oracle_inputs(data_dir):
         K = order_complex(X)
-        rank = {x: r for r, x in enumerate(K.vertex_order)}
-        simplices = [K.simplices_of_dim(q) for q in range(K.dim + 1)]
-        order = [sorted(range(len(sims)), key=lambda j, sims=sims: rank[sims[j][-1]])
-                 for sims in simplices]
-        keys = {(q, i): simplices[q][j][-1] for q in range(K.dim + 1) for i, j in enumerate(order[q])}
+        ids = [cell.id for cell in X.cells]
+        rank = {x: r for r, x in enumerate(ids)}
+        top_rank = [[int(x.rsplit("_", 1)[-1]) for x in K.cells_of_dim(q)]
+                    for q in range(K.top_dim + 1)]
+        order = [sorted(range(len(tops)), key=tops.__getitem__) for tops in top_rank]
+        keys = {(q, i): ids[top_rank[q][j]] for q in range(K.top_dim + 1)
+                for i, j in enumerate(order[q])}
         at = [{j: i for i, j in enumerate(js)} for js in order]
         for ring in RINGS:
             chains = order_complex_chains(X, ring)
             places = {place: key for key, spots in chains._at.items() for place in spots}
             assert places == keys, name
             expected = []
-            for q in range(K.dim + 1):
-                tops = [rank[places[q, i]] for i in range(len(simplices[q]))]
+            for q in range(K.top_dim + 1):
+                tops = [rank[places[q, i]] for i in range(len(top_rank[q]))]
                 assert tops == sorted(tops), (name, q)  # top-cell ranks never fall along a degree
                 cols = K.boundary_matrix(q)._cols  # over Z, whatever ring the chains profile over
                 expected.append([{at[q - 1][r]: v for r, v in cols[j].items()} for j in order[q]])
@@ -518,7 +520,7 @@ def test_trusted_producers_match_validated_rebuild(corpus):
                            for _ in range(3)]
                 flipped = ExactMatrix(below.cols, below.rows,
                                       {(j, i): v for (i, j), v in below.entries.items()}, ring)
-                produced = [X.boundary_matrix(q), below, K.boundary_matrix(q, ring),
+                produced = [X.boundary_matrix(q), below, K.boundary_matrix(q),
                             _beside(below, vectors), below @ above, flipped @ below,
                             below.drop(rng.sample(range(below.rows), below.rows // 2),
                                        rng.sample(range(below.cols), below.cols // 3))]
@@ -648,8 +650,8 @@ def _chain_complexes(X, ring):
     for cell in X.cells:
         yield cells.slice(closure(X, {cell.id}))
     K = order_complex(X, subspace=weak_point_core(X))
-    yield ([len(K.simplices_of_dim(q)) for q in range(K.dim + 1)],
-           lambda q: K.boundary_matrix(q, ring))
+    yield ([len(K.cells_of_dim(q)) for q in range(K.top_dim + 1)],
+           lambda q: K.boundary_matrix(q).cast(ring))
 
 
 def test_one_pass_profile_matches_the_per_degree_oracle(corpus, sweep_corpus, monkeypatch):
@@ -817,7 +819,7 @@ def test_incremental_profiles_match_slices_in_bottom_cell_order():
     # from the start, and every free rank stays exact
     for X in (import_simplicial([("a", "b", "c", "d")]),
               import_simplicial([("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d"), ("b", "c", "d")])):
-        ids, _, by_dim = simplicial._poset_chains(X, None, simplicial.DEFAULT_SIMPLEX_CAP)
+        ids, by_dim = simplicial._poset_chains(X, None, simplicial.DEFAULT_SIMPLEX_CAP)
         keys = [[ids[chain[-1]] for chain in chains] for chains in by_dim]
         for ring in RINGS:
             chains = simplicial._rank_slices(by_dim, ring, keys)
@@ -886,7 +888,7 @@ def test_incremental_non_unit_pivot_falls_back_to_slices():
         profiled = []
         chains.profile = lambda kept, original=chains.profile: profiled.append(kept) or original(kept)
         assert reducer.profile().entries == expected, ring
-        assert bool(profiled) == (ring in (ZZ, QQ)), ring
+        assert bool(profiled) == (ring == ZZ), ring
         reducer.undo()
         profiled.clear()
         assert reducer.profile().entries == ((0, 2, ()),)
@@ -911,7 +913,7 @@ def _chain_side(X, closed, ring):
 
 def test_the_chain_side_never_casts(monkeypatch, data_dir, sweep_corpus):
     # boundaries reach exact in the complex's own ring, and exact converts
-    # each column: ExactMatrix.cast is left for solve and the simplicial API
+    # each column: ExactMatrix.cast is left for solve and the tests
     grids = [import_cubical([[(i, i + 1), (j, j + 1)] for i in range(n) for j in range(n)])
              for n in range(1, 7)]
     files = [parse_lef(path.read_text()) for path in sorted(data_dir.glob("*.lef"))]

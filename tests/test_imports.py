@@ -14,8 +14,11 @@ MODULES = {path.stem: path for path in PACKAGE.glob("*.py")}
 
 # helpers deleted for having no caller: (module, class or None, names)
 DELETED = [
-    ("simplicial", None, ["_merge_orders", "simplicial_excision_check"]),
-    ("simplicial", "SimplicialComplex", ["union", "intersection", "is_subcomplex_of", "vertices"]),
+    ("simplicial", None, ["_merge_orders", "simplicial_excision_check", "simplicial_homology",
+                          "relative_simplicial_homology"]),
+    ("simplicial", "SimplicialComplex", ["union", "intersection", "is_subcomplex_of", "vertices",
+                                         "from_maximal", "simplices", "dim", "simplices_of_dim",
+                                         "full_subcomplex", "vertex_order"]),
     ("exact", "RingSpec", ["integers", "rationals", "prime_field", "one"]),
     ("exact", None, ["_field_columns", "_unit_form"]),
     ("exact", "ExactMatrix", ["identity", "column", "transpose"]),
@@ -107,6 +110,10 @@ def test_every_exported_name_resolves_and_no_deleted_name_is_left():
                 continue
             assert not hasattr(holder, name), (module, owner, name)
             assert not hasattr(lefhom, name), name
+    # the order complex's class is a LefschetzComplex with no member of its own
+    assert set(vars(modules["simplicial"].SimplicialComplex)) <= {
+        "__module__", "__qualname__", "__doc__", "__slots__", "__firstlineno__",
+        "__static_attributes__"}
 
 
 def test_augmentability_has_one_definition():

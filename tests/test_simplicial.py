@@ -1,8 +1,7 @@
-"""Order complexes, simplicial homology, the finite-space pipeline."""
+"""Order complexes, the singular homology of finite spaces, the finite-space pipeline."""
 
 import heapq
 import random
-from itertools import combinations
 
 import pytest
 
@@ -19,13 +18,12 @@ from lefhom import (
     order_complex,
     point_profile,
     relative_finite_space_homology,
-    relative_simplicial_homology,
+    relative_homology,
     restrict,
-    simplicial_homology,
     weak_point_core,
 )
 from lefhom import check_corollary, closure, is_closed, open_hull, simplicial
-from lefhom.errors import TooManySimplices, UnknownCellReference
+from lefhom.errors import NotClosed, TooManySimplices, UnknownCellReference
 from lefhom.exact import ExactMatrix
 from lefhom.formats import GeneratorConfig, parse_lef, parse_simplicial, random_complex
 from lefhom.homology import profile_from_boundaries
@@ -39,27 +37,33 @@ def _grid(n):
     return import_cubical([[(i, i + 1), (j, j + 1)] for i in range(n) for j in range(n)])
 
 
+def _chains(X, K, q):
+    """The q-cells of K, an order complex of X, as tuples of X's cell ids:
+    each id lists the ranks of its chain's cells in X.cells."""
+    return {tuple(X.cells[int(r)].id for r in x.split("_")) for x in K.cells_of_dim(q)}
+
+
 def test_order_complex_star(star):
     K = order_complex(star)
-    assert set(K.simplices_of_dim(1)) == {("a", "e"), ("b", "e"), ("c", "e"), ("d", "e")}
-    assert K.dim == 1 and len(K) == 9
+    assert _chains(star, K, 1) == {("a", "e"), ("b", "e"), ("c", "e"), ("d", "e")}
+    assert K.top_dim == 1 and len(K) == 9
 
 
 def test_order_complex_twisted(twisted):
     K = order_complex(twisted)
-    assert set(K.simplices_of_dim(1)) == {("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")}
+    assert _chains(twisted, K, 1) == {("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")}
 
 
 def test_order_complex_single_cell():
     X = build_complex([("v", 0)], {}, ZZ)
     K = order_complex(X)
-    assert len(K) == 1 and K.dim == 0
+    assert len(K) == 1 and K.top_dim == 0
 
 
 def test_order_complex_chain_order_refines_dimension():
     X = import_simplicial([("a", "b", "c")])
     K = order_complex(X)
-    for simplex in K.simplices_of_dim(2):
+    for simplex in _chains(X, K, 2):
         dims = [X.dim_of(v) for v in simplex]
         assert dims == sorted(dims)
         assert len(set(dims)) == len(dims)  # chains are strictly graded
@@ -73,31 +77,12 @@ def test_order_complex_cap():
 
 def test_simplicial_homology_examples(twisted):
     four_cycle = order_complex(twisted)
-    profile = simplicial_homology(four_cycle)
+    profile = lefschetz_homology(four_cycle)
     assert profile.free_rank(0) == 1 and profile.free_rank(1) == 1
-    cone = SimplicialComplex.from_maximal([("a", "b", "c")])
-    assert simplicial_homology(cone).entries == ((0, 1, ()),)
-    hollow = SimplicialComplex.from_maximal([("a", "b"), ("b", "c"), ("a", "c")])
-    assert simplicial_homology(hollow).entries == ((0, 1, ()), (1, 1, ()))
-
-
-def test_from_maximal_closes_under_nonempty_subsets():
-    rng = random.Random(3)
-    for _ in range(40):
-        verts = [f"v{i}" for i in range(rng.randint(1, 7))]
-        faces = [rng.sample(verts, rng.randint(1, len(verts))) for _ in range(rng.randint(1, 4))]
-        expected = {frozenset(sub) for face in faces for size in range(1, len(face) + 1)
-                    for sub in combinations(face, size)}
-        K = SimplicialComplex.from_maximal(faces + [()])  # an empty face adds nothing
-        assert K.simplices == expected
-        assert K.vertex_order == tuple(sorted(set().union(*faces)))
-        order = list(reversed(verts))
-        assert SimplicialComplex.from_maximal(faces, order).vertex_order == tuple(order)
-
-
-def test_simplicial_complex_must_be_subset_closed():
-    with pytest.raises(ValueError):
-        SimplicialComplex([("a", "b")])  # vertices of the edge missing
+    cone = order_complex(import_simplicial([("a", "b", "c")]))
+    assert lefschetz_homology(cone).entries == ((0, 1, ()),)
+    hollow = order_complex(import_simplicial([("a", "b"), ("b", "c"), ("a", "c")]))
+    assert lefschetz_homology(hollow).entries == ((0, 1, ()), (1, 1, ()))
 
 
 def test_finite_space_homology_examples(star, twisted):
@@ -118,10 +103,10 @@ def test_relative_finite_space_examples(star):
 
 
 def test_relative_simplicial_requires_subcomplex():
-    K = SimplicialComplex.from_maximal([("a", "b")])
-    L = SimplicialComplex.from_maximal([("c",)])
-    with pytest.raises(ValueError):
-        relative_simplicial_homology(K, L)
+    # the relative oracle quotients an order complex by a subcomplex only
+    K = order_complex(import_simplicial([("a", "b")]))
+    with pytest.raises(NotClosed):
+        relative_homology(K, K.cells_of_dim(1))  # edges without their vertices
 
 
 def test_subdivision_oracle_explicit_shapes():
@@ -153,26 +138,28 @@ def test_point_closure_acyclicity(corpus):
             assert finite_space_homology(sub) == point_profile(ZZ), (name, cell.id)
 
 
-def test_vertex_order_validation():
-    with pytest.raises(ValueError):
-        SimplicialComplex([("a",)], vertex_order=["a", "a"])
-    with pytest.raises(ValueError):
-        SimplicialComplex([("a",), ("b",)], vertex_order=["a"])
-    with pytest.raises(ValueError, match="misses some vertices"):
-        SimplicialComplex([("a",), ("c",)], vertex_order=["a", "b"])
-
-
 def test_full_subcomplex_vertices_only(star):
-    K = order_complex(star)
-    L = K.full_subcomplex({"a", "e"})
-    assert set(L.simplices) == {frozenset({"a"}), frozenset({"e"}), frozenset({"a", "e"})}
+    L = order_complex(star, subspace={"a", "e"})
+    assert _chains(star, L, 0) | _chains(star, L, 1) == {("a",), ("e",), ("a", "e")}
 
 
 def test_boundary_matrix_signs():
-    K = SimplicialComplex.from_maximal([("a", "b", "c")])
-    mat = K.boundary_matrix(2)
-    # rows: ab, ac, bc; single column abc with signs +, -, +
-    assert mat.dense() == [[1], [-1], [1]]
+    X = import_simplicial([("a", "b", "c")])
+    K = order_complex(X)
+    rank = {cell.id: str(r) for r, cell in enumerate(X.cells)}  # 7 cells: one digit
+
+    def name(*chain):
+        return "_".join(map(rank.__getitem__, chain))
+
+    rows, cols = K.cells_of_dim(1), K.cells_of_dim(2)
+    column = K.boundary_matrix(2)._cols[cols.index(name("a", "ab", "abc"))]
+    # deleting the i-th vertex gives the sign (-1)**i
+    assert {rows[i]: v for i, v in column.items()} == {
+        name("ab", "abc"): 1, name("a", "abc"): -1, name("a", "ab"): 1}
+    # 15 cells: ranks take two digits, so ids sort as the rank tuples do
+    tetra = order_complex(import_simplicial([("a", "b", "c", "d")]))
+    assert tetra.cells_of_dim(0)[:3] == ("00", "01", "02")
+    assert tetra.cells_of_dim(1)[:2] == ("00_04", "00_05")
 
 
 def test_order_complex_of_a_subspace_is_the_full_subcomplex(corpus):
@@ -180,16 +167,30 @@ def test_order_complex_of_a_subspace_is_the_full_subcomplex(corpus):
         K = order_complex(X)
         ids = sorted(X.cell_ids)
         for subspace in (frozenset(), frozenset(ids[::2]), frozenset(ids[1:])):
-            L = order_complex(X, subspace=subspace)
-            assert L == K.full_subcomplex(subspace), name
-            assert L.vertex_order == tuple(v for v in K.vertex_order if v in subspace), name
+            ranks = {r for r, cell in enumerate(X.cells) if cell.id in subspace}
+            full = {x for x in K.cell_ids if {int(r) for r in x.split("_")} <= ranks}
+            assert order_complex(X, subspace=subspace) == restrict(K, full), name
+
+
+def test_order_complex_boundaries_are_the_rank_routes_boundaries(data_dir, corpus):
+    # column for column: the ids of a degree sort as their rank tuples do
+    files = [(path.name, parse_lef(path.read_text())) for path in sorted(data_dir.glob("*.lef"))]
+    for name, X in files + corpus:
+        ids = sorted(X.cell_ids)
+        for subspace in (None, frozenset(ids[::2]), weak_point_core(X)):
+            K = order_complex(X, subspace=subspace)
+            _, by_dim = simplicial._poset_chains(X, subspace, simplicial.DEFAULT_SIMPLEX_CAP)
+            assert [len(K.cells_of_dim(q)) for q in range(K.top_dim + 1)] == list(map(len, by_dim))
+            for q in range(len(by_dim) + 1):
+                rows, cols = by_dim[q - 1] if q else (), by_dim[q] if q < len(by_dim) else ()
+                assert K.boundary_matrix(q) == simplicial._boundary(rows, cols), (name, q)
 
 
 # -- weak-point reduction ------------------------------------------------------
 
 
 def _reduction_matches_full_poset(X, ring):
-    return finite_space_homology(X, ring) == simplicial_homology(order_complex(X), ring)
+    return finite_space_homology(X, ring) == lefschetz_homology(order_complex(X), ring)
 
 
 def test_weak_point_reduction_oracle_on_the_corpus(corpus):
@@ -250,7 +251,10 @@ def test_simplex_cap_counts_the_reduced_order_complex():
 
 
 def _reference_order_complex(X):
-    """Every chain of the face order, enumerated by ids from the facets alone."""
+    """Every chain of the face order, enumerated by ids from the facets alone,
+    as a complex with a cell per chain: its id the ranks of the chain's cells
+    in X.cells, zero-padded to one width and joined by ``_``, and kappa
+    (-1)**i on the face without the i-th cell."""
     faces = {}
     for cell in X.cells:  # (dim, id) order: facets come first
         faces[cell.id] = set().union(*(faces[y] | {y} for y in X.facets(cell.id)))
@@ -263,19 +267,28 @@ def _reference_order_complex(X):
 
     for cell in X.cells:
         extend((cell.id,))
-    return SimplicialComplex(chains, vertex_order=[cell.id for cell in X.cells])
+    width = len(str(len(X) - 1))
+    rank = {cell.id: str(r).zfill(width) for r, cell in enumerate(X.cells)}
+
+    def name(chain):
+        return "_".join(rank[x] for x in chain)
+
+    return build_complex([(name(chain), len(chain) - 1) for chain in chains],
+                         {(name(chain), name(chain[:i] + chain[i + 1:])): (-1) ** i
+                          for chain in chains if len(chain) > 1 for i in range(len(chain))}, ZZ)
 
 
 def _reference_homology(K, ring):
-    """Simplicial homology of K with each boundary entry written out here."""
+    """Simplicial homology of the order complex K with each boundary entry
+    written out here from the vertices its cell ids list."""
     def boundary(q):
-        rows = {s: i for i, s in enumerate(K.simplices_of_dim(q - 1))}
-        cols = K.simplices_of_dim(q)
+        rows = {x: i for i, x in enumerate(K.cells_of_dim(q - 1))}
+        cols = [x.split("_") for x in K.cells_of_dim(q)]
         return ExactMatrix(len(rows), len(cols), {
-            (rows[s[:i] + s[i + 1:]], j): (-1) ** i
+            (rows["_".join(s[:i] + s[i + 1:])], j): (-1) ** i
             for j, s in enumerate(cols) for i in range(len(s))}, ring)
 
-    return profile_from_boundaries(ring, [len(K.simplices_of_dim(q)) for q in range(K.dim + 1)],
+    return profile_from_boundaries(ring, [len(K.cells_of_dim(q)) for q in range(K.top_dim + 1)],
                                    boundary)
 
 
@@ -325,12 +338,11 @@ def test_rank_pipeline_matches_the_full_order_complex(data_dir):
     for name, X in _oracle_inputs(data_dir):
         K = _reference_order_complex(X)
         assert order_complex(X) == K, name
-        assert order_complex(X).vertex_order == K.vertex_order, name
-        for q in range(1, K.dim):  # the signs make a chain complex
+        for q in range(1, K.top_dim):  # the signs make a chain complex
             assert (K.boundary_matrix(q) @ K.boundary_matrix(q + 1)).is_zero(), (name, q)
         for ring in (ZZ, QQ, GF(2), GF(3)):
             expected = _reference_homology(K, ring)
-            assert simplicial_homology(K, ring) == expected, (name, ring.label)
+            assert lefschetz_homology(K, ring) == expected, (name, ring.label)
             assert finite_space_homology(X, ring) == expected, (name, ring.label)
 
 
@@ -353,8 +365,8 @@ def test_core_boundaries_are_those_of_the_core_order_complex(monkeypatch, data_d
         seen.clear()
         finite_space_homology(X)
         K = order_complex(X, subspace=weak_point_core(X))
-        assert seen == [([len(K.simplices_of_dim(q)) for q in range(K.dim + 1)],
-                         [K.boundary_matrix(q).dense() for q in range(1, K.dim + 1)])], name
+        assert seen == [([len(K.cells_of_dim(q)) for q in range(K.top_dim + 1)],
+                         [K.boundary_matrix(q).dense() for q in range(1, K.top_dim + 1)])], name
 
 
 # -- relative homology and the sweep on the rank chains ------------------------
@@ -362,8 +374,8 @@ def test_core_boundaries_are_those_of_the_core_order_complex(monkeypatch, data_d
 
 def test_relative_finite_space_homology_matches_the_simplicial_route(data_dir, corpus):
     # the route it replaced: the quotient of the order complex by the full
-    # subcomplex on A; for a closed A, also the sweep's slice of the chains
-    # whose top cell is outside A
+    # subcomplex on A, the order complex of A; for a closed A, also the
+    # sweep's slice of the chains whose top cell is outside A
     rng = random.Random(13)
     for name, X in _oracle_inputs(data_dir, 3, range(5000, 5060)) + corpus:
         K = order_complex(X)
@@ -372,10 +384,11 @@ def test_relative_finite_space_homology_matches_the_simplicial_route(data_dir, c
                      closure(X, rng.sample(ids, rng.randint(0, len(ids)))),
                      open_hull(X, rng.sample(ids, rng.randint(0, len(ids)))),
                      frozenset(rng.sample(ids, rng.randint(0, len(ids))))]
+        subcomplexes = [order_complex(X, subspace=A).cell_ids for A in subspaces]
         for ring in (ZZ, QQ, GF(2), GF(3)):
             chains = order_complex_chains(X, ring)
-            for A in subspaces:
-                expected = relative_simplicial_homology(K, K.full_subcomplex(A), ring)
+            for A, L in zip(subspaces, subcomplexes):
+                expected = relative_homology(K, L, ring)
                 assert relative_finite_space_homology(X, A, ring) == expected, (name, ring.label)
                 if is_closed(X, A):
                     assert chains.profile(X.cell_ids - A) == expected, (name, ring.label)

@@ -298,6 +298,32 @@ def test_corollary_torsion_takes_the_slice_fallback(monkeypatch):
         assert check_corollary(X, ring) == _sliced_corollary(X, ring), ring
 
 
+def test_the_sweep_never_stalls_over_a_field(monkeypatch, sweep_corpus):
+    # over Q and F_p every nonzero lowest entry is a unit, so no visit falls
+    # back to slice profiles; over Z the witness's kappa 2 stalls it
+    stalls = []
+    include = IncrementalReducer.include
+
+    def watched(self, key):
+        include(self, key)
+        stalls.append(self.stalled is not None)
+
+    monkeypatch.setattr(IncrementalReducer, "include", watched)
+    check_corollary(_torsion_witness(), ZZ)
+    assert any(stalls)
+    inputs = [X for _, X in sweep_corpus] + [_torsion_witness()]
+    for X in inputs:
+        try:
+            enumerate_closed_sets(X, 200)
+        except TooManyClosedSets:
+            continue
+        for ring in (QQ, GF(2), GF(3)):
+            stalls.clear()
+            report = check_corollary(X, ring)
+            assert stalls and not any(stalls), (render_lef(X), ring)
+            assert report == _sliced_corollary(X, ring), (render_lef(X), ring)
+
+
 def test_corollary_matches_the_sliced_sweep(corpus, sweep_corpus):
     # the explicit and seeded corpus, plus the first 300 sweep-corpus
     # complexes (basis-change mode puts non-unit entries in their boundaries)
