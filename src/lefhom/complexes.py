@@ -98,34 +98,54 @@ def _graded(dims: Mapping[str, int]) -> dict:
     return {d: tuple(sorted(ids)) for d, ids in by_dim.items()}
 
 
+def _checked_dims(cells: list) -> dict:
+    """{id: dim} of the (id, dim) pairs, the first bad pair raised.  The
+    pairs are checked all at once; only pairs that fail that are walked one
+    by one, which raises the first error in their order, or admits what the
+    checks at once leave out: no cells, or a subclass of int as a dimension."""
+    try:
+        dims = dict(cells)
+        every_id = "".join(dims)
+    except (TypeError, ValueError):  # not pairs, or an id that is not a str
+        pass
+    else:
+        # non-empty ids over the alphabet; dims of type int, so no bool
+        if (len(dims) == len(cells) and all(dims) and _ID_RE.match(every_id)
+                and set(map(type, dims.values())) == {int} and min(dims.values()) >= 0):
+            return dims
+    dims = {}
+    valid_id = _ID_RE.match
+    for cell in cells:
+        cid, dim = cell
+        if not isinstance(cid, str) or not valid_id(cid):
+            raise InvalidCellId(f"bad cell id {cid!r} (want [A-Za-z0-9_]+)")
+        # a bool is an int, but render_lef would write it as True or False
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+            raise InvalidCellId(f"cell {cid!r} has bad dimension {dim!r}")
+        if cid in dims:
+            raise DuplicateCellId(f"cell id {cid!r} declared twice")
+        dims[cid] = dim
+    return dims
+
+
 class LefschetzComplex:
     """Validated, immutable Lefschetz complex over a :class:`RingSpec`.
 
     Construction performs the full validation (id sanity, grading, and the
-    incidence-product condition).  Boundary matrices and the face poset are
-    memoized per instance, write-once.
+    incidence-product condition).  ``_of_valid`` takes a store that is valid
+    already, such as a locally closed part of a complex's, unchecked.
+    Boundary matrices and the face poset are memoized per instance,
+    write-once.
     """
 
     __slots__ = ("ring", "_dims", "_by_dim", "_facets", "_cells", "_poset", "_boundary_cache")
 
     def __init__(self, cells: Iterable, kappa, ring: RingSpec):
-        self.ring = ring
-        dims = self._dims = {}
-        valid_id = _ID_RE.match
-        for cell in cells:
-            cid, dim = cell
-            if not isinstance(cid, str) or not valid_id(cid):
-                raise InvalidCellId(f"bad cell id {cid!r} (want [A-Za-z0-9_]+)")
-            # a bool is an int, but render_lef would write it as True or False
-            if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
-                raise InvalidCellId(f"cell {cid!r} has bad dimension {dim!r}")
-            if cid in dims:
-                raise DuplicateCellId(f"cell id {cid!r} declared twice")
-            dims[cid] = dim
+        dims = _checked_dims(list(cells))
 
         items = kappa.items() if isinstance(kappa, Mapping) else kappa
         # the one store of kappa: cell -> {facet: nonzero value}
-        facets = self._facets = {x: {} for x in dims}
+        facets = {x: {} for x in dims}
         p, convert, dim_of = ring.p, ring.convert, dims.get
         plain = ring.kind != "Q"  # an int is an element of Z, and of F_p once reduced
         for (x, y), value in items:
@@ -161,10 +181,19 @@ class LefschetzComplex:
                 total = total % p if p else total
                 if total:
                     raise KappaConditionViolation(x, z, total)
+        self._adopt(ring, dims, facets)
 
-        self._by_dim = _graded(dims)
-        self._cells = None
-        self._poset = None
+    @classmethod
+    def _of_valid(cls, ring: RingSpec, dims: dict, facets: dict) -> "LefschetzComplex":
+        """The complex of a store that is valid already, such as a locally
+        closed part of a validated complex's: taken as it is, unchecked."""
+        self = cls.__new__(cls)
+        self._adopt(ring, dims, facets)
+        return self
+
+    def _adopt(self, ring: RingSpec, dims: dict, facets: dict) -> None:
+        self.ring, self._dims, self._facets, self._by_dim = ring, dims, facets, _graded(dims)
+        self._cells = self._poset = None
         self._boundary_cache = {}
 
     # -- cell access ---------------------------------------------------
@@ -255,8 +284,12 @@ def is_augmentable(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> bool
     annihilate the degree-1 boundary; vacuously true without 1-cells.
     """
     ring = X.ring if ring is None else ring
-    p, convert = ring.p, _converter(X.ring, ring)  # scaling keeps a Q column's sum 0 or not
-    totals = (sum(convert(col).values()) for col in X.boundary_matrix(1)._cols)
+    _converter(X.ring, ring)  # refuses F_p entries over another ring
+    p, cols = ring.p, X.boundary_matrix(1)._cols
+    if X.ring.kind == "Q" and ring.kind != "Q":  # each entry needs its own value in ring
+        totals = (sum(map(ring.convert, col.values())) for col in cols)
+    else:
+        totals = (sum(col.values()) for col in cols)
     return not any(total % p if p else total for total in totals)
 
 

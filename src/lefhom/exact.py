@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -407,11 +408,13 @@ def _integral(col: Mapping, drop=()) -> dict:
     return {i: v.numerator * (den // v.denominator) for i, v in col.items() if i not in drop}
 
 
+@lru_cache(maxsize=32)
 def _converter(source: RingSpec, ring: RingSpec, scaled: bool = True) -> Callable[..., dict]:
     """A column over ``source``, rows in an optional ``drop`` left out, as a
     reduction over ``ring`` takes it: ints over Z, nonzero residues over F_p,
     over Q ints scaled to integers or, unless ``scaled``, ints and Fractions.
-    Refused: F_p over another ring, at once; what ``convert`` refuses, dropped or not."""
+    Refused: F_p over another ring, at once; what ``convert`` refuses, dropped or not.
+    Built once per (source, ring, scaled): a process meets a few rings."""
     if source.kind == "Fp" and source != ring:
         raise UnsupportedRing(f"cannot lift {source} entries into {ring}")
     if source.kind == "Q":

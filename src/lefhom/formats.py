@@ -239,6 +239,20 @@ def _interval_id(lo: int, hi: int) -> str:
 _join_id = "x".join  # a cube's id: its interval ids, axis by axis
 
 
+def _interval(interval) -> tuple:
+    """The ``(lo, hi)`` of an interval given as ``[k]``, ``[k, k+1]`` or ``k``, checked."""
+    pair = tuple(interval) if not isinstance(interval, int) else (interval,)
+    if len(pair) == 1:
+        lo = hi = int(pair[0])
+    elif len(pair) == 2:
+        lo, hi = int(pair[0]), int(pair[1])
+    else:
+        raise MalformedInterval(f"bad interval {interval!r}")
+    if hi not in (lo, lo + 1):
+        raise MalformedInterval(f"interval [{lo}, {hi}] is not [k] or [k, k+1]")
+    return lo, hi
+
+
 def import_cubical(cubes: Iterable[Sequence], ring: RingSpec = ZZ) -> LefschetzComplex:
     """All faces of the given elementary cubes with standard signed incidences.
 
@@ -246,74 +260,88 @@ def import_cubical(cubes: Iterable[Sequence], ring: RingSpec = ZZ) -> LefschetzC
     ``[k, k+1]``; all cubes must share the embedding dimension.  Collapsing
     the j-th non-degenerate interval contributes the sign ``(-1)**s_j`` to
     the upper face and its negative to the lower face, where ``s_j`` counts
-    non-degenerate intervals strictly before position j.  Each interval is
-    named once and each face id joined once from those names, and kappa
-    comes in sorted-face order; the construction validator (boundary of
-    boundary is zero) is still the arbiter of this sign convention.  Raises
-    ``TooManySimplices`` once the distinct faces pass the cap, counted as
-    each cube's faces are added, at most cap + 1 of them.
+    non-degenerate intervals strictly before position j.  Each distinct
+    interval is checked once and its faces' coordinates kept for its later
+    occurrences (one given as a list or an int is checked each time).
+    Each coordinate is named once and each face id joined once from those
+    names, and kappa comes in sorted-face order; the construction validator
+    (boundary of boundary is zero) is still the arbiter of this sign
+    convention.  Raises ``TooManySimplices`` once the distinct faces pass
+    the cap, counted as each cube's faces are added, at most cap + 1 of them.
     """
     # faces in doubled coordinates, [k] as 2k and [k, k+1] as 2k + 1: they sort
     # as the intervals do, and a unit interval's facets are its coordinate ± 1
     faces = set()
+    # a tuple interval -> its faces' coordinates: a number equal to an int,
+    # such as 1.0, is no interval, and a list cannot be a key
+    known = {}
     embedding = None
     for cube in cubes:
-        axes = []
-        for interval in cube:
-            pair = tuple(interval) if not isinstance(interval, int) else (interval,)
-            if len(pair) == 1:
-                lo = hi = int(pair[0])
-            elif len(pair) == 2:
-                lo, hi = int(pair[0]), int(pair[1])
-            else:
-                raise MalformedInterval(f"bad interval {interval!r}")
-            if hi not in (lo, lo + 1):
-                raise MalformedInterval(f"interval [{lo}, {hi}] is not [k] or [k, k+1]")
-            axes.append((lo, hi))
+        cube = tuple(cube)  # read twice when an interval is new
+        try:
+            options = list(map(known.__getitem__, cube))
+        except (KeyError, TypeError):  # an interval met for the first time, or a list
+            options = [(2 * lo,) if lo == hi else (lo + hi, 2 * lo, 2 * hi)
+                       for lo, hi in map(_interval, cube)]
+            known.update((interval, coordinates) for interval, coordinates in zip(cube, options)
+                         if type(interval) is tuple)
         if embedding is None:
-            embedding = len(axes)
-        elif embedding != len(axes):
-            raise DimensionMismatch(
-                f"cube {tuple(axes)} has embedding dimension {len(axes)}, expected {embedding}")
-        if not axes:
+            embedding = len(options)
+        elif embedding != len(options):
+            raise DimensionMismatch(f"cube {tuple(map(_interval, cube))} has embedding "
+                                    f"dimension {len(options)}, expected {embedding}")
+        if not options:
             raise MalformedInterval("a cube needs at least one interval")
-        faces.update(islice(product(*[(2 * lo,) if lo == hi else (lo + hi, 2 * lo, 2 * hi)
-                                      for lo, hi in axes]), DEFAULT_SIMPLEX_CAP + 1))
+        faces.update(islice(product(*options), DEFAULT_SIMPLEX_CAP + 1))
         if len(faces) > DEFAULT_SIMPLEX_CAP:
             raise TooManySimplices(DEFAULT_SIMPLEX_CAP, "cubical input")
     if embedding is None:
         raise EmptyInput("no cubes to import")
     faces = sorted(faces)
     names = {c: _interval_id(c >> 1, (c + 1) >> 1) for c in set().union(*faces)}
-    ids = {face: _join_id(map(names.__getitem__, face)) for face in faces}
+    # each face's names, read off the coordinates axis by axis
+    ids = dict(zip(faces, map(_join_id, zip(*[map(names.__getitem__, axis)
+                                              for axis in zip(*faces)]))))
     cells, kappa = [], []
     for face, x in ids.items():
-        dim, sign = 0, 1
+        dim, sign, facet = 0, 1, list(face)  # facet: face with one coordinate moved
         for j, c in enumerate(face):
             if c & 1:
-                kappa.append(((x, ids[face[:j] + (c + 1,) + face[j + 1:]]), sign))
-                kappa.append(((x, ids[face[:j] + (c - 1,) + face[j + 1:]]), -sign))
+                facet[j] = c + 1
+                kappa.append(((x, ids[tuple(facet)]), sign))
+                facet[j] = c - 1
+                kappa.append(((x, ids[tuple(facet)]), -sign))
+                facet[j] = c
                 dim, sign = dim + 1, -sign
         cells.append((x, dim))
     return build_complex(cells, kappa, ring)
 
 
 def _cubes(text: str):
-    """The cubes of the lines of ``text``, parsed as they are read."""
+    """The cubes of the lines of ``text``, parsed as they are read.
+
+    Each distinct interval token is parsed once per text, at its first line,
+    so a bad token is reported there; its later occurrences reuse the same
+    ``(lo, hi)`` pair, which :func:`import_cubical` then checks once.
+    """
+    parsed = {}  # token -> (lo, hi)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         axes = []
         for token in line.split("x"):
-            match = _INTERVAL_RE.match(token.strip())
-            try:
-                if not match:
-                    raise ValueError(token)
-                lo, hi = map(int, match.groups(match.group(1)))  # [k] is [k, k]
-            except ValueError:  # also an integer past int's digit limit
-                raise LefSyntaxError(line_no, f"bad interval {token.strip()!r}") from None
-            axes.append((lo, hi))
+            pair = parsed.get(token)
+            if pair is None:
+                match = _INTERVAL_RE.match(token.strip())
+                try:
+                    if not match:
+                        raise ValueError(token)
+                    # [k] is [k, k]
+                    pair = parsed[token] = tuple(map(int, match.groups(match.group(1))))
+                except ValueError:  # also an integer past int's digit limit
+                    raise LefSyntaxError(line_no, f"bad interval {token.strip()!r}") from None
+            axes.append(pair)
         yield tuple(axes)
 
 

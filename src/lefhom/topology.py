@@ -74,16 +74,15 @@ def restrict(X: LefschetzComplex, A: Iterable) -> LefschetzComplex:
     """The sub-Lefschetz-complex on a locally closed set A.
 
     Local closedness is exactly what makes the restricted incidence map
-    satisfy the boundary-of-boundary condition again; construction re-runs
-    the full validation, so every call re-checks that fact.
+    satisfy the boundary-of-boundary condition again, so the result is X's
+    validated cells and incidences inside A, in X's order, not checked again.
     """
     A = _cellset(X, A)
     if not is_locally_closed(X, A):
         raise NotLocallyClosed(f"{sorted(A)} is not locally closed")
-    # X's cells and facets in X's order, so the result never follows set order
-    cells = [(x, dim) for x, dim in X._dims.items() if x in A]
-    kappa = [((x, y), v) for x, _ in cells for y, v in X._facets[x].items() if y in A]
-    return LefschetzComplex(cells, kappa, X.ring)
+    dims = {x: dim for x, dim in X._dims.items() if x in A}
+    facets = {x: {y: v for y, v in X._facets[x].items() if y in A} for x in dims}
+    return LefschetzComplex._of_valid(X.ring, dims, facets)
 
 
 def closed_set_walk(X: LefschetzComplex, cap: int = DEFAULT_CLOSED_SET_CAP) -> list:

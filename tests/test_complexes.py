@@ -132,6 +132,32 @@ def test_construction_meets_faults_in_a_fixed_order(cells, kappa, ring, error, m
     assert type(err.value) is error and str(err.value) == message
 
 
+@pytest.mark.parametrize("cells, error, message", [
+    ([("a", 0), ("", 0)], InvalidCellId, "bad cell id '' (want [A-Za-z0-9_]+)"),
+    ([("a", 0), ("b\n", 0)], InvalidCellId, "bad cell id 'b\\n' (want [A-Za-z0-9_]+)"),
+    ([("a", 0), (7, 0)], InvalidCellId, "bad cell id 7 (want [A-Za-z0-9_]+)"),
+    ([("a", 0), ("b", 1.0)], InvalidCellId, "cell 'b' has bad dimension 1.0"),
+    ([("a", 0), "b0"], InvalidCellId, "cell 'b' has bad dimension '0'"),
+    ([("a", 0), ("b", 0, 1)], ValueError, "too many values to unpack (expected 2)"),
+])
+def test_cells_that_fail_the_checks_at_once_are_walked_to_their_first_fault(cells, error, message):
+    # the joined ids pass one regex match only when no id is empty, so an
+    # empty id, a newline (which $ would let through) or a non-str id falls
+    # back to the pair-by-pair walk and its own error
+    with pytest.raises(error) as err:
+        build_complex(cells, {}, ZZ)
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_cells_the_checks_at_once_leave_out_are_admitted():
+    class Dim(int):
+        pass
+
+    X = build_complex([("a", Dim(0)), ("e", Dim(1))], {("e", "a"): 1}, ZZ)
+    assert list(X._dims.items()) == [("a", 0), ("e", 1)] and type(X.dim_of("e")) is Dim
+    assert len(build_complex([], {}, ZZ)) == 0
+
+
 def test_a_bool_dimension_is_refused():
     # a bool is an int, but render_lef would write "cell e True", which
     # parse_lef refuses

@@ -322,6 +322,56 @@ def test_import_cubical_names_each_interval_once(monkeypatch):
     assert sorted(joined) == sorted(X.cell_ids)
 
 
+def test_the_cubical_reader_checks_each_interval_once_and_keeps_every_edge_case():
+    # a bad token that repeats is reported at the line where it first appears
+    with pytest.raises(LefSyntaxError, match=r"^line 2: bad interval '\[0\.\.1\]'$"):
+        parse_cubical("[0,1]x[0]\n[0,1]x[0..1]\n[0..1]x[0]\n")
+    with pytest.raises(MalformedInterval, match=r"^interval \[0, 2\] is not \[k\] or \[k, k\+1\]$"):
+        parse_cubical("[0,1]x[0]\n[0,1]x[0,2]\n[0,2]x[0]\n")
+    # a change of embedding dimension prints the cube's (lo, hi) intervals,
+    # whether its intervals were met before or not
+    for cubes in ([[(0, 1)], [(0, 1), (2, 2)]], [[[0, 1]], [[0, 1], 2]], [[(0, 1)], [(0, 1), 2]]):
+        with pytest.raises(DimensionMismatch, match=r"^cube \(\(0, 1\), \(2, 2\)\) has "
+                                                    r"embedding dimension 2, expected 1$"):
+            import_cubical(cubes)
+    with pytest.raises(DimensionMismatch, match=r"^cube \(\(0, 1\), \(2, 2\)\) "):
+        parse_cubical("[0,1]\n[0,1]x[2]\n")
+    # spacing, a degenerate interval written twice over, and comments give one cube
+    assert list(formats._cubes("[0,1]x[2]\n # note\n  [0, 1] x [2]  # cube\n[0,1]x[2,2]\n")) == [
+        ((0, 1), (2, 2))] * 3
+    square = render_lef(import_cubical([[(0, 1), (0, 1)]]))
+    assert render_lef(parse_cubical("[0,1]x[0,1]\n")) == square
+    assert render_lef(parse_cubical(" [0, 1] x[0,1]  # a square\n# nothing\n\n")) == square
+    # through the API an interval may be a list or an int, also after its tuple was met
+    edge = render_lef(import_cubical([[(0, 1), (3, 3)]]))
+    assert render_lef(import_cubical([[[0, 1], 3]])) == edge
+    assert render_lef(import_cubical([[(0, 1), (3,)], [[0, 1], 3], [(0, 1), 3]])) == edge
+    # a number equal to a known interval is still no interval
+    with pytest.raises(TypeError):
+        import_cubical([[3], [3.0]])
+
+
+def test_import_cubical_keeps_the_cell_and_incidence_order():
+    # the order the store was built in: cells in sorted-face order, and each
+    # cell's facets axis by axis, the upper face first
+    X = import_cubical([[(0, 1), (0, 1)]])
+    assert list(X._dims.items()) == [
+        ("0x0", 0), ("0x0_1", 1), ("0x1", 0), ("0_1x0", 1), ("0_1x0_1", 2), ("0_1x1", 1),
+        ("1x0", 0), ("1x0_1", 1), ("1x1", 0)]
+    assert [(x, list(row.items())) for x, row in X._facets.items()] == [
+        ("0x0", []), ("0x0_1", [("0x1", 1), ("0x0", -1)]), ("0x1", []),
+        ("0_1x0", [("1x0", 1), ("0x0", -1)]),
+        ("0_1x0_1", [("1x0_1", 1), ("0x0_1", -1), ("0_1x1", -1), ("0_1x0", 1)]),
+        ("0_1x1", [("1x1", 1), ("0x1", -1)]), ("1x0", []), ("1x0_1", [("1x1", 1), ("1x0", -1)]),
+        ("1x1", [])]
+    box = parse_cubical("[0,1]x[0,1]x[0,1]\n[1,2]x[0,1]x[0,1]\n")
+    order = repr((list(box._dims.items()),
+                  [(x, list(row.items())) for x, row in box._facets.items()]))
+    assert len(box) == 45
+    assert hashlib.sha256(order.encode()).hexdigest() == (
+        "a2139f9bdb01f623181f896b0a675a0215d5d80affa5f253dc9a1fed01164341")
+
+
 def test_cubical_cap_bounds_the_distinct_faces(monkeypatch):
     monkeypatch.setattr(formats, "DEFAULT_SIMPLEX_CAP", 100)
 

@@ -86,12 +86,20 @@ def test_restrict_validates_on_every_locally_closed_sample(corpus):
         for _ in range(12):
             subset = frozenset(rng.sample(ids, rng.randint(0, len(ids)))) if ids else frozenset()
             if is_locally_closed(X, subset):
-                sub = restrict(X, subset)  # construction re-validates
+                sub = restrict(X, subset)
                 assert sub.cell_ids == subset, name
                 # X's incidences inside the subset, in X's order
-                assert list(sub.kappa_entries.items()) == [
-                    ((x, y), v) for (x, y), v in X.kappa_entries.items()
-                    if x in subset and y in subset], name
+                cells = [(x, d) for x, d in X._dims.items() if x in subset]
+                kappa = [((x, y), v) for (x, y), v in X.kappa_entries.items()
+                         if x in subset and y in subset]
+                assert list(sub.kappa_entries.items()) == kappa, name
+                # restrict does not validate; the constructor, which checks
+                # boundary of boundary, builds the same store in the same order
+                built = build_complex(cells, kappa, X.ring)
+                assert sub == built, name
+                assert list(sub._dims.items()) == list(built._dims.items()), name
+                assert ([(x, list(row.items())) for x, row in sub._facets.items()]
+                        == [(x, list(row.items())) for x, row in built._facets.items()]), name
                 tried += 1
         assert tried > 0 or not ids
 
