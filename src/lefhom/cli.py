@@ -22,6 +22,7 @@ from .errors import (
     LefhomError,
     LefSyntaxError,
     NonFieldRing,
+    UnknownCellReference,
     UnsupportedRing,
     UsageError,
 )
@@ -37,7 +38,7 @@ from .formats import (
 from .homology import excision_check, lefschetz_homology, long_exact_sequence
 from .simplicial import finite_space_homology
 from .theorem import check_corollary, check_theorem, search_converse
-from .topology import DEFAULT_CLOSED_SET_CAP
+from .topology import DEFAULT_CLOSED_SET_CAP, _cellset
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -95,13 +96,8 @@ def _profile_lines(prefix: str, profile, top: int) -> list:
 
 
 def _closed_set(args, X: LefschetzComplex) -> frozenset:
-    """The ``--closed`` ids; one that names no cell of X is a usage error."""
-    raw = args.closed or ""
-    ids = frozenset([part.strip() for part in raw.split(",") if part.strip()])
-    unknown = ids - X.cell_ids
-    if unknown:
-        raise UsageError(f"not cells of the complex: {sorted(unknown)}")
-    return ids
+    """The ``--closed`` ids; one that names no cell of X is a usage error, exit 2."""
+    return _cellset(X, [part.strip() for part in args.closed.split(",") if part.strip()])
 
 
 # -- command bodies --------------------------------------------------------
@@ -353,10 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of complexes to generate and test")
     p.add_argument("--mode", choices=GENERATOR_MODES, default="basis-change")
     p.add_argument("--jobs", type=int, default=1, help="worker processes (capped at the CPU count)")
-    p.add_argument("--max-dimension", type=int, default=2, dest="max_dimension")
-    p.add_argument("--max-cells", type=int, default=4, dest="max_cells")
-    p.add_argument("--coefficient-bound", type=int, default=2, dest="coefficient_bound")
-    p.add_argument("--transform-steps", type=int, default=6, dest="transform_steps")
+    defaults = GeneratorConfig._field_defaults  # the generator's own, but for --mode
+    p.add_argument("--max-dimension", type=int, default=defaults["max_dimension"])
+    p.add_argument("--max-cells", type=int, default=defaults["max_cells_per_dim"])
+    p.add_argument("--coefficient-bound", type=int, default=defaults["coefficient_bound"])
+    p.add_argument("--transform-steps", type=int, default=defaults["transform_steps"])
     p.add_argument("--hits", default=None,
                    help="append serialized candidates to this file")
     p.set_defaults(func=_cmd_search)
@@ -381,7 +378,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (LefSyntaxError, UnsupportedRing, NonFieldRing, UsageError, OSError) as exc:
+    except (LefSyntaxError, UnsupportedRing, NonFieldRing, UnknownCellReference, UsageError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except LefhomError as exc:

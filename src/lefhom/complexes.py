@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import (
     DuplicateCellId,
@@ -25,7 +25,7 @@ from .errors import (
     KappaConditionViolation,
     UnknownCellReference,
 )
-from .exact import ExactMatrix, RingSpec, _converter
+from .exact import ExactMatrix, RingSpec, _admit
 
 __all__ = ["Cell", "LefschetzComplex", "FacePoset", "build_complex", "is_augmentable"]
 
@@ -277,6 +277,12 @@ class LefschetzComplex:
                 f"top dim {self.top_dim}, ring {self.ring})")
 
 
+def _kappa_rows(X: LefschetzComplex) -> Iterator[dict]:
+    """X's {facet: κ} rows, lazily, in (dim, id) order: what entry points admit."""
+    for q in sorted(X._by_dim):
+        yield from map(X._facets.__getitem__, X._by_dim[q])
+
+
 def is_augmentable(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> bool:
     """True when every 1-cell's facet coefficients sum to zero.
 
@@ -284,7 +290,7 @@ def is_augmentable(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> bool
     annihilate the degree-1 boundary; vacuously true without 1-cells.
     """
     ring = X.ring if ring is None else ring
-    _converter(X.ring, ring)  # refuses F_p entries over another ring
+    _admit(X.ring, ring, _kappa_rows(X))
     p, cols = ring.p, X.boundary_matrix(1)._cols
     if X.ring.kind == "Q" and ring.kind != "Q":  # each entry needs its own value in ring
         totals = (sum(map(ring.convert, col.values())) for col in cols)

@@ -7,11 +7,11 @@ matrices are assembled and sliced, and every reduction runs on copies of
 those columns through one of two sparse routines: :func:`_eliminate` for
 ranks and Smith forms, :func:`_reduce_column` for reductions by lowest row.
 
-The ring policy of a reduction lives here: :func:`_converter` copies each
-column of a matrix in its own ring, once, into the ring of the reduction,
-and refuses F_p entries over any other.  Over Q, columns are scaled to
-integers, which keeps their span, so no rank does ``Fraction`` arithmetic
-and :func:`_eliminate` sees ints only.  Over Z and Q only ±1 is a pivot,
+The ring policy lives here: :func:`_admit`, its one check, refuses what a
+ring cannot hold, and :func:`_converter` copies each column of a matrix in
+its own ring, once, into the ring of the reduction.  Over Q, columns are
+scaled to integers, which keeps their span, so no rank does ``Fraction``
+arithmetic and :func:`_eliminate` sees ints only.  Over Z and Q only ±1 is a pivot,
 over F_p every nonzero entry.
 :func:`_reduce` runs the unit phase, :func:`_eliminate`, and then the
 residue phase, the dense Bezout Smith form of the columns left (none are
@@ -245,7 +245,7 @@ class ExactMatrix:
         """Reinterpret entries in another ring (entries may vanish, e.g. mod p)."""
         if ring == self.ring:
             return self
-        _converter(self.ring, ring)  # refuses F_p entries over another ring
+        _admit(self.ring, ring, self._cols)
         return ExactMatrix._wrap(self.rows, [
             {i: w for i, v in col.items() if (w := ring.convert(v))} for col in self._cols], ring)
 
@@ -408,15 +408,25 @@ def _integral(col: Mapping, drop=()) -> dict:
     return {i: v.numerator * (den // v.denominator) for i, v in col.items() if i not in drop}
 
 
+def _admit(source: RingSpec, ring: RingSpec, columns: Iterable[Mapping] = ()) -> None:
+    """Refuse F_p entries over any other ring, and each Q value of ``columns``,
+    in order, that Z or F_p cannot hold: every entry point's one ring check."""
+    if source.kind == "Fp" and source != ring:
+        raise UnsupportedRing(f"cannot lift {source} entries into {ring}")
+    if source.kind == "Q" and ring.kind != "Q":
+        for col in columns:
+            for v in col.values():
+                ring.convert(v)
+
+
 @lru_cache(maxsize=32)
 def _converter(source: RingSpec, ring: RingSpec, scaled: bool = True) -> Callable[..., dict]:
     """A column over ``source``, rows in an optional ``drop`` left out, as a
     reduction over ``ring`` takes it: ints over Z, nonzero residues over F_p,
     over Q ints scaled to integers or, unless ``scaled``, ints and Fractions.
-    Refused: F_p over another ring, at once; what ``convert`` refuses, dropped or not.
-    Built once per (source, ring, scaled): a process meets a few rings."""
-    if source.kind == "Fp" and source != ring:
-        raise UnsupportedRing(f"cannot lift {source} entries into {ring}")
+    It calls :func:`_admit` and otherwise only converts.  Built once per
+    (source, ring, scaled): a process meets a few rings."""
+    _admit(source, ring)
     if source.kind == "Q":
         if ring.kind == "Q":
             return _integral if scaled else lambda col, drop=(): {
@@ -429,14 +439,6 @@ def _converter(source: RingSpec, ring: RingSpec, scaled: bool = True) -> Callabl
             i: w for i, v in col.items() if i not in drop and (w := v % p)}
     return lambda col, drop=(): {  # ints over Z or Q
         i: v for i, v in col.items() if i not in drop} if drop else dict(col)
-
-
-def _admit(columns: Iterable[Mapping], source: RingSpec, ring: RingSpec) -> None:
-    """Refuse, as :func:`_converter` would, each entry of ``columns`` that ``ring`` cannot hold."""
-    if source.kind == "Q" and ring.kind != "Q":
-        for col in columns:
-            for v in col.values():
-                ring.convert(v)
 
 
 def _dense_snf(a: list, n: int, m: int, with_transforms: bool):

@@ -158,10 +158,6 @@ def render_lef(X: LefschetzComplex) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _simplex_id(face: Iterable[str], joiner: str) -> str:
-    return joiner.join(face)
-
-
 def import_simplicial(maximal_simplices: Iterable[Sequence[str]],
                       ring: RingSpec = ZZ) -> LefschetzComplex:
     """All faces of the given maximal simplices, with alternating-sign
@@ -200,7 +196,7 @@ def _simplicial_cells(maximal_simplices: Iterable[Sequence[str]]) -> tuple:
         joiner = "_"
     else:  # a_b c and a b_c would both join to a_b_c
         joiner, spell = "", {v: f"{len(v)}_{v}" for v in vertices}.__getitem__
-    ids = {face: _simplex_id(face if spell is None else map(spell, face), joiner)
+    ids = {face: joiner.join(face if spell is None else map(spell, face))
            for face in sorted(faces)}
     cells = [(cid, len(face) - 1) for face, cid in ids.items()]
     kappa = {}
@@ -402,10 +398,6 @@ class GeneratorConfig(namedtuple("GeneratorConfig", ["seed", *_GENERATOR_DEFAULT
         return cls(*iterable)  # through __new__, so _replace validates too
 
 
-def _random_simplicial(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:
-    return import_simplicial(_random_faces(rng, cfg))
-
-
 def _random_faces(rng: random.Random, cfg: GeneratorConfig) -> list:
     nverts = rng.randint(1, cfg.max_cells_per_dim)
     verts = [f"v{i}" for i in range(nverts)]
@@ -480,7 +472,7 @@ def random_complex(cfg: GeneratorConfig) -> LefschetzComplex:
     """Deterministic random complex: equal configs give byte-identical output."""
     rng = random.Random(cfg.seed)
     if cfg.mode == "simplicial-random":
-        return _random_simplicial(rng, cfg)
+        return import_simplicial(_random_faces(rng, cfg))
     if cfg.mode == "cubical-random":
         return _random_cubical(rng, cfg)
     return _basis_change(rng, cfg)

@@ -22,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .complexes import LefschetzComplex
+from .complexes import LefschetzComplex, _kappa_rows
 from .errors import NonFieldRing, NotClosed
 from .exact import (
     ExactMatrix,
@@ -161,9 +161,9 @@ class ChainSlices:
 
     ``keys[q][i]`` names the i-th degree-q generator (keys may repeat) and
     ``boundary(q)`` is the degree-q boundary, over ``source``, as the slices
-    are; profiles are over ``ring``.  Keeping the keys of a subcomplex, or of
-    the complement of one, gives a chain complex; a slice costs the nonzeros
-    of its kept columns.
+    are; profiles are over ``ring``, which the caller has admitted them into.
+    Keeping the keys of a subcomplex, or of the complement of one, gives a
+    chain complex; a slice costs the nonzeros of its kept columns.
 
     A subcomplex can also be named by the ranks of its generators, their
     places in the order of degree, then index: for :func:`lefschetz_chains`
@@ -181,7 +181,6 @@ class ChainSlices:
             for i, key in enumerate(names):
                 self._at.setdefault(key, []).append((q, i))
         self._columns = [matrix._cols for matrix in matrices]
-        _admit(chain.from_iterable(self._columns), self.source, ring)  # a slice may skip some
         # where each degree starts among the ranks; per rank, filled in rank
         # order as far as a closure has reached, the rows of its boundary
         # column as ranks, ascending, and their values
@@ -432,17 +431,14 @@ def lefschetz_chains(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> Ch
     """The cell chain complex of X as slices keyed by cell: ``profile(A)``
     of a closed set A is the homology of A as a subcomplex."""
     ring = X.ring if ring is None else ring
-    _converter(X.ring, ring)  # refuses F_p entries over another ring, with cells or not
+    _admit(X.ring, ring, _kappa_rows(X))
     return ChainSlices(ring, [X.cells_of_dim(q) for q in range(X.top_dim + 1)], X.boundary_matrix)
 
 
 def lefschetz_homology(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> HomologyProfile:
-    """Homology of the cell chain complex of X over the given ring.
-
-    Defaults to the ring of the complex.
-    """
+    """Homology of the cell chain complex of X over ``ring``, by default X's own."""
     ring = X.ring if ring is None else ring
-    _converter(X.ring, ring)  # refuses F_p entries over another ring, with boundaries or not
+    _admit(X.ring, ring, _kappa_rows(X))
     sizes = [len(X.cells_of_dim(q)) for q in range(X.top_dim + 1)]
     return profile_from_boundaries(ring, sizes, X.boundary_matrix)
 
@@ -450,8 +446,7 @@ def lefschetz_homology(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> 
 def _require_closed(X: LefschetzComplex, part: Iterable) -> frozenset:
     part = frozenset(part)
     if not is_closed(X, part):
-        missing = sorted(closure(X, part) - part)
-        raise NotClosed(f"set is not closed; missing faces {missing}")
+        raise NotClosed(f"set is not closed; missing faces {sorted(closure(X, part) - part)}")
     return part
 
 
@@ -463,6 +458,7 @@ def relative_homology(X: LefschetzComplex, closed_part: Iterable,
     the quotient chain complex verbatim (same matrices, fewer rows/columns).
     """
     ring = X.ring if ring is None else ring
+    _admit(X.ring, ring, _kappa_rows(X))
     part = _require_closed(X, closed_part)
     return lefschetz_homology(restrict(X, X.cell_ids - part), ring)
 
@@ -476,10 +472,8 @@ def excision_check(X: LefschetzComplex, closed_part: Iterable,
     homology; route two slices the closed part's rows and columns out of
     the ambient boundary matrices.
     """
-    ring = X.ring if ring is None else ring
-    part = frozenset(closed_part)
-    via_restriction = relative_homology(X, part, ring)
-    return via_restriction == lefschetz_chains(X, ring).profile(X.cell_ids - part)
+    part = frozenset(closed_part)  # both routes default to X's ring
+    return relative_homology(X, part, ring) == lefschetz_chains(X, ring).profile(X.cell_ids - part)
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +550,7 @@ def long_exact_sequence(X: LefschetzComplex, closed_part: Iterable,
     """
     if not ring.is_field:
         raise NonFieldRing("the exact-sequence checker needs field coefficients")
+    _admit(X.ring, ring, _kappa_rows(X))
     part = _require_closed(X, closed_part)
 
     top, convert = X.top_dim, _converter(X.ring, ring, scaled=False)

@@ -25,9 +25,10 @@ from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .complexes import LefschetzComplex
-from .errors import TooManySimplices, UnknownCellReference
+from .errors import TooManySimplices
 from .exact import ExactMatrix, RingSpec, ZZ
 from .homology import ChainSlices, HomologyProfile, profile_from_boundaries
+from .topology import _cellset
 
 __all__ = [
     "SimplicialComplex",
@@ -94,10 +95,11 @@ def order_complex(X: LefschetzComplex,
     the chain; κ gives the face without its i-th cell the sign (-1)**i.  The
     ids of a degree sort as the rank tuples do, so the boundary matrices are
     those that the rank routes assemble, column for column.  With
-    ``subspace`` (a set of cell ids) only the chains inside it are kept: the
-    order complex of that subspace of the finite space.  Chain counting is
-    exponential in poset height, hence the cap.
+    ``subspace`` (cell ids of X, checked) only the chains inside it are kept:
+    the order complex of that subspace of the finite space.  Chain counting
+    is exponential in poset height, hence the cap.
     """
+    subspace = subspace if subspace is None else _cellset(X, subspace)
     ids, by_dim = _poset_chains(X, subspace, max_simplices)
     width = len(str(len(ids) - 1))
     digits = [f"{r:0{width}}" for r in range(len(ids))]
@@ -194,10 +196,7 @@ def relative_finite_space_homology(X: LefschetzComplex, subspace: Iterable,
     the chains with a cell outside A.
     """
     ring = X.ring if ring is None else ring
-    subspace = frozenset(subspace)
-    unknown = subspace - X.cell_ids
-    if unknown:
-        raise UnknownCellReference(f"not cells of the complex: {sorted(unknown)}")
+    subspace = _cellset(X, subspace)
     ids, by_dim = _poset_chains(X, None, max_simplices)
     outside = {r for r, x in enumerate(ids) if x not in subspace}
     return _rank_slices(by_dim, ring, by_dim).profile(

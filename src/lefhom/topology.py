@@ -1,10 +1,10 @@
 """The finite-space topology carried by a complex's face order.
 
 Closed sets are the down-sets of the face poset, open sets the up-sets.
-The facets generate the face order, so closures and closedness walk
-``X._facets``; open hulls and the closed-set walk read the face
-poset.  All functions take cell-id iterables and return frozensets;
-rendering layers sort ids when determinism of output text matters.
+One walk down a set's exit facets gives closures, mouths and local
+closedness; open hulls and the closed-set walk read the face poset.  All
+functions take cell-id iterables, checked by :func:`_cellset`, and return
+frozensets; rendering layers sort ids when output text must be stable.
 """
 
 from __future__ import annotations
@@ -29,22 +29,27 @@ DEFAULT_CLOSED_SET_CAP = 100_000
 
 
 def _cellset(X: LefschetzComplex, A: Iterable) -> frozenset:
+    """A as a frozenset, once each of its ids names a cell of X."""
     A = frozenset(A)
-    unknown = [a for a in A if a not in X]
+    unknown = A.difference(X._dims)
     if unknown:
         raise UnknownCellReference(f"not cells of the complex: {sorted(unknown)}")
     return A
 
 
+def _walk(X: LefschetzComplex, A: frozenset) -> set:
+    """The exit facets of A (its cells' facets outside it) and all below, a level per step."""
+    facets, walked, level = X._facets, set(), A
+    while level:
+        level = set().union(*map(facets.__getitem__, level)) - (walked or A)  # first: exits
+        walked |= level
+    return walked
+
+
 def closure(X: LefschetzComplex, A: Iterable) -> frozenset:
-    """Smallest closed set containing A: everything reached from A down the facets."""
-    facets, out = X._facets, set(_cellset(X, A))
-    stack = list(out)
-    while stack:
-        below = facets[stack.pop()].keys() - out
-        out |= below
-        stack += below
-    return frozenset(out)
+    """Smallest closed set containing A: A and the walk down from its exit facets."""
+    A = _cellset(X, A)
+    return A.union(_walk(X, A))
 
 
 def open_hull(X: LefschetzComplex, A: Iterable) -> frozenset:
@@ -54,20 +59,21 @@ def open_hull(X: LefschetzComplex, A: Iterable) -> frozenset:
 
 
 def mouth(X: LefschetzComplex, A: Iterable) -> frozenset:
-    """Closure of A minus A."""
+    """Closure of A minus A: the walk down from its exit facets, less A."""
     A = _cellset(X, A)
-    return closure(X, A) - A
+    return frozenset(_walk(X, A) - A)
 
 
 def is_closed(X: LefschetzComplex, A: Iterable) -> bool:
-    """True when A holds the facets of each of its cells."""
-    A, facets = _cellset(X, A), X._facets
-    return all(A.issuperset(facets[x]) for x in A)
+    """True when A has no exit facets: it holds the facets of each of its cells."""
+    A = _cellset(X, A)
+    return A.issuperset(set().union(*map(X._facets.__getitem__, A)))
 
 
 def is_locally_closed(X: LefschetzComplex, A: Iterable) -> bool:
-    """True when the mouth of A is closed (closed and open sets qualify)."""
-    return is_closed(X, mouth(X, A))
+    """True when the mouth of A is closed: the walk down its exit facets misses A."""
+    A = _cellset(X, A)
+    return _walk(X, A).isdisjoint(A)
 
 
 def restrict(X: LefschetzComplex, A: Iterable) -> LefschetzComplex:
@@ -75,10 +81,11 @@ def restrict(X: LefschetzComplex, A: Iterable) -> LefschetzComplex:
 
     Local closedness is exactly what makes the restricted incidence map
     satisfy the boundary-of-boundary condition again, so the result is X's
-    validated cells and incidences inside A, in X's order, not checked again.
+    validated cells and incidences inside A, in X's order, not checked again;
+    A's ids are checked once, and walked down once for local closedness.
     """
     A = _cellset(X, A)
-    if not is_locally_closed(X, A):
+    if not _walk(X, A).isdisjoint(A):
         raise NotLocallyClosed(f"{sorted(A)} is not locally closed")
     dims = {x: dim for x, dim in X._dims.items() if x in A}
     facets = {x: {y: v for y, v in X._facets[x].items() if y in A} for x in dims}

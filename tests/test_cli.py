@@ -427,10 +427,9 @@ def _conversion_error(name: str, command: str, ring: str):
         return "error: les needs field coefficients; pass --ring Q or --ring F<p>"
     if name.endswith("F3") and ring != "F3":
         return f"error: cannot lift F3 entries into {ring}"
-    if name == "halves-Q":  # excision reads the edge without a: its kappa is 1/2
-        value = "1/2" if command == "excision" else "-1/2"
-        return {"Z": f"error: {value} is not an integer",
-                "F2": f"error: denominator of {value} vanishes mod 2"}.get(ring)
+    if name == "halves-Q":  # every command names the first kappa in (dim, id) order
+        return {"Z": "error: -1/2 is not an integer",
+                "F2": "error: denominator of -1/2 vanishes mod 2"}.get(ring)
     return None
 
 

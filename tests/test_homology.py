@@ -975,6 +975,49 @@ def test_les_of_fp_complexes_over_their_own_field_reduces_the_connecting_map():
         assert report.exact and (report.nodes, report.maps) == _reference_les(Y, closed, GF(5))
 
 
+def test_fractions_in_a_closed_part_are_refused_as_the_homology_refuses_them():
+    # a triangle over Q whose 2-cell t has kappa 1/2, 1/2, -1/2: Z and F2
+    # cannot hold the halves, wherever they sit, so relative homology to the
+    # boundary of t and augmentability refuse them as lefschetz_homology does
+    half = Fraction(1, 2)
+    cells = [("a", 0), ("b", 0), ("c", 0), ("ab", 1), ("ac", 1), ("bc", 1), ("t", 2)]
+    kappa = {("ab", "a"): -1, ("ab", "b"): 1, ("bc", "b"): -1, ("bc", "c"): 1,
+             ("ac", "a"): -1, ("ac", "c"): 1,
+             ("t", "ab"): half, ("t", "bc"): half, ("t", "ac"): -half}
+    X = build_complex(cells, kappa, QQ)
+    boundary = X.cell_ids - {"t"}
+    for ring, message in ((ZZ, "1/2 is not an integer"),
+                          (GF(2), "denominator of 1/2 vanishes mod 2")):
+        for call in (lefschetz_homology, is_augmentable,
+                     lambda X, ring: relative_homology(X, boundary, ring)):
+            with pytest.raises(UnsupportedRing) as err:
+                call(X, ring)
+            assert str(err.value) == message
+    assert is_augmentable(X) and str(relative_homology(X, boundary)) == "H_0: 0; H_1: 0; H_2: Q"
+
+
+def test_every_entry_point_names_the_first_fraction_in_dim_id_order():
+    # halves on the edges, quarters on t: whatever each reads first, every
+    # entry point names the value lefschetz_homology meets first, -1/2 on ab
+    cells = [("a", 0), ("b", 0), ("c", 0), ("ab", 1), ("ac", 1), ("bc", 1), ("t", 2)]
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    kappa = {("t", "ab"): quarter, ("t", "bc"): quarter, ("t", "ac"): -quarter,
+             ("ab", "a"): -half, ("ab", "b"): half, ("bc", "b"): -half, ("bc", "c"): half,
+             ("ac", "a"): -half, ("ac", "c"): half}
+    X = build_complex(cells, kappa, QQ)
+    for ring, message in ((ZZ, "-1/2 is not an integer"),
+                          (GF(2), "denominator of -1/2 vanishes mod 2")):
+        calls = [lefschetz_homology, is_augmentable, lefschetz_chains, check_theorem,
+                 lambda X, ring: relative_homology(X, {"a"}, ring),
+                 lambda X, ring: excision_check(X, {"a"}, ring)]
+        if ring.is_field:  # the LES reads the top degree first
+            calls.append(lambda X, ring: long_exact_sequence(X, {"a"}, ring))
+        for call in calls:
+            with pytest.raises(UnsupportedRing) as err:
+                call(X, ring)
+            assert str(err.value) == message
+
+
 def test_fractions_that_no_slice_reads_are_refused():
     # a triangle of edges with kappa 1/3 and the 2-cell they bound: with every
     # cell closed, excision slices no column of the pair; it still refuses

@@ -102,6 +102,15 @@ def test_relative_finite_space_examples(star):
         relative_finite_space_homology(star, {"zz"})
 
 
+def test_order_complex_of_a_subspace_refuses_unknown_cells(star):
+    # the one check of a cell set, with its text; an unknown id is not dropped
+    for build in (order_complex, relative_finite_space_homology):
+        with pytest.raises(UnknownCellReference) as err:
+            build(star, subspace={"a", "nope"})
+        assert str(err.value) == "not cells of the complex: ['nope']"
+    assert len(order_complex(star, subspace={"a", "e"})) == 3
+
+
 def test_relative_simplicial_requires_subcomplex():
     # the relative oracle quotients an order complex by a subcomplex only
     K = order_complex(import_simplicial([("a", "b")]))

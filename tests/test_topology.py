@@ -308,3 +308,77 @@ def test_facet_walk_names_unknown_cells_as_the_poset_route_does(data_dir):
             with pytest.raises(UnknownCellReference) as err:
                 function(X, A)
             assert str(err.value) == str(ref.value), (name, function.__name__)
+
+
+# -- the one walk against the definitions it replaced ---------------------------
+
+
+def _stack_closure(X, A):
+    """A and every cell reached from it down the facets, one cell at a time."""
+    facets, out = X._facets, set(_cells_of(X, A))
+    stack = list(out)
+    while stack:
+        below = facets[stack.pop()].keys() - out
+        out |= below
+        stack += below
+    return frozenset(out)
+
+
+def _every_facet_in(X, A):
+    A = _cells_of(X, A)
+    return all(A.issuperset(X._facets[x]) for x in A)
+
+
+def _assert_walk_matches_the_stack(name, X, A):
+    """closure, mouth, is_closed, is_locally_closed and restrict against the
+    stack walk, mouth = closure - A, closed = every facet in A and locally
+    closed = the mouth is closed; returns whether A is locally closed."""
+    A = frozenset(A)
+    cA = _stack_closure(X, A)
+    locally_closed = _every_facet_in(X, cA - A)
+    assert closure(X, A) == cA, name
+    assert mouth(X, A) == cA - A, name
+    assert is_closed(X, A) == _every_facet_in(X, A), name
+    assert is_locally_closed(X, A) == locally_closed, name
+    if not locally_closed:
+        with pytest.raises(NotLocallyClosed) as err:
+            restrict(X, A)
+        assert str(err.value) == f"{sorted(A)} is not locally closed", name
+        return False
+    expected = build_complex([(x, d) for x, d in X._dims.items() if x in A],
+                             [((x, y), v) for (x, y), v in X.kappa_entries.items()
+                              if x in A and y in A], X.ring)
+    sub = restrict(X, A)
+    assert sub == expected, name
+    assert list(sub.kappa_entries.items()) == list(expected.kappa_entries.items()), name
+    return True
+
+
+def test_walk_matches_the_stack_on_every_closed_set(data_dir):
+    inputs = [(path.name, parse_lef(path.read_text())) for path in sorted(data_dir.glob("*.lef"))]
+    inputs += [(f"grid{m}x{n}", import_cubical([[(i, i + 1), (j, j + 1)]
+                                                for i in range(m) for j in range(n)]))
+               for m, n in ((1, 1), (1, 2), (2, 1), (2, 2))]
+    for name, X in inputs:
+        sets = enumerate_closed_sets(X)
+        for A in sets:
+            assert _assert_walk_matches_the_stack(name, X, A), name
+            assert is_closed(X, A) and closure(X, A) == A and not mouth(X, A), name
+    assert len(sets) == 24898  # the 2x2 grid's
+
+
+def test_walk_matches_the_stack_on_random_subsets(sweep_corpus):
+    rng = random.Random(41)
+    verdicts = set()
+    for cfg, X in sweep_corpus:
+        ids = sorted(X.cell_ids)
+        sets = [frozenset()] + [frozenset({x}) for x in ids]
+        sets += [frozenset(rng.sample(ids, rng.randint(0, len(ids)))) for _ in range(3)]
+        for A in sets:
+            verdicts.add(_assert_walk_matches_the_stack(repr(cfg), X, A))
+        unknown = ids[:1] + ["zz9", "no such cell"]
+        for function in (closure, mouth, is_closed, is_locally_closed, restrict, open_hull):
+            with pytest.raises(UnknownCellReference) as err:
+                function(X, unknown)
+            assert str(err.value) == "not cells of the complex: ['no such cell', 'zz9']"
+    assert verdicts == {True, False}  # locally closed sets and others were both met
