@@ -16,7 +16,7 @@ from contextlib import closing, contextmanager, nullcontext
 from typing import Optional, Sequence
 
 from . import __version__
-from .complexes import LefschetzComplex
+from .complexes import LefschetzComplex, _cellset
 from .errors import (
     KappaConditionViolation,
     LefhomError,
@@ -38,7 +38,7 @@ from .formats import (
 from .homology import excision_check, lefschetz_homology, long_exact_sequence
 from .simplicial import finite_space_homology
 from .theorem import check_corollary, check_theorem, search_converse
-from .topology import DEFAULT_CLOSED_SET_CAP, _cellset
+from .topology import DEFAULT_CLOSED_SET_CAP
 
 EXIT_OK = 0
 EXIT_FAILED = 1

@@ -38,22 +38,24 @@ class Cell(NamedTuple):
 
 
 class FacePoset:
-    """Reflexive-transitive closure of the facet relation of a complex.
+    """Reflexive-transitive closure of the facet relation of a complex, a
+    record read by field.
 
-    ``below(x)`` is the set of faces of x (including x itself); ``above(x)``
-    the dual: ``y in below(x)`` exactly when ``x in above(y)``.  Antisymmetry
-    is automatic because a strict face has strictly smaller dimension.
-    Both are stored once, as frozensets of ranks (positions in the (dim, id)
-    cell order, which extends the face order): the public methods translate
-    to ids, ``topology``, ``simplicial`` and ``theorem`` read the ranks.  ``topology``'s
-    closed-set walk also reads ``_cofacets``: each cell's cofacet ranks, ascending.
+    A cell's rank is its place in ``ids``, the (dim, id) cell order, which
+    extends the face order; ``rank`` maps ids back to ranks.  ``down[r]`` is
+    the frozenset of ranks of the faces of cell r, r included, ``up[r]`` that
+    of its cofaces: s is in ``down[r]`` exactly when r is in ``up[s]``.
+    Antisymmetry is automatic because a strict face has strictly smaller
+    dimension.  ``cofacets[r]`` lists the ranks of the cofacets of cell r,
+    ascending.  Ranks are not checked here: callers check ids with
+    :func:`_cellset` first.
     """
 
-    __slots__ = ("_ids", "_rank", "_down", "_up", "_cofacets")
+    __slots__ = ("ids", "rank", "down", "up", "cofacets")
 
     def __init__(self, ids: Iterable[str], facets: Mapping[str, Iterable[str]]):
-        self._ids = ids = tuple(ids)
-        self._rank = rank = {x: r for r, x in enumerate(ids)}
+        self.ids = ids = tuple(ids)
+        self.rank = rank = {x: r for r, x in enumerate(ids)}
         down, cofacets = [], [[] for _ in ids]
         for r, x in enumerate(ids):
             faces = {r}
@@ -68,25 +70,7 @@ class FacePoset:
             for c in cofacets[r]:
                 cofaces |= up[c]
             up[r] = frozenset(cofaces)
-        self._down, self._up, self._cofacets = down, up, cofacets
-
-    def _union(self, xs: Iterable[str], sets: list) -> frozenset:
-        """The ids in the union of ``sets`` (the down- or up-sets) over the cells xs."""
-        rank, ids, out = self._rank, self._ids, set()
-        for x in xs:
-            if x not in rank:
-                raise UnknownCellReference(f"cell {x!r} not in poset")
-            out |= sets[rank[x]]
-        return frozenset([ids[r] for r in out])
-
-    def below(self, x: str) -> frozenset:
-        return self._union((x,), self._down)
-
-    def above(self, x: str) -> frozenset:
-        return self._union((x,), self._up)
-
-    def __repr__(self) -> str:
-        return f"FacePoset({len(self._ids)} elements)"
+        self.down, self.up, self.cofacets = down, up, cofacets
 
 
 def _graded(dims: Mapping[str, int]) -> dict:
@@ -217,10 +201,9 @@ class LefschetzComplex:
         return cid in self._dims
 
     def dim_of(self, cid: str) -> int:
-        try:
-            return self._dims[cid]
-        except KeyError:
-            raise UnknownCellReference(f"cell {cid!r} not in complex") from None
+        """The dimension of a cell; an unknown id is refused by :func:`_cellset`."""
+        _cellset(self, (cid,))
+        return self._dims[cid]
 
     @property
     def top_dim(self) -> int:
@@ -275,6 +258,16 @@ class LefschetzComplex:
     def __repr__(self) -> str:
         return (f"LefschetzComplex({len(self._dims)} cells, "
                 f"top dim {self.top_dim}, ring {self.ring})")
+
+
+def _cellset(X: LefschetzComplex, A: Iterable) -> frozenset:
+    """A as a frozenset, once each of its ids names a cell of X: the one
+    check of a queried id, for every function and ``--closed``."""
+    A = frozenset(A)
+    unknown = A.difference(X._dims)
+    if unknown:
+        raise UnknownCellReference(f"not cells of the complex: {sorted(unknown)}")
+    return A
 
 
 def _kappa_rows(X: LefschetzComplex) -> Iterator[dict]:

@@ -24,11 +24,10 @@ import heapq
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .complexes import LefschetzComplex
+from .complexes import LefschetzComplex, _cellset
 from .errors import TooManySimplices
 from .exact import ExactMatrix, RingSpec, ZZ
 from .homology import ChainSlices, HomologyProfile, profile_from_boundaries
-from .topology import _cellset
 
 __all__ = [
     "SimplicialComplex",
@@ -65,8 +64,8 @@ def _poset_chains(X: LefschetzComplex, subspace: Optional[frozenset], max_simpli
     at x are x, then each chain starting at a cell above x, in ascending
     rank: so every list comes out sorted."""
     poset = X.face_poset()
-    cells = [r for r, x in enumerate(poset._ids) if subspace is None or x in subspace]
-    up, keep = poset._up, set(cells)
+    cells = [r for r, x in enumerate(poset.ids) if subspace is None or x in subspace]
+    up, keep = poset.up, set(cells)
     starting = {}
     total = 0
     for x in reversed(cells):
@@ -81,7 +80,7 @@ def _poset_chains(X: LefschetzComplex, subspace: Optional[frozenset], max_simpli
     for x in cells:
         for chain in starting[x]:
             by_dim.setdefault(len(chain) - 1, []).append(chain)
-    return poset._ids, [by_dim[q] for q in range(len(by_dim))]  # faces of chains are chains
+    return poset.ids, [by_dim[q] for q in range(len(by_dim))]  # faces of chains are chains
 
 
 def order_complex(X: LefschetzComplex,
@@ -126,7 +125,7 @@ def weak_point_core(X: LefschetzComplex) -> frozenset:
     queued again; the core is deterministic.
     """
     poset = X.face_poset()
-    down, up = poset._down, poset._up
+    down, up = poset.down, poset.up
     live = set(range(len(down)))
     kept = set()  # live, examined, and not weak at the last examination
     heap = sorted(live)  # sorted, so already a heap
@@ -146,7 +145,7 @@ def weak_point_core(X: LefschetzComplex) -> frozenset:
                 break
         else:
             kept.add(x)
-    return frozenset([poset._ids[r] for r in live])
+    return frozenset([poset.ids[r] for r in live])
 
 
 def _rank_slices(by_dim: list, ring: RingSpec, keys: list) -> ChainSlices:

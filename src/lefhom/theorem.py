@@ -75,10 +75,10 @@ def _closure_checks(X: LefschetzComplex, chains: ChainSlices,
     """
     expected = point_profile(chains.ring)
     memo = {} if memo is None else memo
+    down = X.face_poset().down
     for rank, (cid, dim) in enumerate(X.cells):  # ranks follow X.cells, as chains' degrees do
         # the closure of a 0-cell is the cell itself
-        profile = (expected if dim == 0
-                   else chains.closed_profile(X.face_poset()._down[rank], memo))
+        profile = expected if dim == 0 else chains.closed_profile(down[rank], memo)
         yield cid, LocalCheck(profile == expected, profile)
 
 
@@ -99,7 +99,7 @@ def local_condition(X: LefschetzComplex,
 
 def _local_condition(X: LefschetzComplex, ring: Optional[RingSpec],
                      memo: Optional[dict] = None) -> Mapping[str, LocalCheck]:
-    total = sum(map(len, X.face_poset()._down))
+    total = sum(map(len, X.face_poset().down))
     if total > DEFAULT_CLOSURE_CAP:
         raise TooManyClosureCells(total, DEFAULT_CLOSURE_CAP)
     return dict(_closure_checks(X, lefschetz_chains(X, ring), memo))

@@ -2,17 +2,18 @@
 
 Closed sets are the down-sets of the face poset, open sets the up-sets.
 One walk down a set's exit facets gives closures, mouths and local
-closedness; open hulls and the closed-set walk read the face poset.  All
-functions take cell-id iterables, checked by :func:`_cellset`, and return
-frozensets; rendering layers sort ids when output text must be stable.
+closedness; open hulls and the closed-set walk read the fields of the
+face poset.  All functions take cell-id iterables, checked by
+:func:`~lefhom.complexes._cellset`, and return frozensets; rendering layers
+sort ids when output text must be stable.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .complexes import LefschetzComplex
-from .errors import NotLocallyClosed, TooManyClosedSets, UnknownCellReference
+from .complexes import LefschetzComplex, _cellset
+from .errors import NotLocallyClosed, TooManyClosedSets
 
 __all__ = [
     "closure",
@@ -26,15 +27,6 @@ __all__ = [
 ]
 
 DEFAULT_CLOSED_SET_CAP = 100_000
-
-
-def _cellset(X: LefschetzComplex, A: Iterable) -> frozenset:
-    """A as a frozenset, once each of its ids names a cell of X."""
-    A = frozenset(A)
-    unknown = A.difference(X._dims)
-    if unknown:
-        raise UnknownCellReference(f"not cells of the complex: {sorted(unknown)}")
-    return A
 
 
 def _walk(X: LefschetzComplex, A: frozenset) -> set:
@@ -53,9 +45,11 @@ def closure(X: LefschetzComplex, A: Iterable) -> frozenset:
 
 
 def open_hull(X: LefschetzComplex, A: Iterable) -> frozenset:
-    """Smallest open set containing A: the union of the coface up-sets."""
+    """Smallest open set containing A: the ids of the union of its cells' up-sets."""
+    A = _cellset(X, A)
     poset = X.face_poset()
-    return poset._union(_cellset(X, A), poset._up)
+    ranks = set().union(*(poset.up[poset.rank[x]] for x in A))
+    return frozenset([poset.ids[r] for r in ranks])
 
 
 def mouth(X: LefschetzComplex, A: Iterable) -> frozenset:
@@ -104,7 +98,7 @@ def closed_set_walk(X: LefschetzComplex, cap: int = DEFAULT_CLOSED_SET_CAP) -> l
     returning anything.
     """
     poset = X.face_poset()  # ranks follow (dim, id): a linear extension
-    ids, rank, cofacets = poset._ids, poset._rank, poset._cofacets
+    ids, rank, cofacets = poset.ids, poset.rank, poset.cofacets
     needs = [sum(1 << rank[y] for y in X._facets[x]) for x in ids]  # distinct bits: an OR
 
     # Depth first over include/exclude decisions in cell order.  A node is

@@ -102,6 +102,18 @@ def sweep_corpus():
     return out
 
 
+def poset_below(X, x):
+    """The ids of the face poset's down-set of x: the faces of x, x included."""
+    poset = X.face_poset()
+    return frozenset([poset.ids[r] for r in poset.down[poset.rank[x]]])
+
+
+def poset_above(X, y):
+    """The ids of the face poset's up-set of y: the cofaces of y, y included."""
+    poset = X.face_poset()
+    return frozenset([poset.ids[r] for r in poset.up[poset.rank[y]]])
+
+
 def random_closed_set(X, rng: random.Random):
     from lefhom import closure
 

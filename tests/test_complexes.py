@@ -4,7 +4,24 @@ from fractions import Fraction
 
 import pytest
 
-from lefhom import GF, QQ, Cell, ExactMatrix, ZZ, build_complex, import_simplicial, parse_lef, render_lef
+from lefhom import (
+    GF,
+    QQ,
+    Cell,
+    ExactMatrix,
+    ZZ,
+    build_complex,
+    closure,
+    import_simplicial,
+    is_closed,
+    mouth,
+    open_hull,
+    order_complex,
+    parse_lef,
+    relative_finite_space_homology,
+    render_lef,
+    restrict,
+)
 from lefhom.errors import (
     DuplicateCellId,
     GradingViolation,
@@ -13,6 +30,7 @@ from lefhom.errors import (
     LefSyntaxError,
     UnknownCellReference,
 )
+from tests.conftest import poset_above, poset_below
 
 
 def test_star_is_valid(star):
@@ -200,36 +218,39 @@ def test_boundary_composition_vanishes(corpus):
 
 
 def test_face_poset_star(star):
-    poset = star.face_poset()
-    assert poset.below("e") == frozenset({"a", "b", "c", "d", "e"})
+    assert poset_below(star, "e") == frozenset({"a", "b", "c", "d", "e"}) == closure(star, {"e"})
     for v in "abcd":
-        assert poset.below(v) == frozenset({v})
-        assert v in poset.below("e")
-    assert "e" not in poset.below("a")
+        assert poset_below(star, v) == frozenset({v}) == closure(star, {v})
+        assert v in poset_below(star, "e")
+    assert "e" not in poset_below(star, "a")
 
 
 def test_face_poset_triangle_chains():
     X = import_simplicial([("a", "b", "c")])
-    poset = X.face_poset()
-    assert "a" in poset.below("ab")
-    assert "ab" in poset.below("abc")
-    assert "a" in poset.below("abc")  # transitivity
-    assert "ab" not in poset.below("bc")
+    assert "a" in poset_below(X, "ab")
+    assert "ab" in poset_below(X, "abc")
+    assert "a" in poset_below(X, "abc")  # transitivity
+    assert "ab" not in poset_below(X, "bc")
+    for x in X.cell_ids:
+        assert poset_below(X, x) == closure(X, {x}), x
 
 
 def test_face_poset_up_sets_are_dual_to_down_sets(corpus):
+    # the down-sets against the facet walk, the up-sets against the brute
+    # force over it: neither shares code with the poset
     for name, X in corpus:
-        poset = X.face_poset()
+        closures = {x: closure(X, {x}) for x in X.cell_ids}
         for y in X.cell_ids:
-            assert poset.above(y) == {x for x in X.cell_ids if y in poset.below(x)}, (name, y)
+            assert poset_below(X, y) == closures[y], (name, y)
+            assert poset_above(X, y) == {x for x in X.cell_ids if y in poset_below(X, x)}, (name, y)
+            assert poset_above(X, y) == {x for x, cx in closures.items() if y in cx}, (name, y)
 
 
 def test_face_poset_closure_is_idempotent(corpus):
     for name, X in corpus:
-        poset = X.face_poset()
         for x in X.cell_ids:
-            closed_again = frozenset().union(*(poset.below(y) for y in poset.below(x)))
-            assert closed_again == poset.below(x), name
+            closed_again = frozenset().union(*(poset_below(X, y) for y in poset_below(X, x)))
+            assert closed_again == poset_below(X, x), name
 
 
 def test_facets_examples(star, twisted):
@@ -240,13 +261,31 @@ def test_facets_examples(star, twisted):
         star.facets("nope")
 
 
+@pytest.mark.parametrize("query", [
+    lambda X: X.dim_of("zz"),
+    lambda X: X.kappa("zz", "a"),
+    lambda X: X.facets("zz"),
+    lambda X: open_hull(X, {"zz"}),
+    lambda X: closure(X, {"zz"}),
+    lambda X: mouth(X, {"zz"}),
+    lambda X: is_closed(X, {"zz"}),
+    lambda X: restrict(X, {"zz"}),
+    lambda X: order_complex(X, subspace={"zz"}),
+    lambda X: relative_finite_space_homology(X, {"zz"}),
+], ids=["dim_of", "kappa", "facets", "open_hull", "closure", "mouth", "is_closed", "restrict",
+        "order_complex", "relative_finite_space_homology"])
+def test_every_query_names_an_unknown_cell_with_one_text(star, query):
+    with pytest.raises(UnknownCellReference) as err:
+        query(star)
+    assert str(err.value) == "not cells of the complex: ['zz']"
+
+
 def test_facets_are_codimension_one_faces(corpus):
     for name, X in corpus:
-        poset = X.face_poset()
         for cell in X.cells:
             for y in X.facets(cell.id):
                 assert X.dim_of(y) == cell.dim - 1, name
-                assert y in poset.below(cell.id), name
+                assert y in poset_below(X, cell.id), name
 
 
 def test_complex_equality(star):

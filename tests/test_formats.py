@@ -529,6 +529,7 @@ def test_sparse_basis_change_matches_the_dense_moves():
     for cfg in configs:
         X, reference = random_complex(cfg), _dense_basis_change(cfg)
         assert render_lef(X) == render_lef(reference), cfg
+        assert is_augmentable(X), cfg  # the draw was simplicial, and the moves keep it so
         for q in range(1, X.top_dim + 1):
             # the same rows in the same order in every column, so elimination
             # takes the same pivots

@@ -2,6 +2,7 @@
 
 import heapq
 import random
+from functools import partial
 
 import pytest
 
@@ -28,6 +29,7 @@ from lefhom.exact import ExactMatrix
 from lefhom.formats import GeneratorConfig, parse_lef, parse_simplicial, random_complex
 from lefhom.homology import profile_from_boundaries
 from lefhom.simplicial import order_complex_chains
+from tests.conftest import poset_above, poset_below
 from tests.test_theorem import _tower
 
 RP2_FACES = ("abc", "acd", "ade", "aef", "afb", "bce", "cdf", "deb", "efc", "fbd")
@@ -302,8 +304,9 @@ def _reference_homology(K, ring):
 
 
 def _reference_weak_point_core(X):
-    """The id-keyed weak-point pass, as it stood before ranks indexed the poset."""
-    poset = X.face_poset()
+    """The id-keyed weak-point pass, as it stood before ranks indexed the
+    poset, on the id-level down- and up-sets."""
+    below, above = partial(poset_below, X), partial(poset_above, X)
     order = [c.id for c in X.cells]
     rank = {x: i for i, x in enumerate(order)}.__getitem__
     live = set(order)
@@ -311,13 +314,13 @@ def _reference_weak_point_core(X):
     heap = list(range(len(order)))
     while heap:
         x = order[heapq.heappop(heap)]
-        for strict in (poset.below(x), poset.above(x)):
+        for strict in (below(x), above(x)):
             rest = live & strict
             rest.discard(x)
-            if rest and (rest <= poset.below(max(rest, key=rank))
-                         or rest <= poset.above(min(rest, key=rank))):
+            if rest and (rest <= below(max(rest, key=rank))
+                         or rest <= above(min(rest, key=rank))):
                 live.discard(x)
-                for comparable in (poset.below(x), poset.above(x)):
+                for comparable in (below(x), above(x)):
                     woken = kept & comparable
                     kept -= woken
                     for y in woken:

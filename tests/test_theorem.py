@@ -435,7 +435,7 @@ def test_local_condition_equals_the_uncached_closure_profiles(corpus, sweep_corp
             checks = local_condition(X, ring)
             assert list(checks) == [cell.id for cell in X.cells]
             # top rank first, so the rank-column table is filled in one go
-            down = X.face_poset()._down
+            down = X.face_poset().down
             backwards = {cell.id: chains.closed_profile(down[r], {})
                          for r, cell in reversed(list(enumerate(X.cells)))}
             for cid, check in checks.items():
@@ -519,7 +519,7 @@ def test_local_condition_cap_counts_closure_cells_before_any_profile(monkeypatch
     # the closures of the k-simplex's faces hold 3**k - 2**k cells in all
     assert 3 ** 14 - 2 ** 14 == 4_766_585 <= theorem.DEFAULT_CLOSURE_CAP < 3 ** 15 - 2 ** 15
     X = import_simplicial([("a", "b", "c", "d", "e")])
-    assert sum(map(len, X.face_poset()._down)) == 3 ** 5 - 2 ** 5 == 211
+    assert sum(map(len, X.face_poset().down)) == 3 ** 5 - 2 ** 5 == 211
     monkeypatch.setattr(theorem, "lefschetz_chains", None)  # reached only past the cap
     monkeypatch.setattr(theorem, "DEFAULT_CLOSURE_CAP", 210)
     with pytest.raises(TooManyClosureCells) as info:
