@@ -46,23 +46,20 @@ class FacePoset:
     the frozenset of ranks of the faces of cell r, r included, ``up[r]`` that
     of its cofaces: s is in ``down[r]`` exactly when r is in ``up[s]``.
     Antisymmetry is automatic because a strict face has strictly smaller
-    dimension.  ``cofacets[r]`` lists the ranks of the cofacets of cell r,
-    ascending.  Ranks are not checked here: callers check ids with
-    :func:`_cellset` first.
+    dimension.  Down-sets grow along X's facets, up-sets along the cofacets
+    of :func:`_cofacet_ranks`.  Ranks are not checked here: callers check
+    ids with :func:`_cellset` first.
     """
 
-    __slots__ = ("ids", "rank", "down", "up", "cofacets")
+    __slots__ = ("ids", "rank", "down", "up")
 
-    def __init__(self, ids: Iterable[str], facets: Mapping[str, Iterable[str]]):
-        self.ids = ids = tuple(ids)
-        self.rank = rank = {x: r for r, x in enumerate(ids)}
-        down, cofacets = [], [[] for _ in ids]
+    def __init__(self, X: LefschetzComplex):
+        ids, rank, cofacets = _cofacet_ranks(X)
+        down = []
         for r, x in enumerate(ids):
             faces = {r}
-            for y in facets[x]:
-                s = rank[y]
-                faces |= down[s]
-                cofacets[s].append(r)
+            for y in X._facets[x]:
+                faces |= down[rank[y]]
             down.append(frozenset(faces))
         up = [None] * len(ids)
         for r in reversed(range(len(ids))):
@@ -70,7 +67,7 @@ class FacePoset:
             for c in cofacets[r]:
                 cofaces |= up[c]
             up[r] = frozenset(cofaces)
-        self.down, self.up, self.cofacets = down, up, cofacets
+        self.ids, self.rank, self.down, self.up = ids, rank, down, up
 
 
 def _graded(dims: Mapping[str, int]) -> dict:
@@ -244,7 +241,7 @@ class LefschetzComplex:
 
     def face_poset(self) -> FacePoset:
         if self._poset is None:
-            self._poset = FacePoset([cid for cid, _ in self.cells], self._facets)
+            self._poset = FacePoset(self)
         return self._poset
 
     # -- misc --------------------------------------------------------------
@@ -268,6 +265,18 @@ def _cellset(X: LefschetzComplex, A: Iterable) -> frozenset:
     if unknown:
         raise UnknownCellReference(f"not cells of the complex: {sorted(unknown)}")
     return A
+
+
+def _cofacet_ranks(X: LefschetzComplex) -> tuple:
+    """X's ids in (dim, id) order, {id: its rank there}, and per rank the
+    ascending ranks of its cofacets: the facets read upward."""
+    ids = tuple(x for q in sorted(X._by_dim) for x in X._by_dim[q])
+    rank = {x: r for r, x in enumerate(ids)}
+    cofacets = [[] for _ in ids]
+    for r, x in enumerate(ids):
+        for y in X._facets[x]:
+            cofacets[rank[y]].append(r)
+    return ids, rank, cofacets
 
 
 def _kappa_rows(X: LefschetzComplex) -> Iterator[dict]:

@@ -182,12 +182,14 @@ def check_corollary(X: LefschetzComplex, ring: Optional[RingSpec] = None,
                     cap: int = DEFAULT_CLOSED_SET_CAP) -> CorollaryReport:
     """Sweep every closed subcomplex and compare both homology pipelines.
 
-    The steps of :func:`~lefhom.topology.closed_set_walk` are taken first;
-    the walk raises TooManyClosedSets past ``cap`` before the order complex
-    is built.  Their replay carries a column reduction of X's chain complex
-    and one of its order complex, each keyed by cell: a cell joins after
-    its faces, so it appends only its own columns, and each closed set's
-    profiles are its free ranks.
+    The ring is admitted first, then the steps of
+    :func:`~lefhom.topology.closed_set_walk` are taken: the walk raises
+    TooManyClosedSets past ``cap`` before the face poset, any closure
+    profile or the order complex is built.  The local condition's first
+    failure is sought next.  The steps' replay carries a column reduction
+    of X's chain complex and one of its order complex, each keyed by cell:
+    a cell joins after its faces, so it appends only its own columns, and
+    each closed set's profiles are its free ranks.
     This is the persistence algorithm of Edelsbrunner-Letscher-Zomorodian
     ("Topological persistence and simplification", DCG 2002) and
     Zomorodian-Carlsson ("Computing persistent homology", DCG 2005), with
@@ -206,8 +208,8 @@ def check_corollary(X: LefschetzComplex, ring: Optional[RingSpec] = None,
     ring = X.ring if ring is None else ring
     augmentable = is_augmentable(X, ring)
     cells = lefschetz_chains(X, ring)
-    local_ok = _first_local_failure(X, cells) is None
     steps = closed_set_walk(X, cap)
+    local_ok = _first_local_failure(X, cells) is None
     sides = [IncrementalReducer(c) for c in (cells, order_complex_chains(X, ring))]
     width = max(len(side.free) for side in sides)
     for side in sides:

@@ -1,18 +1,20 @@
 """The finite-space topology carried by a complex's face order.
 
-Closed sets are the down-sets of the face poset, open sets the up-sets.
-One walk down a set's exit facets gives closures, mouths and local
-closedness; open hulls and the closed-set walk read the fields of the
-face poset.  All functions take cell-id iterables, checked by
-:func:`~lefhom.complexes._cellset`, and return frozensets; rendering layers
-sort ids when output text must be stable.
+Closed sets are the down-sets of the face order, open sets the up-sets.
+The facets generate that order, so everything here reads X's incidences
+and never builds the face poset.  One walk, down a set's exit facets or
+up its exit cofacets, gives closures, mouths, local closedness and open
+hulls; the closed-set walk adds cells along the cofacets.  All functions
+take cell-id iterables, checked by :func:`~lefhom.complexes._cellset`, and
+return frozensets; rendering layers sort ids when output text must be
+stable.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .complexes import LefschetzComplex, _cellset
+from .complexes import LefschetzComplex, _cellset, _cofacet_ranks
 from .errors import NotLocallyClosed, TooManyClosedSets
 
 __all__ = [
@@ -29,11 +31,13 @@ __all__ = [
 DEFAULT_CLOSED_SET_CAP = 100_000
 
 
-def _walk(X: LefschetzComplex, A: frozenset) -> set:
-    """The exit facets of A (its cells' facets outside it) and all below, a level per step."""
-    facets, walked, level = X._facets, set(), A
+def _walk(step, A) -> set:
+    """The exit steps of A (its cells' steps outside it) and all past them, a
+    level per step: down with ``X._facets``, up with the cofacets of
+    :func:`~lefhom.complexes._cofacet_ranks`, on ranks."""
+    walked, level = set(), A
     while level:
-        level = set().union(*map(facets.__getitem__, level)) - (walked or A)  # first: exits
+        level = set().union(*map(step.__getitem__, level)) - (walked or A)  # first: exits
         walked |= level
     return walked
 
@@ -41,21 +45,21 @@ def _walk(X: LefschetzComplex, A: frozenset) -> set:
 def closure(X: LefschetzComplex, A: Iterable) -> frozenset:
     """Smallest closed set containing A: A and the walk down from its exit facets."""
     A = _cellset(X, A)
-    return A.union(_walk(X, A))
+    return A.union(_walk(X._facets, A))
 
 
 def open_hull(X: LefschetzComplex, A: Iterable) -> frozenset:
-    """Smallest open set containing A: the ids of the union of its cells' up-sets."""
+    """Smallest open set containing A: A and the walk up from its exit cofacets."""
     A = _cellset(X, A)
-    poset = X.face_poset()
-    ranks = set().union(*(poset.up[poset.rank[x]] for x in A))
-    return frozenset([poset.ids[r] for r in ranks])
+    ids, rank, cofacets = _cofacet_ranks(X)
+    above = _walk(cofacets, {rank[x] for x in A})
+    return A.union(map(ids.__getitem__, above))
 
 
 def mouth(X: LefschetzComplex, A: Iterable) -> frozenset:
     """Closure of A minus A: the walk down from its exit facets, less A."""
     A = _cellset(X, A)
-    return frozenset(_walk(X, A) - A)
+    return frozenset(_walk(X._facets, A) - A)
 
 
 def is_closed(X: LefschetzComplex, A: Iterable) -> bool:
@@ -67,7 +71,7 @@ def is_closed(X: LefschetzComplex, A: Iterable) -> bool:
 def is_locally_closed(X: LefschetzComplex, A: Iterable) -> bool:
     """True when the mouth of A is closed: the walk down its exit facets misses A."""
     A = _cellset(X, A)
-    return _walk(X, A).isdisjoint(A)
+    return _walk(X._facets, A).isdisjoint(A)
 
 
 def restrict(X: LefschetzComplex, A: Iterable) -> LefschetzComplex:
@@ -79,7 +83,7 @@ def restrict(X: LefschetzComplex, A: Iterable) -> LefschetzComplex:
     A's ids are checked once, and walked down once for local closedness.
     """
     A = _cellset(X, A)
-    if not _walk(X, A).isdisjoint(A):
+    if not _walk(X._facets, A).isdisjoint(A):
         raise NotLocallyClosed(f"{sorted(A)} is not locally closed")
     dims = {x: dim for x, dim in X._dims.items() if x in A}
     facets = {x: {y: v for y, v in X._facets[x].items() if y in A} for x in dims}
@@ -94,11 +98,12 @@ def closed_set_walk(X: LefschetzComplex, cap: int = DEFAULT_CLOSED_SET_CAP) -> l
     at the empty set and makes a new closed set at each join, so it finds
     one more set than it has joins; it ends back at the empty set.  Cells
     join in (dim, id) order, each after all its faces and while nothing
-    above it is in.  Raises TooManyClosedSets past ``cap`` sets, before
-    returning anything.
+    above it is in: a cell's facets say when it may join, and after a join
+    only the joined cell's cofacets can become addable, so the walk reads
+    X's incidences both ways and builds no face poset.  Raises
+    TooManyClosedSets past ``cap`` sets, before returning anything.
     """
-    poset = X.face_poset()  # ranks follow (dim, id): a linear extension
-    ids, rank, cofacets = poset.ids, poset.rank, poset.cofacets
+    ids, rank, cofacets = _cofacet_ranks(X)  # ranks follow (dim, id): a linear extension
     needs = [sum(1 << rank[y] for y in X._facets[x]) for x in ids]  # distinct bits: an OR
 
     # Depth first over include/exclude decisions in cell order.  A node is

@@ -23,6 +23,7 @@ DELETED = [
     ("exact", None, ["_field_columns", "_unit_form"]),
     ("exact", "ExactMatrix", ["identity", "column", "transpose"]),
     ("complexes", "FacePoset", ["leq", "elements", "__eq__", "below", "above", "_union", "__repr__"]),
+    ("complexes", "FacePoset", ["cofacets"]),
     ("topology", None, ["is_open"]),
     ("homology", "HomologyProfile", ["is_trivial", "is_point", "degrees"]),
     ("formats", None, ["_cube_id"]),

@@ -393,10 +393,14 @@ def test_corollary_visits_match_the_profiles(data_dir):
 
 
 def test_corollary_cap_comes_before_the_order_complex(monkeypatch):
+    # the walk refuses before the face poset, any closure profile or the
+    # order complex is built
     def refused(*args):
-        raise AssertionError("order complex built before the cap")
+        raise AssertionError("built before the cap")
 
     monkeypatch.setattr(theorem, "order_complex_chains", refused)
+    monkeypatch.setattr(LefschetzComplex, "face_poset", refused)
+    monkeypatch.setattr(ChainSlices, "closed_profile", refused)
     X = import_cubical([[(0, 1), (0, 1)], [(0, 1), (1, 2)]])  # 518 closed sets
     for cap in (1, 17, 517):
         with pytest.raises(TooManyClosedSets):

@@ -19,9 +19,10 @@ from lefhom import (
     parse_lef,
     restrict,
 )
+from lefhom.complexes import LefschetzComplex
 from lefhom.errors import NotLocallyClosed, TooManyClosedSets, UnknownCellReference
 from lefhom.topology import closed_set_walk
-from tests.conftest import poset_below
+from tests.conftest import poset_above, poset_below
 
 
 def test_closure_examples(star, twisted):
@@ -265,6 +266,7 @@ def _facet_walk_inputs(data_dir):
 def _assert_walk_matches_poset(name, X, A):
     cA = _poset_closure(X, A)
     assert closure(X, A) == cA, name
+    assert open_hull(X, A) == frozenset().union(*(poset_above(X, x) for x in A)), name
     assert is_closed(X, A) == _poset_is_closed(X, A), name
     assert mouth(X, A) == cA - frozenset(A), name
     assert is_locally_closed(X, A) == _poset_is_closed(X, cA - frozenset(A)), name
@@ -295,6 +297,32 @@ def test_facet_walk_matches_the_face_poset(data_dir, sweep_corpus):
             _assert_walk_matches_poset(name, X, A)
             # the walk takes any iterable, as the poset route does
             assert closure(X, iter(sorted(A))) == _poset_closure(X, A), name
+
+
+def _topology_answers(X):
+    """Every topology function's answer on X, for a set, its closure and the
+    open complement of that closure; restrict where the set is locally closed."""
+    out = [closed_set_walk(X), enumerate_closed_sets(X)]
+    A = sorted(X.cell_ids)[::2]
+    for B in (A, closure(X, A), X.cell_ids - closure(X, A)):
+        local = is_locally_closed(X, B)
+        out += [closure(X, B), open_hull(X, B), mouth(X, B), is_closed(X, B), local]
+        if local:
+            out.append(restrict(X, B))
+    return out
+
+
+def test_topology_never_builds_the_face_poset(monkeypatch, corpus):
+    # the facets, read down and up, answer every query: with the face poset
+    # refused, each function gives the answer it gave before
+    expected = [_topology_answers(X) for _, X in corpus]
+
+    def refuse(*args):
+        raise AssertionError("a face poset was built")
+
+    monkeypatch.setattr(LefschetzComplex, "face_poset", refuse)
+    for (name, X), answers in zip(corpus, expected):
+        assert _topology_answers(X) == answers, name
 
 
 def test_facet_walk_names_unknown_cells_as_the_poset_route_does(data_dir):
