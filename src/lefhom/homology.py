@@ -266,6 +266,21 @@ class ChainSlices:
         return profile
 
 
+def stacked_chains(lower: ChainSlices, upper: ChainSlices) -> ChainSlices:
+    """The two chain complexes as one, keyed alike and no boundary crossing:
+    upper's degree q is at o + q, o being lower's number of degrees, to which
+    upper is padded.  Columns are shared; upper's ints are read over lower's source."""
+    o = len(lower._columns)
+    stack = ChainSlices.__new__(ChainSlices)
+    stack.ring, stack.source = lower.ring, lower.source
+    stack._columns = lower._columns + upper._columns + [[]] * (o - len(upper._columns))
+    stack._at = {key: at + [(o + q, i) for q, i in upper._at[key]]
+                 for key, at in lower._at.items()}
+    stack._starts = list(accumulate(map(len, stack._columns), initial=0))
+    stack._rows, stack._values = [], []
+    return stack
+
+
 # The most entries that the keys of a ClosureMemo hold in all.  A search over
 # basis-change draws (budget 1 000) fills each of its memos to under 9 000.
 CLOSURE_MEMO_BOUND = 50_000
@@ -320,7 +335,7 @@ class IncrementalReducer:
     ``simplicial.order_complex_chains`` make a key's own generators the
     highest rows of its columns, the order a filtration by closed sets
     needs; in that order no essential column has met a ready pivot on any
-    input tried.
+    input tried; :func:`stacked_chains` of the two gives one reducer both.
 
     Which entries are pivots is the ring policy of :mod:`lefhom.exact`:
     :func:`~lefhom.exact._reduce_column` leaves a pivot column with a 1 at

@@ -164,7 +164,7 @@ def order_complex_chains(X: LefschetzComplex, ring: RingSpec) -> ChainSlices:
     filtration by closed sets needs.  ``homology.IncrementalReducer`` is
     exact in any row order, since every ready pivot sits in its table; in
     this one its essential columns have met no ready pivot on any input
-    tried."""
+    tried.  The corollary stacks these degrees above X's, as many or fewer."""
     ids, by_dim = _poset_chains(X, None, DEFAULT_SIMPLEX_CAP)
     by_dim = [sorted(chains, key=itemgetter(-1)) for chains in by_dim]
     return _rank_slices(by_dim, ring, [[ids[chain[-1]] for chain in chains] for chains in by_dim])

@@ -32,6 +32,7 @@ from .homology import (
     lefschetz_chains,
     lefschetz_homology,
     point_profile,
+    stacked_chains,
 )
 from .simplicial import finite_space_homology, order_complex_chains
 from .topology import DEFAULT_CLOSED_SET_CAP, closed_set_walk
@@ -186,10 +187,10 @@ def check_corollary(X: LefschetzComplex, ring: Optional[RingSpec] = None,
     :func:`~lefhom.topology.closed_set_walk` are taken: the walk raises
     TooManyClosedSets past ``cap`` before the face poset, any closure
     profile or the order complex is built.  The local condition's first
-    failure is sought next.  The steps' replay carries a column reduction
-    of X's chain complex and one of its order complex, each keyed by cell:
-    a cell joins after its faces, so it appends only its own columns, and
-    each closed set's profiles are its free ranks.
+    failure is sought next.  The steps' replay carries one column reduction of
+    X's chain complex and its order complex stacked above it (degree q at o + q),
+    keyed by cell: a cell joins after its faces, so it appends only its own
+    columns, and the homologies differ where the free ranks below o and from o do.
     This is the persistence algorithm of Edelsbrunner-Letscher-Zomorodian
     ("Topological persistence and simplification", DCG 2002) and
     Zomorodian-Carlsson ("Computing persistent homology", DCG 2005), with
@@ -199,9 +200,9 @@ def check_corollary(X: LefschetzComplex, ring: Optional[RingSpec] = None,
     already in: the chunk algorithm of Bauer-Kerber-Reininghaus (2014),
     with the clearing of Chen-Kerber (2011); see
     :class:`~lefhom.homology.IncrementalReducer`.  Over Z and Q only unit
-    pivots are taken; below a non-unit one, closed sets are profiled as
-    slices.  A cap below 1 raises ``ValueError`` at the call, since the
-    empty set is always closed.
+    pivots are taken; below a non-unit one, in either complex, closed sets
+    are profiled as slices of both.  A cap below 1 raises ``ValueError`` at
+    the call, since the empty set is always closed.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -210,25 +211,18 @@ def check_corollary(X: LefschetzComplex, ring: Optional[RingSpec] = None,
     cells = lefschetz_chains(X, ring)
     steps = closed_set_walk(X, cap)
     local_ok = _first_local_failure(X, cells) is None
-    sides = [IncrementalReducer(c) for c in (cells, order_complex_chains(X, ring))]
-    width = max(len(side.free) for side in sides)
-    for side in sides:
-        side.free += [0] * (width - len(side.free))  # zero ranks change no profile
-    lef, space = sides
+    space = order_complex_chains(X, ring)
+    reducer = IncrementalReducer(stacked_chains(cells, space))
+    o, free, kept = len(cells._columns), reducer.free, reducer.kept
     mismatches = []  # the empty set has no homology on either side
     for x in steps:
         if x is None:
-            lef.undo()
-            space.undo()
+            reducer.undo()
             continue
-        lef.include(x)
-        space.include(x)
-        if lef.stalled is None and space.stalled is None:
-            differ = lef.free != space.free  # the profiles, over one ring
-        else:
-            differ = lef.profile() != space.profile()
-        if differ:
-            mismatches.append(tuple(sorted(lef.kept)))
+        reducer.include(x)
+        if (free[:o] != free[o:] if reducer.stalled is None  # the profiles, over one ring
+                else cells.profile(kept) != space.profile(kept)):
+            mismatches.append(tuple(sorted(kept)))
     mismatches.sort(key=lambda s: (len(s), s))
     all_match = not mismatches
     agree = local_ok == all_match

@@ -100,39 +100,40 @@ def closed_set_walk(X: LefschetzComplex, cap: int = DEFAULT_CLOSED_SET_CAP) -> l
     join in (dim, id) order, each after all its faces and while nothing
     above it is in: a cell's facets say when it may join, and after a join
     only the joined cell's cofacets can become addable, so the walk reads
-    X's incidences both ways and builds no face poset.  Raises
-    TooManyClosedSets past ``cap`` sets, before returning anything.
+    X's incidences both ways and builds no face poset; sets are int bitmasks
+    of ranks.  Raises TooManyClosedSets past ``cap`` sets, before returning.
     """
     ids, rank, cofacets = _cofacet_ranks(X)  # ranks follow (dim, id): a linear extension
     needs = [sum(1 << rank[y] for y in X._facets[x]) for x in ids]  # distinct bits: an OR
 
     # Depth first over include/exclude decisions in cell order.  A node is
     # a closed set, its last included cell j, and its addable cells: those
-    # after j whose facets are all in.  Each child includes one addable cell
-    # and excludes those before it; it keeps the later ones and gains only
-    # cofacets of j.  Entries (j, set, parent's addable cells, j's place
-    # among them) go on a stack instead of recursion, because the depth is
-    # the number of cells; None marks where the walk backs out of an
-    # include.
-    steps = []
-    count = 0
-    stack = [(-1, 0, [k for k, need in enumerate(needs) if not need], -1)]
+    # after j whose facets are all in, as bitmasks.  Each child includes one
+    # addable cell and excludes those below it; it keeps the bits above its
+    # own and gains only cofacets of j.  Children go on a stack, lowest bit
+    # first, instead of recursion, because the depth is the number of
+    # cells; None marks where the walk backs out of an include.
+    steps, count = [], 0
+    stack = [(-1, 0, sum(1 << k for k, need in enumerate(needs) if not need))]
     while stack:
         entry = stack.pop()
         if entry is None:
             steps.append(None)
             continue
-        j, chosen, siblings, place = entry
+        j, chosen, addable = entry
         count += 1
         if count > cap:
             raise TooManyClosedSets(cap)
-        addable = siblings[place + 1:]
         if j >= 0:
             steps.append(ids[j])
             stack.append(None)
-            addable += [c for c in cofacets[j] if needs[c] & chosen == needs[c]]
-            addable.sort()
-        stack.extend((c, chosen | 1 << c, addable, place) for place, c in enumerate(addable))
+            for c in cofacets[j]:
+                if needs[c] & chosen == needs[c]:
+                    addable |= 1 << c
+        while addable:
+            low = addable & -addable
+            addable ^= low  # the bits above the child's own
+            stack.append((low.bit_length() - 1, chosen | low, addable))
     return steps
 
 

@@ -27,6 +27,7 @@ from lefhom import (
     parse_simplicial,
     point_profile,
     relative_homology,
+    render_lef,
     restrict,
     smith_normal_form,
 )
@@ -52,7 +53,7 @@ from lefhom.simplicial import (
 from lefhom.topology import closed_set_walk, closure
 from tests.conftest import random_closed_set
 from tests.test_simplicial import _oracle_inputs
-from tests.test_theorem import _tower
+from tests.test_theorem import _split_profile, _torsion_witness, _tower
 
 RINGS = (ZZ, QQ, GF(2), GF(3))
 
@@ -759,6 +760,35 @@ def test_incremental_profiles_match_slices(corpus):
                 visit()
                 visited += 1
             assert visited == expected, (name, ring)
+
+
+def test_stacked_slices_split_into_both_homologies(corpus, data_dir):
+    # each closed set's slice of the stacked complex is X's profile below
+    # degree o and its order complex's from degree o: no boundary crosses
+    halves = build_complex([("a", 0), ("b", 0), ("e", 1)],
+                           {("e", "a"): Fraction(-1, 2), ("e", "b"): Fraction(1, 2)}, QQ)
+    inputs = ([(X, RINGS) for _, X in corpus]
+              + [(parse_lef(path.read_text()), RINGS) for path in sorted(data_dir.glob("*.lef"))]
+              + [(_torsion_witness(), RINGS), (halves, (QQ,)),
+                 # a 2-cell over a facetless edge: the order complex has 2 degrees, X has 3
+                 (build_complex([("v", 0), ("e", 1), ("t", 2)], {("t", "e"): 1}, ZZ), RINGS)])
+    checked = 0
+    for X, rings in inputs:
+        try:
+            sets = enumerate_closed_sets(X, 300)
+        except TooManyClosedSets:
+            continue
+        for ring in rings:
+            cells, space = lefschetz_chains(X, ring), order_complex_chains(X, ring)
+            stacked = homology.stacked_chains(cells, space)
+            o = X.top_dim + 1
+            assert len(stacked._columns) == 2 * o
+            for A in sets:
+                expected = cells.profile(A), space.profile(A)
+                assert _split_profile(stacked.profile(A), o) == expected, (
+                    render_lef(X), ring, sorted(A))
+                checked += 1
+    assert checked > 3000
 
 
 def test_a_square_joins_with_one_reduction_against_the_shared_table(monkeypatch):

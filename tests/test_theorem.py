@@ -30,7 +30,7 @@ from lefhom import complexes, homology, theorem
 from lefhom.complexes import LefschetzComplex
 from lefhom.errors import (LefhomError, TooManyClosedSets, TooManyClosureCells, TooManySimplices,
                            UnsupportedRing)
-from lefhom.homology import ChainSlices, IncrementalReducer, lefschetz_chains
+from lefhom.homology import ChainSlices, HomologyProfile, IncrementalReducer, lefschetz_chains
 from lefhom.simplicial import finite_space_homology, order_complex_chains
 from lefhom.theorem import (CorollaryReport, _derive_seed, _first_local_failure, _is_candidate,
                             _reverify)
@@ -298,19 +298,32 @@ def test_corollary_torsion_takes_the_slice_fallback(monkeypatch):
         assert check_corollary(X, ring) == _sliced_corollary(X, ring), ring
 
 
+def _recorded_reducers(monkeypatch):
+    """The reducers that check_corollary builds, in order."""
+    reducers = []
+
+    def recorded(chains):
+        reducers.append(IncrementalReducer(chains))
+        return reducers[-1]
+
+    monkeypatch.setattr(theorem, "IncrementalReducer", recorded)
+    return reducers
+
+
 def test_the_sweep_never_stalls_over_a_field(monkeypatch, sweep_corpus):
     # over Q and F_p every nonzero lowest entry is a unit, so no visit falls
     # back to slice profiles; over Z the witness's kappa 2 stalls it
-    stalls = []
+    stalls, reducers = [], _recorded_reducers(monkeypatch)
     include = IncrementalReducer.include
 
     def watched(self, key):
         include(self, key)
+        assert self is reducers[-1]  # the one reducer of the sweep
         stalls.append(self.stalled is not None)
 
     monkeypatch.setattr(IncrementalReducer, "include", watched)
     check_corollary(_torsion_witness(), ZZ)
-    assert any(stalls)
+    assert any(stalls) and len(reducers) == 1
     inputs = [X for _, X in sweep_corpus] + [_torsion_witness()]
     for X in inputs:
         try:
@@ -319,7 +332,9 @@ def test_the_sweep_never_stalls_over_a_field(monkeypatch, sweep_corpus):
             continue
         for ring in (QQ, GF(2), GF(3)):
             stalls.clear()
+            reducers.clear()
             report = check_corollary(X, ring)
+            assert len(reducers) == 1, (render_lef(X), ring)
             assert stalls and not any(stalls), (render_lef(X), ring)
             assert report == _sliced_corollary(X, ring), (render_lef(X), ring)
 
@@ -342,7 +357,14 @@ def test_corollary_matches_the_sliced_sweep(corpus, sweep_corpus):
     assert non_unit >= 20 and mismatched >= 100
 
 
-def test_corollary_visits_match_the_profiles(data_dir):
+def _split_profile(profile, o):
+    """A stacked profile's degrees below o, and those from o shifted back by o."""
+    low = tuple(e for e in profile.entries if e[0] < o)
+    high = tuple((n - o, f, t) for n, f, t in profile.entries if n >= o)
+    return HomologyProfile(profile.ring, low), HomologyProfile(profile.ring, high)
+
+
+def test_corollary_visits_match_the_profiles(data_dir, monkeypatch):
     grids = [[[(0, 1), (0, 1)], [(0, 1), (1, 2)]], [[(0, 1), (0, 1)], [(1, 2), (0, 1)]],
              [[(0, 1), (0, 1)], [(0, 1), (1, 2)], [(0, 1), (2, 3)]]]
     modes = ("simplicial-random", "cubical-random", "basis-change")
@@ -353,37 +375,37 @@ def test_corollary_visits_match_the_profiles(data_dir):
               + [random_complex(GeneratorConfig(seed=seed, mode=modes[seed % 3]))
                  for seed in range(120)])
     stalled = 0
+    reducers = _recorded_reducers(monkeypatch)
     for X in inputs:
         try:
             count = len(enumerate_closed_sets(X, 6000))
         except TooManyClosedSets:
             continue
         steps = closed_set_walk(X)
+        o = X.top_dim + 1  # the order complex's degree q is the stack's o + q
         for ring in (ZZ, QQ, GF(2), GF(3)):
-            # the corollary's two reducers, their free ranks padded to one length
-            sides = [IncrementalReducer(c)
-                     for c in (lefschetz_chains(X, ring), order_complex_chains(X, ring))]
-            width = max(len(side.free) for side in sides)
-            for side in sides:
-                side.free += [0] * (width - len(side.free))
-            cells, space = sides
+            # the corollary's one reducer, replayed again after its sweep
+            reducers.clear()
+            report = check_corollary(X, ring)
+            (reducer,) = reducers
+            assert reducer.kept == [] and reducer.stalled is None
+            free = reducer.free
+            assert len(free) == 2 * o
             visits = 1  # the empty set
             for x in steps:
                 if x is None:
-                    cells.undo()
-                    space.undo()
+                    reducer.undo()
                     continue
-                cells.include(x)
-                space.include(x)
+                reducer.include(x)
                 visits += 1
-                if cells.stalled is None and space.stalled is None:
-                    assert (cells.free != space.free) == (cells.profile() != space.profile())
+                if reducer.stalled is None:
+                    cells, space = _split_profile(reducer.profile(), o)
+                    assert (free[:o] != free[o:]) == (cells != space)
                 else:
                     stalled += 1
             assert visits == count
             if count > 600:
                 continue  # the 1x3 grid: slicing its 5 679 sets from scratch takes seconds
-            report = check_corollary(X, ring)
             cells, space = lefschetz_chains(X, ring), order_complex_chains(X, ring)
             expected = tuple(tuple(sorted(closed)) for closed in enumerate_closed_sets(X)
                              if cells.profile(closed) != space.profile(closed))
@@ -393,12 +415,14 @@ def test_corollary_visits_match_the_profiles(data_dir):
 
 
 def test_corollary_cap_comes_before_the_order_complex(monkeypatch):
-    # the walk refuses before the face poset, any closure profile or the
-    # order complex is built
+    # the walk refuses before the face poset, any closure profile, the
+    # order complex, the stacked complex or its reducer is built
     def refused(*args):
         raise AssertionError("built before the cap")
 
     monkeypatch.setattr(theorem, "order_complex_chains", refused)
+    monkeypatch.setattr(theorem, "stacked_chains", refused)
+    monkeypatch.setattr(IncrementalReducer, "__init__", refused)
     monkeypatch.setattr(LefschetzComplex, "face_poset", refused)
     monkeypatch.setattr(ChainSlices, "closed_profile", refused)
     X = import_cubical([[(0, 1), (0, 1)], [(0, 1), (1, 2)]])  # 518 closed sets

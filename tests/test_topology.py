@@ -19,7 +19,7 @@ from lefhom import (
     parse_lef,
     restrict,
 )
-from lefhom.complexes import LefschetzComplex
+from lefhom.complexes import LefschetzComplex, _cofacet_ranks
 from lefhom.errors import NotLocallyClosed, TooManyClosedSets, UnknownCellReference
 from lefhom.topology import closed_set_walk
 from tests.conftest import poset_above, poset_below
@@ -188,6 +188,57 @@ def test_enumerate_closed_sets_cap_on_many_cells():
     X = build_complex([(f"v{i}", 0) for i in range(1200)], {}, ZZ)
     with pytest.raises(TooManyClosedSets):
         enumerate_closed_sets(X, cap=10)
+
+
+def _list_walk(X, cap):
+    """The walk with its addable cells as sorted rank lists: each child keeps
+    its parent's list past its own place, plus the newly addable cofacets."""
+    ids, rank, cofacets = _cofacet_ranks(X)
+    needs = [sum(1 << rank[y] for y in X._facets[x]) for x in ids]
+    steps = []
+    count = 0
+    stack = [(-1, 0, [k for k, need in enumerate(needs) if not need], -1)]
+    while stack:
+        entry = stack.pop()
+        if entry is None:
+            steps.append(None)
+            continue
+        j, chosen, siblings, place = entry
+        count += 1
+        if count > cap:
+            raise TooManyClosedSets(cap)
+        addable = siblings[place + 1:]
+        if j >= 0:
+            steps.append(ids[j])
+            stack.append(None)
+            addable += [c for c in cofacets[j] if needs[c] & chosen == needs[c]]
+            addable.sort()
+        stack.extend((c, chosen | 1 << c, addable, place) for place, c in enumerate(addable))
+    return steps
+
+
+def test_bitmask_walk_takes_the_list_walks_steps(corpus, sweep_corpus):
+    grids = [[[(0, 1), (0, 1)], [(0, 1), (1, 2)]], [[(0, 1), (0, 1)], [(1, 2), (0, 1)]],
+             [[(0, 1), (0, 1)], [(0, 1), (1, 2)], [(0, 1), (2, 3)]]]
+    inputs = ([(name, X, 100_000) for name, X in corpus]
+              + [(repr(cfg), X, 600) for cfg, X in sweep_corpus]
+              + [(repr(cubes), import_cubical(cubes), 100_000) for cubes in grids])
+    walked = 0
+    for name, X, cap in inputs:
+        try:
+            expected = _list_walk(X, cap)
+        except TooManyClosedSets:
+            with pytest.raises(TooManyClosedSets):
+                closed_set_walk(X, cap)
+            continue
+        assert closed_set_walk(X, cap) == expected, name
+        walked += 1
+    assert walked >= 1000
+    assert len(closed_set_walk(import_cubical(grids[2]))) == 2 * 5678
+    X = build_complex([(f"v{i}", 0) for i in range(1200)], {}, ZZ)
+    for walk in (_list_walk, closed_set_walk):
+        with pytest.raises(TooManyClosedSets):
+            walk(X, cap=10)
 
 
 def test_kuratowski_properties(corpus):
