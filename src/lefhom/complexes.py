@@ -220,7 +220,7 @@ class LefschetzComplex:
     def kappa(self, x: str, y: str):
         self.dim_of(x)
         self.dim_of(y)
-        return self._facets[x].get(y, self.ring.zero())
+        return self._facets[x].get(y, self.ring.convert(0))
 
     def facets(self, x: str) -> frozenset:
         self.dim_of(x)
@@ -293,12 +293,8 @@ def is_augmentable(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> bool
     """
     ring = X.ring if ring is None else ring
     _admit(X.ring, ring, _kappa_rows(X))
-    p, cols = ring.p, X.boundary_matrix(1)._cols
-    if X.ring.kind == "Q" and ring.kind != "Q":  # each entry needs its own value in ring
-        totals = (sum(map(ring.convert, col.values())) for col in cols)
-    else:
-        totals = (sum(col.values()) for col in cols)
-    return not any(total % p if p else total for total in totals)
+    # _admit refused each value ring cannot hold, so each sum converts as its terms do
+    return not any(ring.convert(sum(col.values())) for col in X.boundary_matrix(1)._cols)
 
 
 def build_complex(cells: Iterable, kappa_entries, ring: RingSpec) -> LefschetzComplex:

@@ -113,7 +113,7 @@ class RingSpec(namedtuple("RingSpec", "kind p", defaults=(None,))):
         """Coerce an int or Fraction into this ring; reject anything lossy."""
         if self.kind == "Z":
             if isinstance(value, int):
-                return value
+                return int(value)  # a bool too is an int, but not one to store
             if isinstance(value, Fraction):
                 if value.denominator == 1:
                     return int(value)
@@ -132,21 +132,6 @@ class RingSpec(namedtuple("RingSpec", "kind p", defaults=(None,))):
                     raise UnsupportedRing(f"denominator of {value} vanishes mod {self.p}")
                 return value.numerator * pow(den, self.p - 2, self.p) % self.p
         raise UnsupportedRing(f"cannot interpret {value!r} as an element of {self}")
-
-    def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.kind == "Fp" else a + b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "Fp" else a * b
-
-    def neg(self, a):
-        return (-a) % self.p if self.kind == "Fp" else -a
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def format_element(self, a) -> str:
         if isinstance(a, Fraction) and a.denominator != 1:
@@ -184,8 +169,7 @@ class ExactMatrix:
         for (i, j), v in items:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i}, {j}) outside {rows}x{cols} matrix")
-            v = ring.convert(v)
-            if not ring.is_zero(v):
+            if v := ring.convert(v):
                 columns[j][i] = v
         self.rows, self.cols, self.ring, self._cols = rows, cols, ring, columns
 
@@ -227,10 +211,10 @@ class ExactMatrix:
     def get(self, i: int, j: int):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"({i}, {j}) outside {self.rows}x{self.cols} matrix")
-        return self._cols[j].get(i, self.ring.zero())
+        return self._cols[j].get(i, self.ring.convert(0))
 
     def dense(self) -> list:
-        out = [[self.ring.zero()] * self.cols for _ in range(self.rows)]
+        out = [[self.ring.convert(0)] * self.cols for _ in range(self.rows)]
         for j, col in enumerate(self._cols):
             for i, v in col.items():
                 out[i][j] = v
@@ -249,39 +233,20 @@ class ExactMatrix:
         return ExactMatrix._wrap(self.rows, [
             {i: w for i, v in col.items() if (w := ring.convert(v))} for col in self._cols], ring)
 
-    def drop(self, rows: Iterable[int] = (), cols: Iterable[int] = ()) -> "ExactMatrix":
-        """Delete the given row/column indices, keeping the order of the rest."""
-        rset, cset = set(rows), set(cols)
-        rmap = {i: k for k, i in enumerate(i for i in range(self.rows) if i not in rset)}
-        return ExactMatrix._wrap(len(rmap), [{rmap[i]: v for i, v in col.items() if i in rmap}
-                                             for j, col in enumerate(self._cols) if j not in cset],
-                                 self.ring)
-
-    def apply(self, vector: Sequence) -> list:
-        """Matrix times column vector."""
-        if len(vector) != self.cols:
-            raise ValueError("vector length does not match column count")
-        ring = self.ring
-        out = [ring.zero()] * self.rows
-        for col, x in zip(self._cols, vector):
-            for i, v in col.items():
-                out[i] = ring.add(out[i], ring.mul(v, x))
-        return out
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ring != other.ring:
             raise UnsupportedRing("matrix product needs a common ring")
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        ring = self.ring
+        convert = self.ring.convert  # sums in plain int/Fraction, converted once
         columns = []
         for col in other._cols:
             acc = {}
             for k, w in col.items():
                 for i, v in self._cols[k].items():
-                    acc[i] = ring.add(acc.get(i, ring.zero()), ring.mul(v, w))
-            columns.append({i: v for i, v in acc.items() if not ring.is_zero(v)})
-        return ExactMatrix._wrap(self.rows, columns, ring)
+                    acc[i] = acc.get(i, 0) + v * w
+            columns.append({i: v for i, total in acc.items() if (v := convert(total))})
+        return ExactMatrix._wrap(self.rows, columns, self.ring)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ExactMatrix)
@@ -606,31 +571,24 @@ def kernel_basis(matrix: ExactMatrix, ring: RingSpec) -> list:
     columns: the record of the column operations that zeroed column f in
     the :func:`_reduction` of ``matrix``.
     """
-    basis = []
-    for z in _reduction(matrix, ring)[0].values():
-        vec = [ring.zero()] * matrix.cols
-        for i, v in z.items():
-            vec[i] = ring.convert(v)
-        basis.append(vec)
-    return basis
-
-
-def _beside(matrix: ExactMatrix, vectors: Sequence) -> ExactMatrix:
-    """``matrix`` with ``vectors`` (elements of its ring) appended as columns."""
-    return ExactMatrix._wrap(matrix.rows, matrix._cols + [
-        {i: v for i, v in enumerate(vec) if v} for vec in vectors], matrix.ring)
+    return [[ring.convert(z.get(i, 0)) for i in range(matrix.cols)]
+            for z in _reduction(matrix, ring)[0].values()]
 
 
 def solve(matrix: ExactMatrix, rhs: Sequence, ring: RingSpec):
     """One exact solution of ``matrix @ x = rhs`` over a field, or None.
 
     Free variables are set to zero, so the returned solution is canonical:
-    minus the kernel vector of ``[matrix | rhs]`` whose free column is the last.
+    minus the record of the last column in one :func:`_reduction` of
+    ``[matrix | rhs]``, or None when that column takes a pivot.
     """
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
     m = matrix.cols
-    basis = kernel_basis(_beside(matrix.cast(ring), [list(map(ring.convert, rhs))]), ring)
-    if not basis or not basis[-1][m]:
+    # rhs is taken into ring, where the converter into ring leaves each value as it is
+    column = {i: w for i, v in enumerate(rhs) if (w := ring.convert(v))}
+    cycles = _reduction(ExactMatrix._wrap(matrix.rows, matrix._cols + [column], matrix.ring),
+                        ring)[0]
+    if m not in cycles:
         return None
-    return [ring.neg(v) for v in basis[-1][:m]]
+    return [ring.convert(-cycles[m].get(i, 0)) for i in range(m)]

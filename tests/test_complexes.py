@@ -307,3 +307,18 @@ def test_empty_complex_is_legal():
     assert len(X) == 0
     assert X.top_dim == -1
     assert X.boundary_matrix(0) == ExactMatrix.zeros(0, 0, ZZ)
+
+
+def test_a_bool_kappa_is_stored_as_a_ring_element():
+    # a bool is an int, but κ True is stored as the ring's 1, and κ False not at all
+    cells = [("a", 0), ("b", 0), ("e", 1)]
+    for ring, kind in ((ZZ, int), (QQ, Fraction), (GF(2), int)):
+        X = build_complex(cells, {("e", "a"): True, ("e", "b"): -1}, ring)
+        stored = (X.kappa("e", "a"), X.kappa_entries[("e", "a")], X.boundary_matrix(1).get(0, 0),
+                  ExactMatrix(1, 1, {(0, 0): True}, ring).get(0, 0), ring.convert(True))
+        assert [(type(v), v) for v in stored] == [(kind, 1)] * 5, ring
+        Y = build_complex(cells, {("e", "a"): False, ("e", "b"): -1}, ring)
+        assert Y.facets("e") == {"b"} and ("e", "a") not in Y.kappa_entries, ring
+        assert (type(Y.kappa("e", "a")), Y.kappa("e", "a")) == (kind, 0), ring
+        assert Y.boundary_matrix(1)._cols == [{1: ring.convert(-1)}], ring
+        assert ExactMatrix(1, 1, {(0, 0): False}, ring).is_zero(), ring

@@ -12,7 +12,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from lefhom import ExactMatrix, GF, QQ, ZZ, kernel_basis, rank_over, smith_normal_form
+from lefhom import ExactMatrix, GF, QQ, ZZ, exact, kernel_basis, rank_over, smith_normal_form
 from lefhom.errors import NonFieldRing, UnsupportedRing
 from lefhom.exact import RingSpec, _converter, _reduce, _reduce_column, solve
 
@@ -52,6 +52,11 @@ def gcd_of_k_minors(rows, k):
             minor = det_bareiss([[rows[i][j] for j in col_idx] for i in row_idx])
             g = math.gcd(g, minor)
     return g
+
+
+def _column(vector, ring):
+    """``vector`` as a one-column matrix, so that ``m @ _column(vector, ring)`` is m·vector."""
+    return ExactMatrix(len(vector), 1, {(i, 0): v for i, v in enumerate(vector)}, ring)
 
 
 def check_divisors_against_minors(rows, divisors):
@@ -127,7 +132,7 @@ def test_kernel_vectors_are_killed_and_independent():
         assert len(basis) == 3 - rank_over(m, ring)
         cast = m.cast(ring)
         for vec in basis:
-            assert all(ring.is_zero(v) for v in cast.apply(vec))
+            assert (cast @ _column(vec, ring)).is_zero()
         stacked = ExactMatrix.from_rows(basis, ring)
         assert rank_over(stacked, ring) == len(basis)
 
@@ -167,12 +172,14 @@ def test_kernel_basis_is_the_reduced_echelon_kernel():
             m = ExactMatrix(rows, cols, {(i, j): Fraction(rng.choice((0, 0, 1, -1, 2, 3)),
                                                           rng.choice(den))
                                          for i in range(rows) for j in range(cols)}, ring)
-            ranks = [rank_over(m.drop(cols=range(j, cols)), ring) for j in range(cols + 1)]
+            ranks = [rank_over(ExactMatrix(rows, j, {(i, k): v for (i, k), v in m.entries.items()
+                                                     if k < j}, ring), ring)
+                     for j in range(cols + 1)]
             free = [j for j in range(cols) if ranks[j + 1] == ranks[j]]
             basis = kernel_basis(m, ring)
             assert len(basis) == len(free), (ring, m.dense())
             for f, vec in zip(free, basis):
-                assert not any(m.apply(vec))
+                assert (m @ _column(vec, ring)).is_zero()
                 assert vec[f] == 1 and not any(vec[f + 1:]), (ring, m.dense())
                 assert not any(vec[g] for g in free if g != f), (ring, m.dense())
 
@@ -206,6 +213,83 @@ def test_solve_consistency():
     x = solve(m, [5, 11], QQ)
     assert x == [Fraction(1), Fraction(2)]
     assert solve(ExactMatrix.zeros(2, 2, ZZ), [1, 0], QQ) is None
+
+
+def _solve_cases(corpus):
+    """(name, matrix, ring): the corpus boundaries over Q, F2 and F3, a Z
+    matrix whose entries vanish mod 3, over F3, and a Q matrix over F5."""
+    cases = [(name, X.boundary_matrix(q), ring) for name, X in corpus
+             for q in range(X.top_dim + 2) for ring in (QQ, GF(2), GF(3))]
+    cases.append(("z-over-f3", ExactMatrix.from_rows([[3, 1, 4], [6, 5, 9], [1, 2, 6]], ZZ),
+                  GF(3)))
+    cases.append(("q-over-f5", ExactMatrix.from_rows(
+        [[Fraction(1, 2), Fraction(1, 3), 0, 1], [Fraction(3, 2), 1, Fraction(5, 7), 3],
+         [2, Fraction(4, 3), Fraction(5, 7), 4]], QQ), GF(5)))
+    return cases
+
+
+def test_solve_is_the_canonical_solution_or_none(corpus, monkeypatch):
+    # oracles: the product with the solution, kernel_basis's free columns, and
+    # the rank of [matrix | rhs] for whether rhs is in the image at all
+    rng = random.Random(31)
+    for name, d, ring in _solve_cases(corpus):
+        cast = d.cast(ring)
+        free = {max(i for i, v in enumerate(vec) if v) for vec in kernel_basis(d, ring)}
+        for _ in range(3):
+            image = cast @ _column([ring.convert(rng.randint(-2, 2)) for _ in range(d.cols)], ring)
+            y = solve(d, [row[0] for row in image.dense()], ring)
+            assert cast @ _column(y, ring) == image, (name, ring)
+            assert not any(y[f] for f in free), (name, ring)
+            assert all(type(v) is type(ring.convert(0)) for v in y), (name, ring)
+        rank = rank_over(d, ring)
+        for i in range(d.rows):
+            unit = [int(k == i) for k in range(d.rows)]
+            wider = ExactMatrix(d.rows, d.cols + 1, {**d.entries, (i, d.cols): 1}, d.ring)
+            assert (solve(d, unit, ring) is None) == (rank_over(wider, ring) > rank), (name, ring, i)
+        for wrong in ([0] * (d.rows + 1), [0] * (d.rows - 1)) if d.rows else ([0],):
+            with pytest.raises(ValueError):
+                solve(d, wrong, ring)
+    with pytest.raises(UnsupportedRing):
+        solve(ExactMatrix.from_rows([[1, 2]], GF(3)), [1], QQ)
+    # one reduction of [matrix | rhs]: no cast and no dense kernel basis
+    monkeypatch.setattr(ExactMatrix, "cast", None)
+    monkeypatch.setattr(exact, "kernel_basis", None)
+    m = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]], ZZ)
+    assert solve(m, [3, 6, 1], GF(5)) == [1, 1, 0]
+    assert solve(m, [1, 1, 1], QQ) is None
+
+
+def test_product_matches_a_dense_triple_loop():
+    # oracle: each entry summed in plain int/Fraction over the dense factors,
+    # then converted; an entry whose terms cancel must not be stored
+    rng = random.Random(29)
+    values = {ZZ: (1, -1, 2, -2), QQ: (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3),
+                                      Fraction(-1, 6), 1, -1), GF(2): (1,), GF(3): (1, 2)}
+    for ring, drawn in values.items():
+        cancelled = 0
+        for _ in range(200):
+            n, k, m = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+            a, b = (ExactMatrix(rows, cols, {(i, j): rng.choice(drawn) for i in range(rows)
+                                             for j in range(cols) if rng.random() < 0.5}, ring)
+                    for rows, cols in ((n, k), (k, m)))
+            da, db = a.dense(), b.dense()
+            terms = [[[da[i][t] * db[t][j] for t in range(k) if da[i][t] and db[t][j]]
+                      for j in range(m)] for i in range(n)]
+            expected = [[ring.convert(sum(cell)) for cell in row] for row in terms]
+            cancelled += sum(1 for row, sums in zip(terms, expected)
+                             for cell, total in zip(row, sums) if cell and not total)
+            product = a @ b
+            assert product.dense() == expected, (ring, da, db)
+            assert (product.rows, product.cols) == (n, m)
+            assert all(type(v) is type(ring.convert(1)) and v
+                       for col in product._cols for v in col.values()), (ring, product._cols)
+        assert cancelled, ring
+    with pytest.raises(UnsupportedRing):
+        ExactMatrix.from_rows([[1]], ZZ) @ ExactMatrix.from_rows([[1]], QQ)
+    with pytest.raises(UnsupportedRing):
+        ExactMatrix.from_rows([[1]], GF(2)) @ ExactMatrix.from_rows([[1]], GF(3))
+    with pytest.raises(ValueError):
+        ExactMatrix.from_rows([[1, 2]], ZZ) @ ExactMatrix.from_rows([[1, 2]], ZZ)
 
 
 # -- ring plumbing -----------------------------------------------------------
@@ -243,8 +327,6 @@ def test_matrix_basics():
     assert dict(m.entries) == {(0, 1): 1, (1, 0): 2}
     assert m.get(0, 1) == 1
     assert (m @ ExactMatrix.from_rows([[1, 0], [0, 1]], ZZ)) == m
-    assert m.drop(rows=[0]).dense() == [[2, 0]]
-    assert m.drop(cols=[1]).dense() == [[0], [2]]
     with pytest.raises(IndexError):
         m.get(5, 0)
 
@@ -318,4 +400,4 @@ def test_sparse_kernel_agrees_with_dense_snf(rows):
         basis = kernel_basis(m, GF(p))
         assert len(basis) == m.cols - rank
         cast = m.cast(GF(p))
-        assert all(not any(cast.apply(vec)) for vec in basis)
+        assert all((cast @ _column(vec, GF(p))).is_zero() for vec in basis)

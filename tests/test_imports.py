@@ -22,6 +22,9 @@ DELETED = [
     ("exact", "RingSpec", ["integers", "rationals", "prime_field", "one"]),
     ("exact", None, ["_field_columns", "_unit_form"]),
     ("exact", "ExactMatrix", ["identity", "column", "transpose"]),
+    ("exact", "RingSpec", ["zero", "add", "mul", "neg", "is_zero"]),
+    ("exact", "ExactMatrix", ["apply", "drop"]),
+    ("exact", None, ["_beside"]),
     ("complexes", "FacePoset", ["leq", "elements", "__eq__", "below", "above", "_union", "__repr__"]),
     ("complexes", "FacePoset", ["cofacets"]),
     ("topology", None, ["is_open"]),

@@ -52,10 +52,10 @@ def test_augmentable_depends_on_ring(twisted):
 def _augmentable_in_ring_arithmetic(X, ring):
     """Every facet coefficient converted into ``ring`` and summed there."""
     for x in X.cells_of_dim(1):
-        total = ring.zero()
+        total = ring.convert(0)
         for y in X.facets(x):
-            total = ring.add(total, ring.convert(X.kappa(x, y)))
-        if not ring.is_zero(total):
+            total = ring.convert(total + ring.convert(X.kappa(x, y)))
+        if total:
             return False
     return True
 
