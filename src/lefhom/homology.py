@@ -7,7 +7,8 @@ the coefficient ring never rebuilds the complex: exact converts each column
 of its own boundaries as it reduces it, so the cell basis and the face order
 stay those of the stored complex.  A :class:`ChainSlices` cuts the complex
 spanned by any set of generators out of one chain complex, so closed sets
-are profiled without complexes of their own.
+are profiled without complexes of their own; :func:`closure_profiles`
+reads the closure of each cell off the complex itself.
 
 Relative homology of a closed subset is *defined* through the open
 complement, rebuilt as a complex (the excision route);
@@ -18,9 +19,9 @@ against each other.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import accumulate, chain
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .complexes import LefschetzComplex, _kappa_rows
 from .errors import NonFieldRing, NotClosed
@@ -164,12 +165,6 @@ class ChainSlices:
     are; profiles are over ``ring``, which the caller has admitted them into.
     Keeping the keys of a subcomplex, or of the complement of one, gives a
     chain complex; a slice costs the nonzeros of its kept columns.
-
-    A subcomplex can also be named by the ranks of its generators, their
-    places in the order of degree, then index: for :func:`lefschetz_chains`
-    those are the ranks of the face poset.  :meth:`closed_profile` renumbers
-    its columns once, into a key of the slice's content, and eliminates only
-    when a memo has no profile for that key.
     """
 
     def __init__(self, ring: RingSpec, keys: Sequence[Sequence],
@@ -181,11 +176,6 @@ class ChainSlices:
             for i, key in enumerate(names):
                 self._at.setdefault(key, []).append((q, i))
         self._columns = [matrix._cols for matrix in matrices]
-        # where each degree starts among the ranks; per rank, filled in rank
-        # order as far as a closure has reached, the rows of its boundary
-        # column as ranks, ascending, and their values
-        self._starts = list(accumulate(map(len, self._columns), initial=0))
-        self._rows, self._values = [], []
 
     def positions(self, kept: Iterable) -> list:
         """Per degree, the ascending ambient indices of the kept generators."""
@@ -215,56 +205,6 @@ class ChainSlices:
     def profile(self, kept: Iterable) -> HomologyProfile:
         return profile_from_boundaries(self.ring, *self.slice(kept))
 
-    def _rank_columns(self, top: int) -> None:
-        """Fill the rows and values of the columns up to rank ``top``."""
-        starts, rows, values = self._starts, self._rows, self._values
-        for r in range(len(rows), top + 1):
-            q = bisect_right(starts, r) - 1
-            col = self._columns[q][r - starts[q]]
-            ascending = sorted(col)
-            below = starts[q - 1] if q else 0
-            rows.append([below + i for i in ascending])
-            values.append(tuple(map(col.__getitem__, ascending)))
-
-    def closed_profile(self, ranks: Iterable[int], memo: dict) -> HomologyProfile:
-        """The profile of the generators at ``ranks``, which must hold every
-        row of their columns, as the closure of a cell does.
-
-        The sorted ranks are cut where each degree starts, and each generator
-        is renumbered by its place among them.  The key is the cuts, the
-        renumbered rows of the columns, in rank order, and their values.
-        ``memo`` maps keys to profiles over this ring, a dict or a
-        :class:`ClosureMemo`; on a miss the columns are copied out of the
-        key, with the rows counted from where their degree starts, and
-        eliminated.
-        """
-        ranks = sorted(ranks)
-        if ranks[-1] >= len(self._rows):
-            self._rank_columns(ranks[-1])
-        starts, rows, values = self._starts, self._rows, self._values
-        # the degrees up to the top rank's: each starts at one of the cuts
-        cuts = [bisect_left(ranks, start) for start in starts[:bisect_right(starts, ranks[-1])]]
-        cuts.append(len(ranks))
-        kept = ranks[cuts[1]:]  # degree 0 has no columns
-        at = dict(zip(ranks, range(len(ranks))))
-        cols = tuple(map(values.__getitem__, kept))
-        flat = tuple(map(at.__getitem__, chain.from_iterable(map(rows.__getitem__, kept))))
-        key = (tuple(cuts), cols, flat)
-        profile = memo.get(key)
-        if profile is None:
-            sizes = [b - a for a, b in zip(cuts, cuts[1:])]
-            columns, end = [[] for _ in sizes], 0
-            for q in range(1, len(sizes)):
-                for col in cols[cuts[q] - cuts[1]:cuts[q + 1] - cuts[1]]:
-                    start, end = end, end + len(col)
-                    columns[q].append({i - cuts[q - 1]: v for i, v in zip(flat[start:end], col)})
-
-            def boundary(q: int) -> ExactMatrix:
-                return ExactMatrix._wrap(sizes[q - 1], columns[q], self.source)
-
-            profile = memo[key] = profile_from_boundaries(self.ring, sizes, boundary)
-        return profile
-
 
 def stacked_chains(lower: ChainSlices, upper: ChainSlices) -> ChainSlices:
     """The two chain complexes as one, keyed alike and no boundary crossing:
@@ -276,8 +216,6 @@ def stacked_chains(lower: ChainSlices, upper: ChainSlices) -> ChainSlices:
     stack._columns = lower._columns + upper._columns + [[]] * (o - len(upper._columns))
     stack._at = {key: at + [(o + q, i) for q, i in upper._at[key]]
                  for key, at in lower._at.items()}
-    stack._starts = list(accumulate(map(len, stack._columns), initial=0))
-    stack._rows, stack._values = [], []
     return stack
 
 
@@ -287,7 +225,7 @@ CLOSURE_MEMO_BOUND = 50_000
 
 
 class ClosureMemo(dict):
-    """A memo for :meth:`ChainSlices.closed_profile` that may serve many
+    """A memo for :func:`closure_profiles` that may serve many
     complexes over one ring, since its keys name a closure's content.
 
     It stores a profile only while the entries of its keys (cuts, rows and
@@ -456,6 +394,52 @@ def lefschetz_homology(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> 
     _admit(X.ring, ring, _kappa_rows(X))
     sizes = [len(X.cells_of_dim(q)) for q in range(X.top_dim + 1)]
     return profile_from_boundaries(ring, sizes, X.boundary_matrix)
+
+
+def closure_profiles(X: LefschetzComplex, ring: RingSpec, memo: dict) -> Iterator[tuple]:
+    """(cell id, profile over ``ring`` of its closure) for each cell of X,
+    in rank order and lazily, so that a first-failure pass stops at it.
+
+    A closure is a down-set of X's face poset.  Its sorted ranks are cut
+    where each degree up to the cell's starts, empty degrees too, and
+    renumbered by their places.  The key is the cuts, the renumbered facet
+    ranks of the cells above degree 0, in rank order, and their κ values.
+    ``memo`` maps keys to profiles over ``ring``, a dict or a
+    :class:`ClosureMemo`; only a miss copies the columns out of the key and
+    eliminates them.  Each cell's facets are read off X as the walk reaches it.
+    """
+    _admit(X.ring, ring, _kappa_rows(X))
+    poset, point = X.face_poset(), point_profile(ring)
+    ids, rank = poset.ids, poset.rank
+    starts = list(accumulate((len(X.cells_of_dim(q)) for q in range(X.top_dim + 1)), initial=0))
+    rows, values = [], []  # per rank: its facets' ranks, ascending, and their values
+    for r, x in enumerate(ids):
+        facets, dim = X._facets[x], X._dims[x]
+        rows.append(sorted(map(rank.__getitem__, facets)))
+        values.append(tuple(facets[ids[s]] for s in rows[-1]))
+        if not dim:  # the closure of a 0-cell is the cell itself
+            yield x, point
+            continue
+        ranks = sorted(poset.down[r])
+        cuts = [bisect_left(ranks, start) for start in starts[:dim + 1]]
+        cuts.append(len(ranks))
+        kept = ranks[cuts[1]:]  # degree 0 has no columns
+        at = dict(zip(ranks, range(len(ranks))))
+        cols = tuple(map(values.__getitem__, kept))
+        flat = tuple(map(at.__getitem__, chain.from_iterable(map(rows.__getitem__, kept))))
+        key = (tuple(cuts), cols, flat)
+        profile = memo.get(key)
+        if profile is None:
+            sizes = [b - a for a, b in zip(cuts, cuts[1:])]
+            boundaries, end = [None], 0
+            for q in range(1, len(sizes)):
+                columns = []
+                for col in cols[cuts[q] - cuts[1]:cuts[q + 1] - cuts[1]]:
+                    start, end = end, end + len(col)
+                    columns.append({i - cuts[q - 1]: v for i, v in zip(flat[start:end], col)})
+                boundaries.append(ExactMatrix._wrap(sizes[q - 1], columns, X.ring))
+            profile = memo[key] = profile_from_boundaries(ring, sizes, boundaries.__getitem__)
+        yield x, profile
 
 
 def _require_closed(X: LefschetzComplex, part: Iterable) -> frozenset:

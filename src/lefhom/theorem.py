@@ -25,10 +25,10 @@ from .complexes import LefschetzComplex, is_augmentable
 from .errors import LefhomError, TooManyClosureCells, TooManySimplices
 from .exact import ZZ, RingSpec
 from .homology import (
-    ChainSlices,
     ClosureMemo,
     HomologyProfile,
     IncrementalReducer,
+    closure_profiles,
     lefschetz_chains,
     lefschetz_homology,
     point_profile,
@@ -63,7 +63,7 @@ class LocalCheck(NamedTuple):
     profile: HomologyProfile
 
 
-def _closure_checks(X: LefschetzComplex, chains: ChainSlices,
+def _closure_checks(X: LefschetzComplex, ring: RingSpec,
                     memo: Optional[dict] = None) -> Iterator:
     """(cell id, LocalCheck) in canonical cell order, computed lazily.
 
@@ -74,12 +74,8 @@ def _closure_checks(X: LefschetzComplex, chains: ChainSlices,
     the whole search in serial or one per pool task, and another for
     re-verification, which that pass never fills.
     """
-    expected = point_profile(chains.ring)
-    memo = {} if memo is None else memo
-    down = X.face_poset().down
-    for rank, (cid, dim) in enumerate(X.cells):  # ranks follow X.cells, as chains' degrees do
-        # the closure of a 0-cell is the cell itself
-        profile = expected if dim == 0 else chains.closed_profile(down[rank], memo)
+    expected = point_profile(ring)
+    for cid, profile in closure_profiles(X, ring, {} if memo is None else memo):
         yield cid, LocalCheck(profile == expected, profile)
 
 
@@ -89,26 +85,26 @@ def local_condition(X: LefschetzComplex,
 
     Returned in canonical cell order; the failing cells are the obstruction
     to the comparison theorem's hypothesis.  Closures repeat: each is
-    profiled through :meth:`~lefhom.homology.ChainSlices.closed_profile`,
-    which eliminates only the first closure of each content.  The memo
+    profiled through :func:`~lefhom.homology.closure_profiles`, which
+    eliminates only the first closure of each content.  The memo
     lives for this call only.  Raises ``TooManyClosureCells`` before any
     profile when the closures hold more than ``DEFAULT_CLOSURE_CAP`` cells
     in all.
     """
-    return _local_condition(X, ring)
+    return _local_condition(X, X.ring if ring is None else ring)
 
 
-def _local_condition(X: LefschetzComplex, ring: Optional[RingSpec],
+def _local_condition(X: LefschetzComplex, ring: RingSpec,
                      memo: Optional[dict] = None) -> Mapping[str, LocalCheck]:
     total = sum(map(len, X.face_poset().down))
     if total > DEFAULT_CLOSURE_CAP:
         raise TooManyClosureCells(total, DEFAULT_CLOSURE_CAP)
-    return dict(_closure_checks(X, lefschetz_chains(X, ring), memo))
+    return dict(_closure_checks(X, ring, memo))
 
 
-def _first_local_failure(X: LefschetzComplex, chains: ChainSlices,
+def _first_local_failure(X: LefschetzComplex, ring: RingSpec,
                          memo: Optional[dict] = None) -> Optional[str]:
-    return next((cid for cid, check in _closure_checks(X, chains, memo)
+    return next((cid for cid, check in _closure_checks(X, ring, memo)
                  if not check.passes), None)
 
 
@@ -210,7 +206,7 @@ def check_corollary(X: LefschetzComplex, ring: Optional[RingSpec] = None,
     augmentable = is_augmentable(X, ring)
     cells = lefschetz_chains(X, ring)
     steps = closed_set_walk(X, cap)
-    local_ok = _first_local_failure(X, cells) is None
+    local_ok = _first_local_failure(X, ring) is None
     space = order_complex_chains(X, ring)
     reducer = IncrementalReducer(stacked_chains(cells, space))
     o, free, kept = len(cells._columns), reducer.free, reducer.kept
@@ -274,7 +270,7 @@ def _derive_seed(master: int, index: int) -> int:
 def _is_candidate(X: LefschetzComplex, ring: RingSpec, memo: Optional[dict] = None) -> bool:
     if not is_augmentable(X, ring):
         return False
-    if _first_local_failure(X, lefschetz_chains(X, ring), memo) is None:
+    if _first_local_failure(X, ring, memo) is None:
         return False  # hypothesis holds: not a converse instance
     return lefschetz_homology(X, ring) == finite_space_homology(X, ring)
 

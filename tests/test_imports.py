@@ -29,6 +29,7 @@ DELETED = [
     ("complexes", "FacePoset", ["cofacets"]),
     ("topology", None, ["is_open"]),
     ("homology", "HomologyProfile", ["is_trivial", "is_point", "degrees"]),
+    ("homology", "ChainSlices", ["closed_profile", "_rank_columns"]),
     ("formats", None, ["_cube_id"]),
 ]
 

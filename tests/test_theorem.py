@@ -265,7 +265,7 @@ def _sliced_corollary(X, ring):
     closed_sets = enumerate_closed_sets(X)
     mismatches = tuple(tuple(sorted(closed)) for closed in closed_sets
                        if cells.profile(closed) != chains.profile(closed))
-    local_ok = _first_local_failure(X, cells) is None
+    local_ok = _first_local_failure(X, ring) is None
     augmentable = is_augmentable(X, ring)
     return CorollaryReport(ring, augmentable, local_ok, len(closed_sets), mismatches,
                            not mismatches, local_ok == (not mismatches),
@@ -424,7 +424,7 @@ def test_corollary_cap_comes_before_the_order_complex(monkeypatch):
     monkeypatch.setattr(theorem, "stacked_chains", refused)
     monkeypatch.setattr(IncrementalReducer, "__init__", refused)
     monkeypatch.setattr(LefschetzComplex, "face_poset", refused)
-    monkeypatch.setattr(ChainSlices, "closed_profile", refused)
+    monkeypatch.setattr(theorem, "closure_profiles", refused)
     X = import_cubical([[(0, 1), (0, 1)], [(0, 1), (1, 2)]])  # 518 closed sets
     for cap in (1, 17, 517):
         with pytest.raises(TooManyClosedSets):
@@ -447,7 +447,7 @@ def test_local_condition_builds_the_cell_set_at_most_once(monkeypatch):
     checks = local_condition(X)
     assert len(checks) == len(X) == 81
     assert built["cell_ids"] <= 1
-    assert built["Cell"] == len(X)  # X.cells is built once, then reused
+    assert built["Cell"] == 0  # closures are read off the face poset, not X.cells
 
 
 def test_local_condition_equals_the_uncached_closure_profiles(corpus, sweep_corpus):
@@ -457,22 +457,65 @@ def test_local_condition_equals_the_uncached_closure_profiles(corpus, sweep_corp
     inputs = ([(X, rings) for _, X in corpus] + [(X, rings) for _, X in sweep_corpus]
               + [(_torsion_witness(), rings), (_fraction_star(), (QQ, GF(3)))])
     failing = 0
+    shared = {ring: homology.ClosureMemo() for ring in rings}  # one per ring, as a search's
     for X, X_rings in inputs:
         for ring in X_rings:
             chains = lefschetz_chains(X, ring)
             checks = local_condition(X, ring)
             assert list(checks) == [cell.id for cell in X.cells]
-            # top rank first, so the rank-column table is filled in one go
-            down = X.face_poset().down
-            backwards = {cell.id: chains.closed_profile(down[r], {})
-                         for r, cell in reversed(list(enumerate(X.cells)))}
+            # every complex before this one has filled the shared memo
+            across = dict(homology.closure_profiles(X, ring, shared[ring]))
             for cid, check in checks.items():
                 expected = chains.profile(closure(X, {cid}))
                 assert check.profile == expected, (render_lef(X), ring, cid)
-                assert backwards[cid] == expected, (render_lef(X), ring, cid)
+                assert across[cid] == expected, (render_lef(X), ring, cid)
                 assert check.passes == (expected == point_profile(ring))
                 failing += not check.passes
     assert failing >= 100
+
+
+def test_closure_keys_keep_empty_dimensions():
+    # cl s and cl e are one cell each, with no boundary; s has no 1-cells
+    # below it.  Cut only where populated degrees start, both closures would
+    # key as ((0, 0, 1), (), ()), and the memo would give one the other's profile
+    top2 = build_complex([("v", 0), ("s", 2)], {}, ZZ)
+    top1 = build_complex([("v", 0), ("e", 1)], {}, ZZ)
+    for order in ((top2, top1), (top1, top2)):
+        memo, profiles = homology.ClosureMemo(), {}
+        for X in order:
+            profiles.update(homology.closure_profiles(X, ZZ, memo))
+        assert str(profiles["s"]) == "H_0: 0; H_1: 0; H_2: Z"
+        assert str(profiles["e"]) == "H_0: 0; H_1: Z"
+        assert len(memo) == 2
+
+
+def test_local_condition_admits_the_ring_before_any_closure(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a closure was profiled before the ring was admitted")
+
+    monkeypatch.setattr(homology, "profile_from_boundaries", refused)
+    f3 = build_complex([("a", 0), ("b", 0), ("e", 1)], {("e", "a"): 1, ("e", "b"): 2}, GF(3))
+    for X, ring, message in ((f3, QQ, "cannot lift F3 entries into Q"),
+                             (_fraction_star(), ZZ, "1/2 is not an integer")):
+        with pytest.raises(UnsupportedRing) as err:
+            local_condition(X, ring)
+        assert str(err.value) == message
+
+
+def test_the_local_condition_builds_no_chain_slices(monkeypatch, star):
+    # closures are read off the complex: the chain slices are the sweep's
+    def checked():
+        return [(local_condition(X, ring), check_theorem(X, ring), _is_candidate(X, ring))
+                for X in (_torsion_witness(), star) for ring in (ZZ, QQ, GF(2))]
+
+    def refused(*args):
+        raise AssertionError("chain slices built")
+
+    expected = checked()
+    monkeypatch.setattr(theorem, "lefschetz_chains", refused)
+    assert checked() == expected
+    assert expected[0][2] and not expected[0][1].hypothesis_holds  # the witness is a candidate
+    assert not hasattr(theorem, "ChainSlices")
 
 
 def test_torsion_witness_closures_share_a_shape_but_not_a_profile():
@@ -539,7 +582,7 @@ def test_local_condition_eliminates_each_closure_content_once(monkeypatch):
         assert all(check.passes for check in local_condition(X).values())
         assert len(calls) == len(contents) < 96
         calls.clear()  # so does the search's first-failure pass
-        assert _first_local_failure(X, lefschetz_chains(X, ZZ)) is None
+        assert _first_local_failure(X, ZZ) is None
         assert len(calls) == len(contents)
 
 
@@ -548,7 +591,7 @@ def test_local_condition_cap_counts_closure_cells_before_any_profile(monkeypatch
     assert 3 ** 14 - 2 ** 14 == 4_766_585 <= theorem.DEFAULT_CLOSURE_CAP < 3 ** 15 - 2 ** 15
     X = import_simplicial([("a", "b", "c", "d", "e")])
     assert sum(map(len, X.face_poset().down)) == 3 ** 5 - 2 ** 5 == 211
-    monkeypatch.setattr(theorem, "lefschetz_chains", None)  # reached only past the cap
+    monkeypatch.setattr(theorem, "closure_profiles", None)  # reached only past the cap
     monkeypatch.setattr(theorem, "DEFAULT_CLOSURE_CAP", 210)
     with pytest.raises(TooManyClosureCells) as info:
         local_condition(X)
@@ -643,13 +686,13 @@ def test_search_candidates_equal_fresh_candidate_checks(mode):
 
 
 def _record_closure_memos(monkeypatch):
-    """(memo, inside _reverify) for each closed_profile call from here on."""
+    """(memo, inside _reverify) for each closure_profiles call from here on."""
     calls, reverifying = [], []
-    closed_profile, reverify = ChainSlices.closed_profile, theorem._reverify
+    closure_profiles, reverify = theorem.closure_profiles, theorem._reverify
 
-    def recorded(self, ranks, memo):
+    def recorded(X, ring, memo):
         calls.append((memo, bool(reverifying)))
-        return closed_profile(self, ranks, memo)
+        return closure_profiles(X, ring, memo)
 
     def flagged(*args):
         reverifying.append(True)
@@ -658,7 +701,7 @@ def _record_closure_memos(monkeypatch):
         finally:
             reverifying.pop()
 
-    monkeypatch.setattr(ChainSlices, "closed_profile", recorded)
+    monkeypatch.setattr(theorem, "closure_profiles", recorded)
     monkeypatch.setattr(theorem, "_reverify", flagged)
     return calls
 
@@ -679,15 +722,15 @@ def test_search_memos_stay_within_their_bound(monkeypatch):
                                  ZZ)]
     calls = _record_closure_memos(monkeypatch)
     lengths = {}
-    original = ChainSlices.closed_profile
+    original = theorem.closure_profiles
 
-    def checked(self, ranks, memo):
-        profile = original(self, ranks, memo)
-        lengths[id(memo)] = length = _key_length(memo)
-        assert length == memo.length <= bound
-        return profile
+    def checked(X, ring, memo):
+        for item in original(X, ring, memo):
+            lengths[id(memo)] = length = _key_length(memo)
+            assert length == memo.length <= bound
+            yield item
 
-    monkeypatch.setattr(ChainSlices, "closed_profile", checked)
+    monkeypatch.setattr(theorem, "closure_profiles", checked)
     found = [(c.index, c.lef_text) for c in search_converse(cfg, ZZ, budget, 1)]
     assert len({id(memo) for memo, _ in calls}) == 2
     assert all(bound - 100 < length <= bound for length in lengths.values())
@@ -709,16 +752,21 @@ def test_reverification_memo_is_never_filled_by_the_draws(monkeypatch):
 
 
 def test_serial_search_eliminates_each_closure_content_once_per_memo(monkeypatch):
-    eliminated, current = [], []  # current: the memo of the closed_profile call under way
-    closed_profile = ChainSlices.closed_profile
+    eliminated, current = [], []  # current: the memo of the closure profile under way
+    closure_profiles = theorem.closure_profiles
     profile_from_boundaries = homology.profile_from_boundaries
 
-    def entered(self, ranks, memo):
-        current.append(memo)
-        try:
-            return closed_profile(self, ranks, memo)
-        finally:
-            current.pop()
+    def entered(X, ring, memo):
+        profiles = closure_profiles(X, ring, memo)
+        while True:
+            current.append(memo)
+            try:
+                item = next(profiles, None)
+            finally:
+                current.pop()
+            if item is None:
+                return
+            yield item
 
     def recorded(ring, sizes, boundary):
         if current:
@@ -727,7 +775,7 @@ def test_serial_search_eliminates_each_closure_content_once_per_memo(monkeypatch
             eliminated.append((id(current[-1]), tuple(sizes), columns))
         return profile_from_boundaries(ring, sizes, boundary)
 
-    monkeypatch.setattr(ChainSlices, "closed_profile", entered)
+    monkeypatch.setattr(theorem, "closure_profiles", entered)
     monkeypatch.setattr(homology, "profile_from_boundaries", recorded)
     for ring in (ZZ, GF(3)):
         eliminated.clear()
