@@ -24,7 +24,7 @@ from itertools import accumulate, chain
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .complexes import LefschetzComplex, _kappa_rows
-from .errors import NonFieldRing, NotClosed
+from .errors import NonFieldRing, NotClosed, TooManyClosureCells
 from .exact import (
     ExactMatrix,
     RingSpec,
@@ -161,21 +161,19 @@ class ChainSlices:
     generators is cut without being rebuilt or re-checked.
 
     ``keys[q][i]`` names the i-th degree-q generator (keys may repeat) and
-    ``boundary(q)`` is the degree-q boundary, over ``source``, as the slices
-    are; profiles are over ``ring``, which the caller has admitted them into.
-    Keeping the keys of a subcomplex, or of the complement of one, gives a
-    chain complex; a slice costs the nonzeros of its kept columns.
+    ``columns[q]`` are the degree-q boundary's columns, over ``source``, as
+    the slices are; profiles are over ``ring``, which the caller has admitted
+    them into.  Keeping the keys of a subcomplex, or of the complement of
+    one, gives a chain complex; a slice costs the nonzeros of its kept columns.
     """
 
     def __init__(self, ring: RingSpec, keys: Sequence[Sequence],
-                 boundary: Callable[[int], ExactMatrix]):
-        matrices = [boundary(q) for q in range(len(keys))]
-        self.ring, self.source = ring, matrices[0].ring if matrices else ring
+                 columns: Sequence[Sequence[Mapping]], source: RingSpec):
+        self.ring, self.keys, self._columns, self.source = ring, keys, columns, source
         self._at = {}
         for q, names in enumerate(keys):
             for i, key in enumerate(names):
                 self._at.setdefault(key, []).append((q, i))
-        self._columns = [matrix._cols for matrix in matrices]
 
     def positions(self, kept: Iterable) -> list:
         """Per degree, the ascending ambient indices of the kept generators."""
@@ -210,13 +208,9 @@ def stacked_chains(lower: ChainSlices, upper: ChainSlices) -> ChainSlices:
     """The two chain complexes as one, keyed alike and no boundary crossing:
     upper's degree q is at o + q, o being lower's number of degrees, to which
     upper is padded.  Columns are shared; upper's ints are read over lower's source."""
-    o = len(lower._columns)
-    stack = ChainSlices.__new__(ChainSlices)
-    stack.ring, stack.source = lower.ring, lower.source
-    stack._columns = lower._columns + upper._columns + [[]] * (o - len(upper._columns))
-    stack._at = {key: at + [(o + q, i) for q, i in upper._at[key]]
-                 for key, at in lower._at.items()}
-    return stack
+    pad = [[]] * (len(lower.keys) - len(upper.keys))
+    return ChainSlices(lower.ring, lower.keys + upper.keys + pad,
+                       lower._columns + upper._columns + pad, lower.source)
 
 
 # The most entries that the keys of a ClosureMemo hold in all.  A search over
@@ -385,7 +379,9 @@ def lefschetz_chains(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> Ch
     of a closed set A is the homology of A as a subcomplex."""
     ring = X.ring if ring is None else ring
     _admit(X.ring, ring, _kappa_rows(X))
-    return ChainSlices(ring, [X.cells_of_dim(q) for q in range(X.top_dim + 1)], X.boundary_matrix)
+    degrees = range(X.top_dim + 1)
+    return ChainSlices(ring, [X.cells_of_dim(q) for q in degrees],
+                       [X.boundary_matrix(q)._cols for q in degrees], X.ring)
 
 
 def lefschetz_homology(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> HomologyProfile:
@@ -396,7 +392,12 @@ def lefschetz_homology(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> 
     return profile_from_boundaries(ring, sizes, X.boundary_matrix)
 
 
-def closure_profiles(X: LefschetzComplex, ring: RingSpec, memo: dict) -> Iterator[tuple]:
+# Most closure cells in all: 4 766 585 on the 14-vertex simplex, 14 316 139 on 15.
+DEFAULT_CLOSURE_CAP = 10_000_000
+
+
+def closure_profiles(X: LefschetzComplex, ring: RingSpec,
+                     memo: Optional[dict] = None) -> Iterator[tuple]:
     """(cell id, profile over ``ring`` of its closure) for each cell of X,
     in rank order and lazily, so that a first-failure pass stops at it.
 
@@ -404,12 +405,18 @@ def closure_profiles(X: LefschetzComplex, ring: RingSpec, memo: dict) -> Iterato
     where each degree up to the cell's starts, empty degrees too, and
     renumbered by their places.  The key is the cuts, the renumbered facet
     ranks of the cells above degree 0, in rank order, and their κ values.
-    ``memo`` maps keys to profiles over ``ring``, a dict or a
-    :class:`ClosureMemo`; only a miss copies the columns out of the key and
-    eliminates them.  Each cell's facets are read off X as the walk reaches it.
+    ``memo`` maps keys to profiles over ``ring``, a :class:`ClosureMemo` or
+    a dict, fresh by default; only a miss copies the columns out of the key
+    and eliminates them.  Each cell's facets are read off X as the walk
+    reaches it.  Past ``DEFAULT_CLOSURE_CAP`` closure cells in all, raises
+    ``TooManyClosureCells`` before the ring is admitted or any profile taken.
     """
+    poset = X.face_poset()
+    total = sum(map(len, poset.down))
+    if total > DEFAULT_CLOSURE_CAP:
+        raise TooManyClosureCells(total, DEFAULT_CLOSURE_CAP)
     _admit(X.ring, ring, _kappa_rows(X))
-    poset, point = X.face_poset(), point_profile(ring)
+    memo, point = {} if memo is None else memo, point_profile(ring)
     ids, rank = poset.ids, poset.rank
     starts = list(accumulate((len(X.cells_of_dim(q)) for q in range(X.top_dim + 1)), initial=0))
     rows, values = [], []  # per rank: its facets' ranks, ascending, and their values

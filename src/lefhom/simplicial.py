@@ -150,7 +150,8 @@ def weak_point_core(X: LefschetzComplex) -> frozenset:
 
 def _rank_slices(by_dim: list, ring: RingSpec, keys: list) -> ChainSlices:
     """The chain complex of the rank chains ``by_dim``, generators named by ``keys``."""
-    return ChainSlices(ring, keys, lambda q: _boundary(by_dim[q - 1] if q else (), by_dim[q]))
+    return ChainSlices(ring, keys, [_boundary(by_dim[q - 1] if q else (), chains)._cols
+                                    for q, chains in enumerate(by_dim)], ZZ)
 
 
 def order_complex_chains(X: LefschetzComplex, ring: RingSpec) -> ChainSlices:

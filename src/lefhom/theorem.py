@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, NamedTuple, Optional
 
 from . import formats
 from .complexes import LefschetzComplex, is_augmentable
-from .errors import LefhomError, TooManyClosureCells, TooManySimplices
+from .errors import LefhomError, TooManySimplices
 from .exact import ZZ, RingSpec
 from .homology import (
     ClosureMemo,
@@ -52,31 +52,10 @@ __all__ = [
     "search_converse",
 ]
 
-# The most cells that the closures of a complex's cells may hold in all for
-# local_condition: the simplex on 14 vertices has 4 766 585, on 15 vertices
-# 14 316 139.
-DEFAULT_CLOSURE_CAP = 10_000_000
-
 
 class LocalCheck(NamedTuple):
     passes: bool
     profile: HomologyProfile
-
-
-def _closure_checks(X: LefschetzComplex, ring: RingSpec,
-                    memo: Optional[dict] = None) -> Iterator:
-    """(cell id, LocalCheck) in canonical cell order, computed lazily.
-
-    The closure profiles go through ``memo``: a fresh dict for this
-    iterator when none is given, which ``local_condition``, ``check`` and
-    ``corollary`` use.  A search passes a :class:`ClosureMemo` that lasts
-    across its complexes: one for the first-failure pass over its draws,
-    the whole search in serial or one per pool task, and another for
-    re-verification, which that pass never fills.
-    """
-    expected = point_profile(ring)
-    for cid, profile in closure_profiles(X, ring, {} if memo is None else memo):
-        yield cid, LocalCheck(profile == expected, profile)
 
 
 def local_condition(X: LefschetzComplex,
@@ -86,26 +65,24 @@ def local_condition(X: LefschetzComplex,
     Returned in canonical cell order; the failing cells are the obstruction
     to the comparison theorem's hypothesis.  Closures repeat: each is
     profiled through :func:`~lefhom.homology.closure_profiles`, which
-    eliminates only the first closure of each content.  The memo
-    lives for this call only.  Raises ``TooManyClosureCells`` before any
-    profile when the closures hold more than ``DEFAULT_CLOSURE_CAP`` cells
-    in all.
+    eliminates only the first closure of each content and caps the closure
+    cells in all (``TooManyClosureCells``).  The memo lives for this call only.
     """
     return _local_condition(X, X.ring if ring is None else ring)
 
 
 def _local_condition(X: LefschetzComplex, ring: RingSpec,
                      memo: Optional[dict] = None) -> Mapping[str, LocalCheck]:
-    total = sum(map(len, X.face_poset().down))
-    if total > DEFAULT_CLOSURE_CAP:
-        raise TooManyClosureCells(total, DEFAULT_CLOSURE_CAP)
-    return dict(_closure_checks(X, ring, memo))
+    expected = point_profile(ring)
+    return {cid: LocalCheck(profile == expected, profile)
+            for cid, profile in closure_profiles(X, ring, memo)}
 
 
 def _first_local_failure(X: LefschetzComplex, ring: RingSpec,
                          memo: Optional[dict] = None) -> Optional[str]:
-    return next((cid for cid, check in _closure_checks(X, ring, memo)
-                 if not check.passes), None)
+    expected = point_profile(ring)
+    return next((cid for cid, profile in closure_profiles(X, ring, memo)
+                 if profile != expected), None)
 
 
 class TheoremReport(NamedTuple):
@@ -209,7 +186,7 @@ def check_corollary(X: LefschetzComplex, ring: Optional[RingSpec] = None,
     local_ok = _first_local_failure(X, ring) is None
     space = order_complex_chains(X, ring)
     reducer = IncrementalReducer(stacked_chains(cells, space))
-    o, free, kept = len(cells._columns), reducer.free, reducer.kept
+    o, free, kept = len(cells.keys), reducer.free, reducer.kept
     mismatches = []  # the empty set has no homology on either side
     for x in steps:
         if x is None:

@@ -787,6 +787,9 @@ def test_stacked_slices_split_into_both_homologies(corpus, data_dir):
             stacked = homology.stacked_chains(cells, space)
             o = X.top_dim + 1
             assert len(stacked._columns) == 2 * o
+            # the constructor's table: X's places, then the order complex's at o + q
+            assert list(stacked._at.items()) == [
+                (key, at + [(o + q, i) for q, i in space._at[key]]) for key, at in cells._at.items()]
             for A in sets:
                 expected = cells.profile(A), space.profile(A)
                 assert _split_profile(stacked.profile(A), o) == expected, (

@@ -31,6 +31,7 @@ DELETED = [
     ("homology", "HomologyProfile", ["is_trivial", "is_point", "degrees"]),
     ("homology", "ChainSlices", ["closed_profile", "_rank_columns"]),
     ("formats", None, ["_cube_id"]),
+    ("theorem", None, ["_closure_checks", "DEFAULT_CLOSURE_CAP"]),
 ]
 
 

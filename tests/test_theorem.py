@@ -30,8 +30,10 @@ from lefhom import complexes, homology, theorem
 from lefhom.complexes import LefschetzComplex
 from lefhom.errors import (LefhomError, TooManyClosedSets, TooManyClosureCells, TooManySimplices,
                            UnsupportedRing)
+from lefhom.formats import GENERATOR_BOUNDS
 from lefhom.homology import ChainSlices, HomologyProfile, IncrementalReducer, lefschetz_chains
-from lefhom.simplicial import finite_space_homology, order_complex_chains
+from lefhom.simplicial import (DEFAULT_SIMPLEX_CAP, _poset_chains, finite_space_homology,
+                               order_complex_chains)
 from lefhom.theorem import (CorollaryReport, _derive_seed, _first_local_failure, _is_candidate,
                             _reverify)
 from lefhom.topology import closed_set_walk
@@ -586,13 +588,17 @@ def test_local_condition_eliminates_each_closure_content_once(monkeypatch):
         assert len(calls) == len(contents)
 
 
+def _refused(*args):
+    raise AssertionError("a closure was profiled past the cap")
+
+
 def test_local_condition_cap_counts_closure_cells_before_any_profile(monkeypatch, tmp_path, capsys):
     # the closures of the k-simplex's faces hold 3**k - 2**k cells in all
-    assert 3 ** 14 - 2 ** 14 == 4_766_585 <= theorem.DEFAULT_CLOSURE_CAP < 3 ** 15 - 2 ** 15
+    assert 3 ** 14 - 2 ** 14 == 4_766_585 <= homology.DEFAULT_CLOSURE_CAP < 3 ** 15 - 2 ** 15
     X = import_simplicial([("a", "b", "c", "d", "e")])
     assert sum(map(len, X.face_poset().down)) == 3 ** 5 - 2 ** 5 == 211
-    monkeypatch.setattr(theorem, "closure_profiles", None)  # reached only past the cap
-    monkeypatch.setattr(theorem, "DEFAULT_CLOSURE_CAP", 210)
+    monkeypatch.setattr(homology, "profile_from_boundaries", _refused)  # reached only past the cap
+    monkeypatch.setattr(homology, "DEFAULT_CLOSURE_CAP", 210)
     with pytest.raises(TooManyClosureCells) as info:
         local_condition(X)
     assert (info.value.total, info.value.cap) == (211, 210)
@@ -605,9 +611,40 @@ def test_local_condition_cap_counts_closure_cells_before_any_profile(monkeypatch
     assert out == ""
     assert err == "error: the closures of the cells hold 211 cells in all, over the cap of 210\n"
     monkeypatch.undo()
-    monkeypatch.setattr(theorem, "DEFAULT_CLOSURE_CAP", 211)
+    monkeypatch.setattr(homology, "DEFAULT_CLOSURE_CAP", 211)
     assert main(["check", "--format", "simplicial", str(path)]) == 0
     assert "hypothesis: true\n" in capsys.readouterr().out
+
+
+def test_every_closure_pass_is_capped(monkeypatch):
+    # the cap is checked inside closure_profiles, so the corollary's local
+    # pass and a search draw's are capped as check's is
+    X = import_simplicial([("a", "b", "c", "d", "e")])  # 211 closure cells
+    count = len(enumerate_closed_sets(X))
+    monkeypatch.setattr(homology, "profile_from_boundaries", _refused)
+    monkeypatch.setattr(homology, "DEFAULT_CLOSURE_CAP", 210)
+    for run in (local_condition, check_theorem, lambda X: _first_local_failure(X, ZZ),
+                check_corollary):
+        with pytest.raises(TooManyClosureCells) as info:
+            run(X)
+        assert (info.value.total, info.value.cap) == (211, 210)
+    for cap in (1, count - 1):  # the closed-set walk refuses first
+        with pytest.raises(TooManyClosedSets):
+            check_corollary(X, cap=cap)
+
+
+def test_no_answered_input_reaches_the_closure_cap(corpus, sweep_corpus):
+    # each closure cell y <= x gives the order complex a chain, (y, x) or
+    # (x), so a corollary past the closure cap is past the simplex cap too
+    for X in [X for _, X in corpus] + [X for _, X in sweep_corpus]:
+        _, by_dim = _poset_chains(X, None, DEFAULT_SIMPLEX_CAP)
+        assert sum(map(len, by_dim)) >= sum(map(len, X.face_poset().down)), render_lef(X)
+    # a search draw has at most n cells: n / max_cells_per_dim is the
+    # faces of a simplex of the top dimension, 27 those of a cube in 3 axes
+    bounds = GENERATOR_BOUNDS
+    n = bounds["max_cells_per_dim"] * (2 ** (bounds["max_dimension"] + 1) - 1)
+    assert bounds["max_cells_per_dim"] * 27 <= n == 4_032
+    assert n + n * (n - 1) // 2 == 8_130_528 < homology.DEFAULT_CLOSURE_CAP
 
 
 # -- converse search ---------------------------------------------------------
