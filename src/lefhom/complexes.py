@@ -15,8 +15,9 @@ relies on them.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import (
     DuplicateCellId,
@@ -41,42 +42,41 @@ class FacePoset:
     """Reflexive-transitive closure of the facet relation of a complex, a
     record read by field.
 
-    A cell's rank is its place in ``ids``, the (dim, id) cell order, which
-    extends the face order; ``rank`` maps ids back to ranks.  ``down[r]`` is
-    the frozenset of ranks of the faces of cell r, r included, ``up[r]`` that
-    of its cofaces: s is in ``down[r]`` exactly when r is in ``up[s]``.
+    A cell's rank is its place in X's (dim, id) order, ``X._ids``, which
+    extends the face order; ``X._rank`` maps ids back to ranks.  ``down[r]``
+    is the frozenset of ranks of the faces of cell r, r included, ``up[r]``
+    that of its cofaces: s is in ``down[r]`` exactly when r is in ``up[s]``.
     Antisymmetry is automatic because a strict face has strictly smaller
     dimension.  Down-sets grow along X's facets, up-sets along the cofacets
-    of :func:`_cofacet_ranks`.  Ranks are not checked here: callers check
-    ids with :func:`_cellset` first.
+    of :func:`_cofacets`.  Ranks are not checked here: callers check ids
+    with :func:`_cellset` first.
     """
 
-    __slots__ = ("ids", "rank", "down", "up")
+    __slots__ = ("down", "up")
 
     def __init__(self, X: LefschetzComplex):
-        ids, rank, cofacets = _cofacet_ranks(X)
+        rank, cofacets = X._rank, _cofacets(X)
         down = []
-        for r, x in enumerate(ids):
+        for r, x in enumerate(X._ids):
             faces = {r}
             for y in X._facets[x]:
                 faces |= down[rank[y]]
             down.append(frozenset(faces))
-        up = [None] * len(ids)
-        for r in reversed(range(len(ids))):
+        up = [None] * len(down)
+        for r in reversed(range(len(down))):
             cofaces = {r}
             for c in cofacets[r]:
                 cofaces |= up[c]
             up[r] = frozenset(cofaces)
-        self.ids, self.rank, self.down, self.up = ids, rank, down, up
+        self.down, self.up = down, up
 
 
-def _graded(dims: Mapping[str, int]) -> dict:
-    """{dim: the ids of that dimension, sorted}: the (dim, id) order of the
-    cells, degree by degree, which boundary matrices and ranks follow."""
-    by_dim = {}
-    for cid, dim in dims.items():
-        by_dim.setdefault(dim, []).append(cid)
-    return {d: tuple(sorted(ids)) for d, ids in by_dim.items()}
+def _graded(dims: Mapping[str, int]) -> tuple:
+    """The ids in (dim, id) order, which extends the face order, and where each
+    degree 0..top starts in it, empty degrees too, then the cell count."""
+    ids = tuple(sorted(sorted(dims), key=dims.__getitem__))  # a stable sort: by id in a degree
+    top = dims[ids[-1]] if ids else -1
+    return ids, [bisect_left(ids, q, key=dims.__getitem__) for q in range(top + 1)] + [len(ids)]
 
 
 def _checked_dims(cells: list) -> dict:
@@ -115,11 +115,12 @@ class LefschetzComplex:
     Construction performs the full validation (id sanity, grading, and the
     incidence-product condition).  ``_of_valid`` takes a store that is valid
     already, such as a locally closed part of a complex's, unchecked.
-    Boundary matrices and the face poset are memoized per instance,
-    write-once.
+    ``_adopt`` builds the (dim, id) cell order once (:func:`_graded`);
+    boundary matrices and the face poset are memoized, write-once.
     """
 
-    __slots__ = ("ring", "_dims", "_by_dim", "_facets", "_cells", "_poset", "_boundary_cache")
+    __slots__ = ("ring", "_dims", "_facets", "_ids", "_starts", "_rank", "_poset",
+                 "_boundary_cache")
 
     def __init__(self, cells: Iterable, kappa, ring: RingSpec):
         dims = _checked_dims(list(cells))
@@ -173,19 +174,17 @@ class LefschetzComplex:
         return self
 
     def _adopt(self, ring: RingSpec, dims: dict, facets: dict) -> None:
-        self.ring, self._dims, self._facets, self._by_dim = ring, dims, facets, _graded(dims)
-        self._cells = self._poset = None
-        self._boundary_cache = {}
+        self.ring, self._dims, self._facets = ring, dims, facets
+        self._ids, self._starts = _graded(dims)
+        self._rank = dict(zip(self._ids, range(len(dims))))
+        self._poset, self._boundary_cache = None, {}
 
     # -- cell access ---------------------------------------------------
 
     @property
     def cells(self) -> tuple:
-        """All cells sorted by (dim, id), built once."""
-        if self._cells is None:
-            self._cells = tuple(Cell(cid, dim) for dim, cid
-                                in sorted((d, c) for c, d in self._dims.items()))
-        return self._cells
+        """All cells sorted by (dim, id), built when read."""
+        return tuple(Cell(x, self._dims[x]) for x in self._ids)
 
     @property
     def cell_ids(self) -> frozenset:
@@ -204,10 +203,11 @@ class LefschetzComplex:
 
     @property
     def top_dim(self) -> int:
-        return max(self._dims.values(), default=-1)
+        return len(self._starts) - 2
 
     def cells_of_dim(self, q: int) -> tuple:
-        return self._by_dim.get(q, ())
+        starts = self._starts
+        return self._ids[starts[q]:starts[q + 1]] if 0 <= q < len(starts) - 1 else ()
 
     # -- incidence data --------------------------------------------------
 
@@ -230,12 +230,12 @@ class LefschetzComplex:
         """Boundary from degree q to q-1; rows/columns in sorted-id order."""
         mat = self._boundary_cache.get(q)
         if mat is None:
-            rows = self.cells_of_dim(q - 1)
-            cols = self.cells_of_dim(q)
-            rindex = {y: i for i, y in enumerate(rows)}
-            # facet values were converted and checked nonzero at construction
-            mat = ExactMatrix._wrap(len(rows), [{rindex[y]: v for y, v in self._facets[x].items()}
-                                                for x in cols], self.ring)
+            rows, cols = self.cells_of_dim(q - 1), self.cells_of_dim(q)
+            start, rank = self._starts[q - 1] if rows else 0, self._rank
+            # a row is its cell's rank past degree q - 1's start; facet values
+            # were converted and checked nonzero at construction
+            mat = ExactMatrix._wrap(len(rows), [
+                {rank[y] - start: v for y, v in self._facets[x].items()} for x in cols], self.ring)
             self._boundary_cache[q] = mat
         return mat
 
@@ -267,22 +267,22 @@ def _cellset(X: LefschetzComplex, A: Iterable) -> frozenset:
     return A
 
 
-def _cofacet_ranks(X: LefschetzComplex) -> tuple:
-    """X's ids in (dim, id) order, {id: its rank there}, and per rank the
-    ascending ranks of its cofacets: the facets read upward."""
-    ids = tuple(x for q in sorted(X._by_dim) for x in X._by_dim[q])
-    rank = {x: r for r, x in enumerate(ids)}
-    cofacets = [[] for _ in ids]
-    for r, x in enumerate(ids):
+def _cofacets(X: LefschetzComplex) -> list:
+    """Per rank, the ascending ranks of its cofacets: X's facets read upward."""
+    rank = X._rank
+    cofacets = [[] for _ in X._ids]
+    for r, x in enumerate(X._ids):
         for y in X._facets[x]:
             cofacets[rank[y]].append(r)
-    return ids, rank, cofacets
+    return cofacets
 
 
-def _kappa_rows(X: LefschetzComplex) -> Iterator[dict]:
-    """X's {facet: κ} rows, lazily, in (dim, id) order: what entry points admit."""
-    for q in sorted(X._by_dim):
-        yield from map(X._facets.__getitem__, X._by_dim[q])
+def _admitted(X: LefschetzComplex, ring: Optional[RingSpec]) -> RingSpec:
+    """``ring``, X's own when None, once X's κ rows are admitted into it in
+    (dim, id) order: the one ring check of every entry point that reads κ."""
+    ring = X.ring if ring is None else ring
+    _admit(X.ring, ring, map(X._facets.__getitem__, X._ids))
+    return ring
 
 
 def is_augmentable(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> bool:
@@ -291,8 +291,7 @@ def is_augmentable(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> bool
     That is exactly the condition for the all-ones functional on 0-cells to
     annihilate the degree-1 boundary; vacuously true without 1-cells.
     """
-    ring = X.ring if ring is None else ring
-    _admit(X.ring, ring, _kappa_rows(X))
+    ring = _admitted(X, ring)
     # _admit refused each value ring cannot hold, so each sum converts as its terms do
     return not any(ring.convert(sum(col.values())) for col in X.boundary_matrix(1)._cols)
 

@@ -432,16 +432,16 @@ def _basis_change(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:
     # have: nothing is built or validated until the moves are made
     faces, signs = _simplicial_cells(_random_faces(rng, cfg))
     dims = dict(faces)
-    basis = _graded(dims)  # a simplicial complex has cells in each degree up to its top
-    top = len(basis) - 1
-    at = {cid: i for ids in basis.values() for i, cid in enumerate(ids)}
+    ids, starts = _graded(dims)
+    basis = [ids[a:b] for a, b in zip(starts, starts[1:])]  # the ids of each degree
+    at = {cid: r - starts[dims[cid]] for r, cid in enumerate(ids)}  # places in their degrees
     # a {row: value} boundary column per cell, degree q's in cols[q]
-    cols = {q: [{} for _ in basis[q]] for q in range(1, top + 1)}
+    cols = {q: [{} for _ in basis[q]] for q in range(1, len(basis))}
     for (x, y), sign in signs.items():
         cols[dims[x]][at[x]][at[y]] = sign
 
     for _ in range(cfg.transform_steps):
-        eligible = [q for q in range(1, top + 1) if len(basis[q]) >= 2]
+        eligible = [q for q in range(1, len(basis)) if len(basis[q]) >= 2]
         if not eligible:
             break
         q = rng.choice(eligible)
@@ -459,7 +459,7 @@ def _basis_change(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:
             if u in col:
                 col[v] = col.get(v, 0) - m * col[u]
 
-    cells = [(cid, q) for q in range(top + 1) for cid in basis[q]]
+    cells = [(cid, dims[cid]) for cid in ids]
     kappa = [((x, basis[q - 1][row]), value) for q in cols
              for x, col in zip(basis[q], cols[q]) for row, value in sorted(col.items()) if value]
     return build_complex(cells, kappa, ZZ)

@@ -20,16 +20,15 @@ against each other.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .complexes import LefschetzComplex, _kappa_rows
+from .complexes import LefschetzComplex, _admitted
 from .errors import NonFieldRing, NotClosed, TooManyClosureCells
 from .exact import (
     ExactMatrix,
     RingSpec,
     ZZ,
-    _admit,
     _converter,
     _reduce,
     _reduce_column,
@@ -377,8 +376,7 @@ class IncrementalReducer:
 def lefschetz_chains(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> ChainSlices:
     """The cell chain complex of X as slices keyed by cell: ``profile(A)``
     of a closed set A is the homology of A as a subcomplex."""
-    ring = X.ring if ring is None else ring
-    _admit(X.ring, ring, _kappa_rows(X))
+    ring = _admitted(X, ring)
     degrees = range(X.top_dim + 1)
     return ChainSlices(ring, [X.cells_of_dim(q) for q in degrees],
                        [X.boundary_matrix(q)._cols for q in degrees], X.ring)
@@ -386,8 +384,7 @@ def lefschetz_chains(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> Ch
 
 def lefschetz_homology(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> HomologyProfile:
     """Homology of the cell chain complex of X over ``ring``, by default X's own."""
-    ring = X.ring if ring is None else ring
-    _admit(X.ring, ring, _kappa_rows(X))
+    ring = _admitted(X, ring)
     sizes = [len(X.cells_of_dim(q)) for q in range(X.top_dim + 1)]
     return profile_from_boundaries(ring, sizes, X.boundary_matrix)
 
@@ -402,9 +399,10 @@ def closure_profiles(X: LefschetzComplex, ring: RingSpec,
     in rank order and lazily, so that a first-failure pass stops at it.
 
     A closure is a down-set of X's face poset.  Its sorted ranks are cut
-    where each degree up to the cell's starts, empty degrees too, and
-    renumbered by their places.  The key is the cuts, the renumbered facet
-    ranks of the cells above degree 0, in rank order, and their κ values.
+    at ``X._starts``, where each degree up to the cell's starts in X's
+    order, empty degrees too, and renumbered by their places.  The key is
+    the cuts, the renumbered facet ranks of the cells above degree 0, in
+    rank order, and their κ values.
     ``memo`` maps keys to profiles over ``ring``, a :class:`ClosureMemo` or
     a dict, fresh by default; only a miss copies the columns out of the key
     and eliminates them.  Each cell's facets are read off X as the walk
@@ -415,10 +413,9 @@ def closure_profiles(X: LefschetzComplex, ring: RingSpec,
     total = sum(map(len, poset.down))
     if total > DEFAULT_CLOSURE_CAP:
         raise TooManyClosureCells(total, DEFAULT_CLOSURE_CAP)
-    _admit(X.ring, ring, _kappa_rows(X))
+    _admitted(X, ring)
     memo, point = {} if memo is None else memo, point_profile(ring)
-    ids, rank = poset.ids, poset.rank
-    starts = list(accumulate((len(X.cells_of_dim(q)) for q in range(X.top_dim + 1)), initial=0))
+    ids, rank, starts = X._ids, X._rank, X._starts
     rows, values = [], []  # per rank: its facets' ranks, ascending, and their values
     for r, x in enumerate(ids):
         facets, dim = X._facets[x], X._dims[x]
@@ -463,8 +460,7 @@ def relative_homology(X: LefschetzComplex, closed_part: Iterable,
     Computed as the absolute homology of the open complement, which carries
     the quotient chain complex verbatim (same matrices, fewer rows/columns).
     """
-    ring = X.ring if ring is None else ring
-    _admit(X.ring, ring, _kappa_rows(X))
+    ring = _admitted(X, ring)
     part = _require_closed(X, closed_part)
     return lefschetz_homology(restrict(X, X.cell_ids - part), ring)
 
@@ -556,7 +552,7 @@ def long_exact_sequence(X: LefschetzComplex, closed_part: Iterable,
     """
     if not ring.is_field:
         raise NonFieldRing("the exact-sequence checker needs field coefficients")
-    _admit(X.ring, ring, _kappa_rows(X))
+    _admitted(X, ring)
     part = _require_closed(X, closed_part)
 
     top, convert = X.top_dim, _converter(X.ring, ring, scaled=False)

@@ -41,10 +41,10 @@ DEFAULT_SIMPLEX_CAP = 200_000
 
 
 def _boundary(rows: Sequence[tuple], cols: Sequence[tuple]) -> ExactMatrix:
-    """Each simplex of ``cols`` gives its face without vertex i the sign (-1)**i."""
-    rindex = {s: i for i, s in enumerate(rows)}
+    """Each simplex of ``cols`` gives its face without vertex i, if in ``rows``, sign (-1)**i."""
+    rindex = {s: i for i, s in enumerate(rows)}.get
     return ExactMatrix._wrap(len(rows), [
-        {rindex[s[:i] + s[i + 1:]]: (1, -1)[i % 2] for i in range(len(s)) if rindex}
+        {r: (1, -1)[i % 2] for i in range(len(s)) if (r := rindex(s[:i] + s[i + 1:])) is not None}
         for s in cols], ZZ)
 
 
@@ -59,13 +59,12 @@ class SimplicialComplex(LefschetzComplex):
 
 
 def _poset_chains(X: LefschetzComplex, subspace: Optional[frozenset], max_simplices: int):
-    """The cell ids and, one list per dimension, the chains inside
-    ``subspace`` (all cells when None) as rank tuples.  The chains starting
-    at x are x, then each chain starting at a cell above x, in ascending
-    rank: so every list comes out sorted."""
-    poset = X.face_poset()
-    cells = [r for r, x in enumerate(poset.ids) if subspace is None or x in subspace]
-    up, keep = poset.up, set(cells)
+    """One list per dimension of the chains inside ``subspace`` (all cells
+    when None) as tuples of X's ranks.  The chains starting at x are x,
+    then each chain starting at a cell above x, in ascending rank: so every
+    list comes out sorted."""
+    cells = [r for r, x in enumerate(X._ids) if subspace is None or x in subspace]
+    up, keep = X.face_poset().up, set(cells)
     starting = {}
     total = 0
     for x in reversed(cells):
@@ -80,7 +79,7 @@ def _poset_chains(X: LefschetzComplex, subspace: Optional[frozenset], max_simpli
     for x in cells:
         for chain in starting[x]:
             by_dim.setdefault(len(chain) - 1, []).append(chain)
-    return poset.ids, [by_dim[q] for q in range(len(by_dim))]  # faces of chains are chains
+    return [by_dim[q] for q in range(len(by_dim))]  # faces of chains are chains
 
 
 def order_complex(X: LefschetzComplex,
@@ -99,9 +98,9 @@ def order_complex(X: LefschetzComplex,
     is exponential in poset height, hence the cap.
     """
     subspace = subspace if subspace is None else _cellset(X, subspace)
-    ids, by_dim = _poset_chains(X, subspace, max_simplices)
-    width = len(str(len(ids) - 1))
-    digits = [f"{r:0{width}}" for r in range(len(ids))]
+    by_dim = _poset_chains(X, subspace, max_simplices)
+    width = len(str(len(X) - 1))
+    digits = [f"{r:0{width}}" for r in range(len(X))]
     names, cells, kappa = {}, [], []
     for q, chains in enumerate(by_dim):
         for chain in chains:
@@ -145,13 +144,7 @@ def weak_point_core(X: LefschetzComplex) -> frozenset:
                 break
         else:
             kept.add(x)
-    return frozenset([poset.ids[r] for r in live])
-
-
-def _rank_slices(by_dim: list, ring: RingSpec, keys: list) -> ChainSlices:
-    """The chain complex of the rank chains ``by_dim``, generators named by ``keys``."""
-    return ChainSlices(ring, keys, [_boundary(by_dim[q - 1] if q else (), chains)._cols
-                                    for q, chains in enumerate(by_dim)], ZZ)
+    return frozenset([X._ids[r] for r in live])
 
 
 def order_complex_chains(X: LefschetzComplex, ring: RingSpec) -> ChainSlices:
@@ -166,9 +159,11 @@ def order_complex_chains(X: LefschetzComplex, ring: RingSpec) -> ChainSlices:
     exact in any row order, since every ready pivot sits in its table; in
     this one its essential columns have met no ready pivot on any input
     tried.  The corollary stacks these degrees above X's, as many or fewer."""
-    ids, by_dim = _poset_chains(X, None, DEFAULT_SIMPLEX_CAP)
-    by_dim = [sorted(chains, key=itemgetter(-1)) for chains in by_dim]
-    return _rank_slices(by_dim, ring, [[ids[chain[-1]] for chain in chains] for chains in by_dim])
+    by_dim = [sorted(chains, key=itemgetter(-1))
+              for chains in _poset_chains(X, None, DEFAULT_SIMPLEX_CAP)]
+    return ChainSlices(ring, [[X._ids[chain[-1]] for chain in chains] for chains in by_dim],
+                       [_boundary(by_dim[q - 1] if q else (), chains)._cols
+                        for q, chains in enumerate(by_dim)], ZZ)
 
 
 def finite_space_homology(X: LefschetzComplex, ring: Optional[RingSpec] = None,
@@ -181,7 +176,7 @@ def finite_space_homology(X: LefschetzComplex, ring: Optional[RingSpec] = None,
     homology.  ``max_simplices`` caps the core's chains, not the poset's.
     """
     ring = X.ring if ring is None else ring
-    _, by_dim = _poset_chains(X, weak_point_core(X), max_simplices)
+    by_dim = _poset_chains(X, weak_point_core(X), max_simplices)
     return profile_from_boundaries(ring, [len(chains) for chains in by_dim],
                                    lambda q: _boundary(by_dim[q - 1], by_dim[q]))
 
@@ -193,11 +188,12 @@ def relative_finite_space_homology(X: LefschetzComplex, subspace: Iterable,
 
     A needs no closure property: its order complex is the full subcomplex
     of the ambient order complex on the cells of A, so the quotient keeps
-    the chains with a cell outside A.
+    the chains with a cell outside A, and each boundary its faces among them.
     """
     ring = X.ring if ring is None else ring
     subspace = _cellset(X, subspace)
-    ids, by_dim = _poset_chains(X, None, max_simplices)
-    outside = {r for r, x in enumerate(ids) if x not in subspace}
-    return _rank_slices(by_dim, ring, by_dim).profile(
-        chain for chains in by_dim for chain in chains if not outside.isdisjoint(chain))
+    outside = {r for r, x in enumerate(X._ids) if x not in subspace}
+    rel = [[chain for chain in chains if not outside.isdisjoint(chain)]
+           for chains in _poset_chains(X, None, max_simplices)]
+    return profile_from_boundaries(ring, [len(chains) for chains in rel],
+                                   lambda q: _boundary(rel[q - 1], rel[q]))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .complexes import LefschetzComplex, _cellset, _cofacet_ranks
+from .complexes import LefschetzComplex, _cellset, _cofacets
 from .errors import NotLocallyClosed, TooManyClosedSets
 
 __all__ = [
@@ -34,7 +34,7 @@ DEFAULT_CLOSED_SET_CAP = 100_000
 def _walk(step, A) -> set:
     """The exit steps of A (its cells' steps outside it) and all past them, a
     level per step: down with ``X._facets``, up with the cofacets of
-    :func:`~lefhom.complexes._cofacet_ranks`, on ranks."""
+    :func:`~lefhom.complexes._cofacets`, on X's ranks."""
     walked, level = set(), A
     while level:
         level = set().union(*map(step.__getitem__, level)) - (walked or A)  # first: exits
@@ -51,9 +51,8 @@ def closure(X: LefschetzComplex, A: Iterable) -> frozenset:
 def open_hull(X: LefschetzComplex, A: Iterable) -> frozenset:
     """Smallest open set containing A: A and the walk up from its exit cofacets."""
     A = _cellset(X, A)
-    ids, rank, cofacets = _cofacet_ranks(X)
-    above = _walk(cofacets, {rank[x] for x in A})
-    return A.union(map(ids.__getitem__, above))
+    above = _walk(_cofacets(X), set(map(X._rank.__getitem__, A)))
+    return A.union(map(X._ids.__getitem__, above))
 
 
 def mouth(X: LefschetzComplex, A: Iterable) -> frozenset:
@@ -103,7 +102,7 @@ def closed_set_walk(X: LefschetzComplex, cap: int = DEFAULT_CLOSED_SET_CAP) -> l
     X's incidences both ways and builds no face poset; sets are int bitmasks
     of ranks.  Raises TooManyClosedSets past ``cap`` sets, before returning.
     """
-    ids, rank, cofacets = _cofacet_ranks(X)  # ranks follow (dim, id): a linear extension
+    ids, rank, cofacets = X._ids, X._rank, _cofacets(X)  # (dim, id) ranks: a linear extension
     needs = [sum(1 << rank[y] for y in X._facets[x]) for x in ids]  # distinct bits: an OR
 
     # Depth first over include/exclude decisions in cell order.  A node is

@@ -104,14 +104,12 @@ def sweep_corpus():
 
 def poset_below(X, x):
     """The ids of the face poset's down-set of x: the faces of x, x included."""
-    poset = X.face_poset()
-    return frozenset([poset.ids[r] for r in poset.down[poset.rank[x]]])
+    return frozenset([X._ids[r] for r in X.face_poset().down[X._rank[x]]])
 
 
 def poset_above(X, y):
     """The ids of the face poset's up-set of y: the cofaces of y, y included."""
-    poset = X.face_poset()
-    return frozenset([poset.ids[r] for r in poset.up[poset.rank[y]]])
+    return frozenset([X._ids[r] for r in X.face_poset().up[X._rank[y]]])
 
 
 def random_closed_set(X, rng: random.Random):

@@ -12,6 +12,7 @@ from lefhom import (
     ZZ,
     build_complex,
     closure,
+    import_cubical,
     import_simplicial,
     is_closed,
     mouth,
@@ -30,6 +31,7 @@ from lefhom.errors import (
     LefSyntaxError,
     UnknownCellReference,
 )
+from lefhom.complexes import _cofacets
 from tests.conftest import poset_above, poset_below
 
 
@@ -295,6 +297,43 @@ def test_complex_equality(star):
     assert clone == star
     other = build_complex([("a", 0)], {}, ZZ)
     assert other != star
+
+
+def _boundary_oracle(X, q):
+    """Boundary q as built with a per-degree row index, from the public queries."""
+    rows, cols = (sorted(x for x in X.cell_ids if X.dim_of(x) == d) for d in (q - 1, q))
+    rindex = {y: i for i, y in enumerate(rows)}
+    return ExactMatrix(len(rows), len(cols), {(rindex[y], j): X.kappa(x, y) for j, x in
+                                              enumerate(cols) for y in X.facets(x)}, X.ring)
+
+
+def test_the_complex_owns_one_cell_order(corpus):
+    grid = import_cubical([[(i, i + 1), (j, j + 1)] for i in range(4) for j in range(4)])
+    open_grid = restrict(grid, open_hull(grid, grid.cells_of_dim(1)))
+    assert len(open_grid.cells_of_dim(0)) == 0 < len(open_grid)  # edges and squares only
+    inputs = corpus + [
+        ("vertex_and_square", build_complex([("v", 0), ("s", 2)], {}, ZZ)),
+        ("vertex_and_edge", build_complex([("v", 0), ("e", 1)], {}, ZZ)),
+        ("empty", build_complex([], {}, ZZ)),
+        ("open_grid", open_grid),
+    ]
+    for name, X in inputs:
+        dim = {x: X.dim_of(x) for x in X.cell_ids}
+        top = max(dim.values(), default=-1)
+        assert X._ids == tuple(sorted(dim, key=lambda x: (dim[x], x))), name
+        assert X._rank == {x: r for r, x in enumerate(X._ids)}, name
+        starts = [sum(d < q for d in dim.values()) for q in range(top + 1)] + [len(X)]
+        assert X._starts == starts, name  # empty degrees too
+        assert X.top_dim == top, name
+        for q in range(-1, top + 2):
+            assert X.cells_of_dim(q) == tuple(sorted(x for x in dim if dim[x] == q)), (name, q)
+        for q in range(-1, top + 3):
+            assert X.boundary_matrix(q) == _boundary_oracle(X, q), (name, q)
+        cofacets = _cofacets(X)
+        assert len(cofacets) == len(X), name
+        for r, above in enumerate(cofacets):
+            assert above == sorted(above), (name, r)
+            assert above == [s for s, x in enumerate(X._ids) if X._ids[r] in X.facets(x)], (name, r)
 
 
 def test_cells_property_sorted(star):

@@ -32,6 +32,10 @@ DELETED = [
     ("homology", "ChainSlices", ["closed_profile", "_rank_columns"]),
     ("formats", None, ["_cube_id"]),
     ("theorem", None, ["_closure_checks", "DEFAULT_CLOSURE_CAP"]),
+    ("complexes", None, ["_cofacet_ranks", "_kappa_rows"]),
+    ("complexes", "FacePoset", ["ids", "rank"]),
+    ("complexes", "LefschetzComplex", ["_by_dim", "_cells"]),
+    ("simplicial", None, ["_rank_slices"]),
 ]
 
 

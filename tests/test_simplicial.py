@@ -190,7 +190,7 @@ def test_order_complex_boundaries_are_the_rank_routes_boundaries(data_dir, corpu
         ids = sorted(X.cell_ids)
         for subspace in (None, frozenset(ids[::2]), weak_point_core(X)):
             K = order_complex(X, subspace=subspace)
-            _, by_dim = simplicial._poset_chains(X, subspace, simplicial.DEFAULT_SIMPLEX_CAP)
+            by_dim = simplicial._poset_chains(X, subspace, simplicial.DEFAULT_SIMPLEX_CAP)
             assert [len(K.cells_of_dim(q)) for q in range(K.top_dim + 1)] == list(map(len, by_dim))
             for q in range(len(by_dim) + 1):
                 rows, cols = by_dim[q - 1] if q else (), by_dim[q] if q < len(by_dim) else ()

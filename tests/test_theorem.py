@@ -637,7 +637,7 @@ def test_no_answered_input_reaches_the_closure_cap(corpus, sweep_corpus):
     # each closure cell y <= x gives the order complex a chain, (y, x) or
     # (x), so a corollary past the closure cap is past the simplex cap too
     for X in [X for _, X in corpus] + [X for _, X in sweep_corpus]:
-        _, by_dim = _poset_chains(X, None, DEFAULT_SIMPLEX_CAP)
+        by_dim = _poset_chains(X, None, DEFAULT_SIMPLEX_CAP)
         assert sum(map(len, by_dim)) >= sum(map(len, X.face_poset().down)), render_lef(X)
     # a search draw has at most n cells: n / max_cells_per_dim is the
     # faces of a simplex of the top dimension, 27 those of a cube in 3 axes

@@ -19,7 +19,7 @@ from lefhom import (
     parse_lef,
     restrict,
 )
-from lefhom.complexes import LefschetzComplex, _cofacet_ranks
+from lefhom.complexes import LefschetzComplex, _cofacets
 from lefhom.errors import NotLocallyClosed, TooManyClosedSets, UnknownCellReference
 from lefhom.topology import closed_set_walk
 from tests.conftest import poset_above, poset_below
@@ -193,7 +193,7 @@ def test_enumerate_closed_sets_cap_on_many_cells():
 def _list_walk(X, cap):
     """The walk with its addable cells as sorted rank lists: each child keeps
     its parent's list past its own place, plus the newly addable cofacets."""
-    ids, rank, cofacets = _cofacet_ranks(X)
+    ids, rank, cofacets = X._ids, X._rank, _cofacets(X)
     needs = [sum(1 << rank[y] for y in X._facets[x]) for x in ids]
     steps = []
     count = 0
