@@ -32,6 +32,11 @@ __all__ = ["Cell", "LefschetzComplex", "FacePoset", "build_complex", "is_augment
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
+# Highest cell dimension a complex may have: a complex keeps one degree start
+# per degree and reports list every degree up to the top one, so an absurd
+# dimension would otherwise run for ever.
+MAX_LEF_DIM = 1000
+
 
 class Cell(NamedTuple):
     id: str
@@ -80,10 +85,11 @@ def _graded(dims: Mapping[str, int]) -> tuple:
 
 
 def _checked_dims(cells: list) -> dict:
-    """{id: dim} of the (id, dim) pairs, the first bad pair raised.  The
-    pairs are checked all at once; only pairs that fail that are walked one
-    by one, which raises the first error in their order, or admits what the
-    checks at once leave out: no cells, or a subclass of int as a dimension."""
+    """{id: dim} of the (id, dim) pairs, the first bad pair raised, a
+    dimension above ``MAX_LEF_DIM`` included.  The pairs are checked all at
+    once; only pairs that fail that are walked one by one, which raises the
+    first error in their order, or admits what the checks at once leave out:
+    no cells, or a subclass of int as a dimension."""
     try:
         dims = dict(cells)
         every_id = "".join(dims)
@@ -92,7 +98,8 @@ def _checked_dims(cells: list) -> dict:
     else:
         # non-empty ids over the alphabet; dims of type int, so no bool
         if (len(dims) == len(cells) and all(dims) and _ID_RE.match(every_id)
-                and set(map(type, dims.values())) == {int} and min(dims.values()) >= 0):
+                and set(map(type, dims.values())) == {int}
+                and 0 <= min(dims.values()) and max(dims.values()) <= MAX_LEF_DIM):
             return dims
     dims = {}
     valid_id = _ID_RE.match
@@ -103,6 +110,8 @@ def _checked_dims(cells: list) -> dict:
         # a bool is an int, but render_lef would write it as True or False
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise InvalidCellId(f"cell {cid!r} has bad dimension {dim!r}")
+        if dim > MAX_LEF_DIM:
+            raise InvalidCellId(f"cell {cid!r} has dimension {dim}, above the maximum {MAX_LEF_DIM}")
         if cid in dims:
             raise DuplicateCellId(f"cell id {cid!r} declared twice")
         dims[cid] = dim

@@ -534,8 +534,9 @@ def _reduction(matrix: ExactMatrix, ring: RingSpec, cleared=(), dropped=frozense
     column f that reduces to zero, in ascending order, to its record as a
     sparse ``{column: value}`` dict: the kernel vector with a 1 at f and
     its support on f and the pivot columns before it.  ``boundaries`` maps
-    the lowest row of every other column to that column, with a 1 there
-    and its record dropped: an echelon basis of the image.
+    the lowest row of every other column to that column as reduced, with a
+    1 there and its record kept at the negative rows: an echelon basis of
+    the image.
 
     The columns in ``cleared`` are left out, and the rows in ``dropped``
     are deleted from the others, so that a subcomplex or a quotient of a
@@ -558,8 +559,7 @@ def _reduction(matrix: ExactMatrix, ring: RingSpec, cleared=(), dropped=frozense
             cycles[j] = {~i: v for i, v in col.items()}
         else:
             pivots[low] = col
-    return cycles, {low: {i: v for i, v in col.items() if i >= 0}
-                    for low, col in pivots.items()}
+    return cycles, pivots
 
 
 def kernel_basis(matrix: ExactMatrix, ring: RingSpec) -> list:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations, islice, product
 from typing import Iterable, Sequence
 
-from .complexes import _ID_RE, LefschetzComplex, _graded, build_complex
+from .complexes import _ID_RE, MAX_LEF_DIM, LefschetzComplex, _graded, build_complex
 from .errors import (
     DimensionMismatch,
     EmptyInput,
@@ -44,10 +44,6 @@ __all__ = [
 ]
 
 GENERATOR_MODES = ("simplicial-random", "cubical-random", "basis-change")
-
-# Highest cell dimension parse_lef accepts: reports list every degree up to
-# the top one, so an absurd dimension would otherwise run for ever.
-MAX_LEF_DIM = 1000
 
 
 # ---------------------------------------------------------------------------

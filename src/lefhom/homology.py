@@ -262,11 +262,15 @@ class IncrementalReducer:
     ``include`` against the shared table, which holds every key's ready
     pivots from the start: a column of the keys in has rows only among
     them, so a pivot of a key that is out is never looked up.  So the
-    reduction is exact for any row order.  :func:`lefschetz_chains` and
-    ``simplicial.order_complex_chains`` make a key's own generators the
-    highest rows of its columns, the order a filtration by closed sets
-    needs; in that order no essential column has met a ready pivot on any
-    input tried; :func:`stacked_chains` of the two gives one reducer both.
+    reduction is exact for any row order.  A join copies only the columns
+    that a pivot meets: an essential column whose lowest row has no pivot,
+    with a 1 there, goes into the table as the plan holds it, since pivot
+    columns are only read and ``undo`` only deletes the table's entry.
+    :func:`lefschetz_chains` and ``simplicial.order_complex_chains`` make a
+    key's own generators the highest rows of its columns, the order a
+    filtration by closed sets needs; in that order no essential column has
+    met a ready pivot on any input tried; :func:`stacked_chains` of the two
+    gives one reducer both.
 
     Which entries are pivots is the ring policy of :mod:`lefhom.exact`:
     :func:`~lefhom.exact._reduce_column` leaves a pivot column with a 1 at
@@ -295,7 +299,8 @@ class IncrementalReducer:
         """The include of the generators ``at`` (degree, index), reduced by
         lowest row against their own pivots, which go into the shared table:
         per degree the change of ``free``, and the essential columns in
-        order; None when a lowest entry in the key's own rows is not a unit."""
+        order, each with its lowest row; None when a lowest entry in the
+        key's own rows is not a unit."""
         own = {}  # degree -> the indices of the key's generators
         for q, i in at:
             own.setdefault(q, set()).add(i)
@@ -309,15 +314,15 @@ class IncrementalReducer:
                     return None
                 table[low] = col
             else:
-                rest.append((q, i, col))
+                rest.append((q, i, col, low))
         change = [0] * (max(own) + 1)
         for q, table in ready.items():
             change[q - 1] -= len(table)
             self._pivots[q].update(table)
         essential = []
-        for q, i, col in rest:
-            if col and i not in ready.get(q + 1, ()):
-                essential.append((q, col))
+        for q, i, col, low in rest:
+            if low is not None and i not in ready.get(q + 1, ()):
+                essential.append((q, col, low))
             else:
                 change[q] += 1
         return [(q, d) for q, d in enumerate(change) if d], essential
@@ -334,19 +339,21 @@ class IncrementalReducer:
                 for q, d in change:
                     free[q] += d
                 done = []  # (degree, lowest row or None) of each essential column
-                for q, column in essential:
-                    col = dict(column)
-                    low = _reduce_column(col, pivots[q], p)
-                    if low is None or col[low] != 1:  # a birth, or a stall counted as one
-                        free[q] += 1
-                        done.append((q, None))
-                        if low is not None:
-                            self.stalled = len(self._undo)
-                            break
-                    else:  # a death in the degree below
-                        pivots[q][low] = col
-                        free[q - 1] -= 1
-                        done.append((q, low))
+                for q, column, low in essential:
+                    table = pivots[q]
+                    if low in table or column[low] != 1:  # a pivot or a non-unit: reduce a copy
+                        column = dict(column)
+                        low = _reduce_column(column, table, p)
+                        if low is None or column[low] != 1:  # a birth, or a stall counted as one
+                            free[q] += 1
+                            done.append((q, None))
+                            if low is not None:
+                                self.stalled = len(self._undo)
+                                break
+                            continue
+                    table[low] = column  # a death in the degree below
+                    free[q - 1] -= 1
+                    done.append((q, low))
                 record = change, done
         self.kept.append(key)
         self._undo.append(record)
@@ -489,27 +496,31 @@ def excision_check(X: LefschetzComplex, closed_part: Iterable,
 # ---------------------------------------------------------------------------
 
 
-def _classes(ring: RingSpec, cycles: Mapping, boundaries: Mapping,
+def _classes(ring: RingSpec, cycles: Mapping, boundaries: Mapping, width: int,
              targets: Sequence) -> tuple:
     """The canonical homology basis of one degree, and the classes of
     ``targets`` (sparse cycles of that degree) in it, over a field.
 
     ``cycles`` comes from the :func:`~lefhom.exact._reduction` of the boundary out of the
-    degree, ``boundaries`` from that of the boundary into it.  The cycle of
+    degree, ``boundaries`` from that of the boundary into it, with their
+    records at rows ``~0`` to ``~(width - 1)``, one per column of that
+    boundary.  The cycle of
     column f is a basis cycle exactly when no boundary has lowest row f:
     every cycle is a combination of the cycles up to its lowest row, so
     that is the cycle being independent of the boundaries and of the cycles
     before it, the pivot columns among the cycles of ``[above | cycles]``.
     The boundaries and the basis then have distinct lowest rows, and a
     target reduces to zero against them exactly when it is a cycle.  The
-    i-th basis cycle carries a 1 at row ``~i``, so minus that record of
-    ``targets[j]`` is its coordinate i, in column j of the returned matrix.
+    i-th basis cycle carries a 1 at row ``~(width + i)``, past the
+    boundaries' records, so minus that record of ``targets[j]`` is its
+    coordinate i, in column j of the returned matrix; a boundary's record is
+    never read.
     """
     p = ring.p or 0
     basis, table = [], dict(boundaries)
     for f, z in cycles.items():
         if f not in boundaries:
-            table[f] = {**z, ~len(basis): 1}
+            table[f] = {**z, ~(width + len(basis)): 1}
             basis.append(z)
     classes = {}
     for j, target in enumerate(targets):
@@ -517,7 +528,7 @@ def _classes(ring: RingSpec, cycles: Mapping, boundaries: Mapping,
         low = _reduce_column(col, table, p)
         if low is not None and low >= 0:
             raise AssertionError("vector is not a cycle of its degree")
-        classes.update(((~i, j), -v) for i, v in col.items())
+        classes.update(((~i - width, j), -v) for i, v in col.items() if i <= ~width)
     return basis, ExactMatrix(len(basis), len(targets), classes, ring)
 
 
@@ -585,10 +596,11 @@ def long_exact_sequence(X: LefschetzComplex, closed_part: Iterable,
         below = [_reduction(matrix, ring, outside[n].union(above[0][1])),
                  _reduction(matrix, ring, above[1][1]),
                  _reduction(matrix, ring, inside[n].union(above[2][1]), inside[n - 1])]
-        sub_basis, connecting = _classes(ring, below[0][0], above[0][1],
+        width = len(columns)  # the columns of the boundary into degree n
+        sub_basis, connecting = _classes(ring, below[0][0], above[0][1], width,
                                          [connect(z, columns, n) for z in rel_basis])
-        x_basis, include = _classes(ring, below[1][0], above[1][1], sub_basis)
-        rel_basis, project = _classes(ring, below[2][0], above[2][1],
+        x_basis, include = _classes(ring, below[1][0], above[1][1], width, sub_basis)
+        rel_basis, project = _classes(ring, below[2][0], above[2][1], width,
                                       [{i: v for i, v in z.items() if i in outside[n]}
                                        for z in x_basis])
         maps += [connecting, include, project]

@@ -1,5 +1,6 @@
 """Complex construction, validation, boundary matrices, face order."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from lefhom.errors import (
     LefSyntaxError,
     UnknownCellReference,
 )
-from lefhom.complexes import _cofacets
+from lefhom.complexes import MAX_LEF_DIM, _cofacets
 from tests.conftest import poset_above, poset_below
 
 
@@ -190,6 +191,26 @@ def test_a_bool_dimension_is_refused():
     assert "cell e 1\n" in text and parse_lef(text) == X
     with pytest.raises(LefSyntaxError, match="^line 2: bad dimension 'False'$"):
         parse_lef(text.replace("cell a 0", "cell a False"))
+
+
+def test_a_dimension_above_the_maximum_is_refused_at_once():
+    # a complex keeps one degree start per degree, so 10**9 would cost
+    # minutes and gigabytes; the all-at-once check and the walk both refuse
+    # the first pair above the maximum
+    class Dim(int):
+        pass
+
+    assert MAX_LEF_DIM == 1000
+    assert build_complex([("v", 0), ("w", 1000)], {}, ZZ).top_dim == 1000
+    assert build_complex([("w", Dim(1000))], {}, ZZ).top_dim == 1000
+    for cells, dim in (([("v", 0), ("w", 1001)], 1001), ([("w", 10**9)], 10**9),
+                       ([("w", Dim(1001))], 1001),  # walked: a subclass of int
+                       ([("w", 10**9), ("v", -1), ("w", 0)], 10**9)):  # walked: the first fault
+        start = time.perf_counter()
+        with pytest.raises(InvalidCellId) as err:
+            build_complex(cells, {}, ZZ)
+        assert time.perf_counter() - start < 1, cells
+        assert str(err.value) == f"cell 'w' has dimension {dim}, above the maximum 1000"
 
 
 def test_zero_kappa_entries_are_dropped():

@@ -1,5 +1,6 @@
 """Homology profiles, relative homology, excision, exact sequences."""
 
+import copy
 import random
 from fractions import Fraction
 from itertools import product
@@ -259,7 +260,8 @@ def test_classes_match_solve_on_the_corpus(corpus):
                         chain = [ring.convert(v + c * w) for v, w in zip(chain, z)]
                     targets.append(chain)
                 basis, classes = _classes(ring, _reduction(below, ring)[0],
-                                          _reduction(above, ring)[1], list(map(_sparse, targets)))
+                                          _reduction(above, ring)[1], above.cols,
+                                          list(map(_sparse, targets)))
                 assert len(basis) == profile.free_rank(n), (name, ring, n)
                 assert (classes.rows, classes.cols) == (len(basis), len(targets))
                 if not basis:
@@ -277,7 +279,7 @@ def test_classes_reject_a_non_cycle(twisted):
     _, boundary = lefschetz_chains(twisted, GF(2)).slice(twisted.cell_ids)
     with pytest.raises(AssertionError, match="not a cycle"):
         _classes(GF(2), _reduction(boundary(1), GF(2))[0], _reduction(boundary(2), GF(2))[1],
-                 [{0: 1}])
+                 boundary(2).cols, [{0: 1}])
 
 
 def test_classes_reject_a_non_cycle_in_a_degree_without_homology():
@@ -285,9 +287,10 @@ def test_classes_reject_a_non_cycle_in_a_degree_without_homology():
     X = parse_simplicial("a b\n")
     _, boundary = lefschetz_chains(X, GF(2)).slice(X.cell_ids)
     cycles, boundaries = _reduction(boundary(1), GF(2))[0], _reduction(boundary(2), GF(2))[1]
-    assert _classes(GF(2), cycles, boundaries, [])[0] == []
+    width = boundary(2).cols
+    assert _classes(GF(2), cycles, boundaries, width, [])[0] == []
     with pytest.raises(AssertionError, match="not a cycle"):
-        _classes(GF(2), cycles, boundaries, [{0: 1}])
+        _classes(GF(2), cycles, boundaries, width, [{0: 1}])
 
 
 def test_reduction_gives_the_kernel_basis_and_an_echelon_image(corpus):
@@ -609,13 +612,14 @@ def _asked_degrees(X, ring):
 
 
 def test_profile_visits_only_populated_degrees():
-    # only a boundary between two populated degrees is read
-    X = build_complex([("v", 0), ("w", 5000)], {}, ZZ)
+    # only a boundary between two populated degrees is read; 1000 is the
+    # highest dimension a complex may have
+    X = build_complex([("v", 0), ("w", 1000)], {}, ZZ)
     for ring in (ZZ, GF(2)):
         profile, asked = _asked_degrees(X, ring)
         assert asked == []
-        assert profile.entries == ((0, 1, ()), (5000, 1, ()))
-    assert lefschetz_homology(X).entries == ((0, 1, ()), (5000, 1, ()))
+        assert profile.entries == ((0, 1, ()), (1000, 1, ()))
+    assert lefschetz_homology(X).entries == ((0, 1, ()), (1000, 1, ()))
 
     X = build_complex([("v", 0), ("w", 0), ("e", 1), ("t", 3), ("f", 4)],
                       {("e", "v"): 1, ("e", "w"): 1, ("f", "t"): 2}, ZZ)
@@ -801,7 +805,9 @@ def test_stacked_slices_split_into_both_homologies(corpus, data_dir):
 def test_a_square_joins_with_one_reduction_against_the_shared_table(monkeypatch):
     # the square's 17 chains pair among themselves the same way at every
     # join: 8 ready pivots, 8 cleared births and one essential column, the
-    # only one that include reduces against the pivots of the cells already in
+    # only one that include checks against the pivots of the cells already in;
+    # no pivot meets its lowest row, so it joins the table as it is, with no
+    # copy and no reduction
     X = import_cubical([[(0, 1), (0, 1)]])
     faces = [c.id for c in X.cells if c.dim < 2]
     square = X.cells_of_dim(2)[0]
@@ -819,7 +825,8 @@ def test_a_square_joins_with_one_reduction_against_the_shared_table(monkeypatch)
         monkeypatch.setattr(homology, "_reduce_column", counted)
         reducer.include(square)
         monkeypatch.undo()
-        assert len(calls) == 1 and calls[0] is reducer._pivots[2], ring
+        [(q, column, low)] = reducer._plans[square][1]
+        assert calls == [] and q == 2 and reducer._pivots[2][low] is column, ring
         assert reducer.stalled is None and reducer.profile() == point_profile(ring), ring
         # the table holds every cell's ready pivots; those whose lowest row
         # is a generator of a cell in make one pivot per death there
@@ -836,6 +843,46 @@ def test_a_square_joins_with_one_reduction_against_the_shared_table(monkeypatch)
         reducer.undo()
         assert reducer.profile() == chains.profile(faces), ring
         assert pivots_in(faces) == [0, 7, 0], ring
+
+
+def test_shared_columns_are_never_written(monkeypatch, sweep_corpus):
+    # an essential column that no pivot meets joins the table as the plan
+    # holds it: after every walk, the plans and the chain columns are as
+    # built and the table holds its ready pivots, the same objects, alone
+    grids = [import_cubical([[(i, i + 1), (j, j + 1)] for i in range(m) for j in range(n)])
+             for m, n in ((1, 2), (2, 2))]
+    calls = []
+
+    def counted(col, pivots, p):
+        calls.append(None)
+        return exact._reduce_column(col, pivots, p)
+
+    replayed = 0
+    for X, cap in [(X, 30_000) for X in grids] + [(X, 2_000) for _, X in sweep_corpus]:
+        try:
+            steps = closed_set_walk(X, cap)
+        except TooManyClosedSets:
+            continue
+        for ring in RINGS:
+            chains = homology.stacked_chains(lefschetz_chains(X, ring), order_complex_chains(X, ring))
+            reducer = IncrementalReducer(chains)
+            plans, columns = copy.deepcopy(reducer._plans), copy.deepcopy(chains._columns)
+            ready = [{low: id(col) for low, col in table.items()} for table in reducer._pivots]
+            calls.clear()
+            monkeypatch.setattr(homology, "_reduce_column", counted)
+            for x in steps:
+                if x is None:
+                    reducer.undo()
+                else:
+                    reducer.include(x)
+            monkeypatch.undo()
+            assert reducer._plans == plans and chains._columns == columns, (render_lef(X), ring)
+            assert [{low: id(col) for low, col in table.items()}
+                    for table in reducer._pivots] == ready, (render_lef(X), ring)
+            if X is grids[0] and ring == ZZ:
+                assert len(calls) == 200  # of 908 joins' reductions when each copied its columns
+            replayed += 1
+    assert replayed > 1000
 
 
 class _Consulted(dict):
