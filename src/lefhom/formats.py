@@ -4,19 +4,20 @@ Three text inputs are understood: the native ``.lef`` format (ring, cells,
 incidences), lists of maximal simplices, and lists of elementary cubes.
 The canonical renderer sorts cells by (dim, id) and incidences by (x, y),
 so parse/render round-trips are byte-stable.  A seeded generator supplies
-test corpora, including a basis-change mode that rewrites the cell basis
-by unimodular moves: homology is preserved exactly while the face order
-generally changes, which is where the comparison theorem gets interesting.
+test corpora, each draw a hashable recipe that is built afterwards,
+including a basis-change mode that rewrites the cell basis by unimodular
+moves: homology is preserved exactly while the face order generally
+changes, which is where the comparison theorem gets interesting.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations, islice, product
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import _ID_RE, MAX_LEF_DIM, LefschetzComplex, _graded, build_complex
 from .errors import (
@@ -39,6 +40,9 @@ __all__ = [
     "parse_simplicial",
     "import_cubical",
     "parse_cubical",
+    "Recipe",
+    "draw_recipe",
+    "build_recipe",
     "random_complex",
     "export_dot",
 ]
@@ -167,12 +171,11 @@ def import_simplicial(maximal_simplices: Iterable[Sequence[str]],
     counted as each simplex's faces of each size are added, at most cap + 1
     of them.
     """
-    return build_complex(*_simplicial_cells(maximal_simplices), ring)
+    return build_complex(*_face_cells(_faces(maximal_simplices)), ring)
 
 
-def _simplicial_cells(maximal_simplices: Iterable[Sequence[str]]) -> tuple:
-    """The (id, dim) cells and the {(x, y): ±1} kappa of
-    :func:`import_simplicial`, unvalidated."""
+def _faces(maximal_simplices: Iterable[Sequence[str]]) -> set:
+    """Every face of the given simplices, as a sorted tuple of vertex names."""
     faces = set()
     for simplex in maximal_simplices:
         simplex = tuple(sorted(set(str(v) for v in simplex)))
@@ -184,6 +187,12 @@ def _simplicial_cells(maximal_simplices: Iterable[Sequence[str]]) -> tuple:
                 raise TooManySimplices(DEFAULT_SIMPLEX_CAP, "simplicial input")
     if not faces:
         raise EmptyInput("no simplices to import")
+    return faces
+
+
+def _face_cells(faces) -> tuple:
+    """The (id, dim) cells and the {(x, y): ±1} kappa of a set of sorted
+    vertex tuples that holds every face of each of its tuples."""
     vertices = [face[0] for face in faces if len(face) == 1]
     spell = None
     if all(len(v) == 1 for v in vertices):
@@ -394,6 +403,26 @@ class GeneratorConfig(namedtuple("GeneratorConfig", ["seed", *_GENERATOR_DEFAULT
         return cls(*iterable)  # through __new__, so _replace validates too
 
 
+class Recipe(NamedTuple):
+    """What one draw of the generator made, before anything is built: equal
+    recipes build equal complexes.
+
+    ``shapes`` holds the faces drawn (``simplicial-random``, each a sorted
+    vertex tuple), the cubes drawn (``cubical-random``, each a tuple of
+    ``(lo, hi)`` intervals), or every face of the faces drawn
+    (``basis-change``); ``moves`` holds basis-change's ``(q, u, v, m)``
+    moves, in the order they are made.
+    """
+
+    mode: str
+    shapes: frozenset
+    moves: tuple = ()
+
+    def entries(self) -> int:
+        """The length of each shape, and 4 per move."""
+        return sum(map(len, self.shapes)) + 4 * len(self.moves)
+
+
 def _random_faces(rng: random.Random, cfg: GeneratorConfig) -> list:
     nverts = rng.randint(1, cfg.max_cells_per_dim)
     verts = [f"v{i}" for i in range(nverts)]
@@ -405,7 +434,7 @@ def _random_faces(rng: random.Random, cfg: GeneratorConfig) -> list:
     return faces
 
 
-def _random_cubical(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:
+def _random_cubes(rng: random.Random, cfg: GeneratorConfig) -> list:
     embedding = rng.randint(1, min(cfg.max_dimension, 3))
     ncubes = rng.randint(1, cfg.max_cells_per_dim)
     cubes = []
@@ -420,14 +449,40 @@ def _random_cubical(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComple
             else:
                 axes.append((k, k))
         cubes.append(tuple(axes))
-    return import_cubical(cubes)
+    return cubes
 
 
-def _basis_change(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:
-    # the simplicial draw's cells and kappa, in the columns its complex would
-    # have: nothing is built or validated until the moves are made
-    faces, signs = _simplicial_cells(_random_faces(rng, cfg))
-    dims = dict(faces)
+def draw_recipe(rng: random.Random, cfg: GeneratorConfig) -> Recipe:
+    """The recipe of one draw of ``cfg``'s mode and sizes from ``rng``, which
+    stands for ``random.Random(cfg.seed)``: ``cfg.seed`` is not read.
+
+    For basis-change the draw enumerates the face set, since the moves are
+    drawn by place within each degree; each move ``(q, u, v, m)`` makes
+    basis chain u of degree q into u + m*v.
+    """
+    if cfg.mode == "cubical-random":
+        return Recipe(cfg.mode, frozenset(_random_cubes(rng, cfg)))
+    drawn = _random_faces(rng, cfg)
+    if cfg.mode == "simplicial-random":
+        return Recipe(cfg.mode, frozenset(tuple(sorted(face)) for face in drawn))
+    faces = frozenset(_faces(drawn))
+    counts = Counter(map(len, faces))  # degree q holds counts[q + 1] cells
+    # the sizes never change, so neither does the choice of degrees
+    eligible = [q for q in range(1, len(counts)) if counts[q + 1] >= 2]
+    moves = []
+    for _ in range(cfg.transform_steps if eligible else 0):
+        q = rng.choice(eligible)
+        u, v = rng.sample(range(counts[q + 1]), 2)
+        m = rng.randint(1, cfg.coefficient_bound) * rng.choice((1, -1))
+        moves.append((q, u, v, m))
+    return Recipe(cfg.mode, faces, tuple(moves))
+
+
+def _basis_change(faces: frozenset, moves: tuple) -> LefschetzComplex:
+    # the face set's cells and kappa, in the columns its complex would have:
+    # nothing is built or validated until the moves are made
+    cells, signs = _face_cells(faces)
+    dims = dict(cells)
     ids, starts = _graded(dims)
     basis = [ids[a:b] for a, b in zip(starts, starts[1:])]  # the ids of each degree
     at = {cid: r - starts[dims[cid]] for r, cid in enumerate(ids)}  # places in their degrees
@@ -436,13 +491,7 @@ def _basis_change(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:
     for (x, y), sign in signs.items():
         cols[dims[x]][at[x]][at[y]] = sign
 
-    for _ in range(cfg.transform_steps):
-        eligible = [q for q in range(1, len(basis)) if len(basis[q]) >= 2]
-        if not eligible:
-            break
-        q = rng.choice(eligible)
-        u, v = rng.sample(range(len(basis[q])), 2)
-        m = rng.randint(1, cfg.coefficient_bound) * rng.choice((1, -1))
+    for q, u, v, m in moves:
         # new basis chain u := u + m*v in degree q: column u of the degree-q
         # boundary gains m * column v, row v of the degree-(q+1) one loses
         # m * row u; degree 0 is never touched, and a degree-1 column move
@@ -461,14 +510,19 @@ def _basis_change(rng: random.Random, cfg: GeneratorConfig) -> LefschetzComplex:
     return build_complex(cells, kappa, ZZ)
 
 
+def build_recipe(recipe: Recipe) -> LefschetzComplex:
+    """The validated complex over Z that ``recipe`` describes."""
+    if recipe.mode == "simplicial-random":
+        return import_simplicial(recipe.shapes)
+    if recipe.mode == "cubical-random":
+        return import_cubical(recipe.shapes)
+    return _basis_change(recipe.shapes, recipe.moves)
+
+
 def random_complex(cfg: GeneratorConfig) -> LefschetzComplex:
-    """Deterministic random complex: equal configs give byte-identical output."""
-    rng = random.Random(cfg.seed)
-    if cfg.mode == "simplicial-random":
-        return import_simplicial(_random_faces(rng, cfg))
-    if cfg.mode == "cubical-random":
-        return _random_cubical(rng, cfg)
-    return _basis_change(rng, cfg)
+    """Deterministic random complex: equal configs give byte-identical output.
+    It is the build of the recipe drawn from ``random.Random(cfg.seed)``."""
+    return build_recipe(draw_recipe(random.Random(cfg.seed), cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
+import random
 from contextlib import closing, nullcontext
 from typing import Iterator, Mapping, NamedTuple, Optional
 
@@ -25,6 +26,7 @@ from .complexes import LefschetzComplex, is_augmentable
 from .errors import LefhomError, TooManySimplices
 from .exact import ZZ, RingSpec
 from .homology import (
+    BoundedMemo,
     ClosureMemo,
     HomologyProfile,
     IncrementalReducer,
@@ -252,20 +254,35 @@ def _is_candidate(X: LefschetzComplex, ring: RingSpec, memo: Optional[dict] = No
     return lefschetz_homology(X, ring) == finite_space_homology(X, ring)
 
 
+_UNSEEN = object()  # a recipe that no draw of a task has made yet
+
+
 def _hits(base, ring: RingSpec, indices: range, memo: dict) -> Iterator[tuple]:
     """(index, serialized complex) of each candidate among the draws at
-    ``indices``, as it is found; their first-failure passes share ``memo``."""
+    ``indices``, as it is found; their first-failure passes share ``memo``.
+
+    Each recipe's first draw is built and checked; its verdict, the text of
+    a candidate or ``None``, is kept per recipe, so a draw that repeats one
+    is neither built nor checked again.
+    """
+    rng = random.Random()
+    verdicts = BoundedMemo(formats.Recipe.entries)
     for index in indices:
         seed = _derive_seed(base.seed, index)
-        X = formats.random_complex(base._replace(seed=seed))
-        try:
-            candidate = _is_candidate(X, ring, memo)
-        except TooManySimplices as exc:
-            raise TooManySimplices(exc.cap, f"search draw {index} (seed {seed}): order complex",
-                                   "lower --transform-steps, --max-cells or --max-dimension "
-                                   "to shrink the draws") from None
-        if candidate:
-            yield index, formats.render_lef(X)
+        rng.seed(seed)
+        recipe = formats.draw_recipe(rng, base)
+        text = verdicts.get(recipe, _UNSEEN)
+        if text is _UNSEEN:
+            X = formats.build_recipe(recipe)
+            try:
+                candidate = _is_candidate(X, ring, memo)
+            except TooManySimplices as exc:
+                raise TooManySimplices(exc.cap, f"search draw {index} (seed {seed}): order complex",
+                                       "lower --transform-steps, --max-cells or --max-dimension "
+                                       "to shrink the draws") from None
+            text = verdicts[recipe] = formats.render_lef(X) if candidate else None
+        if text is not None:
+            yield index, text
 
 
 def _range_hits(args) -> list:

@@ -565,6 +565,44 @@ def test_generator_draws_are_pinned():
         assert h.hexdigest()[:32] == digest, mode
 
 
+def _generator_configs():
+    """Configs of every mode over many seeds and sizes, and at both ends of
+    GENERATOR_BOUNDS."""
+    least = {"max_cells_per_dim": 1, "max_dimension": 1, "transform_steps": 0}
+    for mode in formats.GENERATOR_MODES:
+        for seed in range(150):
+            yield GeneratorConfig(seed=seed, mode=mode, max_dimension=1 + seed % 5,
+                                  max_cells_per_dim=1 + seed % 13, transform_steps=5 * (seed % 9))
+        for seed in (0, 1, 2**64 - 1):
+            yield GeneratorConfig(seed=seed, mode=mode, **least)
+            yield GeneratorConfig(seed=seed, mode=mode, **GENERATOR_BOUNDS)
+
+
+def test_random_complex_is_the_build_of_its_recipe():
+    for cfg in _generator_configs():
+        recipe = formats.draw_recipe(random.Random(cfg.seed), cfg)
+        # the draw reads its randomness from the generator alone, not cfg.seed
+        assert formats.draw_recipe(random.Random(cfg.seed), cfg._replace(seed=0)) == recipe
+        hash(recipe)  # recipes key the search's memo
+        X, Y = formats.build_recipe(recipe), random_complex(cfg)
+        assert X == Y and render_lef(X) == render_lef(Y), cfg
+        assert recipe.mode == cfg.mode and (recipe.moves == () or cfg.mode == "basis-change")
+
+
+def test_the_basis_change_build_enumerates_no_face(monkeypatch):
+    # the draw enumerates the face set to draw its moves; the build reads it
+    for seed in range(20):
+        cfg = GeneratorConfig(seed=seed, mode="basis-change", max_dimension=1 + seed % 3,
+                              max_cells_per_dim=3 + seed % 6, transform_steps=4 * (seed % 8))
+        recipe = formats.draw_recipe(random.Random(cfg.seed), cfg)
+        assert len(recipe.moves) in (0, cfg.transform_steps)
+        expected = render_lef(random_complex(cfg))
+        enumerated = _count_calls(monkeypatch, "_faces")
+        assert render_lef(formats.build_recipe(recipe)) == expected
+        assert enumerated == [], seed
+        monkeypatch.undo()
+
+
 def test_column_operation_preserves_smith_divisors():
     # the elementary move used by the basis-change mode, in isolation:
     # adding a multiple of one column to another is unimodular

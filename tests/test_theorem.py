@@ -1,5 +1,6 @@
 """The comparison theorem as executable checks, plus the converse search."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -722,6 +723,22 @@ def test_search_candidates_equal_fresh_candidate_checks(mode):
     assert hits or mode != "basis-change"
 
 
+class InlineExecutor:
+    """Stands in for the process pool: maps in this process, starts none."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
 def _record_closure_memos(monkeypatch):
     """(memo, inside _reverify) for each closure_profiles call from here on."""
     calls, reverifying = [], []
@@ -773,6 +790,94 @@ def test_search_memos_stay_within_their_bound(monkeypatch):
     assert all(bound - 100 < length <= bound for length in lengths.values())
     # a bounded memo changes no candidate, serial or pooled
     assert found == expected and len(found) > 500
+    assert [(c.index, c.lef_text) for c in search_converse(cfg, ZZ, budget, 2)] == expected
+
+
+def test_each_recipe_is_built_and_checked_once_per_task_memo(monkeypatch):
+    events = []  # ("task",), ("draw", recipe), ("build", recipe, X) and ("check", X)
+    draw, build = theorem.formats.draw_recipe, theorem.formats.build_recipe
+    is_candidate, range_hits = theorem._is_candidate, theorem._range_hits
+
+    def drawn(rng, cfg):
+        events.append(("draw", draw(rng, cfg)))
+        return events[-1][1]
+
+    def built(recipe):
+        events.append(("build", recipe, build(recipe)))
+        return events[-1][2]
+
+    def checked(X, ring, memo=None):
+        events.append(("check", X))
+        return is_candidate(X, ring, memo)
+
+    def task(args):
+        events.append(("task",))
+        return range_hits(args)
+
+    monkeypatch.setattr(theorem.formats, "draw_recipe", drawn)
+    monkeypatch.setattr(theorem.formats, "build_recipe", built)
+    monkeypatch.setattr(theorem, "_is_candidate", checked)
+    monkeypatch.setattr(theorem, "_range_hits", task)
+    # the pool's tasks run here, one after another
+    monkeypatch.setattr(theorem.concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(theorem.os, "cpu_count", lambda: 2)
+    for mode in ("basis-change", "cubical-random"):
+        cfg = GeneratorConfig(seed=6, mode=mode)
+        runs = {}
+        for jobs in (1, 2):
+            events.clear()
+            found = [(c.index, c.lef_text) for c in search_converse(cfg, ZZ, 400, jobs)]
+            # the events of a search that builds and checks each recipe the
+            # first time its task draws it, and never again
+            expected, seen = [], set()
+            for event in events:
+                if event[0] == "task":
+                    seen = set()
+                if event[0] in ("task", "draw"):
+                    expected.append(event)
+                if event[0] == "draw" and event[1] not in seen:
+                    seen.add(event[1])
+                    expected += [("build", event[1]), ("check",)]
+            assert [e[:2] if e[0] != "check" else e[:1] for e in events] == expected, (mode, jobs)
+            # each check is of the complex built just before it
+            assert all(events[i + 1][1] is event[2]
+                       for i, event in enumerate(events) if event[0] == "build")
+            kinds = [event[0] for event in events]
+            assert kinds.count("draw") == 400 and kinds.count("task") == (0 if jobs == 1 else 16)
+            runs[jobs] = found, kinds.count("build")
+        assert runs[1][0] == runs[2][0]
+        assert runs[1][1] < runs[2][1] < 400  # tasks share no memo, yet draws repeat in each
+
+
+def test_the_recipe_memo_stays_within_its_bound(monkeypatch):
+    bound = 300
+    monkeypatch.setattr(homology, "CLOSURE_MEMO_BOUND", bound)
+    cfg = GeneratorConfig(seed=23, mode="basis-change")
+    budget = 1500
+    expected = [(i, render_lef(X)) for i in range(budget)
+                if _is_candidate(X := random_complex(cfg._replace(seed=_derive_seed(cfg.seed, i))),
+                                 ZZ)]
+    recipes = {theorem.formats.draw_recipe(random.Random(_derive_seed(cfg.seed, i)), cfg)
+               for i in range(budget)}
+    entries = theorem.formats.Recipe.entries
+    assert sum(map(entries, recipes)) > 10 * bound  # what an unbounded memo would hold
+    memos = []
+
+    class CheckedMemo(homology.BoundedMemo):
+        def __init__(self, size):
+            super().__init__(size)
+            memos.append(self)
+
+        def __setitem__(self, recipe, verdict):
+            super().__setitem__(recipe, verdict)
+            assert sum(map(entries, self)) == self.length <= bound
+
+    monkeypatch.setattr(theorem, "BoundedMemo", CheckedMemo)
+    found = [(c.index, c.lef_text) for c in search_converse(cfg, ZZ, budget, 1)]
+    (memo,) = memos
+    assert bound - max(map(entries, recipes)) < memo.length <= bound
+    # a bounded memo changes no candidate, serial or pooled
+    assert found == expected and len(found) > 200
     assert [(c.index, c.lef_text) for c in search_converse(cfg, ZZ, budget, 2)] == expected
 
 
@@ -844,9 +949,9 @@ def test_pool_tasks_are_index_ranges_handed_out_a_window_at_a_time():
 
 def test_serial_search_yields_each_candidate_as_it_is_found(monkeypatch):
     drawn = []
-    random_complex = theorem.formats.random_complex
-    monkeypatch.setattr(theorem.formats, "random_complex",
-                        lambda cfg: drawn.append(cfg) or random_complex(cfg))
+    draw_recipe = theorem.formats.draw_recipe
+    monkeypatch.setattr(theorem.formats, "draw_recipe",
+                        lambda rng, cfg: drawn.append(cfg) or draw_recipe(rng, cfg))
     cfg = GeneratorConfig(seed=11, mode="basis-change")
     first = next(search_converse(cfg, ZZ, budget=10**9))
     assert len(drawn) == first.index + 1
@@ -866,22 +971,11 @@ def test_search_pool_is_bounded_by_cpus_and_budget(monkeypatch):
 
     requested = []
 
-    class InlineExecutor:
-        """Stands in for the process pool: maps in this process, starts none."""
-
+    class RecordingExecutor(InlineExecutor):
         def __init__(self, max_workers):
             requested.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(theorem.concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(theorem.concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(theorem.os, "cpu_count", lambda: 4)
     cfg = GeneratorConfig(seed=3, mode="basis-change", max_cells_per_dim=3,
                           transform_steps=4)
