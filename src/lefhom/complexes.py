@@ -52,28 +52,33 @@ class FacePoset:
     is the frozenset of ranks of the faces of cell r, r included, ``up[r]``
     that of its cofaces: s is in ``down[r]`` exactly when r is in ``up[s]``.
     Antisymmetry is automatic because a strict face has strictly smaller
-    dimension.  Down-sets grow along X's facets, up-sets along the cofacets
-    of :func:`_cofacets`.  Ranks are not checked here: callers check ids
-    with :func:`_cellset` first.
+    dimension.  Down-sets grow along X's facets when the poset is built;
+    up-sets are read off the down-sets when ``up`` is first read, since
+    only whole-poset chains need them, and the record keeps no reference to
+    X.  Ranks are not checked here: callers check ids with :func:`_cellset`
+    first.
     """
 
-    __slots__ = ("down", "up")
+    __slots__ = ("down", "_up")
 
     def __init__(self, X: LefschetzComplex):
-        rank, cofacets = X._rank, _cofacets(X)
-        down = []
+        rank, down = X._rank, []
         for r, x in enumerate(X._ids):
             faces = {r}
             for y in X._facets[x]:
                 faces |= down[rank[y]]
             down.append(frozenset(faces))
-        up = [None] * len(down)
-        for r in reversed(range(len(down))):
-            cofaces = {r}
-            for c in cofacets[r]:
-                cofaces |= up[c]
-            up[r] = frozenset(cofaces)
-        self.down, self.up = down, up
+        self.down, self._up = down, None
+
+    @property
+    def up(self) -> list:
+        if self._up is None:
+            up = [[] for _ in self.down]
+            for r, faces in enumerate(self.down):
+                for s in faces:
+                    up[s].append(r)
+            self._up = list(map(frozenset, up))
+        return self._up
 
 
 def _graded(dims: Mapping[str, int]) -> tuple:

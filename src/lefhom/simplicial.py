@@ -9,10 +9,12 @@ singular homology of the space.
 core.  A point is weak when its strict down-set or up-set is contractible,
 and removing one keeps the weak homotopy type of the finite space
 (Barmak-Minian, "Simple homotopy types and finite spaces", Adv. Math.
-2008), so the singular homology stays the same.  Cells go by rank, their
-place in the (dim, id) order, which extends the face order.  Chains are
-enumerated as rank tuples under the simplex cap, and every boundary matrix,
-also of the corollary sweep and of relative homology, is read off them.
+2008), so the singular homology stays the same.  The core removes beat
+points, which are weak, on the Hasse diagram read off the facets, so the
+singular side builds no face poset.  Cells go by rank, their place in the
+(dim, id) order, which extends the face order.  Chains are enumerated as
+rank tuples under the simplex cap, and every boundary matrix, also of the
+corollary sweep and of relative homology, is read off them.
 Only :func:`order_complex` turns them into a complex, a validated
 :class:`~lefhom.complexes.LefschetzComplex` with one cell per chain: the
 tests' oracle of the rank routes.
@@ -24,7 +26,7 @@ import heapq
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .complexes import LefschetzComplex, _cellset
+from .complexes import LefschetzComplex, _cellset, _cofacets
 from .errors import TooManySimplices
 from .exact import ExactMatrix, RingSpec, ZZ
 from .homology import ChainSlices, HomologyProfile, profile_from_boundaries
@@ -58,18 +60,17 @@ class SimplicialComplex(LefschetzComplex):
     __slots__ = ()
 
 
-def _poset_chains(X: LefschetzComplex, subspace: Optional[frozenset], max_simplices: int):
-    """One list per dimension of the chains inside ``subspace`` (all cells
-    when None) as tuples of X's ranks.  The chains starting at x are x,
-    then each chain starting at a cell above x, in ascending rank: so every
-    list comes out sorted."""
-    cells = [r for r, x in enumerate(X._ids) if subspace is None or x in subspace]
-    up, keep = X.face_poset().up, set(cells)
+def _poset_chains(cells: Sequence[int], up, max_simplices: int):
+    """One list per dimension of the chains of the poset on ``cells``, X's
+    ranks in ascending order, as rank tuples.  ``up[x]`` is the up-set of x
+    among ``cells``, x included.  The chains starting at x are x, then each
+    chain starting at a cell above x, in ascending rank: so every list comes
+    out sorted."""
     starting = {}
     total = 0
     for x in reversed(cells):
         acc = [(x,)]
-        for y in sorted(up[x] & keep)[1:]:  # x itself comes first
+        for y in sorted(up[x])[1:]:  # x itself comes first
             acc.extend([(x,) + chain for chain in starting[y]])
         starting[x] = acc
         total += len(acc)
@@ -97,8 +98,11 @@ def order_complex(X: LefschetzComplex,
     the order complex of that subspace of the finite space.  Chain counting
     is exponential in poset height, hence the cap.
     """
-    subspace = subspace if subspace is None else _cellset(X, subspace)
-    by_dim = _poset_chains(X, subspace, max_simplices)
+    up, cells = X.face_poset().up, range(len(X))
+    if subspace is not None:
+        keep = set(map(X._rank.__getitem__, _cellset(X, subspace)))
+        cells, up = sorted(keep), {r: up[r] & keep for r in keep}
+    by_dim = _poset_chains(cells, up, max_simplices)
     width = len(str(len(X) - 1))
     digits = [f"{r:0{width}}" for r in range(len(X))]
     names, cells, kappa = {}, [], []
@@ -112,39 +116,87 @@ def order_complex(X: LefschetzComplex,
     return SimplicialComplex(cells, kappa, ZZ)
 
 
-def weak_point_core(X: LefschetzComplex) -> frozenset:
-    """The cells left after removing weak points of the face poset one at a
-    time, until none is left.
+def _meets(covers: list, starts, target: int, bound: int) -> bool:
+    """Whether ``target`` is a live cover of a cell reached from ``starts``
+    along the live ``covers``, through cells ranked strictly between
+    ``target`` and ``bound`` only: ranks extend the face order, so a cell
+    between two others has its rank between theirs."""
+    low, high = (target, bound) if target < bound else (bound, target)
+    seen, stack = set(), list(starts)
+    while stack:
+        w = stack.pop()
+        if low < w < high and w not in seen:
+            if target in covers[w]:
+                return True
+            seen.add(w)
+            stack.extend(covers[w])
+    return False
 
-    A cell is taken as weak when its strict down-set or strict up-set in the
-    live poset is non-empty and has a maximum or a minimum: such a set is a
-    cone, so it is contractible.  Cells are examined smallest (dimension,
-    id) first.  A removal changes only the strict down- and up-sets of the
-    cells comparable to it, so those of them already examined and kept are
-    queued again; the core is deterministic.
-    """
-    poset = X.face_poset()
-    down, up = poset.down, poset.up
-    live = set(range(len(down)))
-    kept = set()  # live, examined, and not weak at the last examination
-    heap = sorted(live)  # sorted, so already a heap
+
+def _bypass(x: int, one: list, other: list) -> set:
+    """Take x out of the live Hasse diagram, where ``one[x]`` is its only
+    cover y on one side (lower covers in ``one``, upper in ``other``, or the
+    reverse), and return the cells whose covers changed.
+
+    Each cover z of x on the other side covers y from then on, unless y is
+    a cover of a cell reached from z's remaining covers on y's side: then
+    another cell lies between them.  No other pair can come to cover each
+    other."""
+    (y,) = one[x]
+    other[y].discard(x)
+    for z in other[x]:
+        one[z].discard(x)
+        if not _meets(one, one[z], y, z):
+            one[z].add(y)
+            other[y].add(z)
+    return one[x] | other[x]
+
+
+def _beat_core(X: LefschetzComplex) -> tuple:
+    """The ranks of :func:`weak_point_core`, ascending, and the upper covers
+    of each of them in the core."""
+    rank = X._rank
+    lower = [set(map(rank.__getitem__, X._facets[x])) for x in X._ids]
+    upper = list(map(set, _cofacets(X)))
+    kept = set()  # examined, and not a beat point
+    heap = list(range(len(lower)))  # sorted, so already a heap
     while heap:
         x = heapq.heappop(heap)
-        for strict in (down[x], up[x]):
-            rest = live & strict
-            rest.discard(x)
-            # ranks extend the face order: a maximum has the top rank, a minimum the bottom
-            if rest and (rest <= down[max(rest)] or rest <= up[min(rest)]):
-                live.discard(x)
-                for comparable in (down[x], up[x]):
-                    woken = kept & comparable
-                    kept -= woken
-                    for y in woken:
-                        heapq.heappush(heap, y)
-                break
+        if len(lower[x]) == 1:
+            changed = _bypass(x, lower, upper)
+        elif len(upper[x]) == 1:
+            changed = _bypass(x, upper, lower)
         else:
             kept.add(x)
-    return frozenset([X._ids[r] for r in live])
+            continue
+        for y in kept & changed:  # queued again only as a beat point
+            if len(lower[y]) == 1 or len(upper[y]) == 1:
+                kept.discard(y)
+                heapq.heappush(heap, y)
+    core = sorted(kept)  # a live cell is kept, or queued
+    return core, {x: upper[x] for x in core}
+
+
+def weak_point_core(X: LefschetzComplex) -> frozenset:
+    """The cells left after removing beat points of the face poset one at a
+    time, until none is left.
+
+    A beat point covers exactly one cell or is covered by exactly one
+    (Stong, Trans. AMS 1966).  Its strict down-set then has a maximum, or its
+    strict up-set a minimum, so it is a weak point, and removing it keeps the
+    weak homotopy type (Barmak, LNM 2032, 2011).  The covers are X's facets,
+    so the pass runs on the live Hasse diagram (:func:`_bypass`) and builds
+    no face poset.  Cells are examined smallest (dimension, id) first; a
+    removal changes only the covers of the cells it names, so those of them
+    already examined and kept are queued again once they are beat points,
+    and the core is deterministic.
+
+    No cell of the core has a strict down- or up-set that is a cone.  If a
+    cell's strict up-set U has a maximum M, either U is {M} and the cell is
+    a beat point, or a lower cover of M in U has M as its only upper cover;
+    a minimum of U is the cell's only upper cover; down-sets are dual.
+    """
+    return frozenset([X._ids[r] for r in _beat_core(X)[0]])
 
 
 def order_complex_chains(X: LefschetzComplex, ring: RingSpec) -> ChainSlices:
@@ -160,7 +212,7 @@ def order_complex_chains(X: LefschetzComplex, ring: RingSpec) -> ChainSlices:
     this one its essential columns have met no ready pivot on any input
     tried.  The corollary stacks these degrees above X's, as many or fewer."""
     by_dim = [sorted(chains, key=itemgetter(-1))
-              for chains in _poset_chains(X, None, DEFAULT_SIMPLEX_CAP)]
+              for chains in _poset_chains(range(len(X)), X.face_poset().up, DEFAULT_SIMPLEX_CAP)]
     return ChainSlices(ring, [[X._ids[chain[-1]] for chain in chains] for chains in by_dim],
                        [_boundary(by_dim[q - 1] if q else (), chains)._cols
                         for q, chains in enumerate(by_dim)], ZZ)
@@ -170,13 +222,22 @@ def finite_space_homology(X: LefschetzComplex, ring: Optional[RingSpec] = None,
                           max_simplices: int = DEFAULT_SIMPLEX_CAP) -> HomologyProfile:
     """Singular homology of the finite space of X, via its order complex.
 
-    Only the chains of :func:`weak_point_core` are enumerated, and their
-    boundaries assembled directly: removing a weak point keeps the weak
-    homotopy type (Barmak-Minian 2008), hence by McCord the singular
-    homology.  ``max_simplices`` caps the core's chains, not the poset's.
+    Only the chains of :func:`weak_point_core` are enumerated, from up-sets
+    built on the core's own upper covers, and their boundaries assembled
+    directly: removing a weak point keeps the weak homotopy type
+    (Barmak-Minian 2008), hence by McCord the singular homology.  No face
+    poset is built.  ``max_simplices`` caps the core's chains, not the
+    poset's.
     """
     ring = X.ring if ring is None else ring
-    by_dim = _poset_chains(X, weak_point_core(X), max_simplices)
+    core, upper = _beat_core(X)
+    up = {}
+    for x in reversed(core):  # a cell's up-set is itself and its upper covers' up-sets
+        above = {x}
+        for z in upper[x]:
+            above |= up[z]
+        up[x] = above
+    by_dim = _poset_chains(core, up, max_simplices)
     return profile_from_boundaries(ring, [len(chains) for chains in by_dim],
                                    lambda q: _boundary(by_dim[q - 1], by_dim[q]))
 
@@ -194,6 +255,6 @@ def relative_finite_space_homology(X: LefschetzComplex, subspace: Iterable,
     subspace = _cellset(X, subspace)
     outside = {r for r, x in enumerate(X._ids) if x not in subspace}
     rel = [[chain for chain in chains if not outside.isdisjoint(chain)]
-           for chains in _poset_chains(X, None, max_simplices)]
+           for chains in _poset_chains(range(len(X)), X.face_poset().up, max_simplices)]
     return profile_from_boundaries(ring, [len(chains) for chains in rel],
                                    lambda q: _boundary(rel[q - 1], rel[q]))

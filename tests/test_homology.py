@@ -903,7 +903,8 @@ def test_incremental_profiles_match_slices_in_bottom_cell_order():
     # from the start, and every free rank stays exact
     for X in (import_simplicial([("a", "b", "c", "d")]),
               import_simplicial([("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d"), ("b", "c", "d")])):
-        by_dim = simplicial._poset_chains(X, None, simplicial.DEFAULT_SIMPLEX_CAP)
+        by_dim = simplicial._poset_chains(range(len(X)), X.face_poset().up,
+                                            simplicial.DEFAULT_SIMPLEX_CAP)
         keys = [[X._ids[chain[-1]] for chain in chains] for chains in by_dim]
         columns = [simplicial._boundary(by_dim[q - 1] if q else (), chains)._cols
                    for q, chains in enumerate(by_dim)]

@@ -24,9 +24,11 @@ from lefhom import (
     weak_point_core,
 )
 from lefhom import check_corollary, closure, is_closed, open_hull, simplicial
+from lefhom.cli import main
+from lefhom.complexes import FacePoset
 from lefhom.errors import NotClosed, TooManySimplices, UnknownCellReference
 from lefhom.exact import ExactMatrix
-from lefhom.formats import GeneratorConfig, parse_lef, parse_simplicial, random_complex
+from lefhom.formats import GeneratorConfig, parse_lef, parse_simplicial, random_complex, render_lef
 from lefhom.homology import profile_from_boundaries
 from lefhom.simplicial import order_complex_chains
 from tests.conftest import poset_above, poset_below
@@ -190,7 +192,9 @@ def test_order_complex_boundaries_are_the_rank_routes_boundaries(data_dir, corpu
         ids = sorted(X.cell_ids)
         for subspace in (None, frozenset(ids[::2]), weak_point_core(X)):
             K = order_complex(X, subspace=subspace)
-            by_dim = simplicial._poset_chains(X, subspace, simplicial.DEFAULT_SIMPLEX_CAP)
+            cells = [r for r, x in enumerate(X._ids) if subspace is None or x in subspace]
+            up = {r: X.face_poset().up[r] & set(cells) for r in cells}
+            by_dim = simplicial._poset_chains(cells, up, simplicial.DEFAULT_SIMPLEX_CAP)
             assert [len(K.cells_of_dim(q)) for q in range(K.top_dim + 1)] == list(map(len, by_dim))
             for q in range(len(by_dim) + 1):
                 rows, cols = by_dim[q - 1] if q else (), by_dim[q] if q < len(by_dim) else ()
@@ -362,6 +366,86 @@ def test_rank_weak_point_core_matches_the_id_keyed_pass(data_dir, corpus, sweep_
     inputs = _oracle_inputs(data_dir) + corpus + [(cfg.seed, X) for cfg, X in sweep_corpus]
     for name, X in inputs:
         assert weak_point_core(X) == _reference_weak_point_core(X), name
+
+
+def _hasse(X, live, below):
+    """Per live rank, its lower and its upper covers in the subposet on the
+    live ranks, from ``below``: each rank's strict down-set in the face poset."""
+    under = {r: below[r] & live for r in live}
+    lower = {r: {s for s in under[r] if not any(s in under[t] for t in under[r])} for r in live}
+    upper = {r: {s for s in live if r in lower[s]} for r in live}
+    return lower, upper
+
+
+def test_live_covers_are_the_hasse_diagram_of_the_live_cells(monkeypatch, data_dir):
+    # after each removal every live cell's covers are those of the subposet
+    # on the live cells, and only cells named as changed have new covers
+    bypass, state, events = simplicial._bypass, {}, []
+
+    def spy(x, one, other):
+        X, live, below = state["X"], state["live"], state["below"]
+        lower, upper = (one, other) if min(one[x]) < x else (other, one)
+        before = {r: (set(lower[r]), set(upper[r])) for r in live}
+        (y,) = one[x]
+        sides = sorted(other[x])
+        changed = bypass(x, one, other)
+        live.discard(x)
+        events.append((state["name"], X._ids[x], X._ids[y],
+                       tuple((X._ids[z], y in one[z]) for z in sides)))
+        expected_lower, expected_upper = _hasse(X, live, below)
+        assert {r: lower[r] for r in live} == expected_lower, (state["name"], X._ids[x])
+        assert {r: upper[r] for r in live} == expected_upper, (state["name"], X._ids[x])
+        assert {r for r in live if before[r] != (lower[r], upper[r])} <= changed
+        return changed
+
+    monkeypatch.setattr(simplicial, "_bypass", spy)
+    for name, X in _oracle_inputs(data_dir):
+        below = {r: {X._rank[y] for y in poset_below(X, x)} - {r} for r, x in enumerate(X._ids)}
+        state.update(name=name, X=X, live=set(range(len(X))), below=below)
+        assert weak_point_core(X) == {X._ids[r] for r in state["live"]}, name
+    # skipped: the square's first edge goes, covered only by the square, and
+    # each of its two vertices lies under another edge of the square
+    assert ("grid1x1", "0_1x0", "0_1x0_1", (("0x0", False), ("1x0", False))) in events
+    # added: on the 1x2 grid, edge 1x0_1 goes once it covers only vertex
+    # 1x1, and the left square, its other edges through 1x1 gone, covers 1x1
+    assert ("grid1x2", "1x0_1", "1x1", (("0_1x0_1", True),)) in events
+    outcomes = [added for *_, sides in events for _, added in sides]
+    assert outcomes.count(True) > 0 and outcomes.count(False) > 0
+
+
+def test_no_cell_of_a_core_has_a_cone_for_a_strict_down_or_up_set(data_dir, corpus, sweep_corpus):
+    inputs = _oracle_inputs(data_dir) + corpus + [(cfg.seed, X) for cfg, X in sweep_corpus]
+    for name, X in inputs:
+        core = weak_point_core(X)
+        for x in core:
+            for strict in (poset_below(X, x) & core - {x}, poset_above(X, x) & core - {x}):
+                assert not any(strict <= poset_below(X, m) or strict <= poset_above(X, m)
+                               for m in strict), (name, x)
+
+
+def test_the_singular_side_never_builds_the_face_poset(monkeypatch, tmp_path, capsys, data_dir,
+                                                        star):
+    # the core and its chains are read off the facets: grids 1x1 to 4x4, a
+    # cube pair, RP2, the towers, the star and 200 generator draws
+    inputs = _oracle_inputs(data_dir, 4, range(5000, 5100))
+    inputs += [(f"tower{k}", _tower(k)) for k in (2, 3, 5)] + [("star", star)]
+    assert sum(name.startswith(("basis-change", "cubical-random")) for name, _ in inputs) == 200
+    expected = []
+    for name, X in inputs:
+        path = tmp_path / f"{name}.lef"
+        path.write_text(render_lef(X))
+        assert main(["singular", str(path)]) == 0, name
+        expected.append((path, finite_space_homology(X), capsys.readouterr().out))
+
+    def refuse(*args):
+        raise AssertionError("a face poset was built")
+
+    monkeypatch.setattr(FacePoset, "__init__", refuse)
+    for (name, X), (path, profile, out) in zip(inputs, expected):
+        assert finite_space_homology(X) == profile, name
+        assert weak_point_core(X) <= X.cell_ids, name
+        assert main(["singular", str(path)]) == 0, name
+        assert capsys.readouterr().out == out, name
 
 
 def test_core_boundaries_are_those_of_the_core_order_complex(monkeypatch, data_dir):

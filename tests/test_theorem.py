@@ -27,7 +27,8 @@ from lefhom import (
     restrict,
     search_converse,
 )
-from lefhom import complexes, homology, theorem
+from lefhom import complexes, homology, simplicial, theorem, topology
+from lefhom.cli import main
 from lefhom.complexes import LefschetzComplex
 from lefhom.errors import (LefhomError, TooManyClosedSets, TooManyClosureCells, TooManySimplices,
                            UnsupportedRing)
@@ -434,6 +435,43 @@ def test_corollary_cap_comes_before_the_order_complex(monkeypatch):
             check_corollary(X, cap=cap)
 
 
+def test_check_local_condition_and_search_build_no_up_sets(monkeypatch, tmp_path, capsys, corpus):
+    # the closure keys read down-sets only, and the singular side its own
+    # core's covers: only whole-poset chains read the face poset's up-sets
+    def refuse(self):
+        raise AssertionError("up-sets were built")
+
+    monkeypatch.setattr(complexes.FacePoset, "up", property(refuse))
+    path = tmp_path / "input.lef"
+    inputs = [X for _, X in corpus] + [_tower(5), import_cubical([[(0, 1), (0, 1)], [(1, 2), (0, 1)]])]
+    for X in inputs:
+        local_condition(X)
+        check_theorem(X, GF(2))
+        path.write_text(render_lef(X))
+        assert main(["check", str(path)]) == 0
+    capsys.readouterr()
+    cfg = GeneratorConfig(seed=42, mode="basis-change")
+    assert len(list(search_converse(cfg, ZZ, budget=200, jobs=1))) > 0
+
+
+def test_check_corollary_lists_the_cofacets_once(monkeypatch, corpus):
+    # the closed-set walk lists them; the face poset's up-sets are read off
+    # its down-sets, with no second listing
+    calls = []
+
+    def counting(X):
+        calls.append(X)
+        return cofacets(X)
+
+    cofacets = complexes._cofacets
+    for module in (complexes, topology, simplicial):
+        monkeypatch.setattr(module, "_cofacets", counting)
+    for X in [X for _, X in corpus] + [import_cubical([[(0, 1), (0, 1)], [(0, 1), (1, 2)]])]:
+        calls.clear()
+        check_corollary(X)
+        assert calls == [X]
+
+
 def test_local_condition_builds_the_cell_set_at_most_once(monkeypatch):
     X = import_cubical([[(i, i + 1), (j, j + 1)] for i in range(4) for j in range(4)])
     built = {"cell_ids": 0, "Cell": 0}
@@ -638,7 +676,7 @@ def test_no_answered_input_reaches_the_closure_cap(corpus, sweep_corpus):
     # each closure cell y <= x gives the order complex a chain, (y, x) or
     # (x), so a corollary past the closure cap is past the simplex cap too
     for X in [X for _, X in corpus] + [X for _, X in sweep_corpus]:
-        by_dim = _poset_chains(X, None, DEFAULT_SIMPLEX_CAP)
+        by_dim = _poset_chains(range(len(X)), X.face_poset().up, DEFAULT_SIMPLEX_CAP)
         assert sum(map(len, by_dim)) >= sum(map(len, X.face_poset().down)), render_lef(X)
     # a search draw has at most n cells: n / max_cells_per_dim is the
     # faces of a simplex of the top dimension, 27 those of a cube in 3 axes
