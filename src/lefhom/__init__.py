@@ -11,7 +11,7 @@ with exact arithmetic, checks the comparison theorem tying them together
 searches generated complexes for counterexamples to its converse.
 """
 
-from .complexes import Cell, FacePoset, LefschetzComplex, build_complex, is_augmentable
+from .complexes import Cell, LefschetzComplex, build_complex, is_augmentable
 from .exact import (
     GF,
     QQ,
@@ -77,7 +77,6 @@ __all__ = [
     "CorollaryReport",
     "ExactMatrix",
     "ExactSequenceReport",
-    "FacePoset",
     "GF",
     "GeneratorConfig",
     "HomologyProfile",

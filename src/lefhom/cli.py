@@ -385,6 +385,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except LefhomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_FAILED
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .exact import ExactMatrix, RingSpec, _admit
 
-__all__ = ["Cell", "LefschetzComplex", "FacePoset", "build_complex", "is_augmentable"]
+__all__ = ["Cell", "LefschetzComplex", "build_complex", "is_augmentable"]
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -43,42 +43,18 @@ class Cell(NamedTuple):
     dim: int
 
 
-class FacePoset:
-    """Reflexive-transitive closure of the facet relation of a complex, a
-    record read by field.
-
-    A cell's rank is its place in X's (dim, id) order, ``X._ids``, which
-    extends the face order; ``X._rank`` maps ids back to ranks.  ``down[r]``
-    is the frozenset of ranks of the faces of cell r, r included, ``up[r]``
-    that of its cofaces: s is in ``down[r]`` exactly when r is in ``up[s]``.
-    Antisymmetry is automatic because a strict face has strictly smaller
-    dimension.  Down-sets grow along X's facets when the poset is built;
-    up-sets are read off the down-sets when ``up`` is first read, since
-    only whole-poset chains need them, and the record keeps no reference to
-    X.  Ranks are not checked here: callers check ids with :func:`_cellset`
-    first.
-    """
-
-    __slots__ = ("down", "_up")
-
-    def __init__(self, X: LefschetzComplex):
-        rank, down = X._rank, []
-        for r, x in enumerate(X._ids):
-            faces = {r}
-            for y in X._facets[x]:
-                faces |= down[rank[y]]
-            down.append(frozenset(faces))
-        self.down, self._up = down, None
-
-    @property
-    def up(self) -> list:
-        if self._up is None:
-            up = [[] for _ in self.down]
-            for r, faces in enumerate(self.down):
-                for s in faces:
-                    up[s].append(r)
-            self._up = list(map(frozenset, up))
-        return self._up
+def _down_sets(order: Iterable[int], lower) -> dict:
+    """Rank -> down-set, for each rank x of ``order``, which lists every cell
+    after its lower covers ``lower[x]``: x and its covers' down-sets, as a
+    frozenset.  The one loop that builds down-sets, of X's face poset and of
+    a weak-point core's."""
+    down = {}
+    for x in order:
+        faces = {x}
+        for y in lower[x]:
+            faces |= down[y]
+        down[x] = frozenset(faces)
+    return down
 
 
 def _graded(dims: Mapping[str, int]) -> tuple:
@@ -253,9 +229,15 @@ class LefschetzComplex:
             self._boundary_cache[q] = mat
         return mat
 
-    def face_poset(self) -> FacePoset:
+    def face_poset(self) -> dict:
+        """The face poset as its down-sets (:func:`_down_sets`): rank -> the
+        frozenset of the ranks of the cell's faces, itself included.  A
+        cell's rank is its place in ``_ids``; ranks are not checked here, so
+        callers check ids with :func:`_cellset` first."""
         if self._poset is None:
-            self._poset = FacePoset(self)
+            rank, facets = self._rank.__getitem__, self._facets
+            # each cell's facet ranks are read once, so a lazy map serves
+            self._poset = _down_sets(range(len(self._ids)), [map(rank, facets[x]) for x in self._ids])
         return self._poset
 
     # -- misc --------------------------------------------------------------

@@ -428,8 +428,8 @@ def closure_profiles(X: LefschetzComplex, ring: RingSpec,
     reaches it.  Past ``DEFAULT_CLOSURE_CAP`` closure cells in all, raises
     ``TooManyClosureCells`` before the ring is admitted or any profile taken.
     """
-    poset = X.face_poset()
-    total = sum(map(len, poset.down))
+    down = X.face_poset()
+    total = sum(map(len, down.values()))
     if total > DEFAULT_CLOSURE_CAP:
         raise TooManyClosureCells(total, DEFAULT_CLOSURE_CAP)
     _admitted(X, ring)
@@ -443,7 +443,7 @@ def closure_profiles(X: LefschetzComplex, ring: RingSpec,
         if not dim:  # the closure of a 0-cell is the cell itself
             yield x, point
             continue
-        ranks = sorted(poset.down[r])
+        ranks = sorted(down[r])
         cuts = [bisect_left(ranks, start) for start in starts[:dim + 1]]
         cuts.append(len(ranks))
         kept = ranks[cuts[1]:]  # degree 0 has no columns

@@ -104,12 +104,14 @@ def sweep_corpus():
 
 def poset_below(X, x):
     """The ids of the face poset's down-set of x: the faces of x, x included."""
-    return frozenset([X._ids[r] for r in X.face_poset().down[X._rank[x]]])
+    return frozenset([X._ids[r] for r in X.face_poset()[X._rank[x]]])
 
 
 def poset_above(X, y):
-    """The ids of the face poset's up-set of y: the cofaces of y, y included."""
-    return frozenset([X._ids[r] for r in X.face_poset().up[X._rank[y]]])
+    """The ids of the face poset's up-set of y: the cofaces of y, y included,
+    the cells whose down-sets hold y."""
+    y = X._rank[y]
+    return frozenset([X._ids[r] for r, faces in X.face_poset().items() if y in faces])
 
 
 def random_closed_set(X, rng: random.Random):

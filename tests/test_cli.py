@@ -383,6 +383,20 @@ def test_singular_cap_error_on_a_complex_without_weak_points(capsys, tmp_path):
     assert err.splitlines() == ["error: order complex exceeds 200000 simplices; raise the cap"]
 
 
+def test_out_of_memory_is_one_error_line(monkeypatch, capsys, star_file):
+    # a command body that runs out of memory ends as a refused input does:
+    # exit 1 and one error line, with no traceback
+    def exhausted(*args):
+        raise MemoryError
+
+    for command, body in (("singular", "finite_space_homology"), ("check", "check_theorem")):
+        monkeypatch.setattr(cli, body, exhausted)
+        code, out, err = run_cli(capsys, command, star_file)
+        assert code == 1, command
+        assert out == "", command
+        assert err == "error: out of memory\n", command
+
+
 def test_search_cap_error_names_the_draw_and_what_shrinks_it(capsys):
     # many unimodular moves make the face order dense: draw 0 outgrows the cap
     argv = ["search", "--budget", "1", "--max-cells", "64", "--max-dimension", "5",

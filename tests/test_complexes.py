@@ -259,13 +259,14 @@ def test_face_poset_triangle_chains():
 
 
 def test_face_poset_up_sets_are_dual_to_down_sets(corpus):
-    # the down-sets against the facet walk, the up-sets against the brute
-    # force over it: neither shares code with the poset
+    # the down-sets against the facet walk, the up-sets read off them against
+    # the cofacet walk and the brute force over the facet walk: neither walk
+    # shares code with the poset
     for name, X in corpus:
         closures = {x: closure(X, {x}) for x in X.cell_ids}
         for y in X.cell_ids:
             assert poset_below(X, y) == closures[y], (name, y)
-            assert poset_above(X, y) == {x for x in X.cell_ids if y in poset_below(X, x)}, (name, y)
+            assert poset_above(X, y) == open_hull(X, {y}), (name, y)
             assert poset_above(X, y) == {x for x, cx in closures.items() if y in cx}, (name, y)
 
 

@@ -34,7 +34,7 @@ from lefhom import (
 )
 from lefhom import exact, homology, simplicial
 from lefhom.cli import main
-from lefhom.complexes import FacePoset
+from lefhom.complexes import LefschetzComplex
 from lefhom.errors import (LefhomError, NonFieldRing, NotClosed, TooManyClosedSets, TooManySimplices,
                            UnsupportedRing)
 from lefhom.exact import _reduction, kernel_basis, rank_over, solve
@@ -204,7 +204,7 @@ def test_closed_pairs_never_build_the_face_poset(monkeypatch, tmp_path, capsys):
     def refuse(*args):
         raise AssertionError("a face poset was built")
 
-    monkeypatch.setattr(FacePoset, "__init__", refuse)
+    monkeypatch.setattr(LefschetzComplex, "face_poset", refuse)
     assert long_exact_sequence(X, column, QQ).exact
     assert excision_check(X, column)
     assert relative_homology(X, column).entries == ()  # the pair is acyclic
@@ -481,15 +481,16 @@ def test_slices_match_rebuilt_closed_subcomplexes(corpus):
 
 def test_order_complex_chains_are_the_order_complex_keyed_by_top_cell(data_dir):
     # column for column, in order: a comparison of sets would miss the order.
-    # Each degree lists K's cells stably sorted by the rank of their top
-    # cell, the last rank that a cell's id lists
+    # Each degree lists K's cells sorted by their reversed rank tuples, so by
+    # the rank of their top cell, the last rank that a cell's id lists
     for name, X in _oracle_inputs(data_dir):
         K = order_complex(X)
         ids = [cell.id for cell in X.cells]
         rank = {x: r for r, x in enumerate(ids)}
-        top_rank = [[int(x.rsplit("_", 1)[-1]) for x in K.cells_of_dim(q)]
-                    for q in range(K.top_dim + 1)]
-        order = [sorted(range(len(tops)), key=tops.__getitem__) for tops in top_rank]
+        reversed_ranks = [[tuple(map(int, x.split("_")))[::-1] for x in K.cells_of_dim(q)]
+                          for q in range(K.top_dim + 1)]
+        top_rank = [[ranks[0] for ranks in degree] for degree in reversed_ranks]
+        order = [sorted(range(len(degree)), key=degree.__getitem__) for degree in reversed_ranks]
         keys = {(q, i): ids[top_rank[q][j]] for q in range(K.top_dim + 1)
                 for i, j in enumerate(order[q])}
         at = [{j: i for i, j in enumerate(js)} for js in order]
@@ -886,15 +887,43 @@ def test_shared_columns_are_never_written(monkeypatch, sweep_corpus):
 
 
 class _Consulted(dict):
-    """A pivot table that counts the lookups that find one of its first pivots."""
+    """A pivot table that counts its lookups, and those that find one of its
+    first pivots."""
 
     def __init__(self, table):
         super().__init__(table)
-        self.ready, self.hits = set(table), 0
+        self.ready, self.hits, self.lookups = set(table), 0, 0
 
     def get(self, low, default=None):
         self.hits += low in self.ready
+        self.lookups += 1
         return super().get(low, default)
+
+
+def test_top_cell_order_meets_no_ready_pivot(data_dir, sweep_corpus):
+    # order_complex_chains' claim: its essential columns, reduced as closed
+    # sets grow, never look up a ready pivot.  Each input replays its
+    # closed-set walk, or past 2 000 sets its cells in rank order and back
+    inputs = _oracle_inputs(data_dir) + [(cfg.seed, X) for cfg, X in sweep_corpus[:60]]
+    lookups = 0
+    for name, X in inputs:
+        try:
+            steps = closed_set_walk(X, 2000)
+        except TooManyClosedSets:
+            steps = list(X._ids) + [None] * len(X)
+        for ring in (ZZ, GF(2)):
+            chains = order_complex_chains(X, ring)
+            reducer = IncrementalReducer(chains)
+            reducer._pivots = [_Consulted(table) for table in reducer._pivots]
+            for x in steps:
+                if x is None:
+                    reducer.undo()
+                else:
+                    reducer.include(x)
+            assert reducer.kept == []
+            assert sum(table.hits for table in reducer._pivots) == 0, (name, ring.label)
+            lookups += sum(table.lookups for table in reducer._pivots)
+    assert lookups > 1000
 
 
 def test_incremental_profiles_match_slices_in_bottom_cell_order():
@@ -903,8 +932,8 @@ def test_incremental_profiles_match_slices_in_bottom_cell_order():
     # from the start, and every free rank stays exact
     for X in (import_simplicial([("a", "b", "c", "d")]),
               import_simplicial([("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d"), ("b", "c", "d")])):
-        by_dim = simplicial._poset_chains(range(len(X)), X.face_poset().up,
-                                            simplicial.DEFAULT_SIMPLEX_CAP)
+        by_dim = [sorted(chains) for chains in simplicial._poset_chains(  # lexicographic
+            range(len(X)), X.face_poset(), simplicial.DEFAULT_SIMPLEX_CAP)]
         keys = [[X._ids[chain[-1]] for chain in chains] for chains in by_dim]
         columns = [simplicial._boundary(by_dim[q - 1] if q else (), chains)._cols
                    for q, chains in enumerate(by_dim)]

@@ -25,17 +25,15 @@ DELETED = [
     ("exact", "RingSpec", ["zero", "add", "mul", "neg", "is_zero"]),
     ("exact", "ExactMatrix", ["apply", "drop"]),
     ("exact", None, ["_beside"]),
-    ("complexes", "FacePoset", ["leq", "elements", "__eq__", "below", "above", "_union", "__repr__"]),
-    ("complexes", "FacePoset", ["cofacets"]),
     ("topology", None, ["is_open"]),
     ("homology", "HomologyProfile", ["is_trivial", "is_point", "degrees"]),
     ("homology", "ChainSlices", ["closed_profile", "_rank_columns"]),
     ("formats", None, ["_cube_id"]),
     ("theorem", None, ["_closure_checks", "DEFAULT_CLOSURE_CAP"]),
     ("complexes", None, ["_cofacet_ranks", "_kappa_rows"]),
-    ("complexes", "FacePoset", ["ids", "rank"]),
     ("complexes", "LefschetzComplex", ["_by_dim", "_cells"]),
     ("simplicial", None, ["_rank_slices"]),
+    ("complexes", None, ["FacePoset"]),
 ]
 
 

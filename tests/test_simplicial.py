@@ -25,7 +25,7 @@ from lefhom import (
 )
 from lefhom import check_corollary, closure, is_closed, open_hull, simplicial
 from lefhom.cli import main
-from lefhom.complexes import FacePoset
+from lefhom.complexes import LefschetzComplex, _down_sets
 from lefhom.errors import NotClosed, TooManySimplices, UnknownCellReference
 from lefhom.exact import ExactMatrix
 from lefhom.formats import GeneratorConfig, parse_lef, parse_simplicial, random_complex, render_lef
@@ -186,19 +186,56 @@ def test_order_complex_of_a_subspace_is_the_full_subcomplex(corpus):
 
 
 def test_order_complex_boundaries_are_the_rank_routes_boundaries(data_dir, corpus):
-    # column for column: the ids of a degree sort as their rank tuples do
+    # column for column once both are sorted: the ids of a degree sort as
+    # their rank tuples do, and the rank routes list them by reversed tuple
     files = [(path.name, parse_lef(path.read_text())) for path in sorted(data_dir.glob("*.lef"))]
     for name, X in files + corpus:
         ids = sorted(X.cell_ids)
         for subspace in (None, frozenset(ids[::2]), weak_point_core(X)):
             K = order_complex(X, subspace=subspace)
             cells = [r for r, x in enumerate(X._ids) if subspace is None or x in subspace]
-            up = {r: X.face_poset().up[r] & set(cells) for r in cells}
-            by_dim = simplicial._poset_chains(cells, up, simplicial.DEFAULT_SIMPLEX_CAP)
+            down = {r: X.face_poset()[r] & set(cells) for r in cells}
+            by_dim = simplicial._poset_chains(cells, down, simplicial.DEFAULT_SIMPLEX_CAP)
             assert [len(K.cells_of_dim(q)) for q in range(K.top_dim + 1)] == list(map(len, by_dim))
             for q in range(len(by_dim) + 1):
                 rows, cols = by_dim[q - 1] if q else (), by_dim[q] if q < len(by_dim) else ()
-                assert K.boundary_matrix(q) == simplicial._boundary(rows, cols), (name, q)
+                assert list(cols) == sorted(cols, key=lambda chain: chain[::-1]), (name, q)
+                assert K.boundary_matrix(q) == simplicial._boundary(sorted(rows), sorted(cols)), (name, q)
+
+
+def _brute_force_chains(X, cells):
+    """Per dimension, the set of the rank tuples of the chains among
+    ``cells``: ascending ranks, any two of them comparable, the order read off
+    the facet walk's closures and the chains grown one cell at a time."""
+    below = {r: {X._rank[y] for y in closure(X, {X._ids[r]})} for r in cells}
+    level, by_dim = {(r,) for r in cells}, []
+    while level:
+        by_dim.append(level)
+        level = {chain + (r,) for chain in level for r in cells
+                 if r > chain[-1] and all(s in below[r] for s in chain)}
+    return by_dim
+
+
+def test_poset_chains_are_the_brute_force_chains(data_dir, corpus):
+    # X's chains, those of a random subspace as order_complex cuts them, and
+    # those of the weak-point core as the singular side builds them: each
+    # degree holds each chain once, and its top-cell ranks never fall
+    rng = random.Random(17)
+    for name, X in _oracle_inputs(data_dir) + corpus:
+        down = X.face_poset()
+        keep = set(rng.sample(range(len(X)), rng.randint(0, len(X))))
+        core, lower = simplicial._beat_core(X)
+        routes = [(range(len(X)), down),
+                  (sorted(keep), {r: down[r] & keep for r in keep}),
+                  (core, _down_sets(core, lower))]
+        for cells, below in routes:
+            by_dim = simplicial._poset_chains(cells, below, simplicial.DEFAULT_SIMPLEX_CAP)
+            expected = _brute_force_chains(X, cells)
+            assert [set(chains) for chains in by_dim] == expected, name
+            for chains in by_dim:
+                assert len(set(chains)) == len(chains), name
+                tops = [chain[-1] for chain in chains]
+                assert tops == sorted(tops), name
 
 
 # -- weak-point reduction ------------------------------------------------------
@@ -440,7 +477,7 @@ def test_the_singular_side_never_builds_the_face_poset(monkeypatch, tmp_path, ca
     def refuse(*args):
         raise AssertionError("a face poset was built")
 
-    monkeypatch.setattr(FacePoset, "__init__", refuse)
+    monkeypatch.setattr(LefschetzComplex, "face_poset", refuse)
     for (name, X), (path, profile, out) in zip(inputs, expected):
         assert finite_space_homology(X) == profile, name
         assert weak_point_core(X) <= X.cell_ids, name
@@ -448,8 +485,16 @@ def test_the_singular_side_never_builds_the_face_poset(monkeypatch, tmp_path, ca
         assert capsys.readouterr().out == out, name
 
 
+def _by_reversed_tuple(K, q):
+    """The places of K's degree-q cells sorted by their reversed rank tuples:
+    the order in which the rank routes list the same chains."""
+    tuples = [x.split("_")[::-1] for x in K.cells_of_dim(q)]  # zero-padded: strings sort as ints
+    return sorted(range(len(tuples)), key=tuples.__getitem__)
+
+
 def test_core_boundaries_are_those_of_the_core_order_complex(monkeypatch, data_dir):
-    # the same matrices, rows and columns in the same order, reach elimination
+    # the same matrices reach elimination, rows and columns in the core order
+    # complex's order once each degree is listed by reversed rank tuple
     seen = []
 
     def spy(ring, sizes, boundary):
@@ -461,8 +506,12 @@ def test_core_boundaries_are_those_of_the_core_order_complex(monkeypatch, data_d
         seen.clear()
         finite_space_homology(X)
         K = order_complex(X, subspace=weak_point_core(X))
-        assert seen == [([len(K.cells_of_dim(q)) for q in range(K.top_dim + 1)],
-                         [K.boundary_matrix(q).dense() for q in range(1, K.top_dim + 1)])], name
+        order = [_by_reversed_tuple(K, q) for q in range(K.top_dim + 1)]
+        dense = []
+        for q in range(1, K.top_dim + 1):
+            matrix = K.boundary_matrix(q).dense()
+            dense.append([[matrix[i][j] for j in order[q]] for i in order[q - 1]])
+        assert seen == [([len(K.cells_of_dim(q)) for q in range(K.top_dim + 1)], dense)], name
 
 
 # -- relative homology and the sweep on the rank chains ------------------------

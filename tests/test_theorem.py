@@ -435,25 +435,6 @@ def test_corollary_cap_comes_before_the_order_complex(monkeypatch):
             check_corollary(X, cap=cap)
 
 
-def test_check_local_condition_and_search_build_no_up_sets(monkeypatch, tmp_path, capsys, corpus):
-    # the closure keys read down-sets only, and the singular side its own
-    # core's covers: only whole-poset chains read the face poset's up-sets
-    def refuse(self):
-        raise AssertionError("up-sets were built")
-
-    monkeypatch.setattr(complexes.FacePoset, "up", property(refuse))
-    path = tmp_path / "input.lef"
-    inputs = [X for _, X in corpus] + [_tower(5), import_cubical([[(0, 1), (0, 1)], [(1, 2), (0, 1)]])]
-    for X in inputs:
-        local_condition(X)
-        check_theorem(X, GF(2))
-        path.write_text(render_lef(X))
-        assert main(["check", str(path)]) == 0
-    capsys.readouterr()
-    cfg = GeneratorConfig(seed=42, mode="basis-change")
-    assert len(list(search_converse(cfg, ZZ, budget=200, jobs=1))) > 0
-
-
 def test_check_corollary_lists_the_cofacets_once(monkeypatch, corpus):
     # the closed-set walk lists them; the face poset's up-sets are read off
     # its down-sets, with no second listing
@@ -635,7 +616,7 @@ def test_local_condition_cap_counts_closure_cells_before_any_profile(monkeypatch
     # the closures of the k-simplex's faces hold 3**k - 2**k cells in all
     assert 3 ** 14 - 2 ** 14 == 4_766_585 <= homology.DEFAULT_CLOSURE_CAP < 3 ** 15 - 2 ** 15
     X = import_simplicial([("a", "b", "c", "d", "e")])
-    assert sum(map(len, X.face_poset().down)) == 3 ** 5 - 2 ** 5 == 211
+    assert sum(map(len, X.face_poset().values())) == 3 ** 5 - 2 ** 5 == 211
     monkeypatch.setattr(homology, "profile_from_boundaries", _refused)  # reached only past the cap
     monkeypatch.setattr(homology, "DEFAULT_CLOSURE_CAP", 210)
     with pytest.raises(TooManyClosureCells) as info:
@@ -676,8 +657,8 @@ def test_no_answered_input_reaches_the_closure_cap(corpus, sweep_corpus):
     # each closure cell y <= x gives the order complex a chain, (y, x) or
     # (x), so a corollary past the closure cap is past the simplex cap too
     for X in [X for _, X in corpus] + [X for _, X in sweep_corpus]:
-        by_dim = _poset_chains(range(len(X)), X.face_poset().up, DEFAULT_SIMPLEX_CAP)
-        assert sum(map(len, by_dim)) >= sum(map(len, X.face_poset().down)), render_lef(X)
+        by_dim = _poset_chains(range(len(X)), X.face_poset(), DEFAULT_SIMPLEX_CAP)
+        assert sum(map(len, by_dim)) >= sum(map(len, X.face_poset().values())), render_lef(X)
     # a search draw has at most n cells: n / max_cells_per_dim is the
     # faces of a simplex of the top dimension, 27 those of a cube in 3 axes
     bounds = GENERATOR_BOUNDS
