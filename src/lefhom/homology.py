@@ -20,6 +20,7 @@ against each other.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cache
 from itertools import chain
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -213,8 +214,9 @@ def stacked_chains(lower: ChainSlices, upper: ChainSlices) -> ChainSlices:
 
 
 # The most entries that the keys of a BoundedMemo hold in all.  A search over
-# basis-change draws (budget 1 000) fills each of its closure memos to under
-# 9 000, and its recipe memo to about 14 000.
+# basis-change draws (budget 1 000) fills its draws' closure memo, which keeps
+# their closures and singular homologies, to under 7 000, its re-verification
+# memo to under 11 000, and its recipe memo to about 14 000.
 CLOSURE_MEMO_BOUND = 50_000
 
 
@@ -229,25 +231,34 @@ class BoundedMemo(dict):
         self.length = 0
 
     def __setitem__(self, key, value):
-        size = self.size(key)
-        if self.length + size <= CLOSURE_MEMO_BOUND:
+        if key not in self:  # a key stored already is counted already
+            size = self.size(key)
+            if self.length + size > CLOSURE_MEMO_BOUND:
+                return
             self.length += size
-            super().__setitem__(key, value)
+        super().__setitem__(key, value)
 
 
 def _closure_key_size(key) -> int:
-    cuts, _, rows = key
-    return len(cuts) + 2 * len(rows)  # one value per row
+    return len(key[0]) + 2 * len(key[2])  # the cuts, and one value per row
 
 
 class ClosureMemo(BoundedMemo):
     """A memo for :func:`closure_profiles` that may serve many
-    complexes over one ring, since its keys name a closure's content.
-    A key's entries are its cuts, rows and values.
+    complexes over one ring, since its keys name a closed set's content.
+    The converse search keeps whole complexes' singular homology in it too,
+    under ``simplicial.space_key``, and reads a complex's chain homology
+    from it where a closure of the same content, :func:`complex_key`, was
+    profiled.  A key's entries are its cuts, rows and values; a space key's
+    tag is not counted.  Equal profiles are kept as one object.
     """
 
     def __init__(self):
         super().__init__(_closure_key_size)
+        self._profiles = {}  # each distinct profile once: keys are many, profiles few
+
+    def __setitem__(self, key, profile):
+        super().__setitem__(key, self._profiles.setdefault(profile, profile))
 
 
 class IncrementalReducer:
@@ -412,6 +423,37 @@ def lefschetz_homology(X: LefschetzComplex, ring: Optional[RingSpec] = None) -> 
 DEFAULT_CLOSURE_CAP = 10_000_000
 
 
+def _content_key(cuts: Sequence[int], rows: Iterable, values: Iterable,
+                 at: Optional[Mapping] = None) -> tuple:
+    """The key of a closed set's content: the ``cuts`` where each degree
+    starts among its sorted ranks, empty degrees too, then the cells past
+    degree 0 in rank order, first their facets' values and then their
+    ascending facet ranks, flat, renumbered by ``at`` (rank -> place)
+    unless the set is all of X."""
+    flat = chain.from_iterable(rows)
+    return (tuple(cuts), tuple(values),
+            tuple(flat if at is None else map(at.__getitem__, flat)))
+
+
+@cache
+def _units(n: int) -> tuple:
+    """n values 1, one tuple per n for every key that holds them."""
+    return (1,) * n
+
+
+def complex_key(X: LefschetzComplex, unit: bool = False) -> tuple:
+    """The key under which :func:`closure_profiles` memoizes a closure of
+    X's content, so that a memo holding the profile of a closure equal to X
+    serves X's chain homology.  With ``unit`` each value is keyed as 1,
+    which keeps only the face poset and its grading."""
+    rank, ids, facets, starts = X._rank, X._ids, X._facets, X._starts
+    cells = ids[starts[1]:] if len(starts) > 1 else ()  # a 0-cell has no facets
+    rows = [sorted(map(rank.__getitem__, facets[x])) for x in cells]
+    values = (map(_units, map(len, rows)) if unit else
+              (tuple(facets[x][ids[s]] for s in row) for x, row in zip(cells, rows)))
+    return _content_key(starts, rows, values)
+
+
 def closure_profiles(X: LefschetzComplex, ring: RingSpec,
                      memo: Optional[dict] = None) -> Iterator[tuple]:
     """(cell id, profile over ``ring`` of its closure) for each cell of X,
@@ -448,9 +490,8 @@ def closure_profiles(X: LefschetzComplex, ring: RingSpec,
         cuts.append(len(ranks))
         kept = ranks[cuts[1]:]  # degree 0 has no columns
         at = dict(zip(ranks, range(len(ranks))))
-        cols = tuple(map(values.__getitem__, kept))
-        flat = tuple(map(at.__getitem__, chain.from_iterable(map(rows.__getitem__, kept))))
-        key = (tuple(cuts), cols, flat)
+        _, cols, flat = key = _content_key(cuts, map(rows.__getitem__, kept),
+                                           map(values.__getitem__, kept), at)
         profile = memo.get(key)
         if profile is None:
             sizes = [b - a for a, b in zip(cuts, cuts[1:])]

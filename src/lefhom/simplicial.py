@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 from .complexes import LefschetzComplex, _cellset, _cofacets, _down_sets
 from .errors import TooManySimplices
 from .exact import ExactMatrix, RingSpec, ZZ
-from .homology import ChainSlices, HomologyProfile, profile_from_boundaries
+from .homology import ChainSlices, HomologyProfile, complex_key, profile_from_boundaries
 
 __all__ = [
     "SimplicialComplex",
@@ -213,6 +213,17 @@ def order_complex_chains(X: LefschetzComplex, ring: RingSpec) -> ChainSlices:
     return ChainSlices(ring, [[X._ids[chain[-1]] for chain in chains] for chains in by_dim],
                        [_boundary(by_dim[q - 1] if q else (), chains)._cols
                         for q, chains in enumerate(by_dim)], ZZ)
+
+
+def space_key(X: LefschetzComplex) -> tuple:
+    """The key of X's finite space in a ``homology.ClosureMemo``: X's content
+    keyed with every κ value 1 (``homology.complex_key``), which keeps the
+    Hasse diagram in ranks, each rank's ascending facet ranks, and the
+    grading, then the tag ``"space"``.  Without the tag, a complex whose
+    values are all 1 would key its space as a closure of its content: a lone
+    1-cell with no facets has chain homology H_1 = Z, and its space is a
+    point."""
+    return (*complex_key(X, unit=True), "space")
 
 
 def finite_space_homology(X: LefschetzComplex, ring: Optional[RingSpec] = None,

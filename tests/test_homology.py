@@ -1154,3 +1154,47 @@ def test_fractions_that_no_slice_reads_are_refused():
     for ring in (QQ, GF(2)):
         assert excision_check(X, everything, ring)
         assert long_exact_sequence(X, everything, ring).exact
+
+
+def test_a_bounded_memo_counts_a_key_stored_twice_once(monkeypatch):
+    monkeypatch.setattr(homology, "CLOSURE_MEMO_BOUND", 10)
+    memo = homology.BoundedMemo(len)
+    memo["abcd"] = 1
+    memo["abcd"] = 2  # stored again: the new value, and no second count
+    assert (dict(memo), memo.length) == ({"abcd": 2}, 4)
+    memo["efgh"] = 3
+    memo["ij"] = 4
+    assert memo.length == 10 and len(memo) == 3
+    memo["abcd"] = 5  # at the bound, a key that is in still takes its new value
+    memo["k"] = 6  # and a new one is not kept
+    assert dict(memo) == {"abcd": 5, "efgh": 3, "ij": 4} and memo.length == 10
+
+
+def test_a_complex_keys_as_a_closure_of_its_content():
+    # the square is the closure of its 2-cell, so closure_profiles keys that
+    # closure as complex_key keys the square; the L's top cells each close
+    # on part of it only
+    square = import_cubical([[(0, 1), (0, 1)]])
+    memo = homology.ClosureMemo()
+    profiles = dict(homology.closure_profiles(square, ZZ, memo))
+    top = square.cells_of_dim(2)[0]
+    assert memo[homology.complex_key(square)] == profiles[top] == lefschetz_homology(square)
+    ell = import_cubical([[(0, 1), (0, 0)], [(1, 1), (0, 1)]])
+    memo = homology.ClosureMemo()
+    list(homology.closure_profiles(ell, ZZ, memo))
+    assert homology.complex_key(ell) not in memo
+    # keyed with unit values, only the poset and the grading are left
+    ones = build_complex([("a", 0), ("b", 0), ("e", 1)], {("e", "a"): 1, ("e", "b"): 1}, ZZ)
+    signs = build_complex([("a", 0), ("b", 0), ("e", 1)], {("e", "a"): -1, ("e", "b"): 1}, ZZ)
+    assert homology.complex_key(ones) == homology.complex_key(ones, unit=True)
+    assert homology.complex_key(signs) != homology.complex_key(signs, unit=True)
+    assert homology.complex_key(signs, unit=True) == homology.complex_key(ones, unit=True)
+
+
+def test_a_closure_memo_keeps_each_distinct_profile_once():
+    X = import_cubical([[(i, i + 1), (j, j + 1)] for i in range(4) for j in range(4)])
+    memo = homology.ClosureMemo()
+    profiles = dict(homology.closure_profiles(X, ZZ, memo))
+    assert len(memo) > 1 and set(memo.values()) == {point_profile(ZZ)}
+    assert len({id(profile) for profile in memo.values()}) == 1
+    assert all(profile == point_profile(ZZ) for profile in profiles.values())

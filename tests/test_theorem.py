@@ -758,14 +758,23 @@ class InlineExecutor:
         return map(fn, iterable)
 
 
-def _record_closure_memos(monkeypatch):
-    """(memo, inside _reverify) for each closure_profiles call from here on."""
+def _record_closure_memos(monkeypatch, asked=None):
+    """(memo, inside _reverify) for each closure_profiles call from here on;
+    with ``asked``, each homology of a whole complex asked of a memo appends
+    (memo, inside _reverify, "space" or "chain") to it."""
     calls, reverifying = [], []
     closure_profiles, reverify = theorem.closure_profiles, theorem._reverify
+    sides = {"space": theorem._singular, "chain": theorem._chain}
 
     def recorded(X, ring, memo):
         calls.append((memo, bool(reverifying)))
         return closure_profiles(X, ring, memo)
+
+    def asking(side):
+        def ask(X, ring, memo):
+            asked.append((memo, bool(reverifying), side))
+            return sides[side](X, ring, memo)
+        return ask
 
     def flagged(*args):
         reverifying.append(True)
@@ -776,16 +785,20 @@ def _record_closure_memos(monkeypatch):
 
     monkeypatch.setattr(theorem, "closure_profiles", recorded)
     monkeypatch.setattr(theorem, "_reverify", flagged)
+    if asked is not None:
+        monkeypatch.setattr(theorem, "_singular", asking("space"))
+        monkeypatch.setattr(theorem, "_chain", asking("chain"))
     return calls
 
 
 def _key_length(memo) -> int:
-    return sum(len(cuts) + sum(map(len, values)) + len(rows) for cuts, values, rows in memo)
+    # a space key's tag is not counted
+    return sum(len(cuts) + sum(map(len, values)) + len(rows) for cuts, values, rows, *_ in memo)
 
 
 def test_search_memos_stay_within_their_bound(monkeypatch):
-    # unbounded, this search's draw memo would hold 3 276 key entries and
-    # its re-verification memo 19 148
+    # unbounded, this search's draw memo would hold 15 170 key entries and
+    # its re-verification memo 22 502 (3 276 and 19 148 with closure keys only)
     bound = 1000
     monkeypatch.setattr(homology, "CLOSURE_MEMO_BOUND", bound)
     cfg = GeneratorConfig(seed=21, mode="basis-change")
@@ -793,9 +806,10 @@ def test_search_memos_stay_within_their_bound(monkeypatch):
     expected = [(i, render_lef(X)) for i in range(budget)
                 if _is_candidate(X := random_complex(cfg._replace(seed=_derive_seed(cfg.seed, i))),
                                  ZZ)]
-    calls = _record_closure_memos(monkeypatch)
+    asked = []
+    calls = _record_closure_memos(monkeypatch, asked)
     lengths = {}
-    original = theorem.closure_profiles
+    original, singular = theorem.closure_profiles, theorem._singular
 
     def checked(X, ring, memo):
         for item in original(X, ring, memo):
@@ -803,9 +817,22 @@ def test_search_memos_stay_within_their_bound(monkeypatch):
             assert length == memo.length <= bound
             yield item
 
+    def checked_singular(X, ring, memo):
+        profile = singular(X, ring, memo)
+        lengths[id(memo)] = length = _key_length(memo)
+        assert length == memo.length <= bound
+        return profile
+
     monkeypatch.setattr(theorem, "closure_profiles", checked)
+    monkeypatch.setattr(theorem, "_singular", checked_singular)
     found = [(c.index, c.lef_text) for c in search_converse(cfg, ZZ, budget, 1)]
     assert len({id(memo) for memo, _ in calls}) == 2
+    assert {id(memo) for memo, _, _ in asked} == {id(memo) for memo, _ in calls}
+    # both memos were asked for both homologies, and hold space keys
+    for reverifying in (False, True):
+        assert {side for _, flag, side in asked if flag == reverifying} == {"space", "chain"}
+    memos = {id(memo): memo for memo, _ in calls}
+    assert all(any(key[-1] == "space" for key in memo) for memo in memos.values())
     assert all(bound - 100 < length <= bound for length in lengths.values())
     # a bounded memo changes no candidate, serial or pooled
     assert found == expected and len(found) > 500
@@ -901,15 +928,157 @@ def test_the_recipe_memo_stays_within_its_bound(monkeypatch):
 
 
 def test_reverification_memo_is_never_filled_by_the_draws(monkeypatch):
-    calls = _record_closure_memos(monkeypatch)
+    asked = []
+    calls = _record_closure_memos(monkeypatch, asked)
     cfg = GeneratorConfig(seed=4, mode="basis-change")
     hits = list(search_converse(cfg, ZZ, budget=300))
-    draws = {id(memo) for memo, reverifying in calls if not reverifying}
-    reverified = {id(memo) for memo, reverifying in calls if reverifying}
+    uses = calls + [(memo, reverifying) for memo, reverifying, _ in asked]
+    draws = {id(memo) for memo, reverifying in uses if not reverifying}
+    reverified = {id(memo) for memo, reverifying in uses if reverifying}
     assert hits and len(draws) == len(reverified) == 1  # one memo each for the whole search
     assert not draws & reverified
-    memos = {id(memo): memo for memo, _ in calls}
+    memos = {id(memo): memo for memo, _ in uses}
     assert all(isinstance(memo, homology.ClosureMemo) for memo in memos.values())
+    # each candidate's two homologies were asked of re-verification's memo,
+    # and the space keys there are the candidates' own
+    (memo,) = [memos[i] for i in reverified]
+    sides = sorted(side for _, flag, side in asked if flag)
+    assert sides == ["chain"] * len(hits) + ["space"] * len(hits)
+    spaces = {key for key in memo if key[-1] == "space"}
+    assert spaces == {simplicial.space_key(parse_lef(c.lef_text)) for c in hits}
+
+
+def _lone_edge():
+    # a 1-cell with no facets: chain homology H_1 = Z, and its space is a point
+    return build_complex([("e", 1)], {}, ZZ)
+
+
+def test_a_chain_key_and_a_space_key_never_collide(monkeypatch):
+    # the lone edge and the half interval have only the value 1, so the key
+    # of their top cell's closure, which is X, is their face posets' key with
+    # unit values: the tag tells a space key apart
+    half = build_complex([("a", 0), ("e", 1)], {("e", "a"): 1}, ZZ)
+    cases = [(_lone_edge(), "H_0: 0; H_1: Z", "H_0: Z"), (half, "trivial", "H_0: Z")]
+    for X, chain, space in cases:
+        assert homology.complex_key(X) == homology.complex_key(X, unit=True)
+        assert simplicial.space_key(X) != homology.complex_key(X)
+        assert str(lefschetz_homology(X)) == chain and str(finite_space_homology(X)) == space
+    monkeypatch.setattr(theorem, "lefschetz_homology", None)  # each chain side is served
+    for X, chain, space in cases:
+        for space_first in (False, True):
+            memo = homology.ClosureMemo()
+            if space_first:
+                assert str(theorem._singular(X, ZZ, memo)) == space
+            assert str(dict(homology.closure_profiles(X, ZZ, memo))["e"]) == chain
+            assert str(theorem._chain(X, ZZ, memo)) == chain
+            assert str(theorem._singular(X, ZZ, memo)) == space
+            assert len(memo) == 2
+            assert not _is_candidate(X, ZZ, memo)
+    monkeypatch.undo()
+    assert not _is_candidate(_lone_edge(), ZZ)
+
+
+def test_memo_served_homologies_and_verdicts_equal_the_direct_ones(corpus):
+    # one memo per ring serves every input, as a search's serves its draws;
+    # the verdict is computed here from its parts, not through _is_candidate
+    rings = (ZZ, QQ, GF(2), GF(3))
+    draws = [random_complex(GeneratorConfig(seed=seed, mode=mode, max_cells_per_dim=4))
+             for seed in range(150) for mode in ("simplicial-random", "cubical-random",
+                                                 "basis-change")]
+    inputs = ([X for _, X in corpus] + draws
+              + [_lone_edge(), _torsion_witness(), parse_lef(render_lef(_torsion_witness()))])
+    served = candidates = 0
+    for ring in rings:
+        memo = homology.ClosureMemo()
+        for X in inputs:
+            lef, sing = lefschetz_homology(X, ring), finite_space_homology(X, ring)
+            failure = not all(check.passes for check in local_condition(X, ring).values())
+            verdict = is_augmentable(X, ring) and failure and lef == sing
+            assert _is_candidate(X, ring, memo) == verdict, (render_lef(X), ring)
+            candidates += verdict
+        for X in inputs:
+            for key, direct in ((simplicial.space_key(X), finite_space_homology(X, ring)),
+                                (homology.complex_key(X), lefschetz_homology(X, ring))):
+                if key in memo:
+                    assert memo[key] == direct, (render_lef(X), ring)
+                    served += 1
+    assert candidates > 100 and served > 900
+    # and the search's verdicts, over its own memos
+    for mode in ("simplicial-random", "cubical-random", "basis-change"):
+        cfg = GeneratorConfig(seed=13, mode=mode)
+        for ring in rings:
+            expected = []
+            for i in range(200):
+                X = random_complex(cfg._replace(seed=_derive_seed(cfg.seed, i)))
+                if (is_augmentable(X, ring)
+                        and not all(c.passes for c in local_condition(X, ring).values())
+                        and lefschetz_homology(X, ring) == finite_space_homology(X, ring)):
+                    expected.append(i)
+            assert [c.index for c in search_converse(cfg, ring, 200)] == expected, (mode, ring)
+            assert expected or mode != "basis-change"
+
+
+def test_the_euler_check_spares_the_chain_side_only(monkeypatch):
+    # a draw whose profiles differ in Euler characteristic is decided without
+    # the chain side; the singular side is still computed, and first
+    computed = []
+    lef, sing = theorem.lefschetz_homology, theorem.finite_space_homology
+    monkeypatch.setattr(theorem, "lefschetz_homology",
+                        lambda X, ring: computed.append("chain") or lef(X, ring))
+    monkeypatch.setattr(theorem, "finite_space_homology",
+                        lambda X, ring: computed.append("space") or sing(X, ring))
+    assert _is_candidate(_torsion_witness(), ZZ, homology.ClosureMemo())
+    assert computed == ["space", "chain"]
+    computed.clear()
+    # cl f has H_0 = Z + Z/2, and g is a 1-cell with no facets: X has Euler
+    # characteristic 0, its space (a point and an arc) 2
+    X = build_complex([("a", 0), ("b", 0), ("f", 1), ("g", 1)],
+                      {("f", "a"): -2, ("f", "b"): 2}, ZZ)
+    assert is_augmentable(X) and _first_local_failure(X, ZZ) == "f"
+    assert str(finite_space_homology(X)) == "H_0: Z^2"
+    assert not _is_candidate(X, ZZ, homology.ClosureMemo())
+    assert computed == ["space"]
+
+
+def test_reverification_reads_a_closed_top_cell_from_its_local_pass(monkeypatch):
+    # the square is the closure of its 2-cell: the full local pass has
+    # profiled that closure, so X's chain homology is a memo hit
+    square = import_cubical([[(0, 1), (0, 1)]])
+    expected = lefschetz_homology(square)
+
+    def refused(X, ring):
+        raise AssertionError("the chain side was computed")
+
+    monkeypatch.setattr(theorem, "lefschetz_homology", refused)
+    memo = homology.ClosureMemo()
+    report = theorem._check_theorem(square, ZZ, memo)
+    assert report.lefschetz_profile == expected
+    assert simplicial.space_key(square) in memo
+    with pytest.raises(AssertionError, match="chain side"):
+        check_theorem(square)  # without a memo, check_theorem computes both sides
+
+
+def test_a_search_computes_fewer_profiles_than_it_asks_for(monkeypatch):
+    counts = {"space asked": 0, "chain asked": 0, "space computed": 0, "chain computed": 0}
+
+    def counted(name, function):
+        def call(*args):
+            counts[name] += 1
+            return function(*args)
+        return call
+
+    for name, attr in (("space asked", "space_key"), ("chain asked", "complex_key"),
+                       ("space computed", "finite_space_homology"),
+                       ("chain computed", "lefschetz_homology")):
+        monkeypatch.setattr(theorem, attr, counted(name, getattr(theorem, attr)))
+    cfg = GeneratorConfig(seed=5, mode="basis-change")
+    hits = list(search_converse(cfg, ZZ, budget=1000))
+    assert len(hits) == 195
+    # both memos asked, the draws' and re-verification's; without them each
+    # side would be computed 527 times, once per draw and per candidate
+    # that reach it, and the Euler check asks the chain side 131 times less
+    assert counts == {"space asked": 527, "chain asked": 396, "space computed": 219,
+                      "chain computed": 222}
 
 
 def test_serial_search_eliminates_each_closure_content_once_per_memo(monkeypatch):
